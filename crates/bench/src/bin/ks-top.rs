@@ -475,20 +475,18 @@ fn main() {
     );
     let initial = UniqueState::constant(ENTITIES, 0);
     let recorder = Recorder::new(RING_CAPACITY);
-    // Durable dashboard: the WAL runs over in-memory media with group
-    // commit on and a short window, so the wal/group-size panels show a
-    // live durability pipeline without touching the filesystem.
+    // Durable dashboard: the WAL runs over in-memory media, so the
+    // wal/group-size panels show a live durability pipeline without
+    // touching the filesystem.
     // `--no-wal` drops durability entirely; the WAL panel degrades to a
     // placeholder.
     let durability = if opts.no_wal {
         Durability::None
     } else {
         let media = MemStore::new();
-        let mut wal = WalOptions::new(Arc::new(move || {
+        Durability::Wal(WalOptions::new(Arc::new(move || {
             Box::new(media.clone()) as Box<dyn SegmentStore>
-        }));
-        wal.group_window = Duration::from_micros(500);
-        Durability::Wal(wal)
+        })))
     };
     let svc = TxnService::new(
         schema,

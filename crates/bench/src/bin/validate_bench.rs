@@ -12,11 +12,12 @@
 //!   `loopback_over_in_process` is a positive number — and if the run
 //!   was full-size (it recorded a `pass` verdict against the gate),
 //!   that verdict must be `true`;
-//! * `wal` reports additionally: a `ratio` object whose
-//!   `group_over_naive_fsync_per_commit` is a positive number, with a
-//!   `pass` verdict against the amortization gate that must be `true`
-//!   (fsync counts are schedule-robust, so smoke runs carry the verdict
-//!   too);
+//! * `wal` reports additionally: a `gate` object with numeric
+//!   `lone_fsync_per_commit`, `lone_commit_p50_us` and
+//!   `shared_over_lone_fsync_per_commit`, and a mandatory `pass` verdict
+//!   (the injected sync latency dwarfs scheduling noise, so smoke runs
+//!   carry it too); the retired naive-vs-group report, which has a
+//!   `ratio` object instead, fails here;
 //! * `obs` reports additionally: an `overhead` object with a numeric
 //!   `value` and a mandatory `pass` verdict against the tracing-overhead
 //!   budget (best-of-alternating-rounds absorbs CI timing noise);
@@ -221,30 +222,26 @@ fn validate(name: &str, doc: &Json, errors: &mut Vec<String>) {
         }
     }
     if bench == "wal" {
-        let Some(ratio) = doc.get("ratio") else {
-            err("wal report missing \"ratio\" object".to_string());
+        let Some(gate) = doc.get("gate") else {
+            err("wal report missing \"gate\" object (a naive-vs-group report?)".to_string());
             return;
         };
-        let r = ratio
-            .get("group_over_naive_fsync_per_commit")
-            .and_then(Json::as_f64);
-        match r {
-            Some(r) if r > 0.0 => {}
-            Some(r) => err(format!(
-                "ratio.group_over_naive_fsync_per_commit = {r} (must be > 0)"
-            )),
-            None => err("ratio missing numeric \"group_over_naive_fsync_per_commit\"".to_string()),
-        }
-        // Group-commit amortization is about *counts*, not wall-clock,
-        // so the verdict is mandatory — smoke runs included.
-        let gate = ratio.get("gate").and_then(Json::as_f64).unwrap_or(f64::NAN);
-        match ratio.get("pass").and_then(Json::as_bool) {
+        let num = |key: &str| gate.get(key).and_then(Json::as_f64);
+        let (Some(lone), Some(p50), Some(shared)) = (
+            num("lone_fsync_per_commit"),
+            num("lone_commit_p50_us"),
+            num("shared_over_lone_fsync_per_commit"),
+        ) else {
+            err("gate missing a numeric lone/shared figure".to_string());
+            return;
+        };
+        match gate.get("pass").and_then(Json::as_bool) {
             Some(true) => {}
             Some(false) => err(format!(
-                "fsync-per-commit ratio {:.4} exceeds the {gate} amortization gate",
-                r.unwrap_or(f64::NAN)
+                "commit-path gate failed: lone {lone:.4} fsync/commit at p50 {p50:.0} us, \
+                 shared {shared:.4}x the lone figure"
             )),
-            None => err("ratio missing boolean \"pass\"".to_string()),
+            None => err("gate missing boolean \"pass\"".to_string()),
         }
     }
 }

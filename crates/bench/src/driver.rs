@@ -14,7 +14,7 @@ use ks_kernel::EntityId;
 use ks_predicate::{Atom, Clause, CmpOp, Cnf};
 use ks_server::{Backoff, BatchOp, Client, TxnBuilder};
 use ks_sim::{Workload, WorkloadSpec};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tautological input over `entities` (placing them in the accessible set
 /// `N_t`), unconstrained output — the serving analogue of the sim
@@ -57,7 +57,7 @@ pub struct DriverConfig {
 }
 
 /// What one driven client observed.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone)]
 pub struct DriveOutcome {
     /// Transactions committed.
     pub committed: u64,
@@ -67,6 +67,8 @@ pub struct DriveOutcome {
     pub rejected: u64,
     /// Transient-error retries across all calls.
     pub busy_retries: u64,
+    /// How long each successful commit call took, retries included.
+    pub commit_latencies: Vec<Duration>,
 }
 
 impl DriveOutcome {
@@ -76,6 +78,7 @@ impl DriveOutcome {
         self.aborted += other.aborted;
         self.rejected += other.rejected;
         self.busy_retries += other.busy_retries;
+        self.commit_latencies.extend(other.commit_latencies);
     }
 }
 
@@ -176,8 +179,12 @@ pub fn drive_txn<C: Client>(
             }
         }
     }
+    let commit_start = Instant::now();
     match retry!(session.commit(txn)) {
-        Ok(()) => out.committed += 1,
+        Ok(()) => {
+            out.committed += 1;
+            out.commit_latencies.push(commit_start.elapsed());
+        }
         Err(_) => finish_abort(out),
     }
 }

@@ -271,11 +271,6 @@ impl World {
         let mut wal = WalOptions::new(Arc::new(move || {
             Box::new(media.clone()) as Box<dyn SegmentStore>
         }));
-        // Group commit batches wall-clock-concurrent fsyncs; the DST
-        // driver is synchronous, so it would only add a flusher thread's
-        // timing to an otherwise deterministic run. Naive mode syncs
-        // inline on the worker thread instead.
-        wal.group_commit = false;
         wal.sync_on_commit = self.protections.commit_flush;
         wal.segment_bytes = 1 << 16;
         ServerConfig::builder()

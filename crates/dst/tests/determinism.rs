@@ -35,3 +35,41 @@ fn traces_are_complete_and_nonempty() {
         out.canonical_trace
     );
 }
+
+/// The durability oracle judges the production commit path: every plan
+/// runs over the WAL, and an acknowledged commit got durable through the
+/// flusher — at least one `GroupCommit` per definite commit, each a
+/// batch of one because the driver is synchronous.
+#[test]
+fn wal_plans_commit_through_the_flusher() {
+    let (mut commits, mut flushes) = (0, 0);
+    for seed in 0..10u64 {
+        let out = run_plan(&generate(seed), Protections::all_on());
+        assert!(
+            out.violations.is_empty(),
+            "seed {seed}: {:?}",
+            out.violations
+        );
+        let batches: Vec<&str> = out
+            .canonical_trace
+            .lines()
+            .filter(|l| l.contains("\"kind\":\"group_commit\""))
+            .collect();
+        assert!(
+            batches.len() >= out.definite_commits,
+            "seed {seed}: {} flusher batches for {} acked commits",
+            batches.len(),
+            out.definite_commits
+        );
+        assert!(
+            batches.iter().all(|l| l.contains("\"n\":1")),
+            "seed {seed}: a synchronous driver cannot batch: {batches:?}"
+        );
+        commits += out.definite_commits;
+        flushes += batches.len();
+    }
+    assert!(
+        commits > 0 && flushes > 0,
+        "ten plans must ack some commit ({commits}) through the flusher ({flushes})"
+    );
+}

@@ -8,7 +8,7 @@ use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
 use ks_obs::{ObsKind, Recorder};
 use ks_predicate::{Atom, Clause, CmpOp, Cnf, Strategy};
-use ks_server::{verify_managers, Client, ServerConfig, ServerError, TxnBuilder, TxnService};
+use ks_server::{verify_certifiers, Client, ServerConfig, ServerError, TxnBuilder, TxnService};
 
 const ENTITIES: usize = 16;
 const CLIENTS: usize = 5;
@@ -120,7 +120,7 @@ fn concurrent_connections_commit_and_verify_clean() {
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
     assert!(committed > 0, "the workload must make progress");
-    let report = verify_managers(&server.shutdown());
+    let report = verify_certifiers(&server.shutdown());
     assert!(report.is_correct(), "{:?}", report.violations);
     assert_eq!(report.committed as u64, committed, "wire loses no commits");
     // Connection lifecycle is observable: one opened/closed pair per
@@ -164,7 +164,7 @@ fn ordering_edges_and_strategy_cross_the_wire() {
     session.commit(late).expect("commit late");
     session.commit(early).expect("commit early after late");
     session.close().expect("goodbye");
-    let report = verify_managers(&server.shutdown());
+    let report = verify_certifiers(&server.shutdown());
     assert!(report.is_correct(), "{:?}", report.violations);
     assert_eq!(report.committed, 2);
 }
@@ -206,7 +206,7 @@ fn dropped_connection_releases_its_transactions() {
         .commit(txn)
         .expect("survivor must commit after the crash is reaped");
     session.close().expect("goodbye");
-    let report = verify_managers(&server.shutdown());
+    let report = verify_certifiers(&server.shutdown());
     assert!(report.is_correct(), "{:?}", report.violations);
 }
 
@@ -290,7 +290,7 @@ fn slow_frames_straddling_the_poll_interval_stay_in_sync() {
         wire::decode_response(&bye),
         Ok((4, 0, Response::Bye))
     ));
-    let report = verify_managers(&server.shutdown());
+    let report = verify_certifiers(&server.shutdown());
     assert!(report.is_correct(), "{:?}", report.violations);
     assert_eq!(report.committed, 1);
 }
@@ -316,5 +316,5 @@ fn remote_metrics_reflect_the_work() {
     );
     assert_eq!(m.sessions_in_flight, 1);
     session.close().expect("goodbye");
-    drop(verify_managers(&server.shutdown()));
+    drop(verify_certifiers(&server.shutdown()));
 }

@@ -45,12 +45,9 @@ fn start_traced_server(recorder: &Recorder) -> NetServer {
         },
     );
     let media = MemStore::default();
-    let mut opts = WalOptions::new(Arc::new(move || {
+    let opts = WalOptions::new(Arc::new(move || {
         Box::new(media.clone()) as Box<dyn SegmentStore>
     }));
-    opts.group_commit = true;
-    opts.group_window = Duration::from_micros(200);
-    opts.sync_on_commit = true;
     let config = ServerConfig::builder()
         .shards(SHARDS)
         .durability(Durability::Wal(opts))

@@ -110,8 +110,8 @@ pub enum SpanHop {
     /// Group commit: ticket enqueued by the worker → picked up by the
     /// flusher.
     WalEnqueue,
-    /// Group commit: flusher barrier open (batching window) → fsync
-    /// issued.
+    /// Group commit: flusher pickup → fsync issued (the wait for other
+    /// sessions' commits; ≈ 0 for a lone session).
     WalBarrier,
     /// Durability barrier: fsync start → fsync complete.
     WalFsync,

@@ -1,8 +1,7 @@
 //! JSONL serialization of event streams.
 //!
-//! Hand-written in the same dependency-free spirit as
-//! `ks-protocol::wire` — no `serde_json`, a stable format, and an exact
-//! round-trip. One event per line:
+//! Hand-written and dependency-free — no `serde_json`, a stable format,
+//! and an exact round-trip. One event per line:
 //!
 //! ```text
 //! {"ts":1201,"shard":0,"txn":3,"kind":"version_assigned","entity":1,"version":4,"forced":false}

@@ -19,9 +19,8 @@
 //!   ring buffers (seqlock slots over atomics, no `unsafe`) with bounded
 //!   memory and a drop counter; a [`Recorder`] registry drains all rings
 //!   into one time-ordered stream.
-//! * [`json`] — JSONL serialization, hand-written in the same
-//!   dependency-free spirit as `ks-protocol::wire` (no `serde_json`):
-//!   one event per line, exact round-trip.
+//! * [`json`] — JSONL serialization, hand-written and dependency-free
+//!   (no `serde_json`): one event per line, exact round-trip.
 //! * [`timeline`] — causal stitching: group a drained stream into
 //!   per-transaction timelines, the artifact a dump-on-violation hands
 //!   to a human.

@@ -43,10 +43,8 @@ pub mod extract;
 pub mod history;
 pub mod locks;
 pub mod manager;
-pub mod session;
 pub mod ssi;
 pub mod tpl;
-pub mod wire;
 
 pub use adapter::KsProtocolAdapter;
 pub use certifier::{verify_cpc, Backend, Certifier};
@@ -57,10 +55,8 @@ pub use manager::{
     CommitOutcome, ProtocolManager, ReEvalAction, ReadOutcome, Txn, TxnState, ValidationOutcome,
     WriteReport,
 };
-pub use session::{replay, RecordingManager, SessionEvent, SessionLog};
 pub use ssi::SsiCertifier;
 pub use tpl::TplCertifier;
-pub use wire::{from_wire, to_wire, WireError};
 
 // The serving layer (`ks-server`) moves certifiers into worker threads and
 // back out through join handles; compile-time-assert they stay `Send` so
@@ -68,8 +64,6 @@ pub use wire::{from_wire, to_wire, WireError};
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ProtocolManager>();
-    assert_send::<RecordingManager>();
-    assert_send::<SessionLog>();
     assert_send::<SsiCertifier>();
     assert_send::<TplCertifier>();
     assert_send::<Box<dyn Certifier>>();

@@ -29,7 +29,8 @@ pub enum TxnState {
 }
 
 impl TxnState {
-    fn label(self) -> &'static str {
+    /// The phase name error messages use.
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TxnState::Defined => "defined",
             TxnState::Validated => "validated",

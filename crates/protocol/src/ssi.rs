@@ -164,17 +164,9 @@ impl SsiCertifier {
     fn require(&self, t: Txn, attempted: &'static str) -> Result<(), ProtocolError> {
         match self.node(t)?.state {
             TxnState::Validated => Ok(()),
-            TxnState::Defined => Err(ProtocolError::WrongPhase {
+            state => Err(ProtocolError::WrongPhase {
                 attempted,
-                state: "defined",
-            }),
-            TxnState::Committed => Err(ProtocolError::WrongPhase {
-                attempted,
-                state: "committed",
-            }),
-            TxnState::Aborted => Err(ProtocolError::WrongPhase {
-                attempted,
-                state: "aborted",
+                state: state.label(),
             }),
         }
     }
@@ -291,26 +283,12 @@ impl Certifier for SsiCertifier {
         txn: Txn,
         _strategy: Strategy,
     ) -> Result<ValidationOutcome, ProtocolError> {
-        match self.node(txn)?.state {
-            TxnState::Defined => {}
-            TxnState::Validated => {
-                return Err(ProtocolError::WrongPhase {
-                    attempted: "validate",
-                    state: "validated",
-                })
-            }
-            TxnState::Committed => {
-                return Err(ProtocolError::WrongPhase {
-                    attempted: "validate",
-                    state: "committed",
-                })
-            }
-            TxnState::Aborted => {
-                return Err(ProtocolError::WrongPhase {
-                    attempted: "validate",
-                    state: "aborted",
-                })
-            }
+        let state = self.node(txn)?.state;
+        if state != TxnState::Defined {
+            return Err(ProtocolError::WrongPhase {
+                attempted: "validate",
+                state: state.label(),
+            });
         }
         self.txns[txn.0].snapshot = self.seq;
         self.txns[txn.0].state = TxnState::Validated;
@@ -463,13 +441,9 @@ impl Certifier for SsiCertifier {
                 self.gc_sireads();
                 Ok(Vec::new())
             }
-            TxnState::Committed => Err(ProtocolError::WrongPhase {
+            state => Err(ProtocolError::WrongPhase {
                 attempted: "abort",
-                state: "committed",
-            }),
-            TxnState::Aborted => Err(ProtocolError::WrongPhase {
-                attempted: "abort",
-                state: "aborted",
+                state: state.label(),
             }),
         }
     }

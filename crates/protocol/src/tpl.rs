@@ -121,17 +121,9 @@ impl TplCertifier {
     fn require(&self, t: Txn, attempted: &'static str) -> Result<(), ProtocolError> {
         match self.node(t)?.state {
             TxnState::Validated => Ok(()),
-            TxnState::Defined => Err(ProtocolError::WrongPhase {
+            state => Err(ProtocolError::WrongPhase {
                 attempted,
-                state: "defined",
-            }),
-            TxnState::Committed => Err(ProtocolError::WrongPhase {
-                attempted,
-                state: "committed",
-            }),
-            TxnState::Aborted => Err(ProtocolError::WrongPhase {
-                attempted,
-                state: "aborted",
+                state: state.label(),
             }),
         }
     }
@@ -223,26 +215,12 @@ impl Certifier for TplCertifier {
         txn: Txn,
         _strategy: Strategy,
     ) -> Result<ValidationOutcome, ProtocolError> {
-        match self.node(txn)?.state {
-            TxnState::Defined => {}
-            TxnState::Validated => {
-                return Err(ProtocolError::WrongPhase {
-                    attempted: "validate",
-                    state: "validated",
-                })
-            }
-            TxnState::Committed => {
-                return Err(ProtocolError::WrongPhase {
-                    attempted: "validate",
-                    state: "committed",
-                })
-            }
-            TxnState::Aborted => {
-                return Err(ProtocolError::WrongPhase {
-                    attempted: "validate",
-                    state: "aborted",
-                })
-            }
+        let state = self.node(txn)?.state;
+        if state != TxnState::Defined {
+            return Err(ProtocolError::WrongPhase {
+                attempted: "validate",
+                state: state.label(),
+            });
         }
         self.txns[txn.0].state = TxnState::Validated;
         self.stats.validations += 1;
@@ -333,13 +311,9 @@ impl Certifier for TplCertifier {
                 self.emit(txn.0, ObsKind::TxnAborted);
                 Ok(Vec::new())
             }
-            TxnState::Committed => Err(ProtocolError::WrongPhase {
+            state => Err(ProtocolError::WrongPhase {
                 attempted: "abort",
-                state: "committed",
-            }),
-            TxnState::Aborted => Err(ProtocolError::WrongPhase {
-                attempted: "abort",
-                state: "aborted",
+                state: state.label(),
             }),
         }
     }

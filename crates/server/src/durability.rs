@@ -1,4 +1,4 @@
-//! The durability layer: WAL wiring, group commit, recovery report.
+//! The durability layer: WAL wiring, the commit flusher, recovery report.
 //!
 //! [`Durability`] is the `ServerConfig` knob. With `Durability::Wal`,
 //! the service opens a [`ks_wal::Wal`] over the configured store at
@@ -13,10 +13,13 @@
 //!   worker order — so a transaction's records always precede its
 //!   `Commit` record, and one sync at commit durably covers all of them
 //!   (prefix durability);
-//! * a commit acknowledges only after its `Commit` record is synced —
-//!   inline (`sync_on_commit` without group commit), or by the group
-//!   flusher, which batches every ticket that arrives within
-//!   `group_window` of the first behind a single fsync;
+//! * a commit acknowledges only after its `Commit` record is synced,
+//!   and only the flusher thread syncs it: the worker parks a deferred
+//!   reply [`Ticket`] and moves on; the flusher batches the tickets
+//!   that arrive within [`COMPANY_WINDOW`] of the first behind a single
+//!   fsync and acknowledges them all — unless no other session is open,
+//!   in which case there is no one to wait for and a lone committer
+//!   pays exactly its own sync;
 //! * aborts log `Abort` for the target *and every cascaded victim*.
 //!   When a victim's `Commit` record was already logged (the protocol
 //!   can cascade-undo a committed sibling — commit is only relative to
@@ -28,15 +31,22 @@
 //! durable must not keep acknowledging them (the in-memory and dst
 //! stores are infallible; only real disks can trip this).
 
+use crate::metrics::ServerMetrics;
 use crate::ServerError;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, TelemetrySeries, NO_TXN};
+use crossbeam::channel::{Receiver, Sender};
+use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
 use ks_wal::{SegmentStore, Wal, WalRecord};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long the flusher holds a batch open for other sessions' commits
+/// before the shared fsync. A constant, not an option: every other
+/// value in the tree only ever shortened a test or a demo.
+const COMPANY_WINDOW: Duration = Duration::from_millis(2);
 
 /// Builds a fresh handle onto the log's storage. A factory (not a
 /// store) so `ServerConfig` stays `Clone` and a restarted service can
@@ -65,17 +75,11 @@ impl fmt::Debug for Durability {
     }
 }
 
-/// WAL tuning (see module docs for the protocol each knob selects).
+/// WAL configuration (see module docs for the commit protocol).
 #[derive(Clone)]
 pub struct WalOptions {
     /// Storage factory (file dir, shared memory, dst sim store…).
     pub store: StoreFactory,
-    /// Batch concurrent commit fsyncs behind one barrier via the group
-    /// flusher thread.
-    pub group_commit: bool,
-    /// How long the flusher waits after the first ticket for stragglers
-    /// before issuing the shared fsync.
-    pub group_window: Duration,
     /// Sync the commit record before acknowledging. Turning this off
     /// (dst "commit-flush" teeth) still logs everything but lets an
     /// acknowledged commit die with the page cache — the durability
@@ -86,13 +90,10 @@ pub struct WalOptions {
 }
 
 impl WalOptions {
-    /// Defaults over a store factory: group commit on, 2 ms window,
-    /// sync-on-commit on, 1 MiB segments.
+    /// Defaults over a store factory: sync-on-commit on, 1 MiB segments.
     pub fn new(store: StoreFactory) -> WalOptions {
         WalOptions {
             store,
-            group_commit: true,
-            group_window: Duration::from_millis(2),
             sync_on_commit: true,
             segment_bytes: 1 << 20,
         }
@@ -103,8 +104,6 @@ impl fmt::Debug for WalOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WalOptions")
             .field("store", &"<factory>")
-            .field("group_commit", &self.group_commit)
-            .field("group_window", &self.group_window)
             .field("sync_on_commit", &self.sync_on_commit)
             .field("segment_bytes", &self.segment_bytes)
             .finish()
@@ -164,7 +163,7 @@ impl WalShared {
     }
 }
 
-/// A deferred commit acknowledgement parked with the group flusher.
+/// A deferred commit acknowledgement parked with the flusher.
 pub(crate) struct Ticket {
     pub(crate) reply: Sender<Result<(), ServerError>>,
     /// Distributed trace riding this commit (`0` = unsampled); the
@@ -177,17 +176,15 @@ pub(crate) struct Ticket {
 pub(crate) enum CommitAck {
     /// The flusher owns the reply; the worker must not send one.
     Deferred,
-    /// Durable (or durability waived); the worker replies now. `synced`
-    /// reports whether an inline fsync ran, so the caller can count it
-    /// as a flush group of one.
-    Ready { synced: bool },
+    /// Nothing to wait for (`sync_on_commit` off); the worker replies now.
+    Ready,
 }
 
 /// Per-worker handle: the shared log plus this worker's shard id and
-/// (in group mode) the flusher's ticket queue.
+/// the flusher's ticket queue (`None` iff `sync_on_commit` is off).
 pub(crate) struct WorkerWal {
     pub(crate) shared: Arc<WalShared>,
-    pub(crate) group: Option<Sender<Ticket>>,
+    pub(crate) flusher: Option<Sender<Ticket>>,
     pub(crate) shard: u32,
 }
 
@@ -276,9 +273,9 @@ impl WorkerWal {
         }
     }
 
-    /// Log `Commit` and arrange durability before acknowledgement:
-    /// inline sync, a flusher ticket ([`CommitAck::Deferred`]), or — with
-    /// `sync_on_commit` off — nothing.
+    /// Log `Commit` and hand the acknowledgement to the flusher
+    /// ([`CommitAck::Deferred`]) — or, with `sync_on_commit` off, leave
+    /// it with the worker.
     pub(crate) fn log_commit(
         &self,
         txn: u64,
@@ -297,93 +294,63 @@ impl WorkerWal {
             sink,
         );
         inner.committed_logged.insert((self.shard, txn));
-        if !self.shared.sync_on_commit {
-            return CommitAck::Ready { synced: false };
-        }
-        match &self.group {
-            Some(group) => {
-                // The flusher replies once the shared fsync covers this
-                // record; drop the lock first so it can sync promptly.
-                drop(inner);
-                // The time from here to the flusher picking the ticket
-                // up is the WalEnqueue hop of the trace.
-                if trace != 0 {
-                    if let Some(s) = sink {
-                        s.emit(
-                            txn as u32,
-                            ObsKind::SpanStart {
-                                hop: SpanHop::WalEnqueue,
-                                op: OpCode::Commit,
-                                trace,
-                            },
-                        );
-                    }
-                }
-                group
-                    .send(Ticket {
-                        reply: reply.clone(),
+        let Some(flusher) = &self.flusher else {
+            return CommitAck::Ready;
+        };
+        // The flusher replies once its fsync covers this record; drop
+        // the lock first so it can sync promptly.
+        drop(inner);
+        // The time from here to the flusher picking the ticket up is the
+        // WalEnqueue hop of the trace.
+        if trace != 0 {
+            if let Some(s) = sink {
+                s.emit(
+                    txn as u32,
+                    ObsKind::SpanStart {
+                        hop: SpanHop::WalEnqueue,
+                        op: OpCode::Commit,
                         trace,
-                    })
-                    .unwrap_or_else(|_| panic!("group flusher exited while workers live"));
-                CommitAck::Deferred
-            }
-            None => {
-                // Inline sync: the whole durability wait is one WalFsync
-                // hop on the worker thread.
-                if trace != 0 {
-                    if let Some(s) = sink {
-                        s.emit(
-                            txn as u32,
-                            ObsKind::SpanStart {
-                                hop: SpanHop::WalFsync,
-                                op: OpCode::Commit,
-                                trace,
-                            },
-                        );
-                    }
-                }
-                self.sync(&mut inner, sink);
-                if trace != 0 {
-                    if let Some(s) = sink {
-                        s.emit(
-                            txn as u32,
-                            ObsKind::SpanEnd {
-                                hop: SpanHop::WalFsync,
-                                ok: true,
-                                trace,
-                            },
-                        );
-                    }
-                }
-                CommitAck::Ready { synced: true }
+                    },
+                );
             }
         }
+        flusher
+            .send(Ticket {
+                reply: reply.clone(),
+                trace,
+            })
+            .unwrap_or_else(|_| panic!("commit flusher exited while workers live"));
+        CommitAck::Deferred
     }
 
-    /// Final barrier at graceful shutdown: whatever the mode (including
-    /// teeth runs with `sync_on_commit` off), a clean exit leaves the
-    /// log durable. Crash simulation kills the store *before* shutdown,
-    /// so this cannot retroactively save a simulated power cut.
+    /// Final barrier at graceful shutdown: even in teeth runs with
+    /// `sync_on_commit` off, a clean exit leaves the log durable. Crash
+    /// simulation kills the store *before* shutdown, so this cannot
+    /// retroactively save a simulated power cut.
     pub(crate) fn sync_quiet(&self) {
         let _ = self.shared.inner.lock().wal.sync();
     }
 }
 
-/// The group-commit flusher: collect every ticket within `window` of
-/// the first, issue one fsync, acknowledge them all. Exits when all
-/// workers (the only `Ticket` senders) are gone.
+/// The commit flusher — the only place a commit becomes durable:
+/// collect every ticket within [`COMPANY_WINDOW`] of the first, issue
+/// one fsync, acknowledge them all. The window is for company, so it
+/// is skipped when this is the only open session — a lone committer
+/// waits for its own sync and nothing else. Every ticket's `Commit`
+/// record was appended before the ticket was sent, hence before the
+/// sync, hence is covered. Exits when all workers (the only `Ticket`
+/// senders) are gone.
 ///
 /// For traced tickets the flusher closes the worker's `WalEnqueue` span
-/// at pickup, brackets the straggler wait as `WalBarrier`, and the
-/// shared fsync as `WalFsync` — so a slow group commit shows up in the
-/// trace tree attributed to the right phase. Every group's size also
-/// feeds the windowed telemetry series.
+/// at pickup, brackets the wait for company as `WalBarrier`, and the
+/// shared fsync as `WalFsync` — so a slow commit shows up in the trace
+/// tree attributed to the right phase. Every batch's size also feeds
+/// the windowed telemetry series.
 pub(crate) fn flusher_loop(
     shared: Arc<WalShared>,
     tickets: Receiver<Ticket>,
-    window: Duration,
     sink: Option<ObsSink>,
-    telemetry: TelemetrySeries,
+    metrics: Arc<ServerMetrics>,
 ) {
     let emit = |trace: u64, kind: ObsKind| {
         if trace != 0 {
@@ -413,18 +380,14 @@ pub(crate) fn flusher_loop(
     while let Ok(first) = tickets.recv() {
         pickup(&first);
         let mut batch = vec![first];
-        let deadline = Instant::now() + window;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match tickets.recv_timeout(deadline - now) {
+        let deadline = Instant::now() + COMPANY_WINDOW;
+        while metrics.sessions_in_flight.load(Ordering::Relaxed) > 1 {
+            match tickets.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                 Ok(t) => {
                     pickup(&t);
                     batch.push(t);
                 }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(_) => break,
             }
         }
         for t in &batch {
@@ -472,7 +435,7 @@ pub(crate) fn flusher_loop(
                 },
             );
         }
-        telemetry.record_flush(batch.len() as u64);
+        metrics.telemetry.record_flush(batch.len() as u64);
         for t in batch {
             let _ = t.reply.send(Ok(()));
         }

@@ -68,8 +68,6 @@ pub use routing::ShardMap;
 pub use service::TxnService;
 pub use session::{Session, TxnHandle};
 pub use verify::{verify_certifiers, verify_certifiers_with_dump, VerifyReport, ViolationDump};
-#[allow(deprecated)]
-pub use verify::{verify_managers, verify_with_dump};
 
 #[cfg(test)]
 mod tests {
@@ -246,18 +244,6 @@ mod tests {
         session.commit(txn).unwrap();
         drop(session);
         assert!(verify_certifiers(&svc.shutdown()).is_correct());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_verify_aliases_still_delegate() {
-        let svc = service(8, 4);
-        let session = svc.session().unwrap();
-        full_lifecycle_over(&session);
-        drop(session);
-        let report = verify_managers(&svc.shutdown());
-        assert!(report.is_correct(), "{report:?}");
-        assert_eq!(report.committed, 1);
     }
 
     #[test]

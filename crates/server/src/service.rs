@@ -70,7 +70,7 @@ impl TxnService {
         let mut recovery = None;
         let mut wal_shared: Option<Arc<WalShared>> = None;
         let mut flusher = None;
-        let mut group_tx = None;
+        let mut flusher_tx = None;
         if let Durability::Wal(opts) = &config.durability {
             let store = (opts.store)();
             let replayed = ks_wal::recover(&store).expect("wal recovery failed");
@@ -114,15 +114,14 @@ impl TxnService {
                 torn: replayed.torn.clone(),
             });
             let shared = Arc::new(WalShared::new(wal, opts.sync_on_commit));
-            if opts.group_commit && opts.sync_on_commit {
+            if opts.sync_on_commit {
                 let (tx, rx) = unbounded();
-                let (flush_shared, window, sink) =
-                    (Arc::clone(&shared), opts.group_window, obs.clone());
-                let telemetry = metrics.telemetry.clone();
+                let (flush_shared, sink) = (Arc::clone(&shared), obs.clone());
+                let metrics = Arc::clone(&metrics);
                 flusher = Some(std::thread::spawn(move || {
-                    durability::flusher_loop(flush_shared, rx, window, sink, telemetry)
+                    durability::flusher_loop(flush_shared, rx, sink, metrics)
                 }));
-                group_tx = Some(tx);
+                flusher_tx = Some(tx);
             }
             wal_shared = Some(shared);
         }
@@ -169,7 +168,7 @@ impl TxnService {
             }
             let wal = wal_shared.as_ref().map(|shared| WorkerWal {
                 shared: Arc::clone(shared),
-                group: group_tx.clone(),
+                flusher: flusher_tx.clone(),
                 shard: shard as u32,
             });
             let metrics = Arc::clone(&metrics);
@@ -311,9 +310,9 @@ impl TxnService {
             .map(|w| w.join().expect("shard worker panicked"))
             .collect();
         // Workers were the only ticket senders; with them gone the
-        // group flusher drains its queue and exits.
+        // flusher drains its queue and exits.
         if let Some(flusher) = self.flusher {
-            flusher.join().expect("group-commit flusher panicked");
+            flusher.join().expect("commit flusher panicked");
         }
         certifiers
     }

@@ -70,12 +70,6 @@ pub fn verify_certifiers(certifiers: &[Box<dyn Certifier>]) -> VerifyReport {
     report
 }
 
-/// Deprecated alias of [`verify_certifiers`], kept for one release.
-#[deprecated(since = "0.3.0", note = "use `verify_certifiers`")]
-pub fn verify_managers(certifiers: &[Box<dyn Certifier>]) -> VerifyReport {
-    verify_certifiers(certifiers)
-}
-
 /// A flight-recorder dump produced when verification fails.
 #[derive(Debug, Clone)]
 pub struct ViolationDump {
@@ -139,14 +133,4 @@ pub fn verify_certifiers_with_dump(
         summary,
     };
     (report, Some(dump))
-}
-
-/// Deprecated alias of [`verify_certifiers_with_dump`], kept for one
-/// release.
-#[deprecated(since = "0.3.0", note = "use `verify_certifiers_with_dump`")]
-pub fn verify_with_dump(
-    certifiers: &[Box<dyn Certifier>],
-    recorder: &Recorder,
-) -> (VerifyReport, Option<ViolationDump>) {
-    verify_certifiers_with_dump(certifiers, recorder)
 }

@@ -456,22 +456,13 @@ pub(crate) fn run(
                         },
                     );
                     // A successful commit acknowledges only once its WAL
-                    // record is durable: inline, or deferred to the group
-                    // flusher (which then owns the reply).
-                    match (&wal, &result) {
-                        (Some(w), Ok(())) => {
-                            if let CommitAck::Ready { synced } =
-                                w.log_commit(txn.0 as u64, trace, &sink, &reply)
-                            {
-                                let _ = reply.send(result);
-                                if synced {
-                                    metrics.telemetry.record_flush(1);
-                                }
-                            }
-                        }
-                        _ => {
-                            let _ = reply.send(result);
-                        }
+                    // record is durable; the flusher then owns the reply.
+                    let ack = match (&wal, &result) {
+                        (Some(w), Ok(())) => w.log_commit(txn.0 as u64, trace, &sink, &reply),
+                        _ => CommitAck::Ready,
+                    };
+                    if let CommitAck::Ready = ack {
+                        let _ = reply.send(result);
                     }
                     ok
                 }

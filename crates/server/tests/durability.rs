@@ -12,7 +12,8 @@ use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_predicate::{Atom, Clause, CmpOp, Cnf};
 use ks_server::{Client, Durability, ServerConfig, TxnBuilder, TxnService, WalOptions};
 use ks_wal::{MemStore, SegmentStore};
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const ENTITIES: usize = 8;
@@ -39,13 +40,16 @@ fn spec(entities: &[EntityId]) -> Specification {
     )
 }
 
-fn wal_config(store: &MemStore, group_commit: bool, sync_on_commit: bool) -> ServerConfig {
+fn wal_config(store: &MemStore, sync_on_commit: bool) -> ServerConfig {
     let media = store.clone();
-    let mut opts = WalOptions::new(Arc::new(move || {
-        Box::new(media.clone()) as Box<dyn SegmentStore>
-    }));
-    opts.group_commit = group_commit;
-    opts.group_window = Duration::from_micros(200);
+    wal_config_over(
+        Arc::new(move || Box::new(media.clone()) as Box<dyn SegmentStore>),
+        sync_on_commit,
+    )
+}
+
+fn wal_config_over(store: ks_server::StoreFactory, sync_on_commit: bool) -> ServerConfig {
+    let mut opts = WalOptions::new(store);
     opts.sync_on_commit = sync_on_commit;
     ServerConfig::builder()
         .shards(2)
@@ -72,13 +76,45 @@ fn read_one(svc: &TxnService, entity: EntityId) -> i64 {
     value
 }
 
+/// A disk with a known fsync latency: a [`MemStore`] whose every `sync`
+/// takes `SLOW_SYNC`, long enough that concurrent committers queue up
+/// behind the one in flight.
+struct SlowSync(MemStore);
+
+const SLOW_SYNC: Duration = Duration::from_millis(3);
+
+impl SegmentStore for SlowSync {
+    fn create(&mut self, id: u64) -> io::Result<()> {
+        self.0.create(id)
+    }
+    fn append(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
+        self.0.append(id, bytes)
+    }
+    fn sync(&mut self, id: u64) -> io::Result<()> {
+        std::thread::sleep(SLOW_SYNC);
+        self.0.sync(id)
+    }
+    fn list(&self) -> io::Result<Vec<u64>> {
+        self.0.list()
+    }
+    fn len(&self, id: u64) -> io::Result<u64> {
+        self.0.len(id)
+    }
+    fn read(&self, id: u64) -> io::Result<Vec<u8>> {
+        self.0.read(id)
+    }
+    fn remove(&mut self, id: u64) -> io::Result<()> {
+        self.0.remove(id)
+    }
+}
+
 #[test]
-fn group_committed_writes_survive_graceful_restart() {
+fn committed_writes_survive_graceful_restart() {
     let store = MemStore::new();
     let svc = TxnService::new(
         schema(),
         &UniqueState::constant(ENTITIES, 0),
-        wal_config(&store, true, true),
+        wal_config(&store, true),
     );
     assert!(!svc.recovery_report().unwrap().recovered, "fresh media");
     for i in 0..ENTITIES {
@@ -89,7 +125,7 @@ fn group_committed_writes_survive_graceful_restart() {
     let svc = TxnService::new(
         schema(),
         &UniqueState::constant(ENTITIES, 0),
-        wal_config(&store, true, true),
+        wal_config(&store, true),
     );
     let report = svc.recovery_report().unwrap();
     assert!(report.recovered, "second incarnation replays the log");
@@ -100,18 +136,28 @@ fn group_committed_writes_survive_graceful_restart() {
     svc.shutdown();
 }
 
+/// A lone committer pays exactly one sync per commit, and the sync that
+/// covers a commit precedes its ack: cut the power right after the last
+/// ack and every acknowledged value is still there.
 #[test]
-fn acked_commits_survive_a_power_cut() {
+fn lone_committer_syncs_once_per_commit_and_acks_survive_a_power_cut() {
     let store = MemStore::new();
     let svc = TxnService::new(
         schema(),
         &UniqueState::constant(ENTITIES, 0),
-        wal_config(&store, false, true),
+        wal_config(&store, true),
     );
-    commit_write(&svc, EntityId(3), 77);
-    commit_write(&svc, EntityId(5), -9);
+    let booted = store.sync_count();
+    for i in 0..ENTITIES as u64 {
+        commit_write(&svc, EntityId(i as u32), 70 + i as i64);
+        assert_eq!(
+            store.sync_count(),
+            booted + i + 1,
+            "commit {i} acked with its own sync already on the media, and no other"
+        );
+    }
     // Power cut: the media dies before the graceful shutdown syncs, so
-    // only what commit-time fsyncs already made durable can survive.
+    // only what the flusher already made durable can survive.
     store.crash(0xD15C_0DE5);
     svc.shutdown();
     store.revive();
@@ -119,18 +165,71 @@ fn acked_commits_survive_a_power_cut() {
     let svc = TxnService::new(
         schema(),
         &UniqueState::constant(ENTITIES, 0),
-        wal_config(&store, false, true),
+        wal_config(&store, true),
     );
     let report = svc.recovery_report().unwrap();
     assert!(report.recovered);
-    assert_eq!(report.committed.len(), 2, "both acked commits replayed");
-    assert_eq!(read_one(&svc, EntityId(3)), 77);
-    assert_eq!(read_one(&svc, EntityId(5)), -9);
     assert_eq!(
-        read_one(&svc, EntityId(0)),
-        0,
-        "untouched entity keeps initial"
+        report.committed.len(),
+        ENTITIES,
+        "every acked commit replayed"
     );
+    for i in 0..ENTITIES {
+        assert_eq!(read_one(&svc, EntityId(i as u32)), 70 + i as i64);
+    }
+    svc.shutdown();
+}
+
+/// Eight committers released together over a slow disk share syncs
+/// (fewer syncs than commits), and every ack still means durable (power
+/// cut, nothing lost).
+#[test]
+fn concurrent_committers_share_syncs_and_lose_no_ack() {
+    const ROUNDS: i64 = 10;
+    let store = MemStore::new();
+    let media = store.clone();
+    let slow: ks_server::StoreFactory =
+        Arc::new(move || Box::new(SlowSync(media.clone())) as Box<dyn SegmentStore>);
+    let svc = TxnService::new(
+        schema(),
+        &UniqueState::constant(ENTITIES, 0),
+        wal_config_over(slow, true),
+    );
+    let booted = store.sync_count();
+    let start = Barrier::new(ENTITIES);
+    std::thread::scope(|scope| {
+        for e in 0..ENTITIES as u32 {
+            let (svc, start) = (&svc, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 1..=ROUNDS {
+                    commit_write(svc, EntityId(e), round * 100 + e as i64);
+                }
+            });
+        }
+    });
+    let (syncs, commits) = (store.sync_count() - booted, ENTITIES as u64 * ROUNDS as u64);
+    assert!(
+        syncs < commits,
+        "{syncs} syncs for {commits} commits: nobody shared a sync"
+    );
+    store.crash(0xBA7C_4ED0);
+    svc.shutdown();
+    store.revive();
+
+    let svc = TxnService::new(
+        schema(),
+        &UniqueState::constant(ENTITIES, 0),
+        wal_config(&store, true),
+    );
+    assert_eq!(
+        svc.recovery_report().unwrap().committed.len() as u64,
+        commits,
+        "an acked commit was lost"
+    );
+    for e in 0..ENTITIES as u32 {
+        assert_eq!(read_one(&svc, EntityId(e)), ROUNDS * 100 + e as i64);
+    }
     svc.shutdown();
 }
 
@@ -140,11 +239,17 @@ fn unsynced_commits_may_die_but_recovery_stays_a_clean_prefix() {
     let svc = TxnService::new(
         schema(),
         &UniqueState::constant(ENTITIES, 0),
-        wal_config(&store, false, false),
+        wal_config(&store, false),
     );
+    let booted = store.sync_count();
     for i in 0..4u32 {
         commit_write(&svc, EntityId(i), 1_000 + i as i64);
     }
+    assert_eq!(
+        store.sync_count(),
+        booted,
+        "with sync_on_commit off nothing syncs on the commit path"
+    );
     store.crash(0x7EE7);
     svc.shutdown();
     store.revive();
@@ -155,10 +260,13 @@ fn unsynced_commits_may_die_but_recovery_stays_a_clean_prefix() {
     let svc = TxnService::new(
         schema(),
         &UniqueState::constant(ENTITIES, 0),
-        wal_config(&store, false, false),
+        wal_config(&store, false),
     );
     let report = svc.recovery_report().unwrap().clone();
-    assert!(report.committed.len() <= 4);
+    assert!(
+        report.committed.len() < 4,
+        "all four unsynced commits survived the power cut"
+    );
     for i in 0..4u32 {
         let v = read_one(&svc, EntityId(i));
         assert!(
@@ -176,7 +284,7 @@ fn checkpoint_fence_gcs_dead_segments_across_restarts() {
         let svc = TxnService::new(
             schema(),
             &UniqueState::constant(ENTITIES, 0),
-            wal_config(&store, true, true),
+            wal_config(&store, true),
         );
         commit_write(&svc, EntityId(1), round * 10 + 1);
         svc.shutdown();
@@ -191,7 +299,7 @@ fn checkpoint_fence_gcs_dead_segments_across_restarts() {
     let svc = TxnService::new(
         schema(),
         &UniqueState::constant(ENTITIES, 0),
-        wal_config(&store, true, true),
+        wal_config(&store, true),
     );
     assert_eq!(read_one(&svc, EntityId(1)), 21, "last round's value wins");
     svc.shutdown();

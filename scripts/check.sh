@@ -29,7 +29,11 @@ cargo test -q -p ks-net
 echo "== exp_net_load --smoke (loopback TCP vs in-process, pipeline×batch sweep)"
 cargo run --release -q -p ks-bench --bin exp_net_load -- --smoke
 
-echo "== exp_wal --smoke (group commit must amortize fsyncs ≥4× at 8 clients)"
+echo "== ks-wal + ks-server durability (log format, recovery, crash/restart through the flusher)"
+cargo test -q -p ks-wal
+cargo test -q -p ks-server --test durability
+
+echo "== exp_wal --smoke (2 ms sync: a lone committer pays 1 fsync and no wait, 8 share ≤ 0.5×)"
 cargo run --release -q -p ks-bench --bin exp_wal -- --smoke
 
 echo "== exp_obs --smoke (tracing overhead at 1% sampling within budget)"

@@ -65,10 +65,7 @@ pub mod prelude {
     };
     pub use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
     pub use ks_predicate::{parse_cnf, solve, Atom, Clause, CmpOp, Cnf, Object, Strategy};
-    pub use ks_protocol::{
-        CommitOutcome, ProtocolManager, ReadOutcome, RecordingManager, SessionLog,
-        ValidationOutcome,
-    };
+    pub use ks_protocol::{CommitOutcome, ProtocolManager, ReadOutcome, ValidationOutcome};
     pub use ks_schedule::{classify, csr, mvsr, pc, pwsr, vsr, Membership, Schedule, TxnId};
     pub use ks_server::{
         Client, ServerConfig, ServerError, Session, TxnBuilder, TxnHandle, TxnService,
