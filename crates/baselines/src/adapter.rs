@@ -11,12 +11,12 @@
 //! serializability, the waits of 2PL and the aborts of T/O simply do not
 //! arise.
 
-use crate::manager::{
-    CommitOutcome, ProtocolManager, ReadOutcome, Txn, TxnState as PTxnState, ValidationOutcome,
-};
 use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_predicate::{Atom, Clause, CmpOp, Cnf, Strategy};
+use ks_protocol::manager::{
+    CommitOutcome, ProtocolManager, ReadOutcome, Txn, TxnState as PTxnState, ValidationOutcome,
+};
 use ks_sim::{ConcurrencyControl, Decision, SimTime, SimTxnId, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -80,7 +80,7 @@ impl KsProtocolAdapter {
     }
 
     /// Protocol statistics (for experiment reporting).
-    pub fn protocol_stats(&self) -> crate::manager::ProtocolStats {
+    pub fn protocol_stats(&self) -> ks_protocol::manager::ProtocolStats {
         self.manager.stats()
     }
 
@@ -106,12 +106,12 @@ impl KsProtocolAdapter {
         }
     }
 
-    fn doom_owners(&mut self, affected: &[crate::manager::ReEvalAction]) {
+    fn doom_owners(&mut self, affected: &[ks_protocol::manager::ReEvalAction]) {
         for action in affected {
             let t = match action {
-                crate::manager::ReEvalAction::Aborted(t)
-                | crate::manager::ReEvalAction::ReassignFailedAborted(t) => *t,
-                crate::manager::ReEvalAction::Reassigned(_) => continue,
+                ks_protocol::manager::ReEvalAction::Aborted(t)
+                | ks_protocol::manager::ReEvalAction::ReassignFailedAborted(t) => *t,
+                ks_protocol::manager::ReEvalAction::Reassigned(_) => continue,
             };
             if let Some(&owner) = self.owners.get(&t) {
                 self.doomed.insert(owner);

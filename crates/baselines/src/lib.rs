@@ -22,18 +22,21 @@
 //!   as a transaction's accesses to it end. Guarantees `PWCSR`, not `CSR` —
 //!   the first step away from serializability.
 //!
-//! All implement [`ks_sim::ConcurrencyControl`] and are exercised by
-//! the `sec24-waits`/`sec24-aborts` experiments against the Korth–Speegle
-//! protocol adapter.
+//! All implement [`ks_sim::ConcurrencyControl`] and are exercised by the
+//! `sec24-waits`/`sec24-aborts` experiments against [`KsProtocolAdapter`]:
+//! the paper's own protocol manager behind the same seam, kept here so
+//! the served stack (`ks-protocol` up) does not link the simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adapter;
 pub mod mvto;
 pub mod pw2pl;
 pub mod to;
 pub mod tpl;
 
+pub use adapter::KsProtocolAdapter;
 pub use mvto::MultiversionTimestampOrdering;
 pub use pw2pl::PredicatewiseTwoPhaseLocking;
 pub use to::TimestampOrdering;

@@ -2,8 +2,9 @@
 //! schedulers (the Section 2.4 comparison as a throughput bench).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ks_baselines::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
-use ks_protocol::KsProtocolAdapter;
+use ks_baselines::{
+    KsProtocolAdapter, MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking,
+};
 use ks_sim::{Engine, EngineConfig, Workload, WorkloadSpec};
 use std::hint::black_box;
 

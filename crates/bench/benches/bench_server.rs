@@ -94,8 +94,8 @@ fn run_service(shards: usize) -> u64 {
     });
     let snap = svc.metrics();
     // One snapshot per shard count, in the columnar format shared with
-    // `exp_server_load` and `ks-top` (criterion runs this closure many
-    // times; print only the first).
+    // `ks-top` (criterion runs this closure many times; print only the
+    // first).
     static HEADER_SHOWN: AtomicBool = AtomicBool::new(false);
     if !HEADER_SHOWN.swap(true, Ordering::Relaxed) {
         eprintln!("{}", MetricsSnapshot::header());

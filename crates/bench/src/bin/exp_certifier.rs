@@ -32,13 +32,12 @@
 //! if `verify_certifiers` catches the non-serializable history that
 //! the live certifier waved through.
 
-use ks_bench::report::Json;
-use ks_core::Specification;
-use ks_kernel::{Domain, EntityId, Schema, UniqueState};
-use ks_predicate::{Atom, Clause, CmpOp, Cnf};
+use ks_bench::driver::{bench_service, fan_out, tautology_spec, DriveOutcome, Run};
+use ks_bench::report::{write_report, Json};
+use ks_kernel::EntityId;
 use ks_server::{
-    verify_certifiers, Backend, Client, Durability, MetricsSnapshot, ServerConfig, ServerError,
-    TxnBuilder, TxnService, WalOptions,
+    verify_certifiers, Backend, Client, Durability, ServerConfig, ServerError, Session, TxnBuilder,
+    TxnService, WalOptions,
 };
 use ks_wal::{MemStore, SegmentStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,9 +47,9 @@ use std::time::{Duration, Instant};
 /// Entities on the single contended shard.
 const ENTITIES: usize = 8;
 /// The hot set the long transaction reads and short writers update.
-const HOT: [u32; 2] = [0, 1];
+const HOT: [EntityId; 2] = [EntityId(0), EntityId(1)];
 /// The hot entity the long transaction writes at the end of its hold.
-const LONG_WRITE: u32 = 0;
+const LONG_WRITE: EntityId = HOT[0];
 /// Short closed-loop writer threads.
 const SHORT_CLIENTS: usize = 4;
 /// Retries of one short transaction before it gives up (breaks 2PL
@@ -104,30 +103,7 @@ fn parse_options() -> Options {
     opts
 }
 
-/// A tautological `(I, O)` spec naming `entities` (grants the access
-/// rights without constraining values — the workload is about
-/// certification, not predicates).
-fn spec_over(entities: &[u32]) -> Specification {
-    Specification::new(
-        Cnf::new(
-            entities
-                .iter()
-                .map(|&e| Clause::unit(Atom::cmp_const(EntityId(e), CmpOp::Ge, i64::MIN / 2)))
-                .collect(),
-        ),
-        Cnf::truth(),
-    )
-}
-
 fn service(backend: Backend, ssi_detect: bool) -> TxnService {
-    let schema = Schema::uniform(
-        (0..ENTITIES).map(|i| format!("d{i}")),
-        Domain::Range {
-            min: i64::MIN / 2,
-            max: i64::MAX / 2,
-        },
-    );
-    let initial = UniqueState::constant(ENTITIES, 0);
     // Real durability pipeline: the WAL runs over in-memory media so the
     // shootout exercises commit logging and group flush for every
     // backend, without touching the filesystem.
@@ -135,9 +111,8 @@ fn service(backend: Backend, ssi_detect: bool) -> TxnService {
     let wal = WalOptions::new(Arc::new(move || {
         Box::new(media.clone()) as Box<dyn SegmentStore>
     }));
-    TxnService::new(
-        schema,
-        &initial,
+    bench_service(
+        ENTITIES,
         ServerConfig {
             shards: 1,
             max_sessions: SHORT_CLIENTS + 2,
@@ -150,34 +125,29 @@ fn service(backend: Backend, ssi_detect: bool) -> TxnService {
 }
 
 /// One short writer: read-modify-write over a hot entity plus a private
-/// cold one, until `stop` flips. Busy replies (2PL lock waits, full
-/// queues) retry up to the budget, then the transaction aborts —
-/// that release is what breaks 2PL wait livelock with the long reader.
-fn run_short(
-    svc: &TxnService,
-    client: usize,
-    stop: &AtomicBool,
-    committed: &AtomicU64,
-    aborted: &AtomicU64,
-) {
-    let Ok(session) = svc.session() else { return };
-    let cold = (HOT.len() + client) as u32 % ENTITIES as u32;
+/// cold one, until `stop` flips. A busy reply (2PL lock waits, full
+/// queues) spends one unit of the transaction's budget and moves on to
+/// the next step; an exhausted budget aborts — that release is what
+/// breaks 2PL wait livelock with the long reader.
+fn run_short(session: &Session, client: usize, stop: &AtomicBool) -> DriveOutcome {
+    let mut out = DriveOutcome::default();
+    let cold = EntityId((HOT.len() + client) as u32 % ENTITIES as u32);
     let mut round = 0usize;
     while !stop.load(Ordering::Relaxed) {
         round += 1;
         let hot = HOT[round % HOT.len()];
-        let spec = spec_over(&[hot, cold]);
-        let txn = match session.open(TxnBuilder::new(spec)) {
+        let start = Instant::now();
+        let txn = match session.open(TxnBuilder::new(tautology_spec(&[hot, cold]))) {
             Ok(t) => t,
             Err(ServerError::Busy | ServerError::Backpressure) => {
                 std::thread::yield_now();
                 continue;
             }
-            Err(_) => return,
+            Err(_) => return out,
         };
         let mut budget = SHORT_RETRY_BUDGET;
+        // Ok(true) = proceed, Ok(false) = budget exhausted.
         let mut step = |r: Result<(), ServerError>| -> Result<bool, ServerError> {
-            // Ok(true) = proceed, Ok(false) = budget exhausted.
             match r {
                 Ok(()) => Ok(true),
                 Err(ServerError::Busy | ServerError::Backpressure) => {
@@ -191,152 +161,119 @@ fn run_short(
                 Err(e) => Err(e),
             }
         };
+        let hot_value = (client * 10_000 + round) as i64;
         let outcome = (|| -> Result<bool, ServerError> {
-            loop {
-                match step(session.validate(txn))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            loop {
-                match step(session.read(txn, EntityId(hot)).map(|_| ()))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            loop {
-                match step(session.write(txn, EntityId(cold), round as i64))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            loop {
-                match step(session.write(txn, EntityId(hot), (client * 10_000 + round) as i64))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            loop {
-                match step(session.commit(txn))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            Ok(true)
+            Ok(step(session.validate(txn))?
+                && step(session.read(txn, hot).map(drop))?
+                && step(session.write(txn, cold, round as i64))?
+                && step(session.write(txn, hot, hot_value))?
+                && step(session.commit(txn))?)
         })();
         match outcome {
             Ok(true) => {
-                committed.fetch_add(1, Ordering::Relaxed);
+                out.committed += 1;
+                out.latencies.push(start.elapsed());
             }
             Ok(false) | Err(_) => {
                 let _ = session.abort(txn);
-                aborted.fetch_add(1, Ordering::Relaxed);
+                out.aborted += 1;
             }
         }
     }
+    out
 }
 
-/// The "validate → read hot set → hold → write → commit" loops break
-/// when the retry budget runs out; every other error aborts the txn.
-#[derive(Debug)]
+/// The long transaction, once per round: validate, read the hot set,
+/// hold, write one hot entity, commit. Its latency is the hold, so it
+/// contributes counts but no latency samples.
+fn run_long(session: &Session, opts: &Options) -> DriveOutcome {
+    let mut out = DriveOutcome::default();
+    for round in 0..opts.rounds {
+        let long = (|| -> Result<(), ServerError> {
+            let txn = session.open(TxnBuilder::new(tautology_spec(&HOT)))?;
+            let body = |txn| -> Result<(), ServerError> {
+                retry_busy(|| session.validate(txn))?;
+                for e in HOT {
+                    retry_busy(|| session.read(txn, e).map(drop))?;
+                }
+                // The CAD hold: reads stay open while short writers
+                // stream past.
+                std::thread::sleep(opts.hold);
+                retry_busy(|| session.write(txn, LONG_WRITE, -(round as i64) - 1))?;
+                retry_busy(|| session.commit(txn))
+            };
+            body(txn).inspect_err(|_| {
+                let _ = session.abort(txn);
+            })
+        })();
+        match long {
+            Ok(()) => out.committed += 1,
+            Err(_) => out.aborted += 1,
+        }
+    }
+    out
+}
+
 struct RunResult {
     backend: Backend,
-    elapsed: Duration,
-    snap: MetricsSnapshot,
+    /// Short and long clients merged; latencies are the short writers'.
+    run: Run,
     long_committed: u64,
     long_aborted: u64,
-    short_committed: u64,
-    short_aborted: u64,
     certifier_aborts: u64,
     violations: usize,
 }
 
-impl RunResult {
-    fn long_abort_rate(&self) -> f64 {
-        let total = self.long_committed + self.long_aborted;
-        if total == 0 {
-            0.0
-        } else {
-            self.long_aborted as f64 / total as f64
-        }
-    }
-
-    fn short_abort_rate(&self) -> f64 {
-        let total = self.short_committed + self.short_aborted;
-        if total == 0 {
-            0.0
-        } else {
-            self.short_aborted as f64 / total as f64
-        }
-    }
-
-    fn throughput(&self) -> f64 {
-        (self.short_committed + self.long_committed) as f64 / self.elapsed.as_secs_f64()
+fn rate(aborted: u64, committed: u64) -> f64 {
+    match aborted + committed {
+        0 => 0.0,
+        total => aborted as f64 / total as f64,
     }
 }
 
-/// Run the long-transaction mix against one backend.
+impl RunResult {
+    fn long_abort_rate(&self) -> f64 {
+        rate(self.long_aborted, self.long_committed)
+    }
+
+    fn short_committed(&self) -> u64 {
+        self.run.outcome.committed - self.long_committed
+    }
+
+    fn short_aborted(&self) -> u64 {
+        self.run.outcome.aborted - self.long_aborted
+    }
+}
+
+/// Run the long-transaction mix against one backend: clients
+/// `0..SHORT_CLIENTS` are the short writers, the last one runs the long
+/// transactions and stops the others when its rounds are done.
 fn run_one(backend: Backend, opts: &Options) -> RunResult {
     let svc = service(backend, true);
     let stop = AtomicBool::new(false);
-    let short_committed = AtomicU64::new(0);
-    let short_aborted = AtomicU64::new(0);
-    let mut long_committed = 0u64;
-    let mut long_aborted = 0u64;
-    let start = Instant::now();
-
-    std::thread::scope(|scope| {
-        for client in 0..SHORT_CLIENTS {
-            let (svc, stop) = (&svc, &stop);
-            let (c, a) = (&short_committed, &short_aborted);
-            scope.spawn(move || run_short(svc, client, stop, c, a));
-        }
-        let session = svc.session().expect("long session admitted");
-        let mut hot_and_target: Vec<u32> = HOT.to_vec();
-        if !hot_and_target.contains(&LONG_WRITE) {
-            hot_and_target.push(LONG_WRITE);
-        }
-        for round in 0..opts.rounds {
-            let long = (|| -> Result<(), ServerError> {
-                let txn = session.open(TxnBuilder::new(spec_over(&hot_and_target)))?;
-                let body = |txn| -> Result<(), ServerError> {
-                    retry_busy(|| session.validate(txn))?;
-                    for &e in &HOT {
-                        retry_busy(|| session.read(txn, EntityId(e)).map(|_| ()))?;
-                    }
-                    // The CAD hold: reads stay open while short writers
-                    // stream past.
-                    std::thread::sleep(opts.hold);
-                    retry_busy(|| session.write(txn, EntityId(LONG_WRITE), -(round as i64) - 1))?;
-                    retry_busy(|| session.commit(txn))
-                };
-                body(txn).inspect_err(|_| {
-                    let _ = session.abort(txn);
-                })
-            })();
-            match long {
-                Ok(()) => long_committed += 1,
-                Err(_) => long_aborted += 1,
+    let (long_committed, long_aborted) = (AtomicU64::new(0), AtomicU64::new(0));
+    let run = fan_out(
+        SHORT_CLIENTS + 1,
+        |_| svc.session().expect("session admitted"),
+        |client, session| {
+            if client < SHORT_CLIENTS {
+                return run_short(&session, client, &stop);
             }
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-
-    let elapsed = start.elapsed();
-    let snap = svc.metrics();
+            let out = run_long(&session, opts);
+            stop.store(true, Ordering::Relaxed);
+            long_committed.store(out.committed, Ordering::Relaxed);
+            long_aborted.store(out.aborted, Ordering::Relaxed);
+            out
+        },
+    );
     let stats = svc.protocol_stats().expect("stats before shutdown");
-    let certifier_aborts = stats.iter().map(|s| s.reeval_aborts).sum();
-    let report = verify_certifiers(&svc.shutdown());
     RunResult {
         backend,
-        elapsed,
-        snap,
-        long_committed,
-        long_aborted,
-        short_committed: short_committed.into_inner(),
-        short_aborted: short_aborted.into_inner(),
-        certifier_aborts,
-        violations: report.violations.len(),
+        run,
+        long_committed: long_committed.into_inner(),
+        long_aborted: long_aborted.into_inner(),
+        certifier_aborts: stats.iter().map(|s| s.reeval_aborts).sum(),
+        violations: verify_certifiers(&svc.shutdown()).violations.len(),
     }
 }
 
@@ -351,10 +288,6 @@ fn retry_busy(mut f: impl FnMut() -> Result<(), ServerError>) -> Result<(), Serv
     }
 }
 
-fn micros(d: Option<Duration>) -> f64 {
-    d.map(|d| d.as_secs_f64() * 1e6).unwrap_or(0.0)
-}
-
 /// `--teeth`: drive a directed write-skew through a *broken* SSI
 /// (dangerous-structure detection off — plain snapshot isolation with
 /// first-committer-wins only). The two transactions have disjoint
@@ -367,10 +300,10 @@ fn teeth() -> ! {
     let svc = service(Backend::Ssi, false);
     let s1 = svc.session().expect("session");
     let s2 = svc.session().expect("session");
-    let (x, y) = (EntityId(0), EntityId(1));
-    let skew = |s1: &ks_server::Session, s2: &ks_server::Session| -> Result<(), ServerError> {
-        let t1 = s1.open(TxnBuilder::new(spec_over(&[0, 1])))?;
-        let t2 = s2.open(TxnBuilder::new(spec_over(&[0, 1])))?;
+    let [x, y] = HOT;
+    let skew = |s1: &Session, s2: &Session| -> Result<(), ServerError> {
+        let t1 = s1.open(TxnBuilder::new(tautology_spec(&HOT)))?;
+        let t2 = s2.open(TxnBuilder::new(tautology_spec(&HOT)))?;
         s1.validate(t1)?;
         s2.validate(t2)?;
         s1.read(t1, x)?;
@@ -458,46 +391,38 @@ fn main() {
             r.long_committed,
             r.long_aborted,
             r.long_abort_rate() * 100.0,
-            r.short_committed,
-            r.short_aborted,
-            r.throughput(),
-            micros(r.snap.p99),
+            r.short_committed(),
+            r.short_aborted(),
+            r.run.throughput(),
+            r.run.txn_us(0.99),
             r.certifier_aborts,
             r.violations,
         );
-        runs.push(Json::obj([
+        let own = [
             ("backend", Json::Str(r.backend.name().to_string())),
-            (
-                "committed",
-                Json::Num((r.long_committed + r.short_committed) as f64),
-            ),
-            (
-                "aborted",
-                Json::Num((r.long_aborted + r.short_aborted) as f64),
-            ),
             ("long_committed", Json::Num(r.long_committed as f64)),
             ("long_aborted", Json::Num(r.long_aborted as f64)),
             ("long_abort_rate", Json::Num(r.long_abort_rate())),
-            ("short_committed", Json::Num(r.short_committed as f64)),
-            ("short_aborted", Json::Num(r.short_aborted as f64)),
-            ("short_abort_rate", Json::Num(r.short_abort_rate())),
+            ("short_committed", Json::Num(r.short_committed() as f64)),
+            ("short_aborted", Json::Num(r.short_aborted() as f64)),
+            (
+                "short_abort_rate",
+                Json::Num(rate(r.short_aborted(), r.short_committed())),
+            ),
             ("certifier_aborts", Json::Num(r.certifier_aborts as f64)),
-            ("throughput_txn_s", Json::Num(r.throughput())),
-            ("p50_us", Json::Num(micros(r.snap.p50))),
-            ("p99_us", Json::Num(micros(r.snap.p99))),
-            ("wall_s", Json::Num(r.elapsed.as_secs_f64())),
-            ("violations", Json::Num(r.violations as f64)),
-        ]));
+        ];
+        let tail = r.run.row_tail(&r.run.outcome.latencies, r.violations);
+        runs.push(Json::obj(own.into_iter().chain(tail)));
         results.push(r);
     }
 
-    let rate = |b: Backend| {
+    let long_rate = |b: Backend| {
         results
             .iter()
             .find(|r| r.backend == b)
             .map_or(f64::NAN, RunResult::long_abort_rate)
     };
-    let (cpc_rate, ssi_rate) = (rate(Backend::Cpc), rate(Backend::Ssi));
+    let (cpc_rate, ssi_rate) = (long_rate(Backend::Cpc), long_rate(Backend::Ssi));
     // The headline gate: abort rates are certification *logic*, not
     // wall-clock, so the verdict is mandatory — smoke runs included.
     let pass = ssi_rate >= cpc_rate + GATE_MARGIN;
@@ -527,8 +452,7 @@ fn main() {
         ),
         ("total_violations", Json::Num(total_violations as f64)),
     ]);
-    std::fs::write("BENCH_certifier.json", report.render()).expect("write BENCH_certifier.json");
-    println!("wrote BENCH_certifier.json");
+    write_report("certifier", opts.smoke, &report);
 
     if total_violations > 0 {
         println!("history check FAILED: {total_violations} violations");

@@ -37,13 +37,15 @@
 //! a bonus the parent's `VmRSS` then measures pure server-side cost,
 //! uncontaminated by 10k client sockets.
 
-use ks_bench::driver::tautology_spec;
-use ks_bench::report::Json;
-use ks_kernel::{Domain, EntityId, Schema, UniqueState};
+use ks_bench::driver::{
+    bench_service, drive_txn, fan_out, micros, percentile, DriveOutcome, DriverConfig, Run,
+};
+use ks_bench::report::{write_report, Json};
+use ks_kernel::EntityId;
 use ks_net::poll::{fd_count, raise_nofile_limit, rss_bytes};
 use ks_net::wire::{self, Request, Response, HELLO_MAGIC};
 use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
-use ks_server::{verify_certifiers, Client, ServerConfig, TxnBuilder, TxnService};
+use ks_server::{verify_certifiers, ServerConfig};
 use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -60,104 +62,53 @@ const MEM_SLACK: u64 = 16 * 1024 * 1024;
 /// Measurement rounds per phase; the gate compares the best of each.
 const ROUNDS: usize = 3;
 
-struct Phase {
-    committed: u64,
-    aborted: u64,
-    elapsed: Duration,
-    p50: Duration,
-    p99: Duration,
-}
-
-/// Exact percentile over every recorded latency (no bucketing — the
-/// gate must not inherit a histogram's 2× bucket granularity).
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let ix = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[ix]
-}
-
 /// One measurement phase: `working` closed-loop clients each run `txns`
 /// small transactions (open, validate, two writes, commit) over their
-/// home shard, timing every transaction client-side.
-fn run_phase(addr: std::net::SocketAddr, working: usize, txns: usize) -> Phase {
-    let barrier = std::sync::Barrier::new(working + 1);
-    let (mut lats, committed, aborted, elapsed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..working)
-            .map(|client| {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let session = RemoteSession::connect(addr, NetClientConfig::default())
-                        .expect("working client connects");
-                    let per_shard = TOTAL_ENTITIES / SHARDS;
-                    let home = client % SHARDS;
-                    let mut lats = Vec::with_capacity(txns);
-                    let (mut committed, mut aborted) = (0u64, 0u64);
-                    barrier.wait();
-                    for round in 0..txns {
-                        let entities: Vec<EntityId> = (0..2)
-                            .map(|i| EntityId(((i + round) % per_shard * SHARDS + home) as u32))
-                            .collect();
-                        let start = Instant::now();
-                        let step = || {
-                            let txn = session.open(TxnBuilder::new(tautology_spec(&entities)))?;
-                            let outcome = (|| {
-                                session.validate(txn)?;
-                                for &e in &entities {
-                                    session.write(txn, e, (client * 1000 + round) as i64)?;
-                                }
-                                session.commit(txn)
-                            })();
-                            if outcome.is_err() {
-                                let _ = session.abort(txn);
-                            }
-                            outcome
-                        };
-                        match step() {
-                            Ok(()) => committed += 1,
-                            Err(_) => aborted += 1,
-                        }
-                        lats.push(start.elapsed());
-                    }
-                    session.close().expect("orderly goodbye");
-                    (lats, committed, aborted)
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        let mut all = Vec::new();
-        let (mut committed, mut aborted) = (0u64, 0u64);
-        for h in handles {
-            let (lats, c, a) = h.join().unwrap();
-            all.extend(lats);
-            committed += c;
-            aborted += a;
-        }
-        (all, committed, aborted, start.elapsed())
-    });
-    lats.sort_unstable();
-    Phase {
-        committed,
-        aborted,
-        elapsed,
-        p50: percentile(&lats, 0.50),
-        p99: percentile(&lats, 0.99),
-    }
+/// home shard, every transaction timed client-side by the driver.
+fn run_phase(addr: std::net::SocketAddr, working: usize, txns: usize) -> Run {
+    fan_out(
+        working,
+        |_| {
+            RemoteSession::connect(addr, NetClientConfig::default())
+                .expect("working client connects")
+        },
+        |client, session| {
+            let cfg = DriverConfig::new(client, SHARDS, TOTAL_ENTITIES, txns, 0);
+            let (per_shard, home) = (TOTAL_ENTITIES / SHARDS, client % SHARDS);
+            let mut backoff = cfg.backoff();
+            let mut out = DriveOutcome::default();
+            for round in 0..txns {
+                let entities: Vec<EntityId> = (0..2)
+                    .map(|i| EntityId(((i + round) % per_shard * SHARDS + home) as u32))
+                    .collect();
+                let ops: Vec<(bool, EntityId)> = entities.iter().map(|&e| (true, e)).collect();
+                let value = (client * 1000 + round) as i64;
+                drive_txn(
+                    &session,
+                    &cfg,
+                    &ops,
+                    &entities,
+                    value,
+                    &mut backoff,
+                    &mut out,
+                );
+            }
+            session.close().expect("orderly goodbye");
+            out
+        },
+    )
 }
 
-/// Best (lowest) p99 over `ROUNDS` runs of the phase, with every round's
-/// aggregate counters folded together for the report.
-fn best_of_rounds(addr: std::net::SocketAddr, working: usize, txns: usize) -> Phase {
-    let mut best: Option<Phase> = None;
-    for _ in 0..ROUNDS {
-        let phase = run_phase(addr, working, txns);
-        if best.as_ref().is_none_or(|b| phase.p99 < b.p99) {
-            best = Some(phase);
-        }
-    }
-    best.expect("ROUNDS > 0")
+fn p99(run: &Run) -> Duration {
+    percentile(&run.outcome.latencies, 0.99)
+}
+
+/// The round with the best (lowest) p99 over `ROUNDS` runs of the phase.
+fn best_of_rounds(addr: std::net::SocketAddr, working: usize, txns: usize) -> Run {
+    (0..ROUNDS)
+        .map(|_| run_phase(addr, working, txns))
+        .min_by_key(p99)
+        .expect("ROUNDS > 0")
 }
 
 /// Open one idle connection: TCP connect, complete the Hello handshake
@@ -221,24 +172,16 @@ fn spawn_horde(addr: std::net::SocketAddr, count: usize) -> (std::process::Child
     (child, parked)
 }
 
-fn micros(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e6
-}
-
-fn phase_json(phase: &str, p: &Phase, idle: usize) -> Json {
-    Json::obj([
+fn phase_json(phase: &str, run: &Run, idle: usize) -> Json {
+    let own = [
         ("phase", Json::Str(phase.to_string())),
         ("idle_connections", Json::Num(idle as f64)),
-        ("committed", Json::Num(p.committed as f64)),
-        ("aborted", Json::Num(p.aborted as f64)),
-        (
-            "throughput_txn_s",
-            Json::Num(p.committed as f64 / p.elapsed.as_secs_f64()),
-        ),
-        ("p50_us", Json::Num(micros(p.p50))),
-        ("p99_us", Json::Num(micros(p.p99))),
-        ("violations", Json::Num(0.0)),
-    ])
+    ];
+    // Violations are per server, not per round: `total_violations`.
+    Json::obj(
+        own.into_iter()
+            .chain(run.row_tail(&run.outcome.latencies, 0)),
+    )
 }
 
 fn main() {
@@ -295,16 +238,8 @@ fn main() {
     );
 
     let start_server = || {
-        let schema = Schema::uniform(
-            (0..TOTAL_ENTITIES).map(|i| format!("d{i}")),
-            Domain::Range {
-                min: i64::MIN / 2,
-                max: i64::MAX / 2,
-            },
-        );
-        let svc = TxnService::new(
-            schema,
-            &UniqueState::constant(TOTAL_ENTITIES, 0),
+        let svc = bench_service(
+            TOTAL_ENTITIES,
             ServerConfig {
                 shards: SHARDS,
                 max_sessions: idle + working + 8,
@@ -333,9 +268,9 @@ fn main() {
     let baseline = best_of_rounds(server.local_addr(), working, txns);
     println!(
         "baseline:  p50 {:>8.1}µs  p99 {:>8.1}µs  ({} committed / round)",
-        micros(baseline.p50),
-        micros(baseline.p99),
-        baseline.committed,
+        baseline.txn_us(0.50),
+        baseline.txn_us(0.99),
+        baseline.outcome.committed,
     );
     let report = verify_certifiers(&server.shutdown());
     let mut violations = report.violations.len();
@@ -375,13 +310,13 @@ fn main() {
     let with_idle = best_of_rounds(addr, working, txns);
     println!(
         "with idle: p50 {:>8.1}µs  p99 {:>8.1}µs  ({} committed / round)",
-        micros(with_idle.p50),
-        micros(with_idle.p99),
-        with_idle.committed,
+        with_idle.txn_us(0.50),
+        with_idle.txn_us(0.99),
+        with_idle.outcome.committed,
     );
 
-    let p99_ratio = if baseline.p99.as_nanos() > 0 {
-        with_idle.p99.as_secs_f64() / baseline.p99.as_secs_f64()
+    let p99_ratio = if p99(&baseline) > Duration::ZERO {
+        p99(&with_idle).as_secs_f64() / p99(&baseline).as_secs_f64()
     } else {
         1.0
     };
@@ -420,8 +355,8 @@ fn main() {
     }
 
     let mut gate = vec![
-        ("p99_baseline_us", Json::Num(micros(baseline.p99))),
-        ("p99_with_idle_us", Json::Num(micros(with_idle.p99))),
+        ("p99_baseline_us", Json::Num(micros(p99(&baseline)))),
+        ("p99_with_idle_us", Json::Num(micros(p99(&with_idle)))),
         ("p99_ratio", Json::Num(p99_ratio)),
         ("p99_ratio_gate", Json::Num(P99_RATIO_GATE)),
     ];
@@ -467,8 +402,7 @@ fn main() {
         ),
         ("total_violations", Json::Num(violations as f64)),
     ]);
-    std::fs::write("BENCH_conn.json", doc.render()).expect("write BENCH_conn.json");
-    println!("wrote BENCH_conn.json");
+    write_report("conn", smoke, &doc);
 
     if violations > 0 {
         eprintln!("model check FAILED: {violations} violations");

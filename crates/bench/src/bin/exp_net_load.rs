@@ -11,54 +11,29 @@
 //! non-zero on any violation.
 //!
 //! Besides the stdout table the binary writes `BENCH_net.json` (schema
-//! checked by `validate_bench`): per-run throughput and p50/p99, plus
-//! the loopback/in-process throughput ratio at the largest swept shard
-//! count. Batching packs a transaction's access phase into `Batch` wire
-//! frames and pipelining keeps several of them in flight, so the wire's
+//! checked by `validate_bench`): per-run throughput and exact
+//! client-side per-transaction p50/p99, plus the loopback/in-process
+//! throughput ratio — the one thing only this experiment gates (the
+//! shard sweep is `benchmark/`'s and `tests/interleaving.rs`'s job).
+//! Batching packs a transaction's access phase into `Batch` wire frames
+//! and pipelining keeps several of them in flight, so the wire's
 //! per-request syscall round trip amortizes — the ratio is the measured
 //! answer to "what does the network cost?". `--smoke` shrinks the run
-//! for CI.
+//! for CI and writes under `target/bench/` instead of the tracked file.
 
-use ks_bench::driver::{drive_client, DriveOutcome, DriverConfig};
-use ks_bench::report::Json;
-use ks_kernel::{Domain, Schema, UniqueState};
+use ks_bench::driver::{bench_service, drive_client, fan_out, DriverConfig, Run};
+use ks_bench::report::{write_report, Json};
 use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
 use ks_server::{verify_certifiers, ServerConfig, TxnService};
-use std::time::{Duration, Instant};
 
 const TOTAL_ENTITIES: usize = 64;
-const OPS_PER_TXN: usize = 6;
-const RETRY_BUDGET: u32 = 10_000;
-/// Loopback must reach this fraction of in-process throughput at the
-/// largest swept shard count (checked in full mode, recorded always).
+/// Loopback must reach this fraction of in-process throughput (checked
+/// in full mode, recorded always).
 const RATIO_GATE: f64 = 0.7;
 
-struct RunResult {
-    outcome: DriveOutcome,
-    elapsed: Duration,
-    p50: Option<Duration>,
-    p99: Option<Duration>,
-    violations: usize,
-}
-
-impl RunResult {
-    fn throughput(&self) -> f64 {
-        self.outcome.committed as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
 fn service(shards: usize, clients: usize) -> TxnService {
-    let schema = Schema::uniform(
-        (0..TOTAL_ENTITIES).map(|i| format!("d{i}")),
-        Domain::Range {
-            min: i64::MIN / 2,
-            max: i64::MAX / 2,
-        },
-    );
-    let initial = UniqueState::constant(TOTAL_ENTITIES, 0);
-    TxnService::new(
-        schema,
-        &initial,
+    bench_service(
+        TOTAL_ENTITIES,
         ServerConfig {
             shards,
             max_sessions: clients,
@@ -67,62 +42,20 @@ fn service(shards: usize, clients: usize) -> TxnService {
     )
 }
 
-fn driver_config(
-    client: usize,
-    shards: usize,
-    txns: usize,
-    pipeline_depth: usize,
-    batch: bool,
-) -> DriverConfig {
-    DriverConfig {
-        client,
-        shards,
-        total_entities: TOTAL_ENTITIES,
-        txns,
-        ops_per_txn: OPS_PER_TXN,
-        seed: 0xC0FFEE,
-        retry_budget: RETRY_BUDGET,
-        pipeline_depth,
-        batch,
-    }
+fn driver_config(client: usize, shards: usize, txns: usize) -> DriverConfig {
+    DriverConfig::new(client, shards, TOTAL_ENTITIES, txns, 0xC0FFEE)
 }
 
 /// The in-process baseline: client threads drive `Session`s directly,
 /// one call per op (the historical configuration the ratio is against).
-/// Session setup happens before the start barrier so the measured window
-/// is pure workload — symmetric with the loopback runs, whose TCP
-/// connects and handshakes are likewise excluded.
-fn run_in_process(shards: usize, clients: usize, txns: usize) -> RunResult {
+fn run_in_process(shards: usize, clients: usize, txns: usize) -> (Run, usize) {
     let svc = service(shards, clients);
-    let shards = svc.shard_map().shards();
-    let barrier = std::sync::Barrier::new(clients + 1);
-    let (outcomes, elapsed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let (svc, barrier) = (&svc, &barrier);
-                scope.spawn(move || {
-                    let session = svc.session().expect("admission");
-                    barrier.wait();
-                    drive_client(&session, &driver_config(client, shards, txns, 1, false))
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        let outcomes: Vec<DriveOutcome> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (outcomes, start.elapsed())
-    });
-    let snap = svc.metrics();
-    let report = verify_certifiers(&svc.shutdown());
-    let mut outcome = DriveOutcome::default();
-    outcomes.into_iter().for_each(|o| outcome.merge(o));
-    RunResult {
-        outcome,
-        elapsed,
-        p50: snap.p50,
-        p99: snap.p99,
-        violations: report.violations.len(),
-    }
+    let run = fan_out(
+        clients,
+        |_| svc.session().expect("admission"),
+        |client, session| drive_client(&session, &driver_config(client, shards, txns)),
+    );
+    (run, verify_certifiers(&svc.shutdown()).violations.len())
 }
 
 /// One loopback run: the same service behind a `NetServer`, one TCP
@@ -134,62 +67,36 @@ fn run_loopback(
     txns: usize,
     pipeline_depth: usize,
     batch: bool,
-) -> RunResult {
-    let svc = service(shards, clients);
-    let shards = svc.shard_map().shards();
-    let server = NetServer::start(svc, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+) -> (Run, usize) {
+    let server = NetServer::start(
+        service(shards, clients),
+        "127.0.0.1:0",
+        NetConfig::default(),
+    )
+    .expect("bind loopback");
     let addr = server.local_addr();
-    let barrier = std::sync::Barrier::new(clients + 1);
-    let (outcomes, p50, p99, elapsed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let session = RemoteSession::connect(addr, NetClientConfig::default())
-                        .expect("connect over loopback");
-                    barrier.wait();
-                    let out = drive_client(
-                        &session,
-                        &driver_config(client, shards, txns, pipeline_depth, batch),
-                    );
-                    let wm = session.metrics().ok();
-                    session.close().expect("orderly goodbye");
-                    (out, wm.map(|m| (m.p50_ns, m.p99_ns)))
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let elapsed = start.elapsed();
-        let pick = |f: fn(&(u64, u64)) -> u64| {
-            results
-                .iter()
-                .filter_map(|(_, m)| m.as_ref().map(f))
-                .filter(|&ns| ns > 0)
-                .max()
-        };
-        let (p50, p99) = (pick(|m| m.0), pick(|m| m.1));
-        let outcomes: Vec<DriveOutcome> = results.into_iter().map(|(o, _)| o).collect();
-        (outcomes, p50, p99, elapsed)
-    });
-    let report = verify_certifiers(&server.shutdown());
-    let mut outcome = DriveOutcome::default();
-    outcomes.into_iter().for_each(|o| outcome.merge(o));
-    RunResult {
-        outcome,
-        elapsed,
-        p50: p50.map(Duration::from_nanos),
-        p99: p99.map(Duration::from_nanos),
-        violations: report.violations.len(),
-    }
+    let run = fan_out(
+        clients,
+        |_| {
+            RemoteSession::connect(addr, NetClientConfig::default()).expect("connect over loopback")
+        },
+        |client, session| {
+            let out = drive_client(
+                &session,
+                &DriverConfig {
+                    pipeline_depth,
+                    batch,
+                    ..driver_config(client, shards, txns)
+                },
+            );
+            session.close().expect("orderly goodbye");
+            out
+        },
+    );
+    (run, verify_certifiers(&server.shutdown()).violations.len())
 }
 
-fn micros(d: Option<Duration>) -> f64 {
-    d.map(|d| d.as_secs_f64() * 1e6).unwrap_or(0.0)
-}
-
-fn row(transport: &str, depth: usize, batch: bool, r: &RunResult) -> String {
+fn row(transport: &str, depth: usize, batch: bool, r: &Run, violations: usize) -> String {
     format!(
         "{:>11} {:>5} {:>5} {:>9} {:>7} {:>6} {:>11.0} {:>8.1} {:>8.1} {:>10}",
         transport,
@@ -199,117 +106,115 @@ fn row(transport: &str, depth: usize, batch: bool, r: &RunResult) -> String {
         r.outcome.aborted,
         r.outcome.busy_retries,
         r.throughput(),
-        micros(r.p50),
-        micros(r.p99),
-        r.violations,
+        r.txn_us(0.50),
+        r.txn_us(0.99),
+        violations,
     )
 }
 
-fn run_json(shards: usize, transport: &str, depth: usize, batch: bool, r: &RunResult) -> Json {
-    Json::obj([
+fn run_json(
+    shards: usize,
+    transport: &str,
+    depth: usize,
+    batch: bool,
+    r: &Run,
+    violations: usize,
+) -> Json {
+    let own = [
         ("shards", Json::Num(shards as f64)),
         ("transport", Json::Str(transport.to_string())),
         ("pipeline_depth", Json::Num(depth as f64)),
         ("batch", Json::Bool(batch)),
-        ("committed", Json::Num(r.outcome.committed as f64)),
-        ("aborted", Json::Num(r.outcome.aborted as f64)),
         ("rejected", Json::Num(r.outcome.rejected as f64)),
         ("busy_retries", Json::Num(r.outcome.busy_retries as f64)),
-        ("throughput_txn_s", Json::Num(r.throughput())),
-        ("p50_us", Json::Num(micros(r.p50))),
-        ("p99_us", Json::Num(micros(r.p99))),
-        ("violations", Json::Num(r.violations as f64)),
-    ])
+    ];
+    Json::obj(
+        own.into_iter()
+            .chain(r.row_tail(&r.outcome.latencies, violations)),
+    )
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (clients, txns, sweep): (usize, usize, &[usize]) = if smoke {
-        (4, 6, &[2])
-    } else {
-        // Long enough that the measured window (~400 txns) dwarfs
-        // scheduler noise — the ratio gate needs stable numbers.
-        (8, 48, &[1, 4])
-    };
-    let depths: &[usize] = &[1, 4];
+    // Full size is long enough that the measured window (~400 txns)
+    // dwarfs scheduler noise — the ratio gate needs stable numbers.
+    let (clients, txns, shards) = if smoke { (4, 6, 2) } else { (8, 48, 4) };
+    let ops_per_txn = driver_config(0, shards, txns).ops_per_txn;
     println!("net-load — identical closed-loop workload, in-process vs loopback TCP");
     println!(
-        "{clients} clients, {txns} txns/client, {OPS_PER_TXN} ops/txn, {TOTAL_ENTITIES} entities, \
-         pipeline×batch sweep{}\n",
+        "{clients} clients, {txns} txns/client, {ops_per_txn} ops/txn, {TOTAL_ENTITIES} entities, \
+         {shards} shards, pipeline×batch sweep{}\n",
         if smoke { " (smoke mode)" } else { "" }
     );
+    println!(
+        "{:>11} {:>5} {:>5} {:>9} {:>7} {:>6} {:>11} {:>8} {:>8} {:>10}",
+        "transport",
+        "depth",
+        "batch",
+        "committed",
+        "aborted",
+        "busy",
+        "thru(txn/s)",
+        "p50(µs)",
+        "p99(µs)",
+        "violations"
+    );
 
-    let mut total_violations = 0usize;
-    let mut runs = Vec::new();
-    let mut ratio_entry = None;
-    for &shards in sweep {
-        println!("— {shards} shard(s) —");
-        println!(
-            "{:>11} {:>5} {:>5} {:>9} {:>7} {:>6} {:>11} {:>8} {:>8} {:>10}",
-            "transport",
-            "depth",
-            "batch",
-            "committed",
-            "aborted",
-            "busy",
-            "thru(txn/s)",
-            "p50(µs)",
-            "p99(µs)",
-            "violations"
-        );
-        let local = run_in_process(shards, clients, txns);
-        total_violations += local.violations;
-        println!("{}", row("in-process", 1, false, &local));
-        runs.push(run_json(shards, "in-process", 1, false, &local));
-        let local_accounted =
-            local.outcome.committed + local.outcome.aborted + local.outcome.rejected;
+    let (local, mut total_violations) = run_in_process(shards, clients, txns);
+    println!("{}", row("in-process", 1, false, &local, total_violations));
+    let mut runs = vec![run_json(
+        shards,
+        "in-process",
+        1,
+        false,
+        &local,
+        total_violations,
+    )];
+    let local_accounted = local.outcome.committed + local.outcome.aborted + local.outcome.rejected;
 
-        let mut best: Option<(f64, usize, bool)> = None;
-        for &depth in depths {
-            for batch in [false, true] {
-                let remote = run_loopback(shards, clients, txns, depth, batch);
-                total_violations += remote.violations;
-                println!("{}", row("loopback", depth, batch, &remote));
-                runs.push(run_json(shards, "loopback", depth, batch, &remote));
-                // Identical deterministic workloads must commit the same
-                // work on both transports and under every wire shape
-                // (retries differ; outcomes must not).
-                assert_eq!(
-                    local_accounted,
-                    remote.outcome.committed + remote.outcome.aborted + remote.outcome.rejected,
-                    "every transaction accounted for (depth {depth}, batch {batch})"
-                );
-                let thru = remote.throughput();
-                if best.is_none_or(|(b, _, _)| thru > b) {
-                    best = Some((thru, depth, batch));
-                }
+    let mut best: Option<(f64, usize, bool)> = None;
+    for depth in [1, 4] {
+        for batch in [false, true] {
+            let (remote, violations) = run_loopback(shards, clients, txns, depth, batch);
+            total_violations += violations;
+            println!("{}", row("loopback", depth, batch, &remote, violations));
+            runs.push(run_json(
+                shards, "loopback", depth, batch, &remote, violations,
+            ));
+            // Identical deterministic workloads must commit the same
+            // work on both transports and under every wire shape
+            // (retries differ; outcomes must not).
+            assert_eq!(
+                local_accounted,
+                remote.outcome.committed + remote.outcome.aborted + remote.outcome.rejected,
+                "every transaction accounted for (depth {depth}, batch {batch})"
+            );
+            let thru = remote.throughput();
+            if best.is_none_or(|(b, _, _)| thru > b) {
+                best = Some((thru, depth, batch));
             }
         }
-        let (best_thru, best_depth, best_batch) = best.expect("sweep is non-empty");
-        let ratio = best_thru / local.throughput();
-        println!(
-            "  best loopback/in-process throughput ratio: {ratio:.2} \
-             (depth {best_depth}, batch {})",
-            if best_batch { "on" } else { "off" }
-        );
-        if shards == *sweep.last().unwrap() {
-            let mut entry = vec![
-                ("shards", Json::Num(shards as f64)),
-                ("in_process_txn_s", Json::Num(local.throughput())),
-                ("loopback_best_txn_s", Json::Num(best_thru)),
-                ("best_pipeline_depth", Json::Num(best_depth as f64)),
-                ("best_batch", Json::Bool(best_batch)),
-                ("loopback_over_in_process", Json::Num(ratio)),
-                ("gate", Json::Num(RATIO_GATE)),
-            ];
-            // The perf gate binds only to the full-size run: smoke mode
-            // exists for CI boxes whose timing proves nothing.
-            if !smoke {
-                entry.push(("pass", Json::Bool(ratio >= RATIO_GATE)));
-            }
-            ratio_entry = Some(Json::obj(entry));
-        }
-        println!();
+    }
+    let (best_thru, best_depth, best_batch) = best.expect("sweep is non-empty");
+    let ratio = best_thru / local.throughput();
+    println!(
+        "  best loopback/in-process throughput ratio: {ratio:.2} \
+         (depth {best_depth}, batch {})\n",
+        if best_batch { "on" } else { "off" }
+    );
+    let mut ratio_entry = vec![
+        ("shards", Json::Num(shards as f64)),
+        ("in_process_txn_s", Json::Num(local.throughput())),
+        ("loopback_best_txn_s", Json::Num(best_thru)),
+        ("best_pipeline_depth", Json::Num(best_depth as f64)),
+        ("best_batch", Json::Bool(best_batch)),
+        ("loopback_over_in_process", Json::Num(ratio)),
+        ("gate", Json::Num(RATIO_GATE)),
+    ];
+    // The perf gate binds only to the full-size run: smoke mode exists
+    // for CI boxes whose timing proves nothing.
+    if !smoke {
+        ratio_entry.push(("pass", Json::Bool(ratio >= RATIO_GATE)));
     }
 
     let report = Json::obj([
@@ -317,14 +222,13 @@ fn main() {
         ("smoke", Json::Bool(smoke)),
         ("clients", Json::Num(clients as f64)),
         ("txns_per_client", Json::Num(txns as f64)),
-        ("ops_per_txn", Json::Num(OPS_PER_TXN as f64)),
+        ("ops_per_txn", Json::Num(ops_per_txn as f64)),
         ("total_entities", Json::Num(TOTAL_ENTITIES as f64)),
         ("runs", Json::Arr(runs)),
-        ("ratio", ratio_entry.expect("sweep ran")),
+        ("ratio", Json::obj(ratio_entry)),
         ("total_violations", Json::Num(total_violations as f64)),
     ]);
-    std::fs::write("BENCH_net.json", report.render()).expect("write BENCH_net.json");
-    println!("wrote BENCH_net.json");
+    write_report("net", smoke, &report);
 
     if total_violations == 0 {
         println!("model check: every extracted execution is correct (0 violations)");
@@ -335,5 +239,5 @@ fn main() {
     println!("expected shape: per-request syscall latency dominates the naive");
     println!("wire client; batching packs the access phase into Batch frames and");
     println!("pipelining overlaps them, so the best loopback config lands within");
-    println!("{RATIO_GATE}× of in-process throughput at the largest shard count.");
+    println!("{RATIO_GATE}× of in-process throughput at {shards} shards.");
 }

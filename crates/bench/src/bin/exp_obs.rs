@@ -22,20 +22,17 @@
 //! Flags: `--smoke` shrinks the run; `--gate-sample R`,
 //! `--max-overhead B`, and `--expect-fail` let CI prove the gate *can*
 //! fail (full tracing against an artificially tight budget must trip
-//! it) without overwriting the real report.
+//! it) without writing a report; `--smoke` reports go under
+//! `target/bench/`, only a full-size run rewrites `BENCH_obs.json`.
 
-use ks_bench::driver::{drive_client, DriveOutcome, DriverConfig};
-use ks_bench::report::Json;
-use ks_kernel::{Domain, Schema, UniqueState};
+use ks_bench::driver::{bench_service, drive_client, fan_out, DriverConfig, Run};
+use ks_bench::report::{write_report, Json};
 use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
 use ks_obs::{ObsKind, Recorder};
-use ks_server::{verify_certifiers, ServerConfig, TxnService};
-use std::time::{Duration, Instant};
+use ks_server::{verify_certifiers, ServerConfig};
 
 const TOTAL_ENTITIES: usize = 64;
 const SHARDS: usize = 4;
-const OPS_PER_TXN: usize = 6;
-const RETRY_BUDGET: u32 = 10_000;
 /// Alternating measurement rounds per rate; each rate keeps its best.
 const ROUNDS: usize = 3;
 /// Default overhead budget at the default gate rate.
@@ -84,10 +81,7 @@ fn parse_options() -> Options {
 }
 
 struct RunResult {
-    outcome: DriveOutcome,
-    elapsed: Duration,
-    p50: Option<Duration>,
-    p99: Option<Duration>,
+    run: Run,
     /// Span events left in the shared recorder after the run.
     spans: u64,
     violations: usize,
@@ -95,19 +89,11 @@ struct RunResult {
 
 impl RunResult {
     fn throughput(&self) -> f64 {
-        self.outcome.committed as f64 / self.elapsed.as_secs_f64()
+        self.run.throughput()
     }
 }
 
 fn run_one(rate: f64, clients: usize, txns: usize) -> RunResult {
-    let schema = Schema::uniform(
-        (0..TOTAL_ENTITIES).map(|i| format!("d{i}")),
-        Domain::Range {
-            min: i64::MIN / 2,
-            max: i64::MAX / 2,
-        },
-    );
-    let initial = UniqueState::constant(TOTAL_ENTITIES, 0);
     let recorder = Recorder::new(1 << 14);
     let config = ServerConfig::builder()
         .shards(SHARDS)
@@ -115,10 +101,8 @@ fn run_one(rate: f64, clients: usize, txns: usize) -> RunResult {
         .recorder(recorder.clone())
         .build()
         .expect("static bench config is valid");
-    let svc = TxnService::new(schema, &initial, config);
-    let shards = svc.shard_map().shards();
     let server = NetServer::start(
-        svc,
+        bench_service(TOTAL_ENTITIES, config),
         "127.0.0.1:0",
         NetConfig {
             recorder: Some(recorder.clone()),
@@ -127,77 +111,38 @@ fn run_one(rate: f64, clients: usize, txns: usize) -> RunResult {
     )
     .expect("bind loopback");
     let addr = server.local_addr();
-    let barrier = std::sync::Barrier::new(clients + 1);
-    let (outcomes, p50, p99, elapsed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let (barrier, recorder) = (&barrier, &recorder);
-                scope.spawn(move || {
-                    let session = RemoteSession::connect(
-                        addr,
-                        NetClientConfig {
-                            recorder: Some(recorder.clone()),
-                            trace_sample: rate,
-                            ..NetClientConfig::default()
-                        },
-                    )
-                    .expect("connect over loopback");
-                    barrier.wait();
-                    let out = drive_client(
-                        &session,
-                        &DriverConfig {
-                            client,
-                            shards,
-                            total_entities: TOTAL_ENTITIES,
-                            txns,
-                            ops_per_txn: OPS_PER_TXN,
-                            seed: 0x0B5_0DE,
-                            retry_budget: RETRY_BUDGET,
-                            pipeline_depth: 1,
-                            batch: false,
-                        },
-                    );
-                    let wm = session.metrics().ok();
-                    session.close().expect("orderly goodbye");
-                    (out, wm.map(|m| (m.p50_ns, m.p99_ns)))
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let elapsed = start.elapsed();
-        let pick = |f: fn(&(u64, u64)) -> u64| {
-            results
-                .iter()
-                .filter_map(|(_, m)| m.as_ref().map(f))
-                .filter(|&ns| ns > 0)
-                .max()
-        };
-        let (p50, p99) = (pick(|m| m.0), pick(|m| m.1));
-        let outcomes: Vec<DriveOutcome> = results.into_iter().map(|(o, _)| o).collect();
-        (outcomes, p50, p99, elapsed)
-    });
+    let run = fan_out(
+        clients,
+        |_| {
+            RemoteSession::connect(
+                addr,
+                NetClientConfig {
+                    recorder: Some(recorder.clone()),
+                    trace_sample: rate,
+                    ..NetClientConfig::default()
+                },
+            )
+            .expect("connect over loopback")
+        },
+        |client, session| {
+            let out = drive_client(
+                &session,
+                &DriverConfig::new(client, SHARDS, TOTAL_ENTITIES, txns, 0x0B5_0DE),
+            );
+            session.close().expect("orderly goodbye");
+            out
+        },
+    );
     let spans = recorder
         .drain()
         .iter()
         .filter(|ev| matches!(ev.kind, ObsKind::SpanStart { .. } | ObsKind::SpanEnd { .. }))
         .count() as u64;
-    let report = verify_certifiers(&server.shutdown());
-    let mut outcome = DriveOutcome::default();
-    outcomes.into_iter().for_each(|o| outcome.merge(o));
     RunResult {
-        outcome,
-        elapsed,
-        p50: p50.map(Duration::from_nanos),
-        p99: p99.map(Duration::from_nanos),
+        run,
         spans,
-        violations: report.violations.len(),
+        violations: verify_certifiers(&server.shutdown()).violations.len(),
     }
-}
-
-fn micros(d: Option<Duration>) -> f64 {
-    d.map(|d| d.as_secs_f64() * 1e6).unwrap_or(0.0)
 }
 
 fn main() {
@@ -209,7 +154,7 @@ fn main() {
     let (clients, txns) = if opts.smoke { (4, 48) } else { (8, 48) };
     println!("obs-overhead — loopback workload across trace sampling rates");
     println!(
-        "{clients} clients, {txns} txns/client, {OPS_PER_TXN} ops/txn, {TOTAL_ENTITIES} entities, \
+        "{clients} clients, {txns} txns/client, {TOTAL_ENTITIES} entities, {SHARDS} shards, \
          {ROUNDS} alternating rounds{}\n",
         if opts.smoke { " (smoke mode)" } else { "" }
     );
@@ -226,8 +171,8 @@ fn main() {
                 round + 1,
                 rate,
                 r.throughput(),
-                micros(r.p50),
-                micros(r.p99),
+                r.run.txn_us(0.50),
+                r.run.txn_us(0.99),
                 r.spans,
                 r.violations,
             );
@@ -317,17 +262,13 @@ fn main() {
                     .iter()
                     .zip(&best)
                     .map(|(&rate, r)| {
-                        Json::obj([
+                        let own = [
                             ("trace_sample", Json::Num(rate)),
-                            ("committed", Json::Num(r.outcome.committed as f64)),
-                            ("aborted", Json::Num(r.outcome.aborted as f64)),
-                            ("throughput_txn_s", Json::Num(r.throughput())),
-                            ("p50_us", Json::Num(micros(r.p50))),
-                            ("p99_us", Json::Num(micros(r.p99))),
                             ("span_events", Json::Num(r.spans as f64)),
                             ("overhead", Json::Num(overhead(r))),
-                            ("violations", Json::Num(r.violations as f64)),
-                        ])
+                        ];
+                        let tail = r.run.row_tail(&r.run.outcome.latencies, r.violations);
+                        Json::obj(own.into_iter().chain(tail))
                     })
                     .collect(),
             ),
@@ -343,8 +284,7 @@ fn main() {
         ),
         ("total_violations", Json::Num(total_violations as f64)),
     ]);
-    std::fs::write("BENCH_obs.json", report.render()).expect("write BENCH_obs.json");
-    println!("wrote BENCH_obs.json");
+    write_report("obs", opts.smoke, &report);
 
     if total_violations > 0 || !pass {
         std::process::exit(1);

@@ -11,8 +11,8 @@
 //! exactly the paper's point — reading in-flight versions IS the
 //! cooperation feature, repaired by cascading undo rather than prevented.
 
+use ks_baselines::KsProtocolAdapter;
 use ks_baselines::{MultiversionTimestampOrdering, TwoPhaseLocking};
-use ks_protocol::KsProtocolAdapter;
 use ks_schedule::recovery::CommittedSchedule;
 use ks_schedule::{Op, Schedule, TxnId};
 use ks_sim::trace::committed_ops;

@@ -24,34 +24,32 @@
 //! `validate_bench` (and therefore `scripts/check.sh`) enforces; the
 //! injected latency dwarfs scheduling noise, so smoke runs carry it too.
 
-use ks_bench::driver::{drive_client, DriveOutcome, DriverConfig};
-use ks_bench::report::Json;
-use ks_kernel::{Domain, Schema, UniqueState};
-use ks_server::{
-    verify_certifiers, Durability, ServerConfig, StoreFactory, TxnService, WalOptions,
+use ks_bench::driver::{
+    bench_service, drive_client, fan_out, micros, percentile, DriverConfig, Run,
 };
+use ks_bench::report::{write_report, Json};
+use ks_server::{verify_certifiers, Durability, ServerConfig, StoreFactory, WalOptions};
 use ks_wal::{FileStore, MemStore, SegmentStore};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CLIENTS: usize = 8;
 /// Shard count: the WAL (and its flusher) is shared across shards, so
 /// commits batch globally regardless. Four shards keep the protocol
 /// layer fast enough at full size that a transaction stays well under
-/// `SLOW_SYNC` — a single manager degrades with transaction count (see
-/// BENCH_server.json's 1-shard row) until commits arrive too sparsely
-/// to share a sync, which would measure manager aging, not batching.
+/// `SLOW_SYNC` — a single manager degrades with transaction count
+/// (validate cost grows with history: `certifier.validate_growth` in
+/// `benchmark/`) until commits arrive too sparsely to share a sync,
+/// which would measure manager aging, not batching.
 const SHARDS: usize = 4;
-/// Wide enough that the full run's version chains stay shallow (~30
-/// versions/entity, the density exp_server_load runs at).
+/// Wide enough that the full run's version chains stay shallow: 1600
+/// transactions × ~2.4 writes over 128 entities is ~30 versions/entity.
 const TOTAL_ENTITIES: usize = 128;
-const OPS_PER_TXN: usize = 6;
 /// Per-client transaction count (smoke / full).
 const TXNS_SMOKE: usize = 40;
 const TXNS_FULL: usize = 200;
-const RETRY_BUDGET: u32 = 10_000;
 /// Injected sync latency of the `slow` rows.
 const SLOW_SYNC: Duration = Duration::from_millis(2);
 /// A lone committer's `fsync_per_commit` must be within this of 1.0.
@@ -92,26 +90,19 @@ impl SegmentStore for SlowSync {
 struct RunResult {
     store: &'static str,
     clients: usize,
-    outcome: DriveOutcome,
-    elapsed: Duration,
+    run: Run,
     fsyncs: u64,
     violations: usize,
 }
 
 impl RunResult {
     fn fsync_per_commit(&self) -> f64 {
-        self.fsyncs as f64 / (self.outcome.committed.max(1)) as f64
+        self.fsyncs as f64 / (self.run.outcome.committed.max(1)) as f64
     }
 
-    fn throughput(&self) -> f64 {
-        self.outcome.committed as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Exact quantile of the clients' commit-call latencies, in µs.
-    fn commit_us(&self, q: f64) -> f64 {
-        let sorted = &self.outcome.commit_latencies;
-        let at = ((sorted.len() as f64 * q) as usize).min(sorted.len().saturating_sub(1));
-        sorted.get(at).map_or(0.0, |d| d.as_secs_f64() * 1e6)
+    /// Exact percentile of the clients' commit-call latencies, in µs.
+    fn commit_us(&self, p: f64) -> f64 {
+        micros(percentile(&self.run.outcome.commit_latencies, p))
     }
 }
 
@@ -135,80 +126,50 @@ fn file_store() -> StoreFactory {
 }
 
 fn run_one(store: &'static str, clients: usize, log: StoreFactory, txns: usize) -> RunResult {
-    let schema = Schema::uniform(
-        (0..TOTAL_ENTITIES).map(|i| format!("d{i}")),
-        Domain::Range {
-            min: i64::MIN / 2,
-            max: i64::MAX / 2,
-        },
-    );
-    let initial = UniqueState::constant(TOTAL_ENTITIES, 0);
     let config = ServerConfig::builder()
         .shards(SHARDS)
         .max_sessions(CLIENTS)
         .durability(Durability::Wal(WalOptions::new(log)))
         .build()
         .expect("static bench config is valid");
-    let svc = TxnService::new(schema, &initial, config);
+    let svc = bench_service(TOTAL_ENTITIES, config);
     // Start-up rotates and syncs a checkpoint fence; not commit-path syncs.
     let booted = svc.wal_stats().expect("bench runs with the WAL on").syncs;
-    let shards = svc.shard_map().shards();
-    let start = Instant::now();
-    let outcomes: Vec<DriveOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let svc = &svc;
-                scope.spawn(move || {
-                    let session = svc.session().expect("admission (sessions \u{2264} cap)");
-                    drive_client(
-                        &session,
-                        &DriverConfig {
-                            client,
-                            shards,
-                            total_entities: TOTAL_ENTITIES,
-                            txns,
-                            ops_per_txn: OPS_PER_TXN,
-                            seed: 0xF5C_0DE,
-                            retry_budget: RETRY_BUDGET,
-                            pipeline_depth: 1,
-                            batch: false,
-                        },
-                    )
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let elapsed = start.elapsed();
+    let run = fan_out(
+        clients,
+        |_| svc.session().expect("admission (sessions \u{2264} cap)"),
+        |client, session| {
+            drive_client(
+                &session,
+                &DriverConfig::new(client, SHARDS, TOTAL_ENTITIES, txns, 0xF5C_0DE),
+            )
+        },
+    );
     // Every client has its commit ack in hand, so the fsync that made it
     // durable has already been counted — read the stats before shutdown
     // adds its quiescing barrier.
     let stats = svc.wal_stats().expect("bench runs with the WAL on");
-    let snap = svc.metrics();
-    let report = verify_certifiers(&svc.shutdown());
-    let mut outcome = DriveOutcome::default();
-    for o in outcomes {
-        outcome.merge(o);
-    }
-    assert_eq!(outcome.committed, snap.committed, "client/server agree");
-    outcome.commit_latencies.sort_unstable();
+    assert_eq!(
+        run.outcome.committed,
+        svc.metrics().committed,
+        "client/server agree"
+    );
     RunResult {
         store,
         clients,
-        outcome,
-        elapsed,
+        run,
         fsyncs: stats.syncs - booted,
-        violations: report.violations.len(),
+        violations: verify_certifiers(&svc.shutdown()).violations.len(),
     }
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let txns = if smoke { TXNS_SMOKE } else { TXNS_FULL };
-    let slow_us = SLOW_SYNC.as_secs_f64() * 1e6;
+    let slow_us = micros(SLOW_SYNC);
     println!("wal-load — closed-loop clients, one commit path (the flusher)");
     println!(
-        "{txns} txns/client, {OPS_PER_TXN} ops/txn, {TOTAL_ENTITIES} entities, \
+        "{txns} txns/client, {TOTAL_ENTITIES} entities, {SHARDS} shards, \
          slow store = {slow_us:.0} µs/sync{}\n",
         if smoke { " (smoke mode)" } else { "" }
     );
@@ -238,10 +199,10 @@ fn main() {
             "{:>5} {:>7} {:>9} {:>8} {:>14.4} {:>11.0} {:>14.1} {:>14.1} {:>10}",
             r.store,
             r.clients,
-            r.outcome.committed,
+            r.run.outcome.committed,
             r.fsyncs,
             r.fsync_per_commit(),
-            r.throughput(),
+            r.run.throughput(),
             r.commit_us(0.50),
             r.commit_us(0.99),
             r.violations,
@@ -276,19 +237,16 @@ fn main() {
             Json::Arr(
                 runs.iter()
                     .map(|r| {
-                        Json::obj([
+                        let own = [
                             ("store", Json::Str(r.store.into())),
                             ("clients", Json::Num(r.clients as f64)),
-                            ("committed", Json::Num(r.outcome.committed as f64)),
-                            ("aborted", Json::Num(r.outcome.aborted as f64)),
                             ("fsyncs", Json::Num(r.fsyncs as f64)),
                             ("fsync_per_commit", Json::Num(r.fsync_per_commit())),
-                            ("throughput_txn_s", Json::Num(r.throughput())),
-                            ("p50_us", Json::Num(r.commit_us(0.50))),
-                            ("p99_us", Json::Num(r.commit_us(0.99))),
-                            ("wall_s", Json::Num(r.elapsed.as_secs_f64())),
-                            ("violations", Json::Num(r.violations as f64)),
-                        ])
+                        ];
+                        let tail = r
+                            .run
+                            .row_tail(&r.run.outcome.commit_latencies, r.violations);
+                        Json::obj(own.into_iter().chain(tail))
                     })
                     .collect(),
             ),
@@ -307,8 +265,7 @@ fn main() {
         ),
         ("total_violations", Json::Num(total_violations as f64)),
     ]);
-    std::fs::write("BENCH_wal.json", report.render()).expect("write BENCH_wal.json");
-    println!("wrote BENCH_wal.json");
+    write_report("wal", smoke, &report);
 
     if total_violations > 0 || !pass {
         std::process::exit(1);

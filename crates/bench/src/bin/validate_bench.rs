@@ -5,7 +5,9 @@
 //! zero correctness violations:
 //!
 //! * top level: `bench` (string), `runs` (non-empty array), and
-//!   `total_violations == 0`;
+//!   `total_violations == 0`; a report that says `"smoke": true` is
+//!   accepted only from a path under `target/` — the tracked root files
+//!   must be full-size runs;
 //! * every run: numeric `throughput_txn_s` (> 0 when anything
 //!   committed), numeric `p50_us`/`p99_us`, and `violations == 0`;
 //! * `net_load` reports additionally: a `ratio` object whose
@@ -34,11 +36,13 @@
 //!   budget (RSS accounting is not wall-clock noise, so smoke runs
 //!   carry it too).
 //!
-//! Usage: `validate_bench BENCH_net.json [BENCH_server.json ...]`
+//! Usage: `validate_bench BENCH_net.json [target/bench/BENCH_wal.json ...]`
 
 use ks_bench::report::Json;
+use std::path::Path;
 
-/// Collects everything wrong with one report file.
+/// Collects everything wrong with one report file; `name` is the path
+/// it was read from.
 fn validate(name: &str, doc: &Json, errors: &mut Vec<String>) {
     let mut err = |msg: String| errors.push(format!("{name}: {msg}"));
 
@@ -46,6 +50,14 @@ fn validate(name: &str, doc: &Json, errors: &mut Vec<String>) {
         err("missing string field \"bench\"".to_string());
         return;
     };
+    let scratch = Path::new(name)
+        .components()
+        .any(|c| c.as_os_str() == "target");
+    if doc.get("smoke").and_then(Json::as_bool) == Some(true) && !scratch {
+        err(
+            "a smoke report outside target/ (tracked artifacts must be full-size runs)".to_string(),
+        );
+    }
     match doc.get("total_violations").and_then(Json::as_f64) {
         Some(0.0) => {}
         Some(n) => err(format!("total_violations = {n} (must be 0)")),
@@ -249,7 +261,7 @@ fn validate(name: &str, doc: &Json, errors: &mut Vec<String>) {
 fn main() {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        eprintln!("usage: validate_bench BENCH_net.json [BENCH_server.json ...]");
+        eprintln!("usage: validate_bench BENCH_net.json [target/bench/BENCH_wal.json ...]");
         std::process::exit(2);
     }
     let mut errors = Vec::new();
@@ -281,5 +293,83 @@ fn main() {
             eprintln!("FAIL {e}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn errors_for(path: &str, doc: &Json) -> Vec<String> {
+        let mut errors = Vec::new();
+        validate(path, doc, &mut errors);
+        errors
+    }
+
+    fn wal_report(smoke: bool, gate_key: &'static str) -> Json {
+        let run = Json::obj([
+            ("committed", Json::Num(8.0)),
+            ("throughput_txn_s", Json::Num(100.0)),
+            ("p50_us", Json::Num(2200.0)),
+            ("p99_us", Json::Num(2400.0)),
+            ("violations", Json::Num(0.0)),
+        ]);
+        let gate = Json::obj([
+            ("lone_fsync_per_commit", Json::Num(1.0)),
+            ("lone_commit_p50_us", Json::Num(2200.0)),
+            ("shared_over_lone_fsync_per_commit", Json::Num(0.15)),
+            ("group_over_naive_fsync_per_commit", Json::Num(0.13)),
+            ("pass", Json::Bool(true)),
+        ]);
+        Json::obj([
+            ("bench", Json::Str("wal".into())),
+            ("smoke", Json::Bool(smoke)),
+            ("runs", Json::Arr(vec![run])),
+            (gate_key, gate),
+            ("total_violations", Json::Num(0.0)),
+        ])
+    }
+
+    #[test]
+    fn a_smoke_report_is_accepted_only_under_target() {
+        let smoke = wal_report(true, "gate");
+        assert_eq!(
+            errors_for("target/bench/BENCH_wal.json", &smoke),
+            Vec::<String>::new()
+        );
+        assert_eq!(
+            errors_for("/repo/target/bench/BENCH_wal.json", &smoke),
+            Vec::<String>::new()
+        );
+        let tracked = errors_for("BENCH_wal.json", &smoke);
+        assert!(
+            tracked.len() == 1 && tracked[0].contains("smoke report outside target/"),
+            "{tracked:?}"
+        );
+        // The same numbers from a full-size run are fine anywhere.
+        assert_eq!(
+            errors_for("BENCH_wal.json", &wal_report(false, "gate")),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn the_retired_naive_vs_group_wal_shape_still_fails() {
+        let errors = errors_for("BENCH_wal.json", &wal_report(false, "ratio"));
+        assert!(
+            errors.iter().any(|e| e.contains("missing \"gate\" object")),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn every_tracked_artifact_validates() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for name in ["net", "wal", "obs", "certifier", "conn"] {
+            let file = format!("BENCH_{name}.json");
+            let text = std::fs::read_to_string(root.join(&file)).expect("tracked artifact exists");
+            let doc = Json::parse(&text).expect("tracked artifact parses");
+            assert_eq!(errors_for(&file, &doc), Vec::<String>::new());
+        }
     }
 }

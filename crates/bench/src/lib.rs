@@ -11,10 +11,10 @@ pub mod driver;
 pub mod report;
 
 use ks_baselines::{
-    MultiversionTimestampOrdering, PredicatewiseTwoPhaseLocking, TimestampOrdering, TwoPhaseLocking,
+    KsProtocolAdapter, MultiversionTimestampOrdering, PredicatewiseTwoPhaseLocking,
+    TimestampOrdering, TwoPhaseLocking,
 };
 use ks_predicate::random::SplitMix64;
-use ks_protocol::KsProtocolAdapter;
 use ks_schedule::search::Programs;
 use ks_schedule::{Op, Schedule, TxnId};
 use ks_sim::{Engine, EngineConfig, Metrics, Workload, WorkloadSpec};

@@ -8,8 +8,34 @@
 //! for flat report objects, not a general JSON library. The
 //! `validate_bench` binary parses the emitted files back through the
 //! same module, so writer and parser cannot drift apart.
+//!
+//! Only a full-size run may touch the tracked `BENCH_<name>.json` at the
+//! repository root; a `--smoke` run lands under `target/bench/`, so the
+//! gate script never rewrites a committed artifact ([`write_report`]).
 
 use std::fmt::Write as _;
+use std::path::PathBuf;
+
+/// Where `BENCH_<name>.json` goes, relative to the working directory:
+/// the tracked root file for a full-size run, `target/bench/` for smoke.
+pub fn report_path(name: &str, smoke: bool) -> PathBuf {
+    let file = format!("BENCH_{name}.json");
+    if smoke {
+        PathBuf::from("target").join("bench").join(file)
+    } else {
+        PathBuf::from(file)
+    }
+}
+
+/// Write a report to its [`report_path`] and say where it went.
+pub fn write_report(name: &str, smoke: bool, doc: &Json) {
+    let path = report_path(name, smoke);
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create the smoke report directory");
+    }
+    std::fs::write(&path, doc.render()).expect("write the bench report");
+    println!("wrote {}", path.display());
+}
 
 /// A JSON value. Objects keep insertion order (reports are diffable).
 #[derive(Debug, Clone, PartialEq)]
@@ -352,6 +378,26 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Json::Num(42.0).render(), "42\n");
         assert_eq!(Json::Num(0.25).render(), "0.2500\n");
+    }
+
+    #[test]
+    fn smoke_reports_go_under_target_and_full_runs_to_the_tracked_file() {
+        assert_eq!(
+            report_path("wal", true),
+            PathBuf::from("target/bench/BENCH_wal.json")
+        );
+        assert_eq!(report_path("wal", false), PathBuf::from("BENCH_wal.json"));
+    }
+
+    #[test]
+    fn every_tracked_artifact_round_trips() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for name in ["net", "wal", "obs", "certifier", "conn"] {
+            let path = root.join(report_path(name, false));
+            let text = std::fs::read_to_string(&path).expect("tracked artifact exists");
+            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(doc.render(), text, "{}", path.display());
+        }
     }
 
     #[test]

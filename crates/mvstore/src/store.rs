@@ -91,7 +91,7 @@ impl MvStore {
             .ok_or(StoreError::UnknownEntity(e))
     }
 
-    /// Append a new version of `entity`. Returns its id.
+    /// Append a version, stamped under the chain lock so a chain is stamp-sorted. Returns its id.
     pub fn write(
         &self,
         entity: EntityId,
@@ -104,8 +104,8 @@ impl MvStore {
         if !self.schema.domain(entity).contains(value) {
             return Err(StoreError::DomainViolation { entity, value });
         }
-        let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
         let mut chain = self.chain(entity)?.write();
+        let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
         let id = VersionId {
             entity,
             index: chain.len() as u32,

@@ -29,24 +29,27 @@
 //! the `D`-set rules; [`manager`] the phased state machine over
 //! [`ks_mvstore::MvStore`]; [`extract`] converts a finished session into a
 //! model-level [`ks_core::Execution`] so the `ks-core` checkers can verify
-//! Lemma 4 and Theorem 2 on real protocol output; [`adapter`] runs the
-//! protocol under the `ks-sim` engine against the 2PL/TO/MVTO baselines.
+//! Lemma 4 and Theorem 2 on real protocol output. The serving layer
+//! drives a backend through the [`Certifier`] seam: this manager (CPC),
+//! [`ssi`] or [`tpl`], the two flat backends built over one shared
+//! `ledger` (transaction table, commit-installed version chains, ordering
+//! gate, offline history check). The `ks-sim` scheduler adapter lives
+//! with the other simulator schedulers, in `ks_baselines::adapter`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod candidates;
 pub mod certifier;
 pub mod error;
 pub mod extract;
 pub mod history;
+mod ledger;
 pub mod locks;
 pub mod manager;
 pub mod ssi;
 pub mod tpl;
 
-pub use adapter::KsProtocolAdapter;
 pub use certifier::{verify_cpc, Backend, Certifier};
 pub use error::ProtocolError;
 pub use history::{check_serializable, History, HistoryVerdict};

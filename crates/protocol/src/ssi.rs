@@ -26,8 +26,9 @@
 //! reads); the recorded history reflects that, so the offline checker
 //! sees exactly what the clients saw.
 
-use crate::certifier::{Backend, Certifier, OrderBook};
-use crate::history::{check_serializable, History, HistoryVerdict};
+use crate::certifier::{Backend, Certifier};
+use crate::history::HistoryVerdict;
+use crate::ledger::Ledger;
 use crate::manager::{
     CommitOutcome, ProtocolStats, ReEvalAction, ReadOutcome, Txn, TxnState, ValidationOutcome,
     WriteReport,
@@ -35,32 +36,18 @@ use crate::manager::{
 use crate::ProtocolError;
 use ks_core::Specification;
 use ks_kernel::{EntityId, Schema, UniqueState, Value};
-use ks_mvstore::{StoreError, VersionId};
-use ks_obs::{ObsKind, ObsSink};
+use ks_obs::ObsSink;
 use ks_predicate::Strategy;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// One committed version of one entity.
-#[derive(Debug, Clone, Copy)]
-struct CommittedVersion {
-    /// Commit sequence number (0 = initial database).
-    seq: u64,
-    /// Author transaction, `None` for the initial version.
-    author: Option<usize>,
-    value: Value,
-}
-
-#[derive(Debug)]
+/// What SSI keeps per transaction on top of the shared ledger entry.
+#[derive(Debug, Default, Clone, Copy)]
 struct SsiTxn {
-    state: TxnState,
-    /// Snapshot bound: versions with `seq <= snapshot` are visible.
+    /// Snapshot bound: versions committed at `seq <= snapshot` are visible.
     snapshot: u64,
-    /// Commit sequence, once committed.
+    /// Commit sequence, once committed — also the sequence of every
+    /// version this transaction authored.
     commit_seq: u64,
-    /// Entity → version index read (pinned by the first read).
-    reads: BTreeMap<EntityId, u32>,
-    /// Buffered writes, installed at commit.
-    writes: BTreeMap<EntityId, Value>,
     /// Incoming rw-antidependency observed.
     in_conflict: bool,
     /// Outgoing rw-antidependency observed.
@@ -68,10 +55,6 @@ struct SsiTxn {
 }
 
 impl SsiTxn {
-    fn active(&self) -> bool {
-        matches!(self.state, TxnState::Defined | TxnState::Validated)
-    }
-
     fn dangerous(&self) -> bool {
         self.in_conflict && self.out_conflict
     }
@@ -80,15 +63,14 @@ impl SsiTxn {
 /// The SSI certifier: one per shard, driven single-threaded by the
 /// shard worker (see [`Certifier`]).
 pub struct SsiCertifier {
-    schema: Schema,
-    /// Per entity (dense, schema order): the committed version chain,
-    /// ordered by `seq`.
-    chains: Vec<Vec<CommittedVersion>>,
+    /// Transaction table, committed chains (in commit-sequence order),
+    /// ordering gate, counters.
+    ledger: Ledger,
+    /// Indexed like the ledger's transactions.
+    txns: Vec<SsiTxn>,
     /// Per entity: SIREAD holders — active readers plus committed
     /// readers not yet reclaimed (they persist past commit by design).
     sireads: Vec<BTreeSet<usize>>,
-    txns: Vec<SsiTxn>,
-    order: OrderBook,
     /// Last assigned commit sequence (initial versions hold 0).
     seq: u64,
     /// Dangerous-structure detection; `false` = plain SI (write skew
@@ -96,8 +78,6 @@ pub struct SsiCertifier {
     detect: bool,
     /// Terminal events since the last SIREAD reclamation sweep.
     since_gc: usize,
-    stats: ProtocolStats,
-    obs: Option<ObsSink>,
 }
 
 impl SsiCertifier {
@@ -111,28 +91,14 @@ impl SsiCertifier {
     /// it exists so tests can prove the offline history checker catches
     /// the resulting write skew.
     pub fn new_with_detection(schema: Schema, initial: &UniqueState, detect: bool) -> Self {
-        let chains = schema
-            .entity_ids()
-            .map(|e| {
-                vec![CommittedVersion {
-                    seq: 0,
-                    author: None,
-                    value: initial.get(e),
-                }]
-            })
-            .collect::<Vec<_>>();
-        let n = chains.len();
+        let ledger = Ledger::new(&schema, initial);
         SsiCertifier {
-            schema,
-            chains,
-            sireads: vec![BTreeSet::new(); n],
+            sireads: vec![BTreeSet::new(); ledger.entities()],
+            ledger,
             txns: Vec::new(),
-            order: OrderBook::default(),
             seq: 0,
             detect,
             since_gc: 0,
-            stats: ProtocolStats::default(),
-            obs: None,
         }
     }
 
@@ -142,43 +108,18 @@ impl SsiCertifier {
         self.detect
     }
 
-    fn emit(&self, txn: usize, kind: ObsKind) {
-        if let Some(sink) = &self.obs {
-            sink.emit(txn as u32, kind);
-        }
-    }
-
-    fn node(&self, t: Txn) -> Result<&SsiTxn, ProtocolError> {
-        self.txns.get(t.0).ok_or(ProtocolError::UnknownTxn)
-    }
-
-    fn entity_ix(&self, e: EntityId) -> Result<usize, ProtocolError> {
-        let ix = e.0 as usize;
-        if ix < self.chains.len() {
-            Ok(ix)
-        } else {
-            Err(ProtocolError::Store(StoreError::UnknownEntity(e)))
-        }
-    }
-
-    fn require(&self, t: Txn, attempted: &'static str) -> Result<(), ProtocolError> {
-        match self.node(t)?.state {
-            TxnState::Validated => Ok(()),
-            state => Err(ProtocolError::WrongPhase {
-                attempted,
-                state: state.label(),
-            }),
-        }
+    /// Commit sequence of a version: its author's, 0 for the initial one.
+    fn seq_of(&self, author: Option<usize>) -> u64 {
+        author.map_or(0, |a| self.txns[a].commit_seq)
     }
 
     /// Abort `t` internally: buffered writes vanish, SIREADs release.
     fn do_abort(&mut self, t: usize) {
-        self.txns[t].state = TxnState::Aborted;
         for set in &mut self.sireads {
             set.remove(&t);
         }
-        self.stats.reeval_aborts += 1;
-        self.emit(t, ObsKind::TxnAborted);
+        self.ledger.stats.reeval_aborts += 1;
+        self.ledger.mark_aborted(t);
     }
 
     /// Record the rw-antidependency `reader ⟶ writer` and apply the
@@ -202,14 +143,14 @@ impl SsiCertifier {
             if !self.txns[pivot].dangerous() {
                 continue;
             }
-            if self.txns[pivot].active() {
+            if self.ledger.is_active(pivot) {
                 if pivot == this {
                     doomed_self = true;
-                } else if !matches!(self.txns[pivot].state, TxnState::Aborted) {
+                } else {
                     self.do_abort(pivot);
                     others.push(pivot);
                 }
-            } else if matches!(self.txns[pivot].state, TxnState::Committed) {
+            } else if self.ledger.is_committed(pivot) {
                 // The pivot already committed — too late to abort it;
                 // the active transaction completing the structure dies.
                 doomed_self = true;
@@ -234,15 +175,15 @@ impl SsiCertifier {
         }
         self.since_gc = 0;
         let oldest_active = self
-            .txns
-            .iter()
-            .filter(|t| t.active())
-            .map(|t| t.snapshot)
+            .ledger
+            .indices()
+            .filter(|&t| self.ledger.is_active(t))
+            .map(|t| self.txns[t].snapshot)
             .min()
             .unwrap_or(self.seq);
-        let txns = &self.txns;
+        let (ledger, txns) = (&self.ledger, &self.txns);
         for set in &mut self.sireads {
-            set.retain(|&t| txns[t].active() || txns[t].commit_seq > oldest_active);
+            set.retain(|&t| ledger.is_active(t) || txns[t].commit_seq > oldest_active);
         }
     }
 }
@@ -258,24 +199,9 @@ impl Certifier for SsiCertifier {
         after: &[Txn],
         before: &[Txn],
     ) -> Result<Txn, ProtocolError> {
-        for h in after.iter().chain(before) {
-            if h.0 >= self.txns.len() {
-                return Err(ProtocolError::UnknownTxn);
-            }
-        }
-        let t = self.txns.len();
-        self.order.define(t, after, before)?;
-        self.txns.push(SsiTxn {
-            state: TxnState::Defined,
-            snapshot: 0,
-            commit_seq: 0,
-            reads: BTreeMap::new(),
-            writes: BTreeMap::new(),
-            in_conflict: false,
-            out_conflict: false,
-        });
-        self.emit(t, ObsKind::TxnBegin);
-        Ok(Txn(t))
+        let t = self.ledger.open(after, before)?;
+        self.txns.push(SsiTxn::default());
+        Ok(t)
     }
 
     fn validate(
@@ -283,53 +209,40 @@ impl Certifier for SsiCertifier {
         txn: Txn,
         _strategy: Strategy,
     ) -> Result<ValidationOutcome, ProtocolError> {
-        let state = self.node(txn)?.state;
-        if state != TxnState::Defined {
-            return Err(ProtocolError::WrongPhase {
-                attempted: "validate",
-                state: state.label(),
-            });
-        }
+        self.ledger.validate(txn)?;
         self.txns[txn.0].snapshot = self.seq;
-        self.txns[txn.0].state = TxnState::Validated;
-        self.stats.validations += 1;
-        self.emit(txn.0, ObsKind::TxnValidated);
         Ok(ValidationOutcome::Validated)
     }
 
     fn read(&mut self, txn: Txn, entity: EntityId) -> Result<ReadOutcome, ProtocolError> {
-        self.require(txn, "read")?;
-        let e = self.entity_ix(entity)?;
+        self.ledger.require(txn, "read")?;
+        let e = self.ledger.entity_ix(entity)?;
         let t = txn.0;
         let snapshot = self.txns[t].snapshot;
         // Snapshot read: the newest version at or under the bound. The
-        // chain is seq-ordered, so partition_point finds it directly.
-        let visible = self.chains[e].partition_point(|v| v.seq <= snapshot);
+        // chain is in commit-sequence order, so partition_point finds it
+        // directly.
+        let chain = self.ledger.chain(e);
+        let visible = chain.partition_point(|v| self.seq_of(v.author) <= snapshot);
         debug_assert!(visible > 0, "initial version is always visible");
-        let index = (visible - 1) as u32;
-        let index = *self.txns[t].reads.entry(entity).or_insert(index);
-        let value = self.chains[e][index as usize].value;
+        // Committed versions past the snapshot: each is a writer this
+        // read antidepends on.
+        let newer: Vec<usize> = chain[visible..].iter().filter_map(|v| v.author).collect();
+        let value = self.ledger.pin_read(t, entity, (visible - 1) as u32);
         self.sireads[e].insert(t);
-        self.stats.reads += 1;
         if self.detect {
             let mut others = Vec::new();
-            // Committed versions past the snapshot: each is a writer
-            // this read antidepends on.
-            let newer: Vec<usize> = self.chains[e][visible..]
-                .iter()
-                .filter_map(|v| v.author)
-                .collect();
             for w in newer {
                 self.mark_rw(t, w, t, &mut others)?;
             }
             // Active writers with this entity in their buffered write
             // set will produce the same edge when they commit.
             let writers: Vec<usize> = self
-                .txns
-                .iter()
-                .enumerate()
-                .filter(|(w, n)| *w != t && n.active() && n.writes.contains_key(&entity))
-                .map(|(w, _)| w)
+                .ledger
+                .indices()
+                .filter(|&w| {
+                    w != t && self.ledger.is_active(w) && self.ledger.has_buffered_write(w, entity)
+                })
                 .collect();
             for w in writers {
                 self.mark_rw(t, w, t, &mut others)?;
@@ -344,11 +257,10 @@ impl Certifier for SsiCertifier {
         entity: EntityId,
         value: Value,
     ) -> Result<WriteReport, ProtocolError> {
-        self.require(txn, "write")?;
-        let e = self.entity_ix(entity)?;
+        self.ledger.require(txn, "write")?;
+        let e = self.ledger.entity_ix(entity)?;
         let t = txn.0;
-        self.txns[t].writes.insert(entity, value);
-        self.stats.writes += 1;
+        let version = self.ledger.buffer_write(t, entity, value);
         let mut others = Vec::new();
         if self.detect {
             let snapshot = self.txns[t].snapshot;
@@ -360,9 +272,8 @@ impl Certifier for SsiCertifier {
                 .copied()
                 .filter(|&r| {
                     r != t
-                        && (self.txns[r].active()
-                            || (matches!(self.txns[r].state, TxnState::Committed)
-                                && self.txns[r].commit_seq > snapshot))
+                        && (self.ledger.is_active(r)
+                            || (self.ledger.is_committed(r) && self.txns[r].commit_seq > snapshot))
                 })
                 .collect();
             for r in readers {
@@ -370,10 +281,7 @@ impl Certifier for SsiCertifier {
             }
         }
         Ok(WriteReport {
-            version: VersionId {
-                entity,
-                index: self.chains[e].len() as u32,
-            },
+            version,
             reeval: others
                 .into_iter()
                 .map(|v| ReEvalAction::Aborted(Txn(v)))
@@ -382,23 +290,21 @@ impl Certifier for SsiCertifier {
     }
 
     fn commit(&mut self, txn: Txn) -> Result<CommitOutcome, ProtocolError> {
-        self.require(txn, "commit")?;
+        self.ledger.require(txn, "commit")?;
         let t = txn.0;
-        let txns = &self.txns;
-        if let Some(p) = self.order.pending_pred(t, |p| {
-            matches!(txns[p].state, TxnState::Committed | TxnState::Aborted)
-        }) {
-            return Ok(CommitOutcome::PredecessorsPending(Txn(p)));
+        if let Some(p) = self.ledger.pending_pred(t) {
+            return Ok(CommitOutcome::PredecessorsPending(p));
         }
         // First-committer-wins: a version committed past our snapshot on
         // anything we wrote means a concurrent writer beat us. This is
         // plain SI's write-write rule — it applies even with
         // dangerous-structure detection off.
         let snapshot = self.txns[t].snapshot;
-        let fcw_loss = self.txns[t].writes.keys().any(|&e| {
-            self.chains[e.0 as usize]
+        let fcw_loss = self.ledger.written_entities(t).any(|e| {
+            self.ledger
+                .chain(e.0 as usize)
                 .last()
-                .is_some_and(|v| v.seq > snapshot)
+                .is_some_and(|v| self.seq_of(v.author) > snapshot)
         });
         if fcw_loss {
             self.do_abort(t);
@@ -415,86 +321,43 @@ impl Certifier for SsiCertifier {
             });
         }
         self.seq += 1;
-        let seq = self.seq;
-        let writes = std::mem::take(&mut self.txns[t].writes);
-        for (&entity, &value) in &writes {
-            self.chains[entity.0 as usize].push(CommittedVersion {
-                seq,
-                author: Some(t),
-                value,
-            });
-        }
-        self.txns[t].writes = writes;
-        self.txns[t].commit_seq = seq;
-        self.txns[t].state = TxnState::Committed;
-        self.emit(t, ObsKind::TxnCommitted);
+        self.txns[t].commit_seq = self.seq;
+        self.ledger.commit(t);
         self.gc_sireads();
         Ok(CommitOutcome::Committed)
     }
 
     fn abort(&mut self, txn: Txn) -> Result<Vec<Txn>, ProtocolError> {
-        match self.node(txn)?.state {
-            TxnState::Defined | TxnState::Validated => {
-                self.do_abort(txn.0);
-                // Client-requested aborts are not certifier aborts.
-                self.stats.reeval_aborts -= 1;
-                self.gc_sireads();
-                Ok(Vec::new())
-            }
-            state => Err(ProtocolError::WrongPhase {
-                attempted: "abort",
-                state: state.label(),
-            }),
-        }
+        self.ledger.require_abortable(txn)?;
+        self.do_abort(txn.0);
+        // Client-requested aborts are not certifier aborts.
+        self.ledger.stats.reeval_aborts -= 1;
+        self.gc_sireads();
+        Ok(Vec::new())
     }
 
     fn state_of(&self, txn: Txn) -> Result<TxnState, ProtocolError> {
-        Ok(self.node(txn)?.state)
+        self.ledger.state_of(txn)
     }
 
     fn txns(&self) -> Vec<Txn> {
-        (0..self.txns.len()).map(Txn).collect()
+        self.ledger.txns()
     }
 
     fn stats(&self) -> ProtocolStats {
-        self.stats
+        self.ledger.stats
     }
 
     fn checkpoint(&self) -> Vec<Value> {
-        self.chains
-            .iter()
-            .map(|chain| chain.last().map_or(0, |v| v.value))
-            .collect()
+        self.ledger.checkpoint()
     }
 
     fn attach_obs(&mut self, sink: ObsSink) {
-        self.obs = Some(sink);
+        self.ledger.attach_obs(sink);
     }
 
     fn verify_history(&self) -> HistoryVerdict {
-        let history = History {
-            chains: self
-                .chains
-                .iter()
-                .map(|chain| chain.iter().map(|v| v.author).collect())
-                .collect(),
-            reads: self
-                .txns
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| matches!(n.state, TxnState::Committed))
-                .flat_map(|(t, n)| n.reads.iter().map(move |(&e, &ix)| (t, e, ix)))
-                .collect(),
-            committed: self
-                .txns
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| matches!(n.state, TxnState::Committed))
-                .map(|(t, _)| t)
-                .collect(),
-        };
-        let _ = &self.schema; // schema fixes the entity order the chains use
-        check_serializable(&history)
+        self.ledger.verify_history()
     }
 }
 
@@ -522,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_ignore_later_commits_and_own_writes() {
+    fn snapshot_reads_ignore_later_commits() {
         let mut c = ssi(2, true);
         let t1 = begin(&mut c);
         let t2 = begin(&mut c);
@@ -530,9 +393,6 @@ mod tests {
         c.commit(t2).unwrap();
         // t1's snapshot predates t2's commit.
         assert_eq!(c.read(t1, EntityId(0)).unwrap(), ReadOutcome::Value(0));
-        // Own writes are invisible (repo-wide assigned-snapshot reads).
-        c.write(t1, EntityId(1), 9).unwrap();
-        assert_eq!(c.read(t1, EntityId(1)).unwrap(), ReadOutcome::Value(0));
     }
 
     #[test]
@@ -621,20 +481,6 @@ mod tests {
         );
         assert_eq!(c.state_of(t1), Ok(TxnState::Aborted));
         assert!(c.verify_history().is_correct());
-    }
-
-    #[test]
-    fn ordering_edges_gate_commit() {
-        let mut c = ssi(1, true);
-        let t1 = begin(&mut c);
-        let t2 = c.open(Specification::trivial(), &[t1], &[]).unwrap();
-        c.validate(t2, Strategy::Backtracking).unwrap();
-        assert_eq!(
-            c.commit(t2).unwrap(),
-            CommitOutcome::PredecessorsPending(t1)
-        );
-        c.commit(t1).unwrap();
-        assert_eq!(c.commit(t2).unwrap(), CommitOutcome::Committed);
     }
 
     #[test]

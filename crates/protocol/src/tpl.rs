@@ -19,112 +19,43 @@
 //! view-equivalent to the commit order, which `verify_history` re-proves
 //! offline via the conflict-graph check.
 
-use crate::certifier::{Backend, Certifier, OrderBook};
-use crate::history::{check_serializable, History, HistoryVerdict};
+use crate::certifier::{Backend, Certifier};
+use crate::history::HistoryVerdict;
+use crate::ledger::Ledger;
 use crate::manager::{
     CommitOutcome, ProtocolStats, ReadOutcome, Txn, TxnState, ValidationOutcome, WriteReport,
 };
 use crate::ProtocolError;
 use ks_core::Specification;
 use ks_kernel::{EntityId, Schema, UniqueState, Value};
-use ks_mvstore::{StoreError, VersionId};
-use ks_obs::{ObsKind, ObsSink};
+use ks_obs::ObsSink;
 use ks_predicate::Strategy;
 use std::collections::{BTreeMap, BTreeSet};
-
-#[derive(Debug, Clone, Copy)]
-struct CommittedVersion {
-    /// Author transaction, `None` for the initial version.
-    author: Option<usize>,
-    value: Value,
-}
-
-#[derive(Debug)]
-struct TplTxn {
-    state: TxnState,
-    /// Entity → version index read (pinned by the first granted read).
-    reads: BTreeMap<EntityId, u32>,
-    /// Buffered writes, installed at commit.
-    writes: BTreeMap<EntityId, Value>,
-}
-
-impl TplTxn {
-    fn active(&self) -> bool {
-        matches!(self.state, TxnState::Defined | TxnState::Validated)
-    }
-}
 
 /// The strict-2PL certifier: one per shard, single-threaded by the
 /// shard worker (see [`Certifier`]).
 pub struct TplCertifier {
-    schema: Schema,
-    /// Per entity (dense, schema order): committed version chain.
-    chains: Vec<Vec<CommittedVersion>>,
+    /// Transaction table, committed chains, ordering gate, counters.
+    ledger: Ledger,
     /// Per entity: shared-lock holders.
     shared: Vec<BTreeSet<usize>>,
     /// Per entity: the exclusive-lock holder.
     exclusive: Vec<Option<usize>>,
-    txns: Vec<TplTxn>,
-    order: OrderBook,
     /// Blocked transaction → the holders it waits on (recomputed on
     /// every attempt, cleared on grant or termination).
     waits_for: BTreeMap<usize, BTreeSet<usize>>,
-    stats: ProtocolStats,
-    obs: Option<ObsSink>,
 }
 
 impl TplCertifier {
     /// A certifier over `schema` with the given initial committed state.
     pub fn new(schema: Schema, initial: &UniqueState) -> Self {
-        let chains = schema
-            .entity_ids()
-            .map(|e| {
-                vec![CommittedVersion {
-                    author: None,
-                    value: initial.get(e),
-                }]
-            })
-            .collect::<Vec<_>>();
-        let n = chains.len();
+        let ledger = Ledger::new(&schema, initial);
+        let n = ledger.entities();
         TplCertifier {
-            schema,
-            chains,
+            ledger,
             shared: vec![BTreeSet::new(); n],
             exclusive: vec![None; n],
-            txns: Vec::new(),
-            order: OrderBook::default(),
             waits_for: BTreeMap::new(),
-            stats: ProtocolStats::default(),
-            obs: None,
-        }
-    }
-
-    fn emit(&self, txn: usize, kind: ObsKind) {
-        if let Some(sink) = &self.obs {
-            sink.emit(txn as u32, kind);
-        }
-    }
-
-    fn node(&self, t: Txn) -> Result<&TplTxn, ProtocolError> {
-        self.txns.get(t.0).ok_or(ProtocolError::UnknownTxn)
-    }
-
-    fn entity_ix(&self, e: EntityId) -> Result<usize, ProtocolError> {
-        let ix = e.0 as usize;
-        if ix < self.chains.len() {
-            Ok(ix)
-        } else {
-            Err(ProtocolError::Store(StoreError::UnknownEntity(e)))
-        }
-    }
-
-    fn require(&self, t: Txn, attempted: &'static str) -> Result<(), ProtocolError> {
-        match self.node(t)?.state {
-            TxnState::Validated => Ok(()),
-            state => Err(ProtocolError::WrongPhase {
-                attempted,
-                state: state.label(),
-            }),
         }
     }
 
@@ -138,7 +69,7 @@ impl TplCertifier {
             if n == t {
                 return true;
             }
-            if !self.txns[n].active() || !seen.insert(n) {
+            if !self.ledger.is_active(n) || !seen.insert(n) {
                 continue;
             }
             if let Some(next) = self.waits_for.get(&n) {
@@ -152,7 +83,9 @@ impl TplCertifier {
     /// in which case `t` dies as the victim (the baselines policy).
     fn wait_or_die(&mut self, t: usize, blockers: BTreeSet<usize>) -> Result<(), ProtocolError> {
         if self.would_deadlock(t, &blockers) {
-            self.do_abort(t);
+            self.release_all(t);
+            self.ledger.stats.reeval_aborts += 1;
+            self.ledger.mark_aborted(t);
             return Err(ProtocolError::CertifierAborted {
                 reason: "deadlock victim (waits-for cycle)",
             });
@@ -173,14 +106,6 @@ impl TplCertifier {
         }
         self.waits_for.remove(&t);
     }
-
-    /// Abort `t` internally (deadlock victim).
-    fn do_abort(&mut self, t: usize) {
-        self.txns[t].state = TxnState::Aborted;
-        self.release_all(t);
-        self.stats.reeval_aborts += 1;
-        self.emit(t, ObsKind::TxnAborted);
-    }
 }
 
 impl Certifier for TplCertifier {
@@ -194,20 +119,7 @@ impl Certifier for TplCertifier {
         after: &[Txn],
         before: &[Txn],
     ) -> Result<Txn, ProtocolError> {
-        for h in after.iter().chain(before) {
-            if h.0 >= self.txns.len() {
-                return Err(ProtocolError::UnknownTxn);
-            }
-        }
-        let t = self.txns.len();
-        self.order.define(t, after, before)?;
-        self.txns.push(TplTxn {
-            state: TxnState::Defined,
-            reads: BTreeMap::new(),
-            writes: BTreeMap::new(),
-        });
-        self.emit(t, ObsKind::TxnBegin);
-        Ok(Txn(t))
+        self.ledger.open(after, before)
     }
 
     fn validate(
@@ -215,22 +127,13 @@ impl Certifier for TplCertifier {
         txn: Txn,
         _strategy: Strategy,
     ) -> Result<ValidationOutcome, ProtocolError> {
-        let state = self.node(txn)?.state;
-        if state != TxnState::Defined {
-            return Err(ProtocolError::WrongPhase {
-                attempted: "validate",
-                state: state.label(),
-            });
-        }
-        self.txns[txn.0].state = TxnState::Validated;
-        self.stats.validations += 1;
-        self.emit(txn.0, ObsKind::TxnValidated);
+        self.ledger.validate(txn)?;
         Ok(ValidationOutcome::Validated)
     }
 
     fn read(&mut self, txn: Txn, entity: EntityId) -> Result<ReadOutcome, ProtocolError> {
-        self.require(txn, "read")?;
-        let e = self.entity_ix(entity)?;
+        self.ledger.require(txn, "read")?;
+        let e = self.ledger.entity_ix(entity)?;
         let t = txn.0;
         if let Some(holder) = self.exclusive[e] {
             if holder != t {
@@ -240,10 +143,9 @@ impl Certifier for TplCertifier {
         }
         self.shared[e].insert(t);
         self.waits_for.remove(&t);
-        let index = (self.chains[e].len() - 1) as u32;
-        let index = *self.txns[t].reads.entry(entity).or_insert(index);
-        self.stats.reads += 1;
-        Ok(ReadOutcome::Value(self.chains[e][index as usize].value))
+        // A shared lock freezes the entity: the latest committed version.
+        let latest = (self.ledger.chain(e).len() - 1) as u32;
+        Ok(ReadOutcome::Value(self.ledger.pin_read(t, entity, latest)))
     }
 
     fn write(
@@ -252,8 +154,8 @@ impl Certifier for TplCertifier {
         entity: EntityId,
         value: Value,
     ) -> Result<WriteReport, ProtocolError> {
-        self.require(txn, "write")?;
-        let e = self.entity_ix(entity)?;
+        self.ledger.require(txn, "write")?;
+        let e = self.ledger.entity_ix(entity)?;
         let t = txn.0;
         let mut blockers: BTreeSet<usize> = self.shared[e].iter().copied().collect();
         blockers.remove(&t); // sole-reader upgrade is allowed
@@ -269,102 +171,51 @@ impl Certifier for TplCertifier {
         self.shared[e].remove(&t); // upgrade consumes the shared lock
         self.exclusive[e] = Some(t);
         self.waits_for.remove(&t);
-        self.txns[t].writes.insert(entity, value);
-        self.stats.writes += 1;
         Ok(WriteReport {
-            version: VersionId {
-                entity,
-                index: self.chains[e].len() as u32,
-            },
+            version: self.ledger.buffer_write(t, entity, value),
             reeval: Vec::new(),
         })
     }
 
     fn commit(&mut self, txn: Txn) -> Result<CommitOutcome, ProtocolError> {
-        self.require(txn, "commit")?;
-        let t = txn.0;
-        let txns = &self.txns;
-        if let Some(p) = self.order.pending_pred(t, |p| {
-            matches!(txns[p].state, TxnState::Committed | TxnState::Aborted)
-        }) {
-            return Ok(CommitOutcome::PredecessorsPending(Txn(p)));
+        self.ledger.require(txn, "commit")?;
+        if let Some(p) = self.ledger.pending_pred(txn.0) {
+            return Ok(CommitOutcome::PredecessorsPending(p));
         }
-        let writes = std::mem::take(&mut self.txns[t].writes);
-        for (&entity, &value) in &writes {
-            self.chains[entity.0 as usize].push(CommittedVersion {
-                author: Some(t),
-                value,
-            });
-        }
-        self.txns[t].writes = writes;
-        self.txns[t].state = TxnState::Committed;
-        self.release_all(t);
-        self.emit(t, ObsKind::TxnCommitted);
+        self.release_all(txn.0);
+        self.ledger.commit(txn.0);
         Ok(CommitOutcome::Committed)
     }
 
     fn abort(&mut self, txn: Txn) -> Result<Vec<Txn>, ProtocolError> {
-        match self.node(txn)?.state {
-            TxnState::Defined | TxnState::Validated => {
-                self.txns[txn.0].state = TxnState::Aborted;
-                self.release_all(txn.0);
-                self.emit(txn.0, ObsKind::TxnAborted);
-                Ok(Vec::new())
-            }
-            state => Err(ProtocolError::WrongPhase {
-                attempted: "abort",
-                state: state.label(),
-            }),
-        }
+        self.ledger.require_abortable(txn)?;
+        self.release_all(txn.0);
+        self.ledger.mark_aborted(txn.0);
+        Ok(Vec::new())
     }
 
     fn state_of(&self, txn: Txn) -> Result<TxnState, ProtocolError> {
-        Ok(self.node(txn)?.state)
+        self.ledger.state_of(txn)
     }
 
     fn txns(&self) -> Vec<Txn> {
-        (0..self.txns.len()).map(Txn).collect()
+        self.ledger.txns()
     }
 
     fn stats(&self) -> ProtocolStats {
-        self.stats
+        self.ledger.stats
     }
 
     fn checkpoint(&self) -> Vec<Value> {
-        self.chains
-            .iter()
-            .map(|chain| chain.last().map_or(0, |v| v.value))
-            .collect()
+        self.ledger.checkpoint()
     }
 
     fn attach_obs(&mut self, sink: ObsSink) {
-        self.obs = Some(sink);
+        self.ledger.attach_obs(sink);
     }
 
     fn verify_history(&self) -> HistoryVerdict {
-        let _ = &self.schema; // schema fixes the entity order the chains use
-        let history = History {
-            chains: self
-                .chains
-                .iter()
-                .map(|chain| chain.iter().map(|v| v.author).collect())
-                .collect(),
-            reads: self
-                .txns
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| matches!(n.state, TxnState::Committed))
-                .flat_map(|(t, n)| n.reads.iter().map(move |(&e, &ix)| (t, e, ix)))
-                .collect(),
-            committed: self
-                .txns
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| matches!(n.state, TxnState::Committed))
-                .map(|(t, _)| t)
-                .collect(),
-        };
-        check_serializable(&history)
+        self.ledger.verify_history()
     }
 }
 
@@ -430,18 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn own_buffered_writes_stay_invisible() {
-        let mut c = tpl(1);
-        let t = begin(&mut c);
-        c.write(t, EntityId(0), 7).unwrap();
-        // Repo-wide convention: reads never observe own uncommitted writes.
-        assert_eq!(c.read(t, EntityId(0)).unwrap(), ReadOutcome::Value(0));
-        assert_eq!(c.checkpoint(), vec![0]);
-        c.commit(t).unwrap();
-        assert_eq!(c.checkpoint(), vec![7]);
-    }
-
-    #[test]
     fn deadlock_kills_the_requester() {
         let mut c = tpl(2);
         let t1 = begin(&mut c);
@@ -480,19 +319,5 @@ mod tests {
         assert_eq!(c.read(t2, EntityId(0)).unwrap(), ReadOutcome::Value(0));
         c.commit(t2).unwrap();
         assert_eq!(c.checkpoint(), vec![0]);
-    }
-
-    #[test]
-    fn ordering_edges_gate_commit() {
-        let mut c = tpl(1);
-        let t1 = begin(&mut c);
-        let t2 = c.open(Specification::trivial(), &[t1], &[]).unwrap();
-        c.validate(t2, Strategy::Backtracking).unwrap();
-        assert_eq!(
-            c.commit(t2).unwrap(),
-            CommitOutcome::PredecessorsPending(t1)
-        );
-        c.commit(t1).unwrap();
-        assert_eq!(c.commit(t2).unwrap(), CommitOutcome::Committed);
     }
 }

@@ -285,8 +285,7 @@ pub fn fmt_duration(d: Option<Duration>) -> String {
 
 impl MetricsSnapshot {
     /// Column headings matching [`MetricsSnapshot`]'s `Display` row —
-    /// the one table format `exp_server_load`, `bench_server`, and
-    /// `ks-top` all print.
+    /// the one table format `bench_server` and `ks-top` both print.
     pub fn header() -> &'static str {
         "sess      req   commit   reject     bp    tmo reasgn reevab       p50       p99      qwait      exec  queues"
     }

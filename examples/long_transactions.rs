@@ -6,8 +6,8 @@
 //! cargo run --release --example long_transactions
 //! ```
 
+use korth_speegle::baselines::KsProtocolAdapter;
 use korth_speegle::baselines::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
-use korth_speegle::protocol::KsProtocolAdapter;
 use korth_speegle::sim::{Engine, EngineConfig, Metrics, Workload, WorkloadSpec};
 
 fn main() {

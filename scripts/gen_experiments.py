@@ -3,8 +3,10 @@
 
 Usage:  python3 scripts/gen_experiments.py
 Builds the ks-bench binaries, runs every exp_* experiment, and rewrites
-EXPERIMENTS.md with the captured outputs. Everything is deterministic, so
-the document only changes when the code does.
+EXPERIMENTS.md with the captured outputs. The formal-artifact sections
+are deterministic, so they only change when the code does. The load
+experiments run full-size here, so this also rewrites the tracked
+BENCH_*.json files (a `--smoke` run never does).
 """
 
 import pathlib
@@ -25,7 +27,6 @@ BINARIES = [
     "exp_optimism",
     "exp_recovery",
     "exp_protocol_correct",
-    "exp_server_load",
     "exp_net_load",
     "exp_conn_scale",
     "exp_wal",
@@ -228,56 +229,30 @@ also scales with ordering density (top table):
 {exp_optimism}
 ```
 
-## server-load — the protocol as a concurrent service
-
-*Beyond the paper:* `ks-server` runs the Section 5 protocol as a
-multi-session service — entities sharded across worker threads, each shard
-a private protocol manager, blocking client sessions with bounded
-jittered retry/backoff on `Busy`.
-*Measured:* 8 closed-loop clients; throughput grows with shard count while
-every run's extracted execution passes the model checker (the correctness
-theorem survives the serving layer). The op-batching section reruns the
-workload with each transaction's read/write burst submitted as one
-`Session::run_batch` call — one dispatch, one coalesced worker run, typed
-per-op results — instead of one dispatch per op; the burst path wins
-because it crosses the session/worker boundary once per transaction. The
-strategy ablation shows greedy assignment reading in-flight versions and
-paying re-eval aborts that backtracking avoids. The final section
-measures the `ks-obs` flight recorder's cost: the identical workload with
-the recorder detached vs. attached (best of 5 each), printing both
-throughputs, the event volume, and the relative delta — the always-on
-tracing budget is <10% of throughput. The backtracking rows and the
-zero-violation verdict are deterministic; the greedy-latest commit/abort
-split depends on thread interleaving (it reads in-flight versions, so
-whether a writer supersedes in time varies), and wall-clock-derived
-columns (`thru`, `p50`, `p99`, the overhead delta) vary by machine. The
-run also emits `BENCH_server.json`, the machine-readable record that
-`validate_bench` checks in CI (schema + zero violations).
-
-```
-{exp_server_load}
-```
-
 ## net-load — the same client API over loopback TCP
 
 *Beyond the paper:* `ks-net` puts the service behind a length-prefixed
 binary wire protocol (protocol v3: correlation ids, pipelining, `Batch`
 frames, the certification-backend byte — see `docs/wire.md`). The experiment runs one deterministic
-closed-loop workload through the transport-generic driver: once with
-in-process `Session`s (the baseline), then over loopback-TCP
+closed-loop workload through the transport-generic driver at 4 shards:
+once with in-process `Session`s (the baseline), then over loopback-TCP
 `RemoteSession`s sweeping pipeline depth {{1, 4}} × op batching
 {{off, on}} (per-request deadlines and bounded jittered retry/backoff
 active throughout). Every run finishes with a graceful drain handing
-every shard manager to the model checker.
+every shard manager to the model checker. What this experiment alone
+gates is the loopback/in-process ratio; shard scaling and per-layer
+cost are `benchmark/`'s job (`2pl_net`, `cpc_short`).
 *Measured:* all transports and configurations account for identical
 transaction outcomes, and every extracted execution is correct. Batching
 is the big lever: folding each transaction's six-op burst into one
 `Batch` frame removes five of six syscall round trips, lifting the best
-loopback configuration to ≥0.7× in-process throughput at 4 shards (the
-gate the run records in `BENCH_net.json` and `validate_bench` enforces).
+loopback configuration to ≥0.7× in-process throughput (the gate the run
+records in `BENCH_net.json` and `validate_bench` enforces).
 Depth 4 *loses* to depth 1 on this workload — splitting a six-op burst
 into ⌈6/4⌉-op frames buys overlap that cannot repay the extra framing
-at loopback latency; the sweep keeps the honest number. Committed counts
+at loopback latency; the sweep keeps the honest number. `p50`/`p99` are
+exact client-side percentiles of whole committed transactions (open to
+commit acknowledgement), not histogram buckets. Committed counts
 and the zero-violation verdict are deterministic; throughput, the ratio,
 and the percentiles vary by machine.
 

@@ -1,8 +1,8 @@
 //! Scheduler soundness across crates: what each engine guarantees about
 //! the interleavings it commits, checked with the classifier suite.
 
+use ks_baselines::KsProtocolAdapter;
 use ks_baselines::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
-use ks_protocol::KsProtocolAdapter;
 use ks_schedule::{csr, mvsr, Op, Schedule, TxnId};
 use ks_sim::trace::committed_ops;
 use ks_sim::{Engine, EngineConfig, TraceKind, Workload, WorkloadSpec};
