@@ -74,7 +74,7 @@ fn parse_options() -> Options {
         }
     }
     assert!(
-        RATES.iter().any(|&r| r == opts.gate_sample),
+        RATES.contains(&opts.gate_sample),
         "--gate-sample must be one of the swept rates {RATES:?}"
     );
     opts

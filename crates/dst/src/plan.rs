@@ -639,7 +639,7 @@ mod tests {
         for salt in 0..50u32 {
             let cuts = trickle_cuts(salt, 4, 37);
             assert!(cuts.windows(2).all(|w| w[0] < w[1]));
-            assert!(cuts.iter().all(|&c| c >= 1 && c < 37));
+            assert!(cuts.iter().all(|&c| (1..37).contains(&c)));
             assert_eq!(cuts, trickle_cuts(salt, 4, 37));
         }
     }

@@ -103,7 +103,7 @@ fn concurrent_connections_commit_and_verify_clean() {
     let recorder = Recorder::new(1 << 14);
     let server = start_server(2, Some(recorder.clone()));
     let addr = server.local_addr();
-    assert!(CLIENTS >= 4, "the test must exercise ≥4 connections");
+    const { assert!(CLIENTS >= 4, "the test must exercise ≥4 connections") };
     let committed: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|client| {

@@ -19,65 +19,61 @@
 //! `re-eval` procedure repairs the cases where the optimism was wrong.
 
 use ks_mvstore::VersionId;
-use ks_schedule::DiGraph;
+use ks_schedule::OrderClosure;
 
-/// What the manager knows about one sibling during validation.
+/// One sibling that has written the data item (rule 2 is the caller's: a
+/// sibling that has not written it is never listed).
 #[derive(Debug, Clone, Copy)]
 pub struct SiblingInfo {
     /// The sibling's slot in the parent's child list (partial-order node).
     pub slot: usize,
-    /// The last version of the data item this sibling has written, if any.
-    pub last_version: Option<VersionId>,
+    /// The last version of the data item written inside this sibling's
+    /// subtree.
+    pub last_version: VersionId,
 }
 
 /// Compute the allowed versions of one data item for the transaction in
-/// `target_slot`. `paths` must be the transitive closure of the parent's
-/// partial order over child slots; `parent_version` is the version
-/// assigned to the parent (the fallback the paper always allows when no
-/// predecessor forces a choice).
+/// `target_slot`. `siblings` are the other live writers of the item;
+/// `paths` is the closed partial order over the parent's child slots;
+/// `parent_version` is the version assigned to the parent (the fallback the
+/// paper always allows when no predecessor forces a choice).
 pub fn allowed_versions(
     target_slot: usize,
     siblings: &[SiblingInfo],
-    paths: &DiGraph,
+    paths: &OrderClosure,
     parent_version: VersionId,
 ) -> Vec<VersionId> {
-    // Rules 1–3: keep qualifying writers.
+    // Rules 1 and 3: keep qualifying writers.
     let qualifying: Vec<&SiblingInfo> = siblings
         .iter()
         .filter(|s| s.slot != target_slot)
         // rule 1: successors of the target are out
         .filter(|s| !paths.has_edge(target_slot, s.slot))
-        // rule 2: must have written the item
-        .filter(|s| s.last_version.is_some())
-        // rule 3: no other writer strictly between s and the target
+        // rule 3: no other writer strictly between s and the target —
+        // only a sibling that precedes something can be shadowed
         .filter(|s| {
-            !siblings.iter().any(|k| {
-                k.slot != s.slot
-                    && k.slot != target_slot
-                    && k.last_version.is_some()
-                    && paths.has_edge(s.slot, k.slot)
-                    && paths.has_edge(k.slot, target_slot)
-            })
+            !(paths.has_successors(s.slot)
+                && siblings.iter().any(|k| {
+                    k.slot != s.slot
+                        && k.slot != target_slot
+                        && paths.has_edge(s.slot, k.slot)
+                        && paths.has_edge(k.slot, target_slot)
+                }))
         })
         .collect();
 
     // Predecessor check: a predecessor's version is mandatory.
-    let predecessors: Vec<&&SiblingInfo> = qualifying
+    let predecessors: Vec<VersionId> = qualifying
         .iter()
         .filter(|s| paths.has_edge(s.slot, target_slot))
+        .map(|s| s.last_version)
         .collect();
     if !predecessors.is_empty() {
-        return predecessors
-            .iter()
-            .map(|s| s.last_version.expect("rule 2"))
-            .collect();
+        return predecessors;
     }
 
     // Otherwise: any qualifying sibling's version, or the parent's.
-    let mut out: Vec<VersionId> = qualifying
-        .iter()
-        .map(|s| s.last_version.expect("rule 2"))
-        .collect();
+    let mut out: Vec<VersionId> = qualifying.iter().map(|s| s.last_version).collect();
     if !out.contains(&parent_version) {
         out.push(parent_version);
     }
@@ -96,25 +92,25 @@ mod tests {
         }
     }
 
-    fn sib(slot: usize, version: Option<u32>) -> SiblingInfo {
+    fn sib(slot: usize, version: u32) -> SiblingInfo {
         SiblingInfo {
             slot,
-            last_version: version.map(v),
+            last_version: v(version),
         }
     }
 
-    fn closure(n: usize, edges: &[(usize, usize)]) -> DiGraph {
-        let mut g = DiGraph::new(n);
+    fn closure(edges: &[(usize, usize)]) -> OrderClosure {
+        let mut c = OrderClosure::new();
         for &(a, b) in edges {
-            g.add_edge(a, b);
+            assert!(c.insert(a, b));
         }
-        g.transitive_closure()
+        c
     }
 
     #[test]
     fn unordered_siblings_all_allowed_plus_parent() {
-        let sibs = [sib(0, Some(1)), sib(1, Some(2)), sib(2, None)];
-        let paths = closure(4, &[]);
+        let sibs = [sib(0, 1), sib(1, 2)];
+        let paths = closure(&[]);
         let allowed = allowed_versions(3, &sibs, &paths, v(0));
         assert_eq!(allowed, vec![v(1), v(2), v(0)]);
     }
@@ -122,8 +118,8 @@ mod tests {
     #[test]
     fn successors_excluded() {
         // target 0 precedes sibling 1 → 1's version not allowed.
-        let sibs = [sib(1, Some(5))];
-        let paths = closure(2, &[(0, 1)]);
+        let sibs = [sib(1, 5)];
+        let paths = closure(&[(0, 1)]);
         let allowed = allowed_versions(0, &sibs, &paths, v(0));
         assert_eq!(allowed, vec![v(0)]);
     }
@@ -131,8 +127,8 @@ mod tests {
     #[test]
     fn predecessor_version_mandatory() {
         // sibling 0 precedes target 2; sibling 1 unordered with both.
-        let sibs = [sib(0, Some(7)), sib(1, Some(8))];
-        let paths = closure(3, &[(0, 2)]);
+        let sibs = [sib(0, 7), sib(1, 8)];
+        let paths = closure(&[(0, 2)]);
         let allowed = allowed_versions(2, &sibs, &paths, v(0));
         // predecessor 0's version is the only one allowed
         assert_eq!(allowed, vec![v(7)]);
@@ -141,8 +137,8 @@ mod tests {
     #[test]
     fn intermediate_writer_shadows_earlier_one() {
         // chain 0 → 1 → 2 (target); both 0 and 1 wrote the item.
-        let sibs = [sib(0, Some(3)), sib(1, Some(4))];
-        let paths = closure(3, &[(0, 1), (1, 2)]);
+        let sibs = [sib(0, 3), sib(1, 4)];
+        let paths = closure(&[(0, 1), (1, 2)]);
         let allowed = allowed_versions(2, &sibs, &paths, v(0));
         // rule 3 removes 0 (writer 1 between); predecessor 1 mandatory
         assert_eq!(allowed, vec![v(4)]);
@@ -150,17 +146,17 @@ mod tests {
 
     #[test]
     fn non_writers_never_appear() {
-        let sibs = [sib(0, None), sib(1, None)];
-        let paths = closure(3, &[(0, 2)]);
-        let allowed = allowed_versions(2, &sibs, &paths, v(9));
+        // siblings 0 and 1 wrote nothing: the caller lists neither
+        let paths = closure(&[(0, 2)]);
+        let allowed = allowed_versions(2, &[], &paths, v(9));
         assert_eq!(allowed, vec![v(9)]); // parent only
     }
 
     #[test]
     fn intermediate_non_writer_does_not_shadow() {
-        // 0 → 1 → 2 (target); only 0 wrote.
-        let sibs = [sib(0, Some(3)), sib(1, None)];
-        let paths = closure(3, &[(0, 1), (1, 2)]);
+        // 0 → 1 → 2 (target); only 0 wrote, so 1 is not listed.
+        let sibs = [sib(0, 3)];
+        let paths = closure(&[(0, 1), (1, 2)]);
         let allowed = allowed_versions(2, &sibs, &paths, v(0));
         assert_eq!(allowed, vec![v(3)]);
     }
@@ -169,8 +165,8 @@ mod tests {
     fn unordered_writer_not_removed_by_predecessor_filter_rule3() {
         // predecessor 0 → target 1; sibling 2 unordered, also wrote.
         // Rule 3 doesn't remove 0 (2 not between); predecessor mandatory.
-        let sibs = [sib(0, Some(3)), sib(2, Some(4))];
-        let paths = closure(3, &[(0, 1)]);
+        let sibs = [sib(0, 3), sib(2, 4)];
+        let paths = closure(&[(0, 1)]);
         let allowed = allowed_versions(1, &sibs, &paths, v(0));
         assert_eq!(allowed, vec![v(3)]);
     }

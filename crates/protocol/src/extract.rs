@@ -15,6 +15,7 @@ use crate::ProtocolError;
 use ks_core::{Execution, Expr, Specification, Step, Transaction, TreeExecution, TxnName};
 use ks_kernel::{DatabaseState, UniqueState};
 use ks_mvstore::{VersionId, INITIAL_AUTHOR};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Build the model [`Transaction`] of one protocol node (recursively).
 pub fn model_transaction(pm: &ProtocolManager, t: Txn) -> Result<Transaction, ProtocolError> {
@@ -43,7 +44,7 @@ pub fn model_transaction(pm: &ProtocolManager, t: Txn) -> Result<Transaction, Pr
             .iter()
             .map(|&c| model_transaction(pm, c))
             .collect();
-        let slot_to_new: std::collections::BTreeMap<usize, usize> = committed
+        let slot_to_new: BTreeMap<usize, usize> = committed
             .iter()
             .enumerate()
             .map(|(new, &c)| (slot_of(pm, c), new))
@@ -85,7 +86,7 @@ pub fn model_execution(
         .iter()
         .map(|&c| model_transaction(pm, c))
         .collect();
-    let slot_to_new: std::collections::BTreeMap<usize, usize> = committed
+    let slot_to_new: BTreeMap<usize, usize> = committed
         .iter()
         .enumerate()
         .map(|(new, &c)| (slot_of(pm, c), new))
@@ -103,6 +104,7 @@ pub fn model_execution(
     // a committed sibling's subtree.
     let mut inputs = Vec::with_capacity(committed.len());
     let mut reads_from: Vec<(usize, usize)> = Vec::new();
+    let mut seen_edges: BTreeSet<(usize, usize)> = BTreeSet::new();
     for (i, &c) in committed.iter().enumerate() {
         let snap = pm.snapshot_of(c)?;
         inputs.push(pm.store().materialize(snap)?);
@@ -117,7 +119,7 @@ pub fn model_execution(
             }
             if let Some(src_slot) = author_slot_under(pm, parent, author.0 as usize) {
                 if let Some(&j) = slot_to_new.get(&src_slot) {
-                    if j != i && !reads_from.contains(&(j, i)) {
+                    if j != i && seen_edges.insert((j, i)) {
                         reads_from.push((j, i));
                     }
                 }

@@ -7,7 +7,7 @@ use ks_kernel::{EntityId, Schema, UniqueState, Value};
 use ks_mvstore::{AuthorId, MvStore, Snapshot, VersionId};
 use ks_obs::{ObsKind, ObsSink};
 use ks_predicate::{solve_pinned, Cnf, SolveOutcome, Strategy};
-use ks_schedule::DiGraph;
+use ks_schedule::OrderClosure;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -125,9 +125,19 @@ struct Node {
     name: TxnName,
     parent: Option<usize>,
     children: Vec<usize>,
-    /// Partial order over child *slots* of this node.
+    /// Partial order over child *slots* of this node, as defined.
     order: Vec<(usize, usize)>,
+    /// `order`, transitively closed — the one place that answers "is slot
+    /// `a` before slot `b`"; `define` closes it edge by edge.
+    closure: OrderClosure,
+    /// The one place that knows the last writes: entity → child slot → the
+    /// newest version of it written inside that child's subtree. A write
+    /// updates every ancestor; aborted children are filtered when read,
+    /// and an abort below a child recomputes that child's entries.
+    writers: BTreeMap<EntityId, BTreeMap<usize, VersionId>>,
     spec: Specification,
+    /// `spec.input_set()`, computed once (specs never change).
+    input_set: BTreeSet<EntityId>,
     state: TxnState,
     /// Slot within the parent's child list.
     slot: usize,
@@ -139,6 +149,32 @@ struct Node {
     reads_done: BTreeMap<EntityId, Value>,
     /// Versions written by this node itself.
     writes: Vec<VersionId>,
+}
+
+impl Node {
+    fn new(
+        name: TxnName,
+        parent: Option<usize>,
+        slot: usize,
+        spec: Specification,
+        state: TxnState,
+    ) -> Node {
+        Node {
+            name,
+            parent,
+            children: Vec::new(),
+            order: Vec::new(),
+            closure: OrderClosure::new(),
+            writers: BTreeMap::new(),
+            input_set: spec.input_set(),
+            spec,
+            state,
+            slot,
+            snapshot: Snapshot::new(),
+            reads_done: BTreeMap::new(),
+            writes: Vec::new(),
+        }
+    }
 }
 
 /// The protocol manager: a nested-transaction scheduler over a
@@ -195,18 +231,7 @@ impl ProtocolManager {
     /// validated, with the initial versions as its assignment.
     pub fn new(schema: Schema, initial: &UniqueState, root_spec: Specification) -> Self {
         let store = MvStore::new(schema.clone(), initial);
-        let root = Node {
-            name: TxnName::root(),
-            parent: None,
-            children: Vec::new(),
-            order: Vec::new(),
-            spec: root_spec,
-            state: TxnState::Validated,
-            slot: 0,
-            snapshot: Snapshot::new(),
-            reads_done: BTreeMap::new(),
-            writes: Vec::new(),
-        };
+        let root = Node::new(TxnName::root(), None, 0, root_spec, TxnState::Validated);
         ProtocolManager {
             schema,
             store,
@@ -363,55 +388,44 @@ impl ProtocolManager {
             // sibling whose input set overlaps our output objects.
             if n.state == TxnState::Committed {
                 let my_outputs = spec.output.entities();
-                let their_inputs = n.spec.input_set();
-                if my_outputs.intersection(&their_inputs).next().is_some() {
+                if my_outputs.intersection(&n.input_set).next().is_some() {
                     return Err(ProtocolError::PrecedesCommittedReader);
                 }
             }
             before_slots.push(n.slot);
         }
-        let slot = self.node(parent)?.children.len();
-        // Cycle check on the extended order.
-        {
-            let pnode = self.node(parent)?;
-            let mut g = DiGraph::new(slot + 1);
-            for &(a, b) in &pnode.order {
-                g.add_edge(a, b);
-            }
-            for &a in &after_slots {
-                g.add_edge(a, slot);
-            }
-            for &b in &before_slots {
-                g.add_edge(slot, b);
-            }
-            if g.has_cycle() {
-                return Err(ProtocolError::CyclicPartialOrder);
-            }
-        }
-        let name = {
-            let pnode = self.node(parent)?;
-            pnode.name.child(slot as u32)
-        };
-        let idx = self.nodes.len();
-        self.nodes.push(Node {
-            name,
-            parent: Some(parent.0),
-            children: Vec::new(),
-            order: Vec::new(),
-            spec,
-            state: TxnState::Defined,
-            slot,
-            snapshot: Snapshot::new(),
-            reads_done: BTreeMap::new(),
-            writes: Vec::new(),
+        // Cycle check on the extended order: the new slot has no edges
+        // yet, so a cycle can only run `after` sibling → new → `before`
+        // sibling ⇝ that `after` sibling.
+        let pnode = self.node(parent)?;
+        let closes_cycle = before_slots.iter().any(|&b| {
+            after_slots
+                .iter()
+                .any(|&a| a == b || pnode.closure.has_edge(b, a))
         });
+        if closes_cycle {
+            return Err(ProtocolError::CyclicPartialOrder);
+        }
+        let slot = pnode.children.len();
+        let name = pnode.name.child(slot as u32);
+        let idx = self.nodes.len();
+        self.nodes.push(Node::new(
+            name,
+            Some(parent.0),
+            slot,
+            spec,
+            TxnState::Defined,
+        ));
         let pnode = &mut self.nodes[parent.0];
         pnode.children.push(idx);
-        for a in after_slots {
-            pnode.order.push((a, slot));
-        }
-        for b in before_slots {
-            pnode.order.push((slot, b));
+        let edges = after_slots
+            .into_iter()
+            .map(|a| (a, slot))
+            .chain(before_slots.into_iter().map(|b| (slot, b)));
+        for (a, b) in edges {
+            pnode.order.push((a, b));
+            let acyclic = pnode.closure.insert(a, b);
+            debug_assert!(acyclic, "checked above");
         }
         self.emit(idx, ObsKind::TxnBegin);
         Ok(Txn(idx))
@@ -420,16 +434,6 @@ impl ProtocolManager {
     // ------------------------------------------------------------------
     // Phase 2: validation
     // ------------------------------------------------------------------
-
-    /// Transitive closure of the partial order over `parent`'s child slots.
-    fn paths_of(&self, parent_idx: usize) -> DiGraph {
-        let pnode = &self.nodes[parent_idx];
-        let mut g = DiGraph::new(pnode.children.len().max(1));
-        for &(a, b) in &pnode.order {
-            g.add_edge(a, b);
-        }
-        g.transitive_closure()
-    }
 
     /// The parent's assigned version of an entity (initial version for the
     /// root's empty snapshot).
@@ -444,7 +448,8 @@ impl ProtocolManager {
     }
 
     /// Last version of `e` written by the subtree of node `idx`
-    /// (non-aborted nodes only).
+    /// (non-aborted nodes only), by walking it: what `writers` memoises,
+    /// recomputed after an abort inside the subtree.
     fn subtree_last_version(&self, idx: usize, e: EntityId) -> Option<VersionId> {
         let node = &self.nodes[idx];
         if node.state == TxnState::Aborted {
@@ -471,41 +476,42 @@ impl ProtocolManager {
     }
 
     /// Candidate versions for `e` when validating node `idx` (rules 1–3 +
-    /// predecessor filter of Section 5.1).
+    /// predecessor filter of Section 5.1), from the siblings that wrote `e`.
     fn candidates_for(&self, idx: usize, e: EntityId) -> Vec<VersionId> {
-        let node = &self.nodes[idx];
-        let parent_idx = node.parent.expect("root never validates");
-        let paths = self.paths_of(parent_idx);
-        let siblings: Vec<SiblingInfo> = self.nodes[parent_idx]
-            .children
-            .iter()
-            .filter(|&&c| c != idx && self.nodes[c].state != TxnState::Aborted)
-            .map(|&c| SiblingInfo {
-                slot: self.nodes[c].slot,
-                last_version: self.subtree_last_version(c, e),
+        let target_slot = self.nodes[idx].slot;
+        let parent_idx = self.nodes[idx].parent.expect("root never validates");
+        let parent = &self.nodes[parent_idx];
+        let siblings: Vec<SiblingInfo> = parent
+            .writers
+            .get(&e)
+            .into_iter()
+            .flatten()
+            .filter(|&(&slot, _)| {
+                slot != target_slot && self.nodes[parent.children[slot]].state != TxnState::Aborted
             })
+            .map(|(&slot, &last_version)| SiblingInfo { slot, last_version })
             .collect();
-        let allowed = allowed_versions(
-            node.slot,
+        let mut allowed = allowed_versions(
+            target_slot,
             &siblings,
-            &paths,
+            &parent.closure,
             self.parent_version(parent_idx, e),
         );
         // Transitive rule 1: drop versions whose provenance contains data
         // from a successor of the target (the paper filters only direct
         // authorship; see the `provenance` field).
-        let target_slot = node.slot;
-        allowed
-            .into_iter()
-            .filter(|v| {
+        if parent.closure.has_successors(target_slot) {
+            allowed.retain(|v| {
                 self.provenance.get(v).is_none_or(|prov| {
                     !prov.iter().any(|&src| {
-                        self.slot_of_author(parent_idx, src)
-                            .is_some_and(|s| s != target_slot && paths.has_edge(target_slot, s))
+                        self.slot_of_author(parent_idx, src).is_some_and(|s| {
+                            s != target_slot && parent.closure.has_edge(target_slot, s)
+                        })
                     })
                 })
-            })
-            .collect()
+            });
+        }
+        allowed
     }
 
     /// Solve the input predicate of node `idx` over its candidate version
@@ -517,44 +523,49 @@ impl ProtocolManager {
         pins: &[(EntityId, Value)],
         strategy: Strategy,
     ) -> Option<Snapshot> {
-        let input_set = self.nodes[idx].spec.input_set();
+        let input_set = &self.nodes[idx].input_set;
         // Per-entity candidates: values (for the solver) plus value→version
         // maps (latest-stamp version wins for equal values).
-        let mut per_entity_versions: Vec<Vec<VersionId>> = Vec::with_capacity(self.schema.len());
+        let mut per_entity_versions: Vec<Vec<(VersionId, Value)>> =
+            Vec::with_capacity(self.schema.len());
         let mut candidates: Vec<Vec<Value>> = Vec::with_capacity(self.schema.len());
         let parent_idx = self.nodes[idx].parent.expect("root never validates");
         for e in self.schema.entity_ids() {
-            let versions = if input_set.contains(&e) {
+            let mut versions = if input_set.contains(&e) {
                 self.candidates_for(idx, e)
             } else {
                 vec![self.parent_version(parent_idx, e)]
             };
             // Order versions by stamp ascending so GreedyLatest prefers the
-            // newest, and dedup values keeping the newest version per value.
-            let mut stamped: Vec<(u64, VersionId, Value)> = versions
-                .iter()
-                .map(|&v| {
-                    let m = self.store.meta(v).expect("candidate exists");
-                    (m.stamp, v, m.value)
-                })
+            // newest (all are versions of `e`, and one chain's index order
+            // is its stamp order), and dedup values keeping the newest
+            // version per value.
+            versions.sort_unstable_by_key(|v| v.index);
+            let valued: Vec<(VersionId, Value)> = versions
+                .into_iter()
+                .map(|v| (v, self.store.read(v).expect("candidate exists")))
                 .collect();
-            stamped.sort_by_key(|&(s, _, _)| s);
-            let mut values: Vec<Value> = Vec::new();
-            for &(_, _, val) in &stamped {
-                if !values.contains(&val) {
-                    values.push(val);
-                }
-            }
+            let mut seen = BTreeSet::new();
+            let values: Vec<Value> = valued
+                .iter()
+                .map(|&(_, val)| val)
+                .filter(|&val| seen.insert(val))
+                .collect();
             if input_set.contains(&e) {
                 self.emit(
                     idx,
                     ObsKind::CandidatesConsidered {
                         entity: e.index() as u32,
-                        count: stamped.len() as u32,
+                        count: valued.len() as u32,
                     },
                 );
             }
-            per_entity_versions.push(stamped.iter().map(|&(_, v, _)| v).collect());
+            if valued.is_empty() {
+                // Every allowed version carries a successor's data: nothing
+                // to assign (the solver requires a candidate per entity).
+                return None;
+            }
+            per_entity_versions.push(valued);
             candidates.push(values);
         }
         let input = self.nodes[idx].spec.input.clone();
@@ -579,9 +590,9 @@ impl ProtocolManager {
             let chosen = per_entity_versions[e.index()]
                 .iter()
                 .rev() // newest first
-                .find(|&&v| self.store.meta(v).expect("candidate").value == want);
+                .find(|&&(_, val)| val == want);
             match chosen {
-                Some(&v) => {
+                Some(&(v, _)) => {
                     if input_set.contains(&e) {
                         self.emit(
                             idx,
@@ -623,7 +634,7 @@ impl ProtocolManager {
             });
         }
         // R_v vs a momentarily held W: "false" → block.
-        for e in self.node(t)?.spec.input_set() {
+        for &e in &self.node(t)?.input_set {
             if let Some(&holder) = self.write_locks.get(&e) {
                 if holder != t.0 {
                     return Ok(ValidationOutcome::Blocked(e));
@@ -667,9 +678,9 @@ impl ProtocolManager {
             });
         }
         let parent_idx = self.node(t)?.parent.ok_or(ProtocolError::RootImmutable)?;
-        let paths = self.paths_of(parent_idx);
+        let paths = &self.nodes[parent_idx].closure;
         let my_slot = self.node(t)?.slot;
-        let my_inputs = self.node(t)?.spec.input_set();
+        let my_inputs = &self.node(t)?.input_set;
         for &s in &self.nodes[parent_idx].children {
             let sn = &self.nodes[s];
             if s == t.0 || !paths.has_edge(sn.slot, my_slot) {
@@ -681,7 +692,7 @@ impl ProtocolManager {
                     .spec
                     .output
                     .entities()
-                    .intersection(&my_inputs)
+                    .intersection(my_inputs)
                     .next()
                     .is_some()
             {
@@ -705,7 +716,7 @@ impl ProtocolManager {
                 state: state.label(),
             });
         }
-        if !self.node(t)?.spec.input_set().contains(&e) {
+        if !self.node(t)?.input_set.contains(&e) {
             return Err(ProtocolError::ReadWithoutValidationLock(e));
         }
         if let Some(&holder) = self.write_locks.get(&e) {
@@ -751,7 +762,20 @@ impl ProtocolManager {
         debug_assert_eq!(self.write_locks.get(&e), Some(&t.0), "begin_write first");
         let version = self.store.write(e, value, AuthorId(t.0 as u64))?;
         self.nodes[t.0].writes.push(version);
+        // The newest version of `e` is now the last one of every subtree
+        // that encloses the writer.
+        let mut inner = t.0;
+        while let Some(outer) = self.nodes[inner].parent {
+            let slot = self.nodes[inner].slot;
+            let last = self.nodes[outer].writers.entry(e).or_default();
+            last.insert(slot, version);
+            inner = outer;
+        }
         self.stats.writes += 1;
+        // Provenance: the writer itself plus everything that flowed into
+        // its assigned version state. Assignments count, not just performed
+        // reads: the model's R relation justifies the whole version state
+        // X(t_i), so taint must follow it.
         self.record_provenance(t, version);
         let reeval = self.re_eval(t.0, e, version);
         self.write_locks.remove(&e);
@@ -762,10 +786,9 @@ impl ProtocolManager {
         let mut prov: BTreeSet<usize> = BTreeSet::new();
         prov.insert(t.0);
         let consumed: Vec<VersionId> = self.nodes[t.0]
-            .spec
-            .input_set()
-            .into_iter()
-            .map(|ie| {
+            .input_set
+            .iter()
+            .map(|&ie| {
                 self.nodes[t.0]
                     .snapshot
                     .version_of(ie)
@@ -800,17 +823,7 @@ impl ProtocolManager {
         }
         // Momentary W lock (writes never wait for other writes).
         self.write_locks.insert(e, t.0);
-        let version = self.store.write(e, value, AuthorId(t.0 as u64))?;
-        self.nodes[t.0].writes.push(version);
-        self.stats.writes += 1;
-        // Provenance: the writer itself plus everything that flowed into
-        // its assigned version state. Assignments count, not just performed
-        // reads: the model's R relation justifies the whole version state
-        // X(t_i), so taint must follow it.
-        self.record_provenance(t, version);
-        let reeval = self.re_eval(t.0, e, version);
-        self.write_locks.remove(&e);
-        Ok(WriteReport { version, reeval })
+        self.finish_write(t, e, value)
     }
 
     /// Figure 4: after node `writer` wrote `version` of `e`, interrupt
@@ -829,7 +842,6 @@ impl ProtocolManager {
                 version: version.index,
             },
         );
-        let paths = self.paths_of(parent_idx);
         let writer_slot = self.nodes[writer].slot;
         let holders: Vec<usize> = self.nodes[parent_idx]
             .children
@@ -838,8 +850,7 @@ impl ProtocolManager {
             .filter(|&h| h != writer)
             // R or R_v "lock" on e: validated, e in input set, not finished
             .filter(|&h| {
-                self.nodes[h].state == TxnState::Validated
-                    && self.nodes[h].spec.input_set().contains(&e)
+                self.nodes[h].state == TxnState::Validated && self.nodes[h].input_set.contains(&e)
             })
             .collect();
         for h in holders {
@@ -859,6 +870,7 @@ impl ProtocolManager {
                 continue;
             }
             // `path(parent(W).P, W.name, R[i].name)`: writer precedes holder?
+            let paths = &self.nodes[parent_idx].closure;
             if !paths.has_edge(writer_slot, h_slot) {
                 continue;
             }
@@ -1020,7 +1032,7 @@ impl ProtocolManager {
         }
         // Sibling predecessors must have committed.
         if let Some(parent_idx) = self.node(t)?.parent {
-            let paths = self.paths_of(parent_idx);
+            let paths = &self.nodes[parent_idx].closure;
             let my_slot = self.node(t)?.slot;
             for &c in &self.nodes[parent_idx].children {
                 let cn = &self.nodes[c];
@@ -1091,7 +1103,7 @@ impl ProtocolManager {
                 })
                 .collect();
             for s in siblings {
-                let input_set = self.nodes[s].spec.input_set();
+                let input_set = &self.nodes[s].input_set;
                 // Entities whose assigned version was authored by a doomed
                 // node, with that author — each pair is a causal cascade
                 // edge `doomed author → s`.
@@ -1177,6 +1189,26 @@ impl ProtocolManager {
             stack.extend(self.nodes[i].children.iter().copied());
             self.emit(i, ObsKind::TxnAborted);
         }
+        // `idx`'s entries in its parent's `writers` are filtered by state
+        // when read. The subtrees enclosing the parent are still live and
+        // may have memoised a version that just died: recompute theirs.
+        let written: BTreeSet<EntityId> = out
+            .iter()
+            .flat_map(|&i| self.nodes[i].writes.iter().map(|v| v.entity))
+            .collect();
+        let mut inner = self.nodes[idx].parent.expect("the root never aborts");
+        while let Some(outer) = self.nodes[inner].parent {
+            let slot = self.nodes[inner].slot;
+            for &e in &written {
+                let last = self.subtree_last_version(inner, e);
+                let memo = self.nodes[outer].writers.entry(e).or_default();
+                match last {
+                    Some(v) => memo.insert(slot, v),
+                    None => memo.remove(&slot),
+                };
+            }
+            inner = outer;
+        }
         out
     }
 
@@ -1256,3 +1288,6 @@ fn unsat_clause_witness(input: &Cnf, candidates: &[Vec<Value>], pins: &[(EntityI
     }
     u32::MAX
 }
+
+#[cfg(test)]
+mod tests;

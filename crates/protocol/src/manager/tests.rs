@@ -1,0 +1,302 @@
+//! Differential test of the indexed candidate computation: over random
+//! nested sessions, after every call, `candidates_for` (closed order on the
+//! node + writer index) must return exactly what the original computation
+//! returned — the closure of the raw order rebuilt from scratch, every
+//! non-aborted sibling walked with `subtree_last_version`, rules 1–3 over
+//! all of them. The reference lives here and nowhere else.
+
+use super::*;
+use ks_kernel::{Domain, UniqueState};
+use ks_predicate::random::SplitMix64;
+use ks_predicate::{Atom, Clause, CmpOp};
+use ks_schedule::DiGraph;
+
+impl ProtocolManager {
+    /// Transitive closure of the partial order over `parent`'s child
+    /// slots, rebuilt from the edges as defined.
+    fn paths_of(&self, parent_idx: usize) -> DiGraph {
+        let pnode = &self.nodes[parent_idx];
+        let mut g = DiGraph::new(pnode.children.len().max(1));
+        for &(a, b) in &pnode.order {
+            g.add_edge(a, b);
+        }
+        g.transitive_closure()
+    }
+
+    /// `candidates_for` as it was before the closure and the writer index.
+    fn reference_candidates_for(&self, idx: usize, e: EntityId) -> Vec<VersionId> {
+        let node = &self.nodes[idx];
+        let parent_idx = node.parent.expect("root never validates");
+        let paths = self.paths_of(parent_idx);
+        let siblings: Vec<(usize, Option<VersionId>)> = self.nodes[parent_idx]
+            .children
+            .iter()
+            .filter(|&&c| c != idx && self.nodes[c].state != TxnState::Aborted)
+            .map(|&c| (self.nodes[c].slot, self.subtree_last_version(c, e)))
+            .collect();
+        let target = node.slot;
+        let qualifying: Vec<(usize, VersionId)> = siblings
+            .iter()
+            .filter(|&&(s, _)| s != target && !paths.has_edge(target, s))
+            .filter_map(|&(s, last)| Some((s, last?)))
+            .filter(|&(s, _)| {
+                !siblings.iter().any(|&(k, k_last)| {
+                    k != s
+                        && k != target
+                        && k_last.is_some()
+                        && paths.has_edge(s, k)
+                        && paths.has_edge(k, target)
+                })
+            })
+            .collect();
+        let predecessors: Vec<VersionId> = qualifying
+            .iter()
+            .filter(|&&(s, _)| paths.has_edge(s, target))
+            .map(|&(_, v)| v)
+            .collect();
+        let allowed = if predecessors.is_empty() {
+            let mut out: Vec<VersionId> = qualifying.iter().map(|&(_, v)| v).collect();
+            let parent_version = self.parent_version(parent_idx, e);
+            if !out.contains(&parent_version) {
+                out.push(parent_version);
+            }
+            out
+        } else {
+            predecessors
+        };
+        allowed
+            .into_iter()
+            .filter(|v| {
+                self.provenance.get(v).is_none_or(|prov| {
+                    !prov.iter().any(|&src| {
+                        self.slot_of_author(parent_idx, src)
+                            .is_some_and(|s| s != target && paths.has_edge(target, s))
+                    })
+                })
+            })
+            .collect()
+    }
+
+    /// Every non-root node × every entity: indexed equals reference, as
+    /// lists (both come out in slot order, which fixes the stamp order
+    /// `assign_versions` then sorts into); and every node's closure equals
+    /// the closure recomputed from its raw order.
+    fn assert_index_matches_reference(&self, after: &str) {
+        for idx in 0..self.nodes.len() {
+            let closed: Vec<_> = self.nodes[idx].closure.edges().collect();
+            let recomputed: Vec<_> = self.paths_of(idx).edges().collect();
+            assert_eq!(closed, recomputed, "closure of node {idx} after {after}");
+            if idx == 0 {
+                continue;
+            }
+            for e in self.schema.entity_ids() {
+                assert_eq!(
+                    self.candidates_for(idx, e),
+                    self.reference_candidates_for(idx, e),
+                    "candidates of node {idx} for {e} after {after}"
+                );
+            }
+        }
+    }
+
+    fn depth(&self, idx: usize) -> usize {
+        std::iter::successors(self.nodes[idx].parent, |&p| self.nodes[p].parent).count()
+    }
+}
+
+const ENTITIES: usize = 3;
+
+/// What a batch of random sessions exercised; each must be non-zero or
+/// the differential test is not testing what it says.
+#[derive(Debug, Default)]
+struct Coverage {
+    nested_writes: u64,
+    nested_aborts_after_write: u64,
+    undone_commits: u64,
+    split_writes: u64,
+    ordered_defines: u64,
+    cycles_rejected: u64,
+}
+
+fn pick<T: Copy>(rng: &mut SplitMix64, items: &[T]) -> Option<T> {
+    (!items.is_empty()).then(|| items[rng.index(items.len())])
+}
+
+/// `e >= 0` for each chosen entity (always true: the value assigned never
+/// matters), or now and then `e <= k`, which some candidate sets cannot
+/// meet — unsatisfiable validations and failed re-assignments.
+fn random_spec(rng: &mut SplitMix64) -> Specification {
+    let mut clauses = Vec::new();
+    for e in 0..ENTITIES {
+        if rng.below(3) < 2 {
+            let atom = if rng.below(5) == 0 {
+                Atom::cmp_const(EntityId(e as u32), CmpOp::Le, rng.below(6) as i64)
+            } else {
+                Atom::cmp_const(EntityId(e as u32), CmpOp::Ge, 0)
+            };
+            clauses.push(Clause::unit(atom));
+        }
+    }
+    Specification::new(Cnf::new(clauses), Cnf::truth())
+}
+
+fn random_session(seed: u64, steps: usize, cov: &mut Coverage) -> ProtocolStats {
+    let schema = Schema::uniform(
+        (0..ENTITIES).map(|i| format!("d{i}")),
+        Domain::Range { min: 0, max: 9 },
+    );
+    let initial = UniqueState::from_values_unchecked(vec![0; ENTITIES]);
+    let mut pm = ProtocolManager::new(schema, &initial, Specification::trivial());
+    let mut rng = SplitMix64::new(seed);
+    // A `begin_write` not yet finished.
+    let mut pending: Option<(Txn, EntityId)> = None;
+    for step in 0..steps {
+        let in_state = |pm: &ProtocolManager, want: TxnState| -> Vec<usize> {
+            (1..pm.nodes.len())
+                .filter(|&i| pm.nodes[i].state == want)
+                .collect()
+        };
+        let validated = in_state(&pm, TxnState::Validated);
+        let committed_before = in_state(&pm, TxnState::Committed);
+        let e = EntityId(rng.index(ENTITIES) as u32);
+        let what = match rng.below(12) {
+            0..=2 => {
+                // define, under the root or a validated node, ordered
+                // after/before random siblings
+                let mut parents: Vec<usize> = validated
+                    .iter()
+                    .copied()
+                    .filter(|&i| pm.depth(i) < 3)
+                    .collect();
+                parents.push(0);
+                parents.push(0);
+                let parent = pick(&mut rng, &parents).expect("root");
+                let siblings = pm.nodes[parent].children.clone();
+                let mut after = Vec::new();
+                let mut before = Vec::new();
+                for &s in &siblings {
+                    match rng.below(8) {
+                        0 | 1 => after.push(Txn(s)),
+                        2 => before.push(Txn(s)),
+                        _ => {}
+                    }
+                }
+                match pm.define(Txn(parent), random_spec(&mut rng), &after, &before) {
+                    Ok(_) => {
+                        cov.ordered_defines += u64::from(!after.is_empty() || !before.is_empty())
+                    }
+                    Err(ProtocolError::CyclicPartialOrder) => cov.cycles_rejected += 1,
+                    Err(_) => {}
+                }
+                format!("define under {parent} after {after:?} before {before:?}")
+            }
+            3 | 4 => {
+                let defined = in_state(&pm, TxnState::Defined);
+                let Some(t) = pick(&mut rng, &defined) else {
+                    continue;
+                };
+                let strategy = if rng.coin() {
+                    Strategy::GreedyLatest
+                } else {
+                    Strategy::Backtracking
+                };
+                let _ = pm.validate(Txn(t), strategy);
+                format!("validate {t}")
+            }
+            5 => {
+                let Some(t) = pick(&mut rng, &validated) else {
+                    continue;
+                };
+                let _ = pm.read(Txn(t), e);
+                format!("read {t} {e}")
+            }
+            6 | 7 => {
+                let Some(t) = pick(&mut rng, &validated) else {
+                    continue;
+                };
+                if pending.is_some_and(|(_, locked)| locked == e) {
+                    continue;
+                }
+                pm.write(Txn(t), e, rng.below(10) as i64)
+                    .expect("in domain");
+                cov.nested_writes += u64::from(pm.depth(t) >= 2);
+                format!("write {t} {e}")
+            }
+            8 => match pending.take() {
+                // finish the split write, unless its writer was aborted
+                // underneath it in the meantime
+                Some((t, locked)) => {
+                    if pm.nodes[t.0].state != TxnState::Validated {
+                        continue;
+                    }
+                    pm.finish_write(t, locked, rng.below(10) as i64)
+                        .expect("in domain");
+                    cov.split_writes += 1;
+                    format!("finish_write {} {locked}", t.0)
+                }
+                None => {
+                    let Some(t) = pick(&mut rng, &validated) else {
+                        continue;
+                    };
+                    pm.begin_write(Txn(t), e).expect("validated");
+                    pending = Some((Txn(t), e));
+                    format!("begin_write {t} {e}")
+                }
+            },
+            9 | 10 => {
+                let Some(t) = pick(&mut rng, &validated) else {
+                    continue;
+                };
+                let _ = pm.commit(Txn(t));
+                format!("commit {t}")
+            }
+            _ => {
+                let mut live = in_state(&pm, TxnState::Defined);
+                live.extend(&validated);
+                let Some(t) = pick(&mut rng, &live) else {
+                    continue;
+                };
+                let wrote_below_a_child = pm.depth(t) >= 2
+                    && pm
+                        .schema
+                        .entity_ids()
+                        .any(|e| pm.subtree_last_version(t, e).is_some());
+                pm.abort(Txn(t)).expect("live");
+                cov.nested_aborts_after_write += u64::from(wrote_below_a_child);
+                format!("abort {t}")
+            }
+        };
+        cov.undone_commits += committed_before
+            .iter()
+            .filter(|&&c| pm.nodes[c].state == TxnState::Aborted)
+            .count() as u64;
+        pm.assert_index_matches_reference(&format!("step {step} of seed {seed}: {what}"));
+    }
+    pm.stats()
+}
+
+#[test]
+fn indexed_candidates_equal_the_reference_after_every_call() {
+    let mut cov = Coverage::default();
+    let mut stats = ProtocolStats::default();
+    for seed in 0..40 {
+        let s = random_session(0xC0FFEE + seed, 100, &mut cov);
+        stats.re_assigns += s.re_assigns;
+        stats.reeval_aborts += s.reeval_aborts;
+        stats.cascade_aborts += s.cascade_aborts;
+        stats.validation_failures += s.validation_failures;
+    }
+    // The sessions reached the cases the index has to get right.
+    assert!(cov.nested_writes > 0, "{cov:?}");
+    assert!(cov.nested_aborts_after_write > 0, "{cov:?}");
+    assert!(cov.undone_commits > 0, "{cov:?}");
+    assert!(cov.split_writes > 0, "{cov:?}");
+    assert!(
+        cov.ordered_defines > 0 && cov.cycles_rejected > 0,
+        "{cov:?}"
+    );
+    assert!(stats.re_assigns > 0, "{stats:?}");
+    assert!(stats.reeval_aborts > 0, "{stats:?}");
+    assert!(stats.cascade_aborts > 0, "{stats:?}");
+    assert!(stats.validation_failures > 0, "{stats:?}");
+}

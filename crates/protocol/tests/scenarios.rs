@@ -483,3 +483,43 @@ fn split_write_equals_atomic_write() {
     assert_eq!(report.reeval, vec![ReEvalAction::Reassigned(succ)]);
     assert_eq!(pm.read(succ, x()).unwrap(), ReadOutcome::Value(7));
 }
+
+/// A write below a child is that child's subtree's last write as far as
+/// the grandparent's other children can see — until the grandchild aborts.
+/// Then the child's own earlier version is the last one again, and a
+/// child that never wrote the item itself stops being a writer of it.
+#[test]
+fn grandchild_abort_falls_back_to_the_childs_own_version() {
+    let (schema, mut pm) = manager_with_constraint("x >= 0");
+    let root = pm.root();
+    let any_x = || spec(&schema, "x >= 0", "true");
+    let version_seen_by = |pm: &mut ProtocolManager, predecessor| {
+        let observer = pm.define(root, any_x(), &[predecessor], &[]).unwrap();
+        pm.validate(observer, Strategy::GreedyLatest).unwrap();
+        pm.snapshot_of(observer).unwrap().version_of(x()).unwrap()
+    };
+
+    // `wrote` writes x itself, then its child overwrites it.
+    let wrote = pm.define(root, any_x(), &[], &[]).unwrap();
+    pm.validate(wrote, Strategy::Backtracking).unwrap();
+    let own = pm.write(wrote, x(), 10).unwrap().version;
+    let grandchild = pm.define(wrote, any_x(), &[], &[]).unwrap();
+    pm.validate(grandchild, Strategy::Backtracking).unwrap();
+    let nested = pm.write(grandchild, x(), 11).unwrap().version;
+    // A successor of `wrote` must take its subtree's last version.
+    assert_eq!(version_seen_by(&mut pm, wrote), nested);
+    pm.abort(grandchild).unwrap();
+    assert_eq!(version_seen_by(&mut pm, wrote), own);
+
+    // `silent` writes nothing itself; only its child does.
+    let silent = pm.define(root, any_x(), &[wrote], &[]).unwrap();
+    pm.validate(silent, Strategy::Backtracking).unwrap();
+    let grandchild = pm.define(silent, any_x(), &[], &[]).unwrap();
+    pm.validate(grandchild, Strategy::Backtracking).unwrap();
+    let nested = pm.write(grandchild, x(), 12).unwrap().version;
+    assert_eq!(version_seen_by(&mut pm, silent), nested);
+    pm.abort(grandchild).unwrap();
+    // `silent` is no longer a writer of x: its predecessor `wrote` is the
+    // nearest one, not shadowed by it.
+    assert_eq!(version_seen_by(&mut pm, silent), own);
+}

@@ -54,6 +54,6 @@ pub mod search;
 pub mod vsr;
 
 pub use classify::{classify, Membership};
-pub use graph::DiGraph;
+pub use graph::{DiGraph, OrderClosure};
 pub use op::{Action, Op, TxnId};
 pub use schedule::{ReadSource, Schedule, ScheduleBuilder};

@@ -20,8 +20,8 @@ tree_before=$(tree_state)
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Every test of every crate. Two known intermittents are skipped by name
 # until their ROADMAP owners run them to ground; nothing else is:
