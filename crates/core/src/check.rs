@@ -12,11 +12,10 @@
 use crate::{Execution, ModelError, Transaction};
 use ks_kernel::{DatabaseState, EntityId, Schema, UniqueState};
 use ks_schedule::DiGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Detailed verdict over one execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckReport {
     /// Shape matches the transaction (one input per child).
     pub shape_ok: bool,

@@ -11,10 +11,9 @@
 //! reduction it is the two-state database `{all-0, all-1}`.)
 
 use ks_kernel::UniqueState;
-use serde::{Deserialize, Serialize};
 
 /// An execution of a nested transaction at one level.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Execution {
     /// The relation `R`: `(j, i)` means child `i` reads from child `j`.
     pub reads_from: Vec<(usize, usize)>,

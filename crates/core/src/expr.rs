@@ -10,11 +10,10 @@
 
 use ks_kernel::{EntityId, Value};
 use ks_predicate::Valuation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An arithmetic expression over the transaction's input state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// A literal value.
     Const(Value),

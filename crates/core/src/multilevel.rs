@@ -13,12 +13,11 @@
 use crate::check::{check, CheckReport};
 use crate::{Body, Execution, Transaction};
 use ks_kernel::{DatabaseState, Schema};
-use serde::{Deserialize, Serialize};
 
 /// Executions for a whole transaction tree: this node's child-level
 /// execution plus, for each child (by index), the child's own subtree
 /// execution when the child is internal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeExecution {
     /// The execution `(R, X)` of this node's children.
     pub exec: Execution,

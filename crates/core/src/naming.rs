@@ -5,11 +5,10 @@
 //! a subtransaction, such as is done in Figure 1." Names look like `t`,
 //! `t.0`, `t.1.0.1`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dotted hierarchical name: the root is `t`, children append indices.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnName {
     path: Vec<u32>,
 }

@@ -2,13 +2,12 @@
 
 use ks_kernel::EntityId;
 use ks_predicate::{Cnf, Valuation};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A specification: input predicate (precondition on the version state the
 /// transaction reads) and output predicate (postcondition on the state it
 /// produces when run by itself).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Specification {
     /// `I_t`: must hold on the transaction's input state.
     pub input: Cnf,

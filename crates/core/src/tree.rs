@@ -8,11 +8,10 @@
 use crate::{Expr, ModelError, Specification, TxnName};
 use ks_kernel::{EntityId, Schema, UniqueState};
 use ks_schedule::DiGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A primitive database operation — a leaf of Figure 1's tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step {
     /// Read an entity (the value becomes available to later writes through
     /// the input state).
@@ -24,7 +23,7 @@ pub enum Step {
 
 /// The implementation of a transaction: primitive steps, or subtransactions
 /// under a partial order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Body {
     /// A leaf-level transaction: a sequence of primitive steps.
     Leaf(Vec<Step>),
@@ -34,7 +33,7 @@ pub enum Body {
 
 /// Children and their partial order `P` (pairs of child indices,
 /// `(before, after)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nested {
     /// Subtransactions, in creation order (their index is their name suffix).
     pub children: Vec<Transaction>,
@@ -43,7 +42,7 @@ pub struct Nested {
 }
 
 /// A transaction `(T, P, I_t, O_t)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transaction {
     /// Hierarchical name (Figure 1 style).
     pub name: TxnName,

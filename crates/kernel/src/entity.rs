@@ -6,14 +6,13 @@
 //! as flat arrays.
 
 use crate::{KernelError, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense identifier for an entity in a [`Schema`].
 ///
 /// Entity ids index directly into state arrays, so they are cheap to copy and
 /// compare. They are only meaningful relative to the schema that issued them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityId(pub u32);
 
 impl EntityId {
@@ -35,7 +34,7 @@ impl fmt::Display for EntityId {
 /// The paper requires that "a transaction cannot update an entity to an
 /// element not in the domain of the entity"; [`Domain::contains`] is the
 /// check every write goes through.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Domain {
     /// A contiguous inclusive integer range `[min, max]`.
     Range {
@@ -102,7 +101,7 @@ impl Domain {
 }
 
 /// Definition of one entity: a human-readable name plus its domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntityDef {
     /// Human-readable name (unique within the schema).
     pub name: String,
@@ -114,7 +113,7 @@ pub struct EntityDef {
 ///
 /// Immutable once built (use [`SchemaBuilder`]); every state type carries a
 /// length equal to [`Schema::len`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     entities: Vec<EntityDef>,
 }

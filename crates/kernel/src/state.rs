@@ -7,14 +7,13 @@
 //! versions are never destroyed.
 
 use crate::{EntityId, KernelError, Schema, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A unique state `S^U`: one value per entity.
 ///
 /// Stored as a flat array indexed by [`EntityId`]; equality and hashing are
 /// structural, so a [`DatabaseState`] can deduplicate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UniqueState {
     values: Box<[Value]>,
 }
@@ -121,7 +120,7 @@ impl fmt::Display for UniqueState {
 ///
 /// The set is kept sorted and deduplicated so that equality is semantic set
 /// equality and membership tests are `O(log n)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatabaseState {
     states: Vec<UniqueState>,
 }

@@ -14,12 +14,11 @@
 //! * if `|S| = 1` then `V_S = S` — see `singleton_version_space` in the tests.
 
 use crate::{DatabaseState, EntityId, UniqueState, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A version state: a per-entity mixture of values drawn from the unique
 /// states of some [`DatabaseState`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VersionState {
     state: UniqueState,
 }

@@ -8,11 +8,10 @@
 
 use crate::VersionId;
 use ks_kernel::EntityId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A per-entity version selection.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     selected: BTreeMap<EntityId, VersionId>,
 }

@@ -1,12 +1,11 @@
 //! Version identity and metadata.
 
 use ks_kernel::{EntityId, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque author token: whoever created a version. The protocol maps its
 /// hierarchical transaction names onto these tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AuthorId(pub u64);
 
 /// The pseudo-transaction `t_0` that writes the initial database.
@@ -14,7 +13,7 @@ pub const INITIAL_AUTHOR: AuthorId = AuthorId(0);
 
 /// Identifier of one version of one entity: the entity plus its position in
 /// the entity's chain (0 = initial version).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VersionId {
     /// The versioned entity.
     pub entity: EntityId,
@@ -29,7 +28,7 @@ impl fmt::Display for VersionId {
 }
 
 /// Metadata of a stored version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionMeta {
     /// Identity.
     pub id: VersionId,

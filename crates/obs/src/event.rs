@@ -251,7 +251,8 @@ pub enum ObsKind {
         op: OpCode,
         /// Did the call succeed (`Ok`)?
         ok: bool,
-        /// Nanoseconds spent executing (dequeue → reply).
+        /// Nanoseconds spent executing (dequeue → reply ready, before the
+        /// send).
         exec_ns: u64,
     },
     /// A transaction was defined.

@@ -29,7 +29,9 @@
 //!   handler, shard queue, worker execute, certifier decision, WAL group
 //!   commit) stitch into end-to-end [`trace::TraceTree`]s with per-hop
 //!   latency attribution.
-//! * [`telemetry`] — time-series SLO telemetry: windowed latency
+//! * [`telemetry`] — the one latency histogram type
+//!   ([`LatencyHistogram`], one bucket function, one quantile walk) and
+//!   time-series SLO telemetry: windowed latency
 //!   histograms, throughput/abort-rate/queue-depth/flush-group series,
 //!   incremental [`telemetry::TelemetryDelta`] export, and the
 //!   declarative [`telemetry::SloSpec`] check
@@ -53,8 +55,8 @@ pub use event::{ObsEvent, ObsKind, OpCode, SpanHop, NO_TXN};
 pub use json::{event_from_json, event_to_json, from_jsonl, to_jsonl, JsonError};
 pub use ring::{ObsSink, Recorder, Ring};
 pub use telemetry::{
-    SloBreach, SloQuantile, SloSpec, TelemetryDelta, TelemetrySeries, WindowSnapshot,
-    LATENCY_BUCKETS,
+    LatencyHistogram, SloBreach, SloQuantile, SloSpec, TelemetryDelta, TelemetrySeries,
+    WindowSnapshot, LATENCY_BUCKETS,
 };
 pub use timeline::{stitch, TxnTimeline};
 pub use trace::{derive_trace_id, stitch_traces, trace_sampled, HopLatency, TraceSpan, TraceTree};

@@ -16,13 +16,20 @@
 //! merging every run of `Y` consecutive windows. Because it consumes
 //! only [`WindowSnapshot`]s, a breach is detectable from pulled deltas
 //! without touching the serving process.
+//!
+//! Every latency number in the stack comes off the same log₂ buckets:
+//! the windows here, and the live [`LatencyHistogram`]s the server keeps
+//! for queue wait, execute time and per-shard round trips. One
+//! [`quantile`] walk reads them all and reports a bucket's inclusive
+//! upper edge, `2^(i+1) − 1` ns.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Log₂ latency buckets per window (bucket `i` holds `[2^i, 2^(i+1))`
-/// nanoseconds, except bucket 63 which absorbs the tail).
+/// Log₂ latency buckets (bucket `i` holds `[2^i, 2^(i+1))` nanoseconds;
+/// bucket 0 also holds 0).
 pub const LATENCY_BUCKETS: usize = 64;
 
 /// Default window width.
@@ -32,19 +39,59 @@ pub const DEFAULT_WINDOW: Duration = Duration::from_secs(1);
 pub const DEFAULT_RETAIN: usize = 128;
 
 fn bucket(ns: u64) -> usize {
-    if ns == 0 {
-        0
-    } else {
-        (63 - ns.leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
+    63 - ns.max(1).leading_zeros() as usize
+}
+
+/// The inclusive upper edge of bucket `i`, `2^(i+1) − 1` — the value a
+/// quantile reports (`u64::MAX` for bucket 63).
+fn bucket_edge(i: usize) -> u64 {
+    u64::MAX >> (LATENCY_BUCKETS - 1 - i)
+}
+
+/// Quantile `q ∈ [0, 1]` of a bucket snapshot, in nanoseconds: the upper
+/// edge of the bucket holding the `⌈q·n⌉`-th observation. `None` when
+/// the snapshot is empty.
+pub fn quantile(counts: &[u64; LATENCY_BUCKETS], q: f64) -> Option<u64> {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = (((total as f64) * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    counts
+        .iter()
+        .position(|&n| {
+            seen += n;
+            seen >= rank
+        })
+        .map(bucket_edge)
+}
+
+/// A lock-free latency histogram over the [`LATENCY_BUCKETS`] buckets,
+/// for counters that live as long as the service (one relaxed add per
+/// observation).
+#[derive(Debug)]
+pub struct LatencyHistogram {
+    buckets: [AtomicU64; LATENCY_BUCKETS],
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
     }
 }
 
-/// The upper edge of a bucket — the value a quantile reports.
-fn bucket_edge(i: usize) -> u64 {
-    if i >= LATENCY_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
+impl LatencyHistogram {
+    /// Record one latency observation.
+    pub fn record(&self, latency: Duration) {
+        self.buckets[bucket(latency.as_nanos() as u64)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Snapshot the bucket counts (read with [`quantile`]).
+    pub fn counts(&self) -> [u64; LATENCY_BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 }
 
@@ -105,19 +152,7 @@ impl WindowSnapshot {
     /// The latency at or below which fraction `q` of requests completed
     /// (upper bucket edge); `None` when the window saw no requests.
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        let total: u64 = self.latency.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.latency.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_edge(i));
-            }
-        }
-        Some(bucket_edge(LATENCY_BUCKETS - 1))
+        quantile(&self.latency, q)
     }
 
     /// Median latency.
@@ -399,9 +434,8 @@ impl SloSpec {
         for w in windows {
             by_seq.insert(w.seq, w);
         }
-        let seqs: Vec<u64> = by_seq.keys().copied().collect();
         let mut breaches = Vec::new();
-        for (i, &start) in seqs.iter().enumerate() {
+        for &start in by_seq.keys() {
             // The run [start, start + windows) must be fully present.
             let run: Vec<&WindowSnapshot> = (0..self.windows)
                 .map_while(|k| by_seq.get(&(start + k)).copied())
@@ -409,10 +443,6 @@ impl SloSpec {
             if run.len() as u64 != self.windows {
                 continue;
             }
-            // Skip runs already covered by an earlier evaluation start
-            // only when identical; evaluating every start is fine (the
-            // spec says *any* Y-window run).
-            let _ = i;
             let mut merged = run[0].clone();
             for w in &run[1..] {
                 merged.merge(w);
@@ -475,6 +505,33 @@ mod tests {
         assert!(w.p50_ns().unwrap() < 256);
         assert!(w.p999_ns().unwrap() >= 100_000);
         assert_eq!(WindowSnapshot::empty(0).p99_ns(), None);
+    }
+
+    /// The live histogram and the one quantile walk, one input per line:
+    /// an empty histogram has no quantiles; a typical mix; and the
+    /// inclusive edge `2^(i+1) − 1` at the top, where bucket 62's
+    /// (`2^63 − 1`) is representable, so only bucket 63 reports
+    /// `u64::MAX`.
+    #[test]
+    fn histogram_quantiles_report_inclusive_bucket_edges() {
+        let quantiles = |latencies: &[u64], qs: &[f64]| -> Vec<Option<u64>> {
+            let h = LatencyHistogram::default();
+            for &ns in latencies {
+                h.record(Duration::from_nanos(ns));
+            }
+            let counts = h.counts();
+            assert_eq!(counts.iter().sum::<u64>(), latencies.len() as u64);
+            qs.iter().map(|&q| quantile(&counts, q)).collect()
+        };
+        let typical: Vec<u64> = [100; 99].into_iter().chain([100_000]).collect();
+        assert_eq!(quantiles(&[], &[0.5, 1.0]), [None, None]);
+        assert_eq!(quantiles(&[0, 1], &[1.0]), [Some(1)]);
+        assert_eq!(
+            quantiles(&typical, &[0.5, 0.99, 1.0]),
+            [Some(127), Some(127), Some(131_071)]
+        );
+        assert_eq!(quantiles(&[1 << 62], &[1.0]), [Some((1 << 63) - 1)]);
+        assert_eq!(quantiles(&[u64::MAX], &[0.0]), [Some(u64::MAX)]);
     }
 
     #[test]

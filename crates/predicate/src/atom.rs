@@ -2,11 +2,10 @@
 
 use crate::eval::Valuation;
 use ks_kernel::{EntityId, Schema, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the six comparison operators the paper admits in atoms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -76,7 +75,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// One side of an atom: a database entity or a constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A database entity, resolved against a valuation at evaluation time.
     Entity(EntityId),
@@ -113,7 +112,7 @@ impl fmt::Display for Operand {
 }
 
 /// An atom `lhs θ rhs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Left operand.
     pub lhs: Operand,

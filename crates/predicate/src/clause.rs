@@ -2,14 +2,13 @@
 
 use crate::{Atom, Valuation};
 use ks_kernel::EntityId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A disjunction of atoms. The empty clause is `false` (standard logic
 /// convention), which the parser never produces but the solver can meet
 /// after simplification.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Clause {
     atoms: Vec<Atom>,
 }

@@ -2,7 +2,6 @@
 
 use crate::{Atom, Clause, Object, Valuation};
 use ks_kernel::{DatabaseState, EntityId, Schema, VersionSpace};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -13,7 +12,7 @@ use std::fmt;
 /// reduction). Note the paper assumes the *database* consistency constraint
 /// is never empty (Section 4.2); that restriction applies to databases, not
 /// to individual transaction specifications, so [`Cnf::truth`] exists.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cnf {
     clauses: Vec<Clause>,
 }

@@ -8,12 +8,11 @@
 
 use crate::Cnf;
 use ks_kernel::EntityId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// An object: a non-empty set of entities mentioned together in a conjunct.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Object {
     entities: BTreeSet<EntityId>,
 }

@@ -20,10 +20,9 @@
 use crate::solver::{solve, SolveOutcome, SolveStats, Strategy};
 use crate::{Atom, Cnf, Operand};
 use ks_kernel::{EntityId, Value};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a propagation pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Propagation {
     /// Candidates pruned (possibly zero removals); search still needed.
     Pruned {

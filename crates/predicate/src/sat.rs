@@ -15,12 +15,11 @@
 
 use crate::{Atom, Clause, CmpOp, Cnf, SolveOutcome, SolveStats, Strategy};
 use ks_kernel::{DatabaseState, EntityId, Schema, UniqueState};
-use serde::{Deserialize, Serialize};
 
 /// A propositional CNF instance. Variables are numbered `1..=num_vars`;
 /// a positive literal `v` asserts variable `v`, a negative literal `-v`
 /// asserts its negation (DIMACS convention).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SatInstance {
     /// Number of propositional variables.
     pub num_vars: usize,

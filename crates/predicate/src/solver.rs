@@ -21,10 +21,9 @@
 
 use crate::{Cnf, Valuation};
 use ks_kernel::{DatabaseState, EntityId, Value};
-use serde::{Deserialize, Serialize};
 
 /// Search strategy for the version-assignment problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Full enumeration of the version space.
     Exhaustive,
@@ -35,7 +34,7 @@ pub enum Strategy {
 }
 
 /// Counters describing the work a solve performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Variable assignments attempted (search-tree nodes).
     pub nodes: u64,

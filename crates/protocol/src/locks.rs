@@ -24,11 +24,10 @@
 //! its predecessors" (Figure 4). Two writes never conflict: each creates
 //! its own version.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three lock modes of the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockMode {
     /// `R_v`: read-for-validation.
     ReadValidation,
@@ -49,7 +48,7 @@ impl fmt::Display for LockMode {
 }
 
 /// An entry of the compatibility matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatrixEntry {
     /// "true": grant immediately.
     Grant,

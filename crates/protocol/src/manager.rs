@@ -8,15 +8,14 @@ use ks_mvstore::{AuthorId, MvStore, Snapshot, VersionId};
 use ks_obs::{ObsKind, ObsSink};
 use ks_predicate::{solve_pinned, Cnf, SolveOutcome, Strategy};
 use ks_schedule::OrderClosure;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Handle to a transaction managed by [`ProtocolManager`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Txn(pub usize);
 
 /// Lifecycle state (the four phases; "execution" spans `Validated`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnState {
     /// Defined, awaiting validation.
     Defined,
@@ -100,7 +99,7 @@ pub enum CommitOutcome {
 }
 
 /// Counters for the experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProtocolStats {
     /// Successful validations.
     pub validations: u64,

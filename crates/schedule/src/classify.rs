@@ -3,7 +3,6 @@
 use crate::partial::PartialOrders;
 use crate::{csr, mvsr, pc, pwsr, vsr, Schedule};
 use ks_predicate::Object;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Membership of one schedule in every class of Section 4.
@@ -11,7 +10,7 @@ use std::fmt;
 /// Field order mirrors the lattice: conflict classes, view classes, their
 /// multiversion and predicate-wise extensions, the partial-order variants,
 /// and the combined classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Membership {
     /// Conflict serializable.
     pub csr: bool,

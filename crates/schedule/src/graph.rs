@@ -6,11 +6,10 @@
 //! sibling order: a partial order that only grows, queried far more often
 //! than it changes, so it is kept transitively closed as edges arrive.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A directed graph over dense node ids `0..n`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiGraph {
     n: usize,
     edges: BTreeSet<(usize, usize)>,

@@ -1,12 +1,11 @@
 //! Transactions, actions and operations of the standard model.
 
 use ks_kernel::EntityId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a flat transaction in a schedule. Displayed 1-based
 /// (`t1`, `t2`, …) to match the paper's examples; stored 0-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u32);
 
 impl TxnId {
@@ -26,7 +25,7 @@ impl fmt::Display for TxnId {
 /// The two primitive actions of the standard model. (The paper notes richer
 /// basic operations — increment, design updates — are possible; the classes
 /// of Section 4 are defined over reads and writes.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Read an entity.
     Read,
@@ -44,7 +43,7 @@ impl Action {
 }
 
 /// One step of a schedule: a transaction performing an action on an entity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Op {
     /// Acting transaction.
     pub txn: TxnId,

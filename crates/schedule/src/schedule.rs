@@ -2,13 +2,12 @@
 
 use crate::{Action, Op, TxnId};
 use ks_kernel::EntityId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Where a read obtains its value in single-version semantics: the initial
 /// database, or the write step at a given schedule position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadSource {
     /// The value written by the initial pseudo-transaction `t_0`.
     Initial,
@@ -21,7 +20,7 @@ pub enum ReadSource {
 /// Invariants: every `TxnId` in `0..num_txns` appears (no gaps are required,
 /// but ids are dense by construction through [`ScheduleBuilder`]); entity ids
 /// are dense likewise.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     ops: Vec<Op>,
     num_txns: usize,

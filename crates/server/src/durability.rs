@@ -32,6 +32,7 @@
 //! stores are infallible; only real disks can trip this).
 
 use crate::metrics::ServerMetrics;
+use crate::worker::{span_end, span_start};
 use crate::ServerError;
 use crossbeam::channel::{Receiver, Sender};
 use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
@@ -172,14 +173,6 @@ pub(crate) struct Ticket {
     pub(crate) trace: u64,
 }
 
-/// How a logged commit gets acknowledged.
-pub(crate) enum CommitAck {
-    /// The flusher owns the reply; the worker must not send one.
-    Deferred,
-    /// Nothing to wait for (`sync_on_commit` off); the worker replies now.
-    Ready,
-}
-
 /// Per-worker handle: the shared log plus this worker's shard id and
 /// the flusher's ticket queue (`None` iff `sync_on_commit` is off).
 pub(crate) struct WorkerWal {
@@ -273,16 +266,10 @@ impl WorkerWal {
         }
     }
 
-    /// Log `Commit` and hand the acknowledgement to the flusher
-    /// ([`CommitAck::Deferred`]) — or, with `sync_on_commit` off, leave
-    /// it with the worker.
-    pub(crate) fn log_commit(
-        &self,
-        txn: u64,
-        trace: u64,
-        sink: &Option<ObsSink>,
-        reply: &Sender<Result<(), ServerError>>,
-    ) -> CommitAck {
+    /// Log `Commit` and remember it as logged. Acknowledging is the
+    /// worker's: with a flusher it hands over a [`Ticket`] (the time until
+    /// pickup is the trace's `WalEnqueue` hop), else it replies at once.
+    pub(crate) fn log_commit(&self, txn: u64, sink: &Option<ObsSink>) {
         let mut inner = self.shared.inner.lock();
         self.append(
             &mut inner,
@@ -294,33 +281,6 @@ impl WorkerWal {
             sink,
         );
         inner.committed_logged.insert((self.shard, txn));
-        let Some(flusher) = &self.flusher else {
-            return CommitAck::Ready;
-        };
-        // The flusher replies once its fsync covers this record; drop
-        // the lock first so it can sync promptly.
-        drop(inner);
-        // The time from here to the flusher picking the ticket up is the
-        // WalEnqueue hop of the trace.
-        if trace != 0 {
-            if let Some(s) = sink {
-                s.emit(
-                    txn as u32,
-                    ObsKind::SpanStart {
-                        hop: SpanHop::WalEnqueue,
-                        op: OpCode::Commit,
-                        trace,
-                    },
-                );
-            }
-        }
-        flusher
-            .send(Ticket {
-                reply: reply.clone(),
-                trace,
-            })
-            .unwrap_or_else(|_| panic!("commit flusher exited while workers live"));
-        CommitAck::Deferred
     }
 
     /// Final barrier at graceful shutdown: even in teeth runs with
@@ -352,61 +312,26 @@ pub(crate) fn flusher_loop(
     sink: Option<ObsSink>,
     metrics: Arc<ServerMetrics>,
 ) {
-    let emit = |trace: u64, kind: ObsKind| {
-        if trace != 0 {
-            if let Some(s) = &sink {
-                s.emit(NO_TXN, kind);
-            }
-        }
-    };
-    let pickup = |t: &Ticket| {
-        emit(
-            t.trace,
-            ObsKind::SpanEnd {
-                hop: SpanHop::WalEnqueue,
-                ok: true,
-                trace: t.trace,
-            },
-        );
-        emit(
-            t.trace,
-            ObsKind::SpanStart {
-                hop: SpanHop::WalBarrier,
-                op: OpCode::Commit,
-                trace: t.trace,
-            },
-        );
+    // A traced ticket leaves one hop and enters the next.
+    let hand_over = |t: &Ticket, done: SpanHop, next: SpanHop| {
+        span_end(&sink, t.trace, NO_TXN, done, true);
+        span_start(&sink, t.trace, NO_TXN, next, OpCode::Commit);
     };
     while let Ok(first) = tickets.recv() {
-        pickup(&first);
+        hand_over(&first, SpanHop::WalEnqueue, SpanHop::WalBarrier);
         let mut batch = vec![first];
         let deadline = Instant::now() + COMPANY_WINDOW;
         while metrics.sessions_in_flight.load(Ordering::Relaxed) > 1 {
             match tickets.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                 Ok(t) => {
-                    pickup(&t);
+                    hand_over(&t, SpanHop::WalEnqueue, SpanHop::WalBarrier);
                     batch.push(t);
                 }
                 Err(_) => break,
             }
         }
         for t in &batch {
-            emit(
-                t.trace,
-                ObsKind::SpanEnd {
-                    hop: SpanHop::WalBarrier,
-                    ok: true,
-                    trace: t.trace,
-                },
-            );
-            emit(
-                t.trace,
-                ObsKind::SpanStart {
-                    hop: SpanHop::WalFsync,
-                    op: OpCode::Commit,
-                    trace: t.trace,
-                },
-            );
+            hand_over(t, SpanHop::WalBarrier, SpanHop::WalFsync);
         }
         let start = Instant::now();
         let records = shared.inner.lock().wal.sync().expect("wal fsync failed");
@@ -425,18 +350,10 @@ pub(crate) fn flusher_loop(
                 },
             );
         }
-        for t in &batch {
-            emit(
-                t.trace,
-                ObsKind::SpanEnd {
-                    hop: SpanHop::WalFsync,
-                    ok: true,
-                    trace: t.trace,
-                },
-            );
-        }
         metrics.telemetry.record_flush(batch.len() as u64);
+        // Each ticket's last span ends before its acknowledgement.
         for t in batch {
+            span_end(&sink, t.trace, NO_TXN, SpanHop::WalFsync, true);
             let _ = t.reply.send(Ok(()));
         }
     }

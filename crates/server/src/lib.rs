@@ -32,8 +32,8 @@
 //!   single [`ServerError::is_retryable`] classification.
 //! - **Admission control** ([`service`]): a session cap plus full-queue
 //!   shedding degrade gracefully under overload.
-//! - **Metrics** ([`metrics`]): lock-free counters and a fixed-bucket
-//!   latency histogram (p50/p99) snapshotted on demand.
+//! - **Metrics** ([`metrics`]): lock-free counters and ks-obs's one
+//!   fixed-bucket latency histogram type (p50/p99) snapshotted on demand.
 //! - **Verification** ([`verify`]): after shutdown, every shard
 //!   certifier re-checks its own history offline — the CPC backend
 //!   against the paper's parent-based criterion ([`ks_core::check`]),
@@ -63,7 +63,7 @@ pub use config::{ConfigError, ServerConfig, ServerConfigBuilder};
 pub use durability::{Durability, RecoveryReport, StoreFactory, WalOptions};
 pub use error::ServerError;
 pub use ks_protocol::{Backend, Certifier};
-pub use metrics::{LatencyHistogram, MetricsSnapshot, ServerMetrics};
+pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use routing::ShardMap;
 pub use service::TxnService;
 pub use session::{Session, TxnHandle};
@@ -75,6 +75,7 @@ mod tests {
     use ks_core::Specification;
     use ks_kernel::{Domain, EntityId, Schema, UniqueState};
     use ks_predicate::{parse_cnf, Atom, Clause, CmpOp, Cnf};
+    use std::sync::Arc;
 
     fn schema(n: usize) -> Schema {
         Schema::uniform(
@@ -477,45 +478,63 @@ mod tests {
         // trace_sample = 1.0: every in-process call originates a trace;
         // the drained rings must stitch into one well-formed tree per
         // call, rooted at the client Request span, with the worker's
-        // Queue/Exec (and Certify, for validate/commit) hops inside.
-        let recorder = ks_obs::Recorder::new(1 << 12);
-        let schema = schema(8);
-        let initial = UniqueState::constant(8, 0);
-        let config = ServerConfig::builder()
-            .shards(4)
-            .recorder(recorder.clone())
-            .trace_sample(1.0)
-            .build()
-            .unwrap();
-        let svc = TxnService::new(schema, &initial, config);
-        let session = svc.session().unwrap();
-        full_lifecycle_over(&session);
-        drop(session);
-        assert!(verify_certifiers(&svc.shutdown()).is_correct());
+        // Queue/Exec (and Certify, for validate/commit) hops inside and,
+        // under the WAL, the flusher's three hops on every commit. A
+        // worker that sends before it ends its spans loses the race to
+        // its client only about once in a few hundred calls, so each
+        // service runs LIFECYCLES lifecycles of six calls.
+        use ks_obs::{OpCode, SpanHop};
+        const LIFECYCLES: usize = 200;
+        let media = ks_wal::MemStore::new();
+        let store: StoreFactory =
+            Arc::new(move || Box::new(media.clone()) as Box<dyn ks_wal::SegmentStore>);
+        for durability in [Durability::None, Durability::Wal(WalOptions::new(store))] {
+            let wal = matches!(durability, Durability::Wal(_));
+            let recorder = ks_obs::Recorder::new(1 << 15);
+            let config = ServerConfig::builder()
+                .shards(4)
+                .recorder(recorder.clone())
+                .trace_sample(1.0)
+                .durability(durability)
+                .build()
+                .unwrap();
+            let svc = TxnService::new(schema(8), &UniqueState::constant(8, 0), config);
+            let session = svc.session().unwrap();
+            for _ in 0..LIFECYCLES {
+                full_lifecycle_over(&session);
+            }
+            drop(session);
+            assert!(verify_certifiers(&svc.shutdown()).is_correct());
+            assert_eq!(recorder.dropped(), 0, "rings must hold every event");
 
-        let events = recorder.drain();
-        let trees = ks_obs::stitch_traces(&events);
-        // open + validate + read + write + read + commit = 6 calls.
-        assert_eq!(trees.len(), 6, "one trace per session call");
-        for tree in &trees {
-            assert!(tree.is_well_formed(), "{}", tree.render());
-            assert_eq!(tree.root().unwrap().hop, ks_obs::SpanHop::Request);
-            let hops = tree.hops();
-            assert!(hops.contains(&ks_obs::SpanHop::Queue), "{hops:?}");
-            assert!(hops.contains(&ks_obs::SpanHop::Exec), "{hops:?}");
-            // Self-times attribute the root duration exactly (shared
-            // clock: every emitter is on this recorder).
-            let self_sum: u64 = tree.hop_latencies().iter().map(|h| h.self_ns).sum();
-            assert_eq!(self_sum, tree.total_ns());
+            let trees = ks_obs::stitch_traces(&recorder.drain());
+            // open + validate + read + write + read + commit = 6 calls.
+            assert_eq!(trees.len(), 6 * LIFECYCLES, "one trace per call");
+            let mut certified = 0;
+            for tree in &trees {
+                assert!(tree.is_well_formed(), "wal={wal}\n{}", tree.render());
+                assert_eq!(tree.root().unwrap().hop, SpanHop::Request);
+                let hops = tree.hops();
+                assert!(hops.contains(&SpanHop::Queue), "{hops:?}");
+                assert!(hops.contains(&SpanHop::Exec), "{hops:?}");
+                // Self-times attribute the root duration exactly (shared
+                // clock: every emitter is on this recorder).
+                let self_sum: u64 = tree.hop_latencies().iter().map(|h| h.self_ns).sum();
+                assert_eq!(self_sum, tree.total_ns());
+                // The certifier decision is visible on validate and
+                // commit, with its outcome.
+                let certify = tree.spans.iter().find(|s| s.hop == SpanHop::Certify);
+                if let Some(span) = certify {
+                    assert_eq!(span.ok, Some(true));
+                    certified += 1;
+                }
+                let commit = certify.is_some_and(|s| s.op == Some(OpCode::Commit));
+                for hop in [SpanHop::WalEnqueue, SpanHop::WalBarrier, SpanHop::WalFsync] {
+                    assert_eq!(hops.contains(&hop), wal && commit, "wal={wal}: {hops:?}");
+                }
+            }
+            assert_eq!(certified, 2 * LIFECYCLES, "validate + commit decisions");
         }
-        // The certifier decision is visible on validate and commit, with
-        // its outcome.
-        let certified: Vec<_> = trees
-            .iter()
-            .filter_map(|t| t.spans.iter().find(|s| s.hop == ks_obs::SpanHop::Certify))
-            .collect();
-        assert_eq!(certified.len(), 2, "validate + commit decisions");
-        assert!(certified.iter().all(|s| s.ok == Some(true)));
     }
 
     #[test]

@@ -1,89 +1,25 @@
 //! Live service counters and latency distributions.
 //!
-//! All counters are lock-free atomics updated on the request path. Latency
-//! distributions are fixed power-of-two-bucket histograms (64 buckets,
-//! bucket `i` covering `[2^i, 2^(i+1))` ns) so quantiles come from a
-//! single pass with no allocation and bounded (≤ 2×) relative error.
-//! Round-trip latency is kept **per shard** (one histogram each), and the
-//! worker splits every request into its queue-wait and execute portions,
-//! so a slow shard or a queueing collapse is visible directly instead of
-//! being averaged away in one global distribution.
+//! All counters are lock-free atomics updated on the request path.
+//! Latency distributions are [`ks_obs::LatencyHistogram`]s — the one
+//! histogram type in the stack: 64 log₂ buckets, read by the one
+//! [`ks_obs::telemetry::quantile`] walk, so a reported quantile is the
+//! inclusive upper edge `2^(i+1) − 1` ns of its bucket (≤ 2× relative
+//! error, no allocation). Round-trip latency is kept **per shard** (one
+//! histogram each), and the worker splits every request into its
+//! queue-wait and execute portions, so a slow shard or a queueing
+//! collapse is visible directly instead of being averaged away in one
+//! global distribution.
 
+use ks_obs::telemetry::quantile;
+use ks_obs::{LatencyHistogram, LATENCY_BUCKETS};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-const BUCKETS: usize = 64;
-
-/// Lock-free histogram of request latencies.
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Record one latency observation.
-    pub fn record(&self, latency: Duration) {
-        let ns = latency.as_nanos().max(1) as u64;
-        let bucket = (63 - ns.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a raw count observation (same log₂ bucketing, the unit is
-    /// just "items" instead of nanoseconds) — used for batch-size
-    /// distributions, where [`quantile`] then answers "how big is the
-    /// p99 batch".
-    pub fn record_n(&self, n: u64) {
-        let n = n.max(1);
-        let bucket = (63 - n.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the bucket counts.
-    pub fn counts(&self) -> [u64; BUCKETS] {
-        let mut out = [0u64; BUCKETS];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out
-    }
-}
-
-/// Quantile `q ∈ [0, 1]` of a bucket snapshot, as the upper edge of the
-/// bucket holding the q-th observation. `None` when empty. Only the last
-/// bucket (63), whose upper edge `2^64` is unrepresentable, saturates to
-/// `u64::MAX` ns.
-pub fn quantile(counts: &[u64; BUCKETS], q: f64) -> Option<Duration> {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            let upper_ns = if i + 1 >= BUCKETS {
-                u64::MAX
-            } else {
-                1u64 << (i + 1)
-            };
-            return Some(Duration::from_nanos(upper_ns));
-        }
-    }
-    None
-}
-
-fn quantiles_of(counts: &[u64; BUCKETS]) -> (Option<Duration>, Option<Duration>) {
-    (quantile(counts, 0.50), quantile(counts, 0.99))
+fn quantiles_of(counts: &[u64; LATENCY_BUCKETS]) -> (Option<Duration>, Option<Duration>) {
+    let at = |q| quantile(counts, q).map(Duration::from_nanos);
+    (at(0.50), at(0.99))
 }
 
 /// Shared mutable counters; one instance per service, updated by sessions
@@ -112,13 +48,10 @@ pub struct ServerMetrics {
     pub reeval_aborts: AtomicU64,
     /// Time requests spent queued (enqueue → worker dequeue).
     pub queue_wait: LatencyHistogram,
-    /// Time the worker spent executing (dequeue → reply sent).
+    /// Time the worker spent executing: dequeue → reply ready. It is
+    /// recorded before the reply (or a logged commit's ticket) leaves the
+    /// worker, so it excludes waking the caller.
     pub exec_time: LatencyHistogram,
-    /// Ops-per-`run_batch` distribution (count-valued, see
-    /// [`LatencyHistogram::record_n`]).
-    pub op_batch: LatencyHistogram,
-    /// Requests-drained-per-worker-wakeup distribution (count-valued).
-    pub drain_batch: LatencyHistogram,
     /// Windowed time-series telemetry (1 s latency-histogram windows,
     /// throughput/abort-rate/queue-depth/flush series) feeding
     /// incremental [`TelemetryDelta`](ks_obs::TelemetryDelta) exports
@@ -152,8 +85,6 @@ impl ServerMetrics {
             reeval_aborts: AtomicU64::new(0),
             queue_wait: LatencyHistogram::default(),
             exec_time: LatencyHistogram::default(),
-            op_batch: LatencyHistogram::default(),
-            drain_batch: LatencyHistogram::default(),
             telemetry: ks_obs::TelemetrySeries::default(),
             shard_latency: (0..shards.max(1))
                 .map(|_| LatencyHistogram::default())
@@ -181,7 +112,7 @@ impl ServerMetrics {
     /// Materialize a consistent-enough view for reporting.
     pub fn snapshot(&self, queue_depths: Vec<usize>) -> MetricsSnapshot {
         // Aggregate counts across shards for the headline quantiles.
-        let mut total = [0u64; BUCKETS];
+        let mut total = [0u64; LATENCY_BUCKETS];
         let mut shard_p50 = Vec::with_capacity(self.shard_latency.len());
         let mut shard_p99 = Vec::with_capacity(self.shard_latency.len());
         for h in &self.shard_latency {
@@ -255,7 +186,7 @@ pub struct MetricsSnapshot {
     pub queue_wait_p50: Option<Duration>,
     /// 99th-percentile queue wait.
     pub queue_wait_p99: Option<Duration>,
-    /// Median execute time (dequeue → reply).
+    /// Median execute time (dequeue → reply ready).
     pub exec_p50: Option<Duration>,
     /// 99th-percentile execute time.
     pub exec_p99: Option<Duration>,
@@ -322,64 +253,6 @@ impl fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let h = LatencyHistogram::default();
-        for _ in 0..99 {
-            h.record(Duration::from_nanos(100)); // bucket 6: [64, 128)
-        }
-        h.record(Duration::from_micros(100)); // ~bucket 16
-        let counts = h.counts();
-        assert_eq!(counts[6], 99);
-        let p50 = quantile(&counts, 0.50).unwrap();
-        assert_eq!(p50, Duration::from_nanos(128));
-        let p99 = quantile(&counts, 0.99).unwrap();
-        assert_eq!(p99, Duration::from_nanos(128));
-        let p999 = quantile(&counts, 0.999).unwrap();
-        assert!(p999 > Duration::from_micros(64));
-    }
-
-    #[test]
-    fn empty_histogram_has_no_quantiles() {
-        let h = LatencyHistogram::default();
-        assert_eq!(quantile(&h.counts(), 0.5), None);
-    }
-
-    #[test]
-    fn record_n_buckets_by_count() {
-        let h = LatencyHistogram::default();
-        h.record_n(0); // clamped to 1 → bucket 0
-        h.record_n(1); // bucket 0
-        h.record_n(6); // bucket 2: [4, 8)
-        h.record_n(32); // bucket 5: [32, 64)
-        let counts = h.counts();
-        assert_eq!(counts[0], 2);
-        assert_eq!(counts[2], 1);
-        assert_eq!(counts[5], 1);
-        // "p99 batch size" reads off the same quantile machinery.
-        assert_eq!(quantile(&counts, 1.0), Some(Duration::from_nanos(64)));
-    }
-
-    /// Regression: bucket 62's upper edge is `2^63` ns, which is
-    /// representable — an off-by-one in the saturation guard used to
-    /// report it as `u64::MAX`. Only bucket 63 may saturate.
-    #[test]
-    fn bucket_62_reports_its_upper_edge_not_saturation() {
-        let h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(1u64 << 62));
-        let counts = h.counts();
-        assert_eq!(counts[62], 1);
-        assert_eq!(
-            quantile(&counts, 1.0),
-            Some(Duration::from_nanos(1u64 << 63))
-        );
-        let h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(u64::MAX));
-        let counts = h.counts();
-        assert_eq!(counts[63], 1);
-        assert_eq!(quantile(&counts, 1.0), Some(Duration::from_nanos(u64::MAX)));
-    }
 
     #[test]
     fn snapshot_copies_counters() {

@@ -2,11 +2,10 @@
 
 use crate::SimTime;
 use ks_kernel::EntityId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a simulated transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTxnId(pub u32);
 
 impl SimTxnId {
@@ -26,7 +25,7 @@ impl fmt::Display for SimTxnId {
 /// own [`crate::Metrics`]. The names follow the KS protocol's Figure 4
 /// machinery (the only scheduler with internal repair work); classical
 /// schedulers report zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcCounters {
     /// `re-eval` invocations (one per write that reaches the store).
     pub re_evals: u64,
@@ -39,7 +38,7 @@ pub struct CcCounters {
 }
 
 /// A scheduler's answer to an operation request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// The operation executes now.
     Proceed,

@@ -2,13 +2,12 @@
 
 use crate::cc::CcCounters;
 use crate::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Metrics of one run — the quantities Section 2.4 argues about:
 /// "reduce the number and duration of waits, reduce the number and effect
 /// of aborts".
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Scheduler name.
     pub scheduler: String,

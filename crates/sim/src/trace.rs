@@ -8,10 +8,9 @@
 use crate::{SimTime, SimTxnId};
 use ks_kernel::EntityId;
 use ks_obs::{ObsEvent, ObsKind, ObsSink};
-use serde::{Deserialize, Serialize};
 
 /// Kinds of trace events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Transaction (re)started.
     Begin,
@@ -26,7 +25,7 @@ pub enum TraceKind {
 }
 
 /// One trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated time.
     pub time: SimTime,

@@ -17,10 +17,9 @@ use crate::{SimTime, SimTxnId};
 use ks_kernel::EntityId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One operation of a simulated transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOp {
     /// True for writes.
     pub is_write: bool,
@@ -29,7 +28,7 @@ pub struct SimOp {
 }
 
 /// A simulated transaction: operations plus its think time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimTxn {
     /// Identifier (dense).
     pub id: SimTxnId,
@@ -55,7 +54,7 @@ impl SimTxn {
 }
 
 /// Generator parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of transactions.
     pub num_txns: usize,
@@ -99,7 +98,7 @@ impl Default for WorkloadSpec {
 }
 
 /// A generated workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// The spec it was generated from.
     pub spec: WorkloadSpec,

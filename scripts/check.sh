@@ -23,19 +23,15 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Every test of every crate. Two known intermittents are skipped by name
-# until their ROADMAP owners run them to ground; nothing else is:
+# Every test of every crate. One known intermittent is skipped by name
+# until its ROADMAP owner runs it to ground; nothing else is:
 # * item 2c / 5 — ks-server --test interleaving,
 #   `extracted_executions_always_check`: fails 7–13 % of runs at the
 #   certifier layer (`parent_based: false`, shard 0, proptest case seed
-#   1941057883214780011, `inputs_ok` all true);
-# * item 2b — ks-server lib, `sampled_sessions_emit_stitchable_traces`:
-#   fails 3–10 % of runs on `is_well_formed` because the shard worker
-#   ends its Exec span after sending the reply (Exec outlives Request).
-echo "== cargo test --workspace (all crates, two named intermittents skipped)"
+#   1941057883214780011, `inputs_ok` all true).
+echo "== cargo test --workspace (all crates, one named intermittent skipped)"
 cargo test -q --workspace -- \
-    --skip extracted_executions_always_check \
-    --skip sampled_sessions_emit_stitchable_traces
+    --skip extracted_executions_always_check
 
 echo "== exp_net_load --smoke (loopback TCP vs in-process, pipeline×batch sweep)"
 exp exp_net_load -- --smoke
