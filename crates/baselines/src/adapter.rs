@@ -1,46 +1,48 @@
-//! Run the Korth–Speegle protocol under the `ks-sim` engine.
+//! Run any served [`Certifier`] under the `ks-sim` engine.
 //!
-//! Each simulated transaction becomes a top-level subtransaction of the
-//! protocol root. Its input predicate is a tautology over the entities it
-//! will access (so they are in `N_t` and receive `R_v` locks, as the paper
-//! requires for every read), and its output predicate is `true`: the sim
-//! workloads carry no application constraint, which is the apples-to-apples
-//! setting against 2PL and T/O — those schedulers also know nothing about
-//! predicates, they enforce serializability instead. The experiment's
-//! point: when correctness is defined by the paper's model rather than
-//! serializability, the waits of 2PL and the aborts of T/O simply do not
-//! arise.
+//! Each attempt of a simulated transaction opens a fresh certifier
+//! transaction whose input predicate is a tautology over the entities it
+//! will access ([`Specification::unconstrained`]: they are in `N_t`, as
+//! the paper requires for every read, and nothing is constrained) and whose
+//! `after` edge is its chain predecessor's live handle — the ordering edges
+//! a served session would declare. The sim workloads carry no application
+//! constraint, which is the apples-to-apples setting against T/O and MVTO:
+//! those schedulers know nothing about predicates either. The experiment's
+//! point: under the paper's correctness model (`cpc`) the waits of strict
+//! 2PL (`2pl`) and the aborts of T/O do not arise.
+//!
+//! The bridge has no per-backend branch. Outcomes map onto [`Decision`]s
+//! uniformly: granted → `Proceed`; blocked, would-block or an ordering /
+//! child wait at commit → `Block`; a handle the certifier aborted
+//! underneath the session (re-eval, cascade, deadlock victim) or any other
+//! error → `Abort`.
 
 use ks_core::Specification;
-use ks_kernel::{Domain, EntityId, Schema, UniqueState};
-use ks_predicate::{Atom, Clause, CmpOp, Cnf, Strategy};
-use ks_protocol::manager::{
-    CommitOutcome, ProtocolManager, ReadOutcome, Txn, TxnState as PTxnState, ValidationOutcome,
+use ks_kernel::{Domain, EntityId, Schema, UniqueState, Value};
+use ks_predicate::Strategy;
+use ks_protocol::{
+    Certifier, CommitOutcome, ProtocolError, ReadOutcome, Txn, TxnState, ValidationOutcome,
 };
-use ks_sim::{ConcurrencyControl, Decision, SimTime, SimTxnId, Workload};
-use std::collections::{BTreeMap, BTreeSet};
+use ks_sim::{CcCounters, ConcurrencyControl, Decision, SimTime, SimTxnId, Workload};
 
-/// Adapter: the KS protocol as a `ks-sim` scheduler.
-pub struct KsProtocolAdapter {
-    manager: ProtocolManager,
-    /// Entities each sim transaction will touch (from the workload).
-    access_sets: Vec<BTreeSet<EntityId>>,
+/// A [`Certifier`] as a `ks-sim` scheduler.
+pub struct CertifierBridge<C> {
+    certifier: C,
+    /// Entities each sim transaction will touch, sorted and deduplicated.
+    access_sets: Vec<Vec<EntityId>>,
     /// Cooperation: the workload's chain predecessors.
     predecessors: Vec<Option<SimTxnId>>,
-    /// Active protocol handle per sim transaction.
-    handles: BTreeMap<SimTxnId, Txn>,
-    /// Sim transactions doomed by re-eval or cascade; they abort at their
-    /// next request.
-    doomed: BTreeSet<SimTxnId>,
-    /// Reverse map protocol handle → sim transaction.
-    owners: BTreeMap<Txn, SimTxnId>,
+    /// The current attempt's handle per sim transaction (`None` between an
+    /// abort and the restart).
+    handles: Vec<Option<Txn>>,
     /// Monotone value source for writes (values are irrelevant to the sim).
-    next_value: i64,
+    next_value: Value,
 }
 
-impl KsProtocolAdapter {
-    /// Build the adapter for a workload over `num_entities` entities.
-    pub fn for_workload(workload: &Workload) -> Self {
+impl<C: Certifier> CertifierBridge<C> {
+    /// Bridge the certifier `make` builds over the workload's entities
+    /// `d0, d1, …` (the widest range, all initially 0).
+    pub fn for_workload(workload: &Workload, make: impl FnOnce(Schema, &UniqueState) -> C) -> Self {
         let n = workload.spec.num_entities;
         let schema = Schema::uniform(
             (0..n).map(|i| format!("d{i}")),
@@ -49,172 +51,114 @@ impl KsProtocolAdapter {
                 max: i64::MAX / 2,
             },
         );
-        let initial = UniqueState::constant(n, 0);
-        let manager = ProtocolManager::new(schema, &initial, Specification::trivial());
         let access_sets = workload
             .txns
             .iter()
-            .map(|t| t.ops.iter().map(|o| o.entity).collect())
+            .map(|t| {
+                let mut set: Vec<EntityId> = t.ops.iter().map(|o| o.entity).collect();
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
             .collect();
-        let predecessors = workload.txns.iter().map(|t| t.predecessor).collect();
-        KsProtocolAdapter {
-            manager,
+        CertifierBridge {
+            certifier: make(schema, &UniqueState::constant(n, 0)),
             access_sets,
-            predecessors,
-            handles: BTreeMap::new(),
-            doomed: BTreeSet::new(),
-            owners: BTreeMap::new(),
+            predecessors: workload.txns.iter().map(|t| t.predecessor).collect(),
+            handles: vec![None; workload.txns.len()],
             next_value: 1,
         }
     }
 
-    /// Tautological input predicate over an access set (puts the entities
-    /// into `N_t` without constraining values).
-    fn tautology(entities: &BTreeSet<EntityId>) -> Cnf {
-        Cnf::new(
-            entities
-                .iter()
-                .map(|&e| Clause::unit(Atom::cmp_const(e, CmpOp::Ge, i64::MIN / 2)))
-                .collect(),
-        )
+    /// The bridged certifier (for post-run statistics and history checks).
+    pub fn certifier(&self) -> &C {
+        &self.certifier
     }
 
-    /// Protocol statistics (for experiment reporting).
-    pub fn protocol_stats(&self) -> ks_protocol::manager::ProtocolStats {
-        self.manager.stats()
-    }
-
-    /// The underlying manager (for post-run extraction and model checking).
-    pub fn manager(&self) -> &ProtocolManager {
-        &self.manager
-    }
-
-    fn handle(&self, txn: SimTxnId) -> Option<Txn> {
-        self.handles.get(&txn).copied()
-    }
-
-    fn check_doomed(&mut self, txn: SimTxnId) -> bool {
-        if self.doomed.remove(&txn) {
-            if let Some(h) = self.handle(txn) {
-                if self.manager.state_of(h) == Ok(PTxnState::Validated) {
-                    let _ = self.manager.abort(h);
-                }
-            }
-            true
-        } else {
-            false
+    /// Run `op` on `txn`'s current attempt. A handle the certifier has
+    /// aborted underneath the session, or any refusal, is `Abort`; a
+    /// would-block is `Block`.
+    fn decide(
+        &mut self,
+        txn: SimTxnId,
+        op: impl FnOnce(&mut C, Txn) -> Result<Decision, ProtocolError>,
+    ) -> Decision {
+        let h = self.handles[txn.index()].expect("began");
+        if self.certifier.state_of(h) == Ok(TxnState::Aborted) {
+            return Decision::Abort;
         }
-    }
-
-    fn doom_owners(&mut self, affected: &[ks_protocol::manager::ReEvalAction]) {
-        for action in affected {
-            let t = match action {
-                ks_protocol::manager::ReEvalAction::Aborted(t)
-                | ks_protocol::manager::ReEvalAction::ReassignFailedAborted(t) => *t,
-                ks_protocol::manager::ReEvalAction::Reassigned(_) => continue,
-            };
-            if let Some(&owner) = self.owners.get(&t) {
-                self.doomed.insert(owner);
-            }
+        match op(&mut self.certifier, h) {
+            Ok(decision) => decision,
+            Err(ProtocolError::WouldBlock(_)) => Decision::Block,
+            Err(_) => Decision::Abort,
         }
     }
 }
 
-impl ConcurrencyControl for KsProtocolAdapter {
+impl<C: Certifier> ConcurrencyControl for CertifierBridge<C> {
     fn on_begin(&mut self, txn: SimTxnId, _now: SimTime) {
-        let access = self.access_sets[txn.index()].clone();
-        let spec = Specification::new(Self::tautology(&access), Cnf::truth());
-        let root = self.manager.root();
-        // Cooperation: order after the chain predecessor's live handle
-        // (restarted predecessors get fresh handles; an edge to an aborted
-        // one is harmless — aborted predecessors don't gate commit).
-        let after: Vec<Txn> = self.predecessors[txn.index()]
-            .and_then(|p| self.handles.get(&p).copied())
-            .into_iter()
-            .collect();
-        let handle = self
-            .manager
-            .define(root, spec, &after, &[])
-            .expect("root accepts definitions");
-        // Trivial tautologies always validate immediately. Oldest-first
-        // assignment (Backtracking) pins the parent's versions: with no
-        // application predicate there is no reason to consume a sibling's
-        // in-flight data, and parent versions are never superseded.
-        match self
-            .manager
-            .validate(handle, Strategy::Backtracking)
-            .expect("defined")
-        {
-            ValidationOutcome::Validated => {}
-            ValidationOutcome::Blocked(_)
-            | ValidationOutcome::CannotSatisfy
-            | ValidationOutcome::MustWait(_) => {
-                unreachable!("tautological input predicates always validate")
-            }
-        }
-        self.handles.insert(txn, handle);
-        self.owners.insert(handle, txn);
-        self.doomed.remove(&txn);
+        let spec = Specification::unconstrained(&self.access_sets[txn.index()]);
+        let after = self.predecessors[txn.index()].and_then(|p| self.handles[p.index()]);
+        let h = self
+            .certifier
+            .open(spec, after.as_slice(), &[])
+            .expect("a fresh transaction opens");
+        // Oldest-first assignment (Backtracking) pins the parent's
+        // versions: with no application predicate there is no reason to
+        // consume a sibling's in-flight data.
+        let validated = self.certifier.validate(h, Strategy::Backtracking);
+        assert_eq!(
+            validated,
+            Ok(ValidationOutcome::Validated),
+            "tautologies validate"
+        );
+        self.handles[txn.index()] = Some(h);
     }
 
     fn on_read(&mut self, txn: SimTxnId, entity: EntityId, _now: SimTime) -> Decision {
-        if self.check_doomed(txn) {
-            return Decision::Abort;
-        }
-        let h = self.handle(txn).expect("began");
-        match self.manager.read(h, entity).expect("entity in N_t") {
-            ReadOutcome::Value(_) => Decision::Proceed,
-            ReadOutcome::Blocked(_) => Decision::Block,
-        }
+        self.decide(txn, |c, h| {
+            Ok(match c.read(h, entity)? {
+                ReadOutcome::Value(_) => Decision::Proceed,
+                ReadOutcome::Blocked(_) => Decision::Block,
+            })
+        })
     }
 
     fn on_write(&mut self, txn: SimTxnId, entity: EntityId, _now: SimTime) -> Decision {
-        if self.check_doomed(txn) {
-            return Decision::Abort;
-        }
-        let h = self.handle(txn).expect("began");
         self.next_value += 1;
         let value = self.next_value;
-        match self.manager.write(h, entity, value) {
-            Ok(report) => {
-                self.doom_owners(&report.reeval);
-                Decision::Proceed
-            }
-            Err(_) => Decision::Abort,
-        }
+        self.decide(txn, |c, h| {
+            c.write(h, entity, value).map(|_| Decision::Proceed)
+        })
     }
 
     fn on_commit(&mut self, txn: SimTxnId, _now: SimTime) -> Decision {
-        if self.check_doomed(txn) {
-            return Decision::Abort;
-        }
-        let h = self.handle(txn).expect("began");
-        match self.manager.commit(h).expect("validated") {
-            CommitOutcome::Committed => Decision::Proceed,
-            CommitOutcome::PredecessorsPending(_) | CommitOutcome::ChildrenPending(_) => {
-                Decision::Block
-            }
-            CommitOutcome::OutputViolated => Decision::Abort,
-        }
+        self.decide(txn, |c, h| {
+            Ok(match c.commit(h)? {
+                CommitOutcome::Committed => Decision::Proceed,
+                CommitOutcome::PredecessorsPending(_) | CommitOutcome::ChildrenPending(_) => {
+                    Decision::Block
+                }
+                CommitOutcome::OutputViolated => Decision::Abort,
+            })
+        })
     }
 
     fn on_abort(&mut self, txn: SimTxnId, _now: SimTime) {
-        if let Some(h) = self.handles.remove(&txn) {
-            self.owners.remove(&h);
-            if self.manager.state_of(h) == Ok(PTxnState::Validated) {
-                let _ = self.manager.abort(h);
+        if let Some(h) = self.handles[txn.index()].take() {
+            if self.certifier.state_of(h) == Ok(TxnState::Validated) {
+                let _ = self.certifier.abort(h);
             }
         }
-        self.doomed.remove(&txn);
     }
 
     fn name(&self) -> &'static str {
-        "ks-protocol"
+        self.certifier.backend().name()
     }
 
-    fn counters(&self) -> ks_sim::CcCounters {
-        let s = self.manager.stats();
-        ks_sim::CcCounters {
+    fn counters(&self) -> CcCounters {
+        let s = self.certifier.stats();
+        CcCounters {
             re_evals: s.re_evals,
             re_assigns: s.re_assigns,
             reeval_aborts: s.reeval_aborts,
@@ -226,7 +170,14 @@ impl ConcurrencyControl for KsProtocolAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ks_protocol::{ProtocolManager, TplCertifier};
     use ks_sim::{Engine, EngineConfig, WorkloadSpec};
+
+    fn cpc(w: &Workload) -> CertifierBridge<ProtocolManager> {
+        CertifierBridge::for_workload(w, |schema, initial| {
+            ProtocolManager::new(schema, initial, Specification::trivial())
+        })
+    }
 
     #[test]
     fn all_transactions_commit_without_waits_or_aborts() {
@@ -239,27 +190,32 @@ mod tests {
             hot_access_pct: 90, // heavy contention — 2PL would queue up
             ..WorkloadSpec::default()
         });
-        let adapter = KsProtocolAdapter::for_workload(&w);
-        let (m, _, adapter) = Engine::new(&w, adapter, EngineConfig::default()).run();
+        let (m, _, bridge) = Engine::new(&w, cpc(&w), EngineConfig::default()).run();
+        assert_eq!(m.scheduler, "cpc");
         assert_eq!(m.committed, 12);
         assert_eq!(m.waits, 0, "no partial order ⇒ no read-side conflicts");
         assert_eq!(m.aborts, 0);
-        let stats = adapter.protocol_stats();
+        let stats = bridge.certifier().stats();
         assert_eq!(stats.validations, 12);
         assert!(stats.writes > 0);
+        assert!(bridge.certifier().verify_history().is_correct());
     }
 
     #[test]
     fn deterministic_under_fixed_workload() {
         let w = Workload::generate(WorkloadSpec::default());
-        let run = |w: &Workload| {
-            let adapter = KsProtocolAdapter::for_workload(w);
-            let (m, t, _) = Engine::new(w, adapter, EngineConfig::default()).run();
+        let cpc_run = || {
+            let (m, t, _) = Engine::new(&w, cpc(&w), EngineConfig::default()).run();
             (m, t)
         };
-        let (m1, t1) = run(&w);
-        let (m2, t2) = run(&w);
-        assert_eq!(m1, m2);
-        assert_eq!(t1, t2);
+        assert_eq!(cpc_run(), cpc_run());
+        let tpl_run = || {
+            let bridge = CertifierBridge::for_workload(&w, TplCertifier::new);
+            let (m, t, _) = Engine::new(&w, bridge, EngineConfig::default()).run();
+            (m, t)
+        };
+        let (m, t) = tpl_run();
+        assert_eq!(m.scheduler, "2pl");
+        assert_eq!((m, t), tpl_run());
     }
 }

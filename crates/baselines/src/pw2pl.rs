@@ -10,9 +10,9 @@
 //! `CSR`.
 //!
 //! This implementation partitions entities into objects and uses the
-//! workload's access plans (the same information the KS adapter uses) to
-//! detect each transaction's last access to an object, releasing that
-//! object's locks immediately afterwards.
+//! workload's access plans (the same information the certifier bridge
+//! uses) to detect each transaction's last access to an object, releasing
+//! that object's locks immediately afterwards.
 
 use ks_kernel::EntityId;
 use ks_sim::{ConcurrencyControl, Decision, SimTime, SimTxnId, Workload};
@@ -213,6 +213,10 @@ impl ConcurrencyControl for PredicatewiseTwoPhaseLocking {
 
     fn on_abort(&mut self, txn: SimTxnId, _now: SimTime) {
         self.release_all(txn);
+        // The restart is a new attempt: nobody waits on it yet.
+        for waited_on in self.waits_for.values_mut() {
+            waited_on.remove(&txn);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -340,5 +344,30 @@ mod tests {
         assert_eq!(cc.on_write(SimTxnId(0), EntityId(1), 1), Decision::Block);
         assert_eq!(cc.on_write(SimTxnId(1), EntityId(0), 1), Decision::Abort);
         assert_eq!(cc.deadlocks_detected(), 1);
+    }
+
+    /// A restarted transaction inherits no waits-for edges: a waiter on
+    /// its aborted attempt is not a waiter on the restart.
+    #[test]
+    fn restart_clears_waits_on_the_aborted_attempt() {
+        use ks_kernel::EntityId;
+        let w = Workload::generate(WorkloadSpec {
+            num_txns: 2,
+            ops_per_txn: 4,
+            num_entities: 2,
+            ..WorkloadSpec::default()
+        });
+        let mut cc = PredicatewiseTwoPhaseLocking::for_workload_with_objects(&w, vec![0, 0]);
+        let (t0, t1) = (SimTxnId(0), SimTxnId(1));
+        cc.on_begin(t0, 0);
+        cc.on_begin(t1, 0);
+        assert_eq!(cc.on_write(t0, EntityId(0), 0), Decision::Proceed);
+        assert_eq!(cc.on_write(t1, EntityId(1), 0), Decision::Proceed);
+        assert_eq!(cc.on_write(t1, EntityId(0), 1), Decision::Block);
+        cc.on_abort(t0, 2);
+        cc.on_begin(t0, 3);
+        // No phantom cycle through t1's stale wait: t0 just waits.
+        assert_eq!(cc.on_write(t0, EntityId(1), 4), Decision::Block);
+        assert_eq!(cc.deadlocks_detected(), 0);
     }
 }

@@ -2,9 +2,8 @@
 //! schedulers (the Section 2.4 comparison as a throughput bench).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ks_baselines::{
-    KsProtocolAdapter, MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking,
-};
+use ks_baselines::{MultiversionTimestampOrdering, TimestampOrdering};
+use ks_bench::{bridged_2pl, bridged_cpc};
 use ks_sim::{Engine, EngineConfig, Workload, WorkloadSpec};
 use std::hint::black_box;
 
@@ -30,7 +29,7 @@ fn bench_protocols(c: &mut Criterion) {
         group.bench_function("strict_2pl", |b| {
             b.iter(|| {
                 black_box(
-                    Engine::new(&w, TwoPhaseLocking::new(), EngineConfig::default())
+                    Engine::new(&w, bridged_2pl(&w), EngineConfig::default())
                         .run()
                         .0,
                 )
@@ -61,13 +60,9 @@ fn bench_protocols(c: &mut Criterion) {
         group.bench_function("ks_protocol", |b| {
             b.iter(|| {
                 black_box(
-                    Engine::new(
-                        &w,
-                        KsProtocolAdapter::for_workload(&w),
-                        EngineConfig::default(),
-                    )
-                    .run()
-                    .0,
+                    Engine::new(&w, bridged_cpc(&w), EngineConfig::default())
+                        .run()
+                        .0,
                 )
             })
         });

@@ -6,7 +6,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
-use ks_predicate::{Atom, Clause, CmpOp, Cnf};
 use ks_server::{Client, MetricsSnapshot, ServerConfig, ServerError, TxnBuilder, TxnService};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,18 +13,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 const CLIENTS: usize = 8;
 const ENTITIES: usize = 32;
 const TXNS_PER_CLIENT: usize = 4;
-
-fn tautology_spec(entities: &[EntityId]) -> Specification {
-    Specification::new(
-        Cnf::new(
-            entities
-                .iter()
-                .map(|&e| Clause::unit(Atom::cmp_const(e, CmpOp::Ge, i64::MIN / 2)))
-                .collect(),
-        ),
-        Cnf::truth(),
-    )
-}
 
 /// One full service lifetime: start, run the closed loop, shut down.
 /// Returns the commit count so the work can't be optimized away.
@@ -58,7 +45,7 @@ fn run_service(shards: usize) -> u64 {
                     .map(|i| EntityId((i * shards + home) as u32))
                     .collect();
                 for round in 0..TXNS_PER_CLIENT {
-                    let spec = tautology_spec(&entities);
+                    let spec = Specification::unconstrained(&entities);
                     let txn = session.open(TxnBuilder::new(spec)).unwrap();
                     loop {
                         match session.validate(txn) {

@@ -32,8 +32,9 @@
 //! if `verify_certifiers` catches the non-serializable history that
 //! the live certifier waved through.
 
-use ks_bench::driver::{bench_service, fan_out, tautology_spec, DriveOutcome, Run};
+use ks_bench::driver::{bench_service, fan_out, DriveOutcome, Run};
 use ks_bench::report::{write_report, Json};
+use ks_core::Specification;
 use ks_kernel::EntityId;
 use ks_server::{
     verify_certifiers, Backend, Client, Durability, ServerConfig, ServerError, Session, TxnBuilder,
@@ -137,7 +138,7 @@ fn run_short(session: &Session, client: usize, stop: &AtomicBool) -> DriveOutcom
         round += 1;
         let hot = HOT[round % HOT.len()];
         let start = Instant::now();
-        let txn = match session.open(TxnBuilder::new(tautology_spec(&[hot, cold]))) {
+        let txn = match session.open(TxnBuilder::new(Specification::unconstrained(&[hot, cold]))) {
             Ok(t) => t,
             Err(ServerError::Busy | ServerError::Backpressure) => {
                 std::thread::yield_now();
@@ -190,7 +191,7 @@ fn run_long(session: &Session, opts: &Options) -> DriveOutcome {
     let mut out = DriveOutcome::default();
     for round in 0..opts.rounds {
         let long = (|| -> Result<(), ServerError> {
-            let txn = session.open(TxnBuilder::new(tautology_spec(&HOT)))?;
+            let txn = session.open(TxnBuilder::new(Specification::unconstrained(&HOT)))?;
             let body = |txn| -> Result<(), ServerError> {
                 retry_busy(|| session.validate(txn))?;
                 for e in HOT {
@@ -302,8 +303,8 @@ fn teeth() -> ! {
     let s2 = svc.session().expect("session");
     let [x, y] = HOT;
     let skew = |s1: &Session, s2: &Session| -> Result<(), ServerError> {
-        let t1 = s1.open(TxnBuilder::new(tautology_spec(&HOT)))?;
-        let t2 = s2.open(TxnBuilder::new(tautology_spec(&HOT)))?;
+        let t1 = s1.open(TxnBuilder::new(Specification::unconstrained(&HOT)))?;
+        let t2 = s2.open(TxnBuilder::new(Specification::unconstrained(&HOT)))?;
         s1.validate(t1)?;
         s2.validate(t2)?;
         s1.read(t1, x)?;

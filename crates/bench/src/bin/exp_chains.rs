@@ -1,31 +1,21 @@
-//! `coop-chains`: cooperation chains under the four schedulers.
+//! `coop-chains`: cooperation chains under the five schedulers.
 //!
 //! Chained transactions model the paper's collaborative design sessions: a
-//! designer's task is picked up by the next in line (a partial-order edge
-//! the KS protocol honors). Classical schedulers cannot express the
-//! ordering — they just see conflicting accesses. Sweep the chain length
-//! and compare: the protocol pays commit-ordering (blocking at commit, not
-//! during work) and occasional re-eval repairs; 2PL pays lock waits during
-//! the whole transaction body; T/O pays aborts.
+//! designer's task is picked up by the next in line (a partial-order edge).
+//! The two served certifiers (`2pl`, `cpc`) honour the edge at commit;
+//! T/O, MVTO and PW2PL cannot express it — they just see conflicting
+//! accesses. Sweep the chain length and compare: the protocol pays
+//! commit-ordering (blocking at commit, not during work) and occasional
+//! re-eval repairs; 2PL pays lock waits during the whole transaction body
+//! plus deadlocks between its locks and the ordering; T/O pays aborts.
 
-use ks_bench::run_all_schedulers;
-use ks_sim::{Metrics, Workload, WorkloadSpec};
+use ks_bench::{chain_sweep, run_all_schedulers};
+use ks_sim::{Metrics, Workload};
 
 fn main() {
-    println!("coop-chains — cooperation chains, four schedulers\n");
-    for chain in [1usize, 2, 4, 8] {
-        let w = Workload::generate(WorkloadSpec {
-            num_txns: 16,
-            ops_per_txn: 6,
-            num_entities: 24,
-            read_pct: 60,
-            think_time: 15,
-            hot_fraction_pct: 25,
-            hot_access_pct: 75,
-            arrival_spread: 8,
-            chain_length: chain,
-            seed: 21,
-        });
+    println!("coop-chains — cooperation chains, five schedulers\n");
+    for (chain, spec) in chain_sweep() {
+        let w = Workload::generate(spec);
         println!("— chain length {chain} —");
         println!("  {}", Metrics::header());
         for m in run_all_schedulers(&w) {

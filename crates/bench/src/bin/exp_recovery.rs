@@ -11,8 +11,8 @@
 //! exactly the paper's point — reading in-flight versions IS the
 //! cooperation feature, repaired by cascading undo rather than prevented.
 
-use ks_baselines::KsProtocolAdapter;
-use ks_baselines::{MultiversionTimestampOrdering, TwoPhaseLocking};
+use ks_baselines::MultiversionTimestampOrdering;
+use ks_bench::{bridged_2pl, bridged_cpc};
 use ks_schedule::recovery::CommittedSchedule;
 use ks_schedule::{Op, Schedule, TxnId};
 use ks_sim::trace::committed_ops;
@@ -73,9 +73,9 @@ fn main() {
             seed,
         });
         for (name, cs) in [
-            run(&w, TwoPhaseLocking::new()),
+            run(&w, bridged_2pl(&w)),
             run(&w, MultiversionTimestampOrdering::new()),
-            run(&w, KsProtocolAdapter::for_workload(&w)),
+            run(&w, bridged_cpc(&w)),
         ] {
             println!(
                 "{name:<18} {seed:>5}  {:>11}  {:>16}  {:>6}",
@@ -85,7 +85,7 @@ fn main() {
             );
             rows += 1;
             // Invariants the schedulers guarantee:
-            if name == "strict-2pl" {
+            if name == "2pl" {
                 assert!(cs.is_strict(), "strict 2PL must be ST");
             }
             // (MVTO/KS columns are conservative: flat traces cannot
@@ -93,7 +93,7 @@ fn main() {
         }
     }
     println!("\nrows: {rows}");
-    println!("strict-2pl is always strict. The multiversion rows are conservative");
+    println!("2pl is always strict. The multiversion rows are conservative");
     println!("lower bounds (flat traces can't say which version a read consumed);");
     println!("the KS protocol intentionally gives up ACA — reading in-flight");
     println!("versions IS the cooperation the paper wants, repaired by cascading undo.");

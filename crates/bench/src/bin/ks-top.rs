@@ -36,7 +36,7 @@ use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_obs::{
     event_to_json, stitch_traces, ObsEvent, ObsKind, Recorder, SloSpec, TraceTree, WindowSnapshot,
 };
-use ks_predicate::{Atom, Clause, CmpOp, Cnf, Strategy};
+use ks_predicate::Strategy;
 use ks_server::metrics::fmt_duration;
 use ks_server::{
     verify_certifiers_with_dump, Backend, Client, Durability, MetricsSnapshot, ServerConfig,
@@ -113,18 +113,6 @@ fn parse_options() -> Options {
     opts
 }
 
-fn tautology_spec(entities: &[EntityId]) -> Specification {
-    Specification::new(
-        Cnf::new(
-            entities
-                .iter()
-                .map(|&e| Clause::unit(Atom::cmp_const(e, CmpOp::Ge, i64::MIN / 2)))
-                .collect(),
-        ),
-        Cnf::truth(),
-    )
-}
-
 /// One closed-loop client: read-modify-write over its home shard's
 /// entities until `stop` flips. Greedy assignment plus shared entities
 /// keep the decision panels busy (re-evals, re-assigns, aborts).
@@ -141,7 +129,7 @@ fn run_client(svc: &TxnService, client: usize, stop: &AtomicBool) {
         // client on this shard) and a rotating cold one.
         let hot = entities[0];
         let cold = entities[1 + round % (entities.len() - 1)];
-        let spec = tautology_spec(&[hot, cold]);
+        let spec = Specification::unconstrained(&[hot, cold]);
         let txn = match session.open(TxnBuilder::new(spec)) {
             Ok(t) => t,
             Err(ServerError::Busy) | Err(ServerError::Backpressure) => {

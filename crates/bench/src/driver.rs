@@ -14,7 +14,6 @@
 use crate::report::Json;
 use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
-use ks_predicate::{Atom, Clause, CmpOp, Cnf};
 use ks_server::{Backoff, BatchOp, Client, ServerConfig, TxnBuilder, TxnService};
 use ks_sim::{Workload, WorkloadSpec};
 use std::sync::Barrier;
@@ -31,21 +30,6 @@ pub fn bench_service(entities: usize, config: ServerConfig) -> TxnService {
         },
     );
     TxnService::new(schema, &UniqueState::constant(entities, 0), config)
-}
-
-/// Tautological input over `entities` (placing them in the accessible set
-/// `N_t`), unconstrained output — the serving analogue of the sim
-/// adapter's specifications.
-pub fn tautology_spec(entities: &[EntityId]) -> Specification {
-    Specification::new(
-        Cnf::new(
-            entities
-                .iter()
-                .map(|&e| Clause::unit(Atom::cmp_const(e, CmpOp::Ge, i64::MIN / 2)))
-                .collect(),
-        ),
-        Cnf::truth(),
-    )
 }
 
 /// One client's slice of the closed-loop workload.
@@ -266,8 +250,8 @@ pub fn drive_txn<C: Client>(
             }
         };
     }
-    let builder =
-        TxnBuilder::new(tautology_spec(entities)).pipeline_depth(cfg.pipeline_depth.max(1));
+    let builder = TxnBuilder::new(Specification::unconstrained(entities))
+        .pipeline_depth(cfg.pipeline_depth.max(1));
     let txn_start = Instant::now();
     let txn = match retry!(session.open(builder.clone())) {
         Ok(t) => t,

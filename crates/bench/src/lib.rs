@@ -11,10 +11,11 @@ pub mod driver;
 pub mod report;
 
 use ks_baselines::{
-    KsProtocolAdapter, MultiversionTimestampOrdering, PredicatewiseTwoPhaseLocking,
-    TimestampOrdering, TwoPhaseLocking,
+    CertifierBridge, MultiversionTimestampOrdering, PredicatewiseTwoPhaseLocking, TimestampOrdering,
 };
+use ks_core::Specification;
 use ks_predicate::random::SplitMix64;
+use ks_protocol::{ProtocolManager, TplCertifier};
 use ks_schedule::search::Programs;
 use ks_schedule::{Op, Schedule, TxnId};
 use ks_sim::{Engine, EngineConfig, Metrics, Workload, WorkloadSpec};
@@ -62,14 +63,24 @@ pub fn random_programs(
         .collect()
 }
 
+/// The served strict-2PL certifier under the simulator.
+pub fn bridged_2pl(workload: &Workload) -> CertifierBridge<TplCertifier> {
+    CertifierBridge::for_workload(workload, TplCertifier::new)
+}
+
+/// The paper's protocol manager (CPC) under the simulator.
+pub fn bridged_cpc(workload: &Workload) -> CertifierBridge<ProtocolManager> {
+    CertifierBridge::for_workload(workload, |schema, initial| {
+        ProtocolManager::new(schema, initial, Specification::trivial())
+    })
+}
+
 /// Run one workload under all five schedulers; returns metrics in the
-/// order `[2PL, PW2PL, TO, MVTO, KS]`.
+/// order `[2pl, pw-2pl, TO, MVTO, cpc]`.
 pub fn run_all_schedulers(workload: &Workload) -> Vec<Metrics> {
     let config = EngineConfig::default();
     vec![
-        Engine::new(workload, TwoPhaseLocking::new(), config)
-            .run()
-            .0,
+        Engine::new(workload, bridged_2pl(workload), config).run().0,
         Engine::new(
             workload,
             PredicatewiseTwoPhaseLocking::for_workload(workload),
@@ -83,9 +94,7 @@ pub fn run_all_schedulers(workload: &Workload) -> Vec<Metrics> {
         Engine::new(workload, MultiversionTimestampOrdering::new(), config)
             .run()
             .0,
-        Engine::new(workload, KsProtocolAdapter::for_workload(workload), config)
-            .run()
-            .0,
+        Engine::new(workload, bridged_cpc(workload), config).run().0,
     ]
 }
 
@@ -114,9 +123,35 @@ pub fn duration_sweep() -> Vec<(u64, WorkloadSpec)> {
         .collect()
 }
 
+/// The `coop-chains` sweep: cooperation chain length from none to half
+/// the workload, fixed contention and think time.
+pub fn chain_sweep() -> Vec<(usize, WorkloadSpec)> {
+    [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|chain| {
+            (
+                chain,
+                WorkloadSpec {
+                    num_txns: 16,
+                    ops_per_txn: 6,
+                    num_entities: 24,
+                    read_pct: 60,
+                    think_time: 15,
+                    hot_fraction_pct: 25,
+                    hot_access_pct: 75,
+                    arrival_spread: 8,
+                    chain_length: chain,
+                    seed: 21,
+                },
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ks_protocol::Certifier;
 
     #[test]
     fn random_interleaving_preserves_program_order() {
@@ -129,17 +164,35 @@ mod tests {
         }
     }
 
+    /// The Section 2.4 comparison's invariants on every workload it
+    /// reports: all five schedulers commit all 16 transactions, `cpc`
+    /// neither waits nor aborts across the duration sweep, and the two
+    /// bridged certifiers' histories pass their own offline checks.
     #[test]
     fn all_schedulers_commit_everything_on_small_workload() {
-        let w = Workload::generate(WorkloadSpec {
-            num_txns: 6,
-            ops_per_txn: 4,
-            num_entities: 16,
-            think_time: 2,
-            ..WorkloadSpec::default()
-        });
-        for m in run_all_schedulers(&w) {
-            assert_eq!(m.committed, 6, "{}", m.scheduler);
+        let durations = duration_sweep().into_iter().map(|(_, s)| (true, s));
+        let chains = chain_sweep().into_iter().map(|(_, s)| (false, s));
+        for (is_duration, spec) in durations.chain(chains) {
+            let w = Workload::generate(spec.clone());
+            let rows = run_all_schedulers(&w);
+            for m in &rows {
+                assert_eq!(m.committed, 16, "{} on {spec:?}", m.scheduler);
+            }
+            let cpc = &rows[4];
+            assert_eq!(cpc.scheduler, "cpc");
+            if is_duration {
+                assert_eq!((cpc.waits, cpc.aborts), (0, 0), "{spec:?}");
+            }
+            let config = EngineConfig::default();
+            let (_, _, tpl) = Engine::new(&w, bridged_2pl(&w), config).run();
+            let (_, _, cpc) = Engine::new(&w, bridged_cpc(&w), config).run();
+            for verdict in [
+                tpl.certifier().verify_history(),
+                cpc.certifier().verify_history(),
+            ] {
+                assert!(verdict.is_correct(), "{spec:?}: {verdict:?}");
+                assert_eq!(verdict.committed, 16, "{spec:?}");
+            }
         }
     }
 

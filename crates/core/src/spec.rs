@@ -1,7 +1,7 @@
 //! Transaction specifications `(I_t, O_t)`.
 
 use ks_kernel::EntityId;
-use ks_predicate::{Cnf, Valuation};
+use ks_predicate::{Atom, Clause, CmpOp, Cnf, Valuation};
 use std::collections::BTreeSet;
 
 /// A specification: input predicate (precondition on the version state the
@@ -32,6 +32,17 @@ impl Specification {
             input: constraint.clone(),
             output: constraint.clone(),
         }
+    }
+
+    /// Accesses `entities` and promises nothing: the input is the
+    /// tautology `e ≥ i64::MIN / 2` per entity (placing each in `N_t`),
+    /// the output `true`.
+    pub fn unconstrained(entities: &[EntityId]) -> Specification {
+        let input = entities
+            .iter()
+            .map(|&e| Clause::unit(Atom::cmp_const(e, CmpOp::Ge, i64::MIN / 2)))
+            .collect();
+        Specification::new(Cnf::new(input), Cnf::truth())
     }
 
     /// Construct from explicit predicates.
@@ -73,6 +84,15 @@ mod tests {
         assert!(s.input_holds(&v));
         assert!(s.output_holds(&v));
         assert!(s.input_set().is_empty());
+    }
+
+    #[test]
+    fn unconstrained_names_its_entities_and_holds_everywhere() {
+        let s = Specification::unconstrained(&[EntityId(1), EntityId(0)]);
+        assert_eq!(s.input_set(), BTreeSet::from([EntityId(0), EntityId(1)]));
+        let v: &[Value] = &[i64::MIN / 2, i64::MAX / 2];
+        assert!(s.input_holds(&v));
+        assert!(s.output_holds(&v));
     }
 
     #[test]

@@ -7,24 +7,12 @@ use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
 use ks_obs::{ObsKind, Recorder};
-use ks_predicate::{Atom, Clause, CmpOp, Cnf, Strategy};
+use ks_predicate::Strategy;
 use ks_server::{verify_certifiers, Client, ServerConfig, ServerError, TxnBuilder, TxnService};
 
 const ENTITIES: usize = 16;
 const CLIENTS: usize = 5;
 const TXNS_PER_CLIENT: usize = 8;
-
-fn tautology_spec(entities: &[EntityId]) -> Specification {
-    Specification::new(
-        Cnf::new(
-            entities
-                .iter()
-                .map(|&e| Clause::unit(Atom::cmp_const(e, CmpOp::Ge, i64::MIN / 2)))
-                .collect(),
-        ),
-        Cnf::truth(),
-    )
-}
 
 fn start_server_with(shards: usize, config: NetConfig) -> NetServer {
     let schema = Schema::uniform(
@@ -70,7 +58,7 @@ fn run_one_client<C: Client>(session: &C, client: usize, shards: usize) -> u64 {
         let mut sorted = entities.clone();
         sorted.sort_unstable_by_key(|e| e.0);
         sorted.dedup();
-        let txn = match session.open(TxnBuilder::new(tautology_spec(&sorted))) {
+        let txn = match session.open(TxnBuilder::new(Specification::unconstrained(&sorted))) {
             Ok(t) => t,
             Err(e) if e.is_retryable() => continue,
             Err(e) => panic!("open: {e}"),
@@ -148,10 +136,10 @@ fn ordering_edges_and_strategy_cross_the_wire() {
     let session = RemoteSession::connect(addr, NetClientConfig::default()).expect("connect");
     let e = EntityId(0);
     let early = session
-        .open(TxnBuilder::new(tautology_spec(&[e])).strategy(Strategy::GreedyLatest))
+        .open(TxnBuilder::new(Specification::unconstrained(&[e])).strategy(Strategy::GreedyLatest))
         .expect("open early");
     let late = session
-        .open(TxnBuilder::new(tautology_spec(&[e])).before(early))
+        .open(TxnBuilder::new(Specification::unconstrained(&[e])).before(early))
         .expect("open late, ordered before early");
     // `early` may not commit while its predecessor `late` is still live.
     session.validate(early).expect("validate early");
@@ -180,7 +168,9 @@ fn dropped_connection_releases_its_transactions() {
     {
         // This client validates (acquiring R_v locks) and vanishes.
         let session = RemoteSession::connect(addr, NetClientConfig::default()).expect("connect");
-        let txn = session.open(TxnBuilder::new(tautology_spec(&[e]))).unwrap();
+        let txn = session
+            .open(TxnBuilder::new(Specification::unconstrained(&[e])))
+            .unwrap();
         session.validate(txn).unwrap();
         session.write(txn, e, 42).unwrap();
         // Drop without close(): simulates a client crash.
@@ -199,7 +189,9 @@ fn dropped_connection_releases_its_transactions() {
         );
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    let txn = session.open(TxnBuilder::new(tautology_spec(&[e]))).unwrap();
+    let txn = session
+        .open(TxnBuilder::new(Specification::unconstrained(&[e])))
+        .unwrap();
     session.validate(txn).expect("validate after reap");
     session.write(txn, e, 7).expect("write after reap");
     session
@@ -252,7 +244,7 @@ fn slow_frames_straddling_the_poll_interval_stay_in_sync() {
         1,
         0,
         &Request::Open {
-            spec: tautology_spec(&[EntityId(0)]),
+            spec: Specification::unconstrained(&[EntityId(0)]),
             after: vec![],
             before: vec![],
             strategy: None,
@@ -303,7 +295,9 @@ fn remote_metrics_reflect_the_work() {
     let addr = server.local_addr();
     let session = RemoteSession::connect(addr, NetClientConfig::default()).expect("connect");
     let e = EntityId(0);
-    let txn = session.open(TxnBuilder::new(tautology_spec(&[e]))).unwrap();
+    let txn = session
+        .open(TxnBuilder::new(Specification::unconstrained(&[e])))
+        .unwrap();
     session.validate(txn).unwrap();
     session.write(txn, e, 9).unwrap();
     session.commit(txn).unwrap();

@@ -12,7 +12,6 @@ use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
 use ks_obs::{stitch_traces, ObsEvent, ObsKind, OpCode, Recorder, SloSpec, SpanHop, TraceTree};
-use ks_predicate::{Atom, Clause, CmpOp, Cnf};
 use ks_server::{Client, Durability, ServerConfig, TxnBuilder, TxnService, WalOptions};
 use ks_wal::{MemStore, SegmentStore};
 use std::sync::Arc;
@@ -20,17 +19,6 @@ use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
 const ENTITIES: usize = 16;
-
-fn one_entity_spec(e: EntityId) -> Specification {
-    Specification::new(
-        Cnf::new(vec![Clause::unit(Atom::cmp_const(
-            e,
-            CmpOp::Ge,
-            i64::MIN / 2,
-        ))]),
-        Cnf::truth(),
-    )
-}
 
 /// A 4-shard WAL-durable server whose service, net layer, and (later)
 /// client all share `recorder` — one clock, so cross-hop interval
@@ -81,7 +69,7 @@ fn traced_client(addr: std::net::SocketAddr, recorder: &Recorder) -> RemoteSessi
 /// Commit one single-entity transaction; panics on any error.
 fn commit_one(session: &RemoteSession, entity: EntityId, value: i64) {
     let txn = session
-        .open(TxnBuilder::new(one_entity_spec(entity)))
+        .open(TxnBuilder::new(Specification::unconstrained(&[entity])))
         .expect("open");
     session.validate(txn).expect("validate");
     session.write(txn, entity, value).expect("write");
@@ -159,7 +147,9 @@ fn exported_commit_trace_covers_every_hop_and_latency_adds_up() {
     // commit exchange, so that is the latency the hop breakdown must
     // account for.
     let txn = session
-        .open(TxnBuilder::new(one_entity_spec(EntityId(3))))
+        .open(TxnBuilder::new(Specification::unconstrained(&[EntityId(
+            3,
+        )])))
         .expect("open");
     session.validate(txn).expect("validate");
     session.write(txn, EntityId(3), 42).expect("write");

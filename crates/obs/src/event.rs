@@ -4,7 +4,7 @@
 //! five `u64` words (see [`ObsEvent::pack`]) and the recording hot path
 //! never allocates. Ids are raw integers, not the typed ids of the other
 //! crates, so `ks-obs` sits at the bottom of the dependency DAG and every
-//! layer (protocol, server, sim) can emit into the same stream.
+//! layer (protocol, server, net) can emit into the same stream.
 
 /// Sentinel for "no transaction" (service-level events).
 pub const NO_TXN: u32 = u32::MAX;
@@ -225,8 +225,7 @@ impl SpanHop {
 ///   re-eval abort, and each cascade edge (doomed author → dependent
 ///   sibling);
 /// * **network lifecycle** (`ks-net`): connection open/close on the
-///   server and retry/backoff decisions on the remote client;
-/// * **simulation ops** (sim): the bridged `TraceEvent` stream.
+///   server and retry/backoff decisions on the remote client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsKind {
     /// A session was admitted by the service.
@@ -414,22 +413,6 @@ pub enum ObsKind {
         /// Windows carried by the delta.
         windows: u32,
     },
-    /// Simulation: transaction (re)started.
-    SimBegin,
-    /// Simulation: a read executed.
-    SimRead {
-        /// The entity.
-        entity: u32,
-    },
-    /// Simulation: a write executed.
-    SimWrite {
-        /// The entity.
-        entity: u32,
-    },
-    /// Simulation: commit.
-    SimCommit,
-    /// Simulation: abort.
-    SimAbort,
 }
 
 impl ObsKind {
@@ -465,11 +448,6 @@ impl ObsKind {
             ObsKind::SpanStart { .. } => "span_start",
             ObsKind::SpanEnd { .. } => "span_end",
             ObsKind::TelemetryDelta { .. } => "telemetry_delta",
-            ObsKind::SimBegin => "sim_begin",
-            ObsKind::SimRead { .. } => "sim_read",
-            ObsKind::SimWrite { .. } => "sim_write",
-            ObsKind::SimCommit => "sim_commit",
-            ObsKind::SimAbort => "sim_abort",
         }
     }
 
@@ -513,11 +491,6 @@ impl ObsKind {
             ObsKind::SpanStart { hop, op, trace } => (31, hop.code(), op.code(), trace),
             ObsKind::SpanEnd { hop, ok, trace } => (32, hop.code(), ok as u32, trace),
             ObsKind::TelemetryDelta { seq, windows } => (33, seq, windows, 0),
-            ObsKind::SimBegin => (17, 0, 0, 0),
-            ObsKind::SimRead { entity } => (18, entity, 0, 0),
-            ObsKind::SimWrite { entity } => (19, entity, 0, 0),
-            ObsKind::SimCommit => (20, 0, 0, 0),
-            ObsKind::SimAbort => (21, 0, 0, 0),
         }
     }
 
@@ -602,11 +575,6 @@ impl ObsKind {
                 trace: c,
             },
             33 => ObsKind::TelemetryDelta { seq: a, windows: b },
-            17 => ObsKind::SimBegin,
-            18 => ObsKind::SimRead { entity: a },
-            19 => ObsKind::SimWrite { entity: a },
-            20 => ObsKind::SimCommit,
-            21 => ObsKind::SimAbort,
             _ => return None,
         })
     }
@@ -615,9 +583,7 @@ impl ObsKind {
 /// One recorded event: a timestamp, a source coordinate, and a kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsEvent {
-    /// Nanoseconds since the recorder's epoch (simulation ticks for
-    /// bridged sim events — the streams are merged by value, so bridge
-    /// one source at a time or treat `ts` as per-layer).
+    /// Nanoseconds since the recorder's epoch.
     pub ts: u64,
     /// The shard (or `u32::MAX` for unsharded sources).
     pub shard: u32,
@@ -756,11 +722,6 @@ mod tests {
                 seq: 42,
                 windows: u32::MAX,
             },
-            ObsKind::SimBegin,
-            ObsKind::SimRead { entity: 8 },
-            ObsKind::SimWrite { entity: 9 },
-            ObsKind::SimCommit,
-            ObsKind::SimAbort,
         ]
     }
 
@@ -782,5 +743,7 @@ mod tests {
         // A zeroed slot decodes as tag 0; rings guard against this with
         // the seq field, not the payload. Unknown tags still fail closed.
         assert!(ObsEvent::unpack([0, 0, u64::from(u32::MAX) << 32, 0, 0]).is_none());
+        // Tags 17–21 were the retired sim bridge's; they stay unassigned.
+        assert!(ObsEvent::unpack([0, 0, 17u64 << 32, 0, 0]).is_none());
     }
 }

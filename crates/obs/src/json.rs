@@ -49,10 +49,7 @@ pub fn event_to_json(ev: &ObsEvent) -> String {
         | ObsKind::TxnBegin
         | ObsKind::TxnValidated
         | ObsKind::TxnCommitted
-        | ObsKind::TxnAborted
-        | ObsKind::SimBegin
-        | ObsKind::SimCommit
-        | ObsKind::SimAbort => {}
+        | ObsKind::TxnAborted => {}
         ObsKind::Enqueue { op } => {
             let _ = write!(s, ",\"op\":\"{}\"", op.name());
         }
@@ -142,9 +139,6 @@ pub fn event_to_json(ev: &ObsEvent) -> String {
         }
         ObsKind::TelemetryDelta { seq, windows } => {
             let _ = write!(s, ",\"seq\":{seq},\"windows\":{windows}");
-        }
-        ObsKind::SimRead { entity } | ObsKind::SimWrite { entity } => {
-            let _ = write!(s, ",\"entity\":{entity}");
         }
     }
     s.push('}');
@@ -343,15 +337,6 @@ pub fn event_from_json(line_no: usize, text: &str) -> Result<ObsEvent, JsonError
             seq: f.u32("seq")?,
             windows: f.u32("windows")?,
         },
-        "sim_begin" => ObsKind::SimBegin,
-        "sim_read" => ObsKind::SimRead {
-            entity: f.u32("entity")?,
-        },
-        "sim_write" => ObsKind::SimWrite {
-            entity: f.u32("entity")?,
-        },
-        "sim_commit" => ObsKind::SimCommit,
-        "sim_abort" => ObsKind::SimAbort,
         other => return Err(f.err(format!("unknown kind {other:?}"))),
     };
     Ok(ObsEvent {
@@ -407,9 +392,11 @@ mod tests {
             event_from_json(1, "{\"ts\":1,\"shard\":0,\"txn\":0,\"kind\":\"quantum\"}").is_err()
         );
         // Missing payload field.
-        assert!(
-            event_from_json(1, "{\"ts\":1,\"shard\":0,\"txn\":0,\"kind\":\"sim_read\"}").is_err()
-        );
+        assert!(event_from_json(
+            1,
+            "{\"ts\":1,\"shard\":0,\"txn\":0,\"kind\":\"conn_opened\"}"
+        )
+        .is_err());
     }
 
     #[test]

@@ -287,8 +287,8 @@ impl ObsSink {
         self.push(self.now_ns(), shard, txn, kind);
     }
 
-    /// Emit with an explicit timestamp (simulation bridging: `ts` is the
-    /// simulated tick, not wall time).
+    /// Emit with an explicit timestamp (deterministic simulation: `ts` is
+    /// the simulated clock, not wall time).
     #[inline]
     pub fn emit_at(&self, ts: u64, txn: u32, kind: ObsKind) {
         if !self.is_enabled() {

@@ -112,11 +112,6 @@ fn corpus() -> Vec<ObsEvent> {
             ok: true,
             exec_ns: 42,
         },
-        ObsKind::SimBegin,
-        ObsKind::SimRead { entity: 11 },
-        ObsKind::SimWrite { entity: 12 },
-        ObsKind::SimCommit,
-        ObsKind::SimAbort,
         ObsKind::TelemetryDelta {
             seq: 0,
             windows: u32::MAX,

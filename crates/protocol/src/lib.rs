@@ -33,8 +33,8 @@
 //! drives a backend through the [`Certifier`] seam: this manager (CPC),
 //! [`ssi`] or [`tpl`], the two flat backends built over one shared
 //! `ledger` (transaction table, commit-installed version chains, ordering
-//! gate, offline history check). The `ks-sim` scheduler adapter lives
-//! with the other simulator schedulers, in `ks_baselines::adapter`.
+//! gate, offline history check). The `ks-sim` bridge over any certifier
+//! lives with the other simulator schedulers, in `ks_baselines::adapter`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

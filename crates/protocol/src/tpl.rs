@@ -1,6 +1,5 @@
 //! Strict two-phase locking: the conflict-serializability (CSR)
-//! baseline behind the [`Certifier`] trait, adapted from the standalone
-//! scheduler in `crates/baselines`.
+//! baseline behind the [`Certifier`] trait, and the repo's one 2PL.
 //!
 //! Shared locks for reads, exclusive for writes, all held to the end of
 //! the transaction (strictness), with an upgrade when the requester is
@@ -9,7 +8,8 @@
 //! server maps to the retryable `Busy` — or, if waiting would close a
 //! cycle in the waits-for graph, dies as the deadlock victim
 //! ([`ProtocolError::CertifierAborted`]); the victim is always the
-//! requester, matching `crates/baselines`.
+//! requester. Waiting on an `after` predecessor at commit is a waits-for
+//! edge like any other.
 //!
 //! Writes are buffered and installed at commit, so reads only ever see
 //! committed data (no cascading aborts) and never the transaction's own
@@ -80,7 +80,7 @@ impl TplCertifier {
     }
 
     /// Record that `t` must wait on `blockers` — unless that deadlocks,
-    /// in which case `t` dies as the victim (the baselines policy).
+    /// in which case `t` dies as the victim.
     fn wait_or_die(&mut self, t: usize, blockers: BTreeSet<usize>) -> Result<(), ProtocolError> {
         if self.would_deadlock(t, &blockers) {
             self.release_all(t);
@@ -180,6 +180,8 @@ impl Certifier for TplCertifier {
     fn commit(&mut self, txn: Txn) -> Result<CommitOutcome, ProtocolError> {
         self.ledger.require(txn, "commit")?;
         if let Some(p) = self.ledger.pending_pred(txn.0) {
+            // Waiting on an ordering predecessor is a waits-for edge too.
+            self.wait_or_die(txn.0, BTreeSet::from([p.0]))?;
             return Ok(CommitOutcome::PredecessorsPending(p));
         }
         self.release_all(txn.0);
@@ -302,6 +304,27 @@ mod tests {
         c.commit(t1).unwrap();
         assert_eq!(c.checkpoint(), vec![1, 3]);
         assert!(c.verify_history().is_correct());
+    }
+
+    #[test]
+    fn an_ordering_wait_that_closes_a_cycle_kills_the_committer() {
+        let mut c = tpl(1);
+        let t1 = begin(&mut c);
+        let t2 = c.open(Specification::trivial(), &[t1], &[]).unwrap();
+        c.validate(t2, Strategy::Backtracking).unwrap();
+        c.read(t2, EntityId(0)).unwrap();
+        // t1 waits on t2's shared lock, while t2 must commit after t1.
+        assert_eq!(
+            c.write(t1, EntityId(0), 4).unwrap_err(),
+            ProtocolError::WouldBlock(EntityId(0))
+        );
+        let e = c.commit(t2).unwrap_err();
+        assert!(matches!(e, ProtocolError::CertifierAborted { .. }), "{e}");
+        assert_eq!(c.state_of(t2), Ok(TxnState::Aborted));
+        // The victim's shared lock is gone: t1 proceeds.
+        c.write(t1, EntityId(0), 4).unwrap();
+        assert_eq!(c.commit(t1).unwrap(), CommitOutcome::Committed);
+        assert_eq!(c.checkpoint(), vec![4]);
     }
 
     #[test]

@@ -74,7 +74,7 @@ mod tests {
     use super::*;
     use ks_core::Specification;
     use ks_kernel::{Domain, EntityId, Schema, UniqueState};
-    use ks_predicate::{parse_cnf, Atom, Clause, CmpOp, Cnf};
+    use ks_predicate::parse_cnf;
     use std::sync::Arc;
 
     fn schema(n: usize) -> Schema {
@@ -84,20 +84,6 @@ mod tests {
                 min: i64::MIN / 2,
                 max: i64::MAX / 2,
             },
-        )
-    }
-
-    /// Tautological input over `entities` (puts them in `N_t`), no output
-    /// constraint — the serving analogue of the sim adapter's specs.
-    fn tautology_spec(entities: &[EntityId]) -> Specification {
-        Specification::new(
-            Cnf::new(
-                entities
-                    .iter()
-                    .map(|&e| Clause::unit(Atom::cmp_const(e, CmpOp::Ge, i64::MIN / 2)))
-                    .collect(),
-            ),
-            Cnf::truth(),
         )
     }
 
@@ -112,7 +98,7 @@ mod tests {
     /// [`Client`] contract — `ks-net` runs the same shape over TCP.
     fn full_lifecycle_over<C: Client>(client: &C) {
         // Entities 1 and 5 share shard 1 under S=4.
-        let spec = tautology_spec(&[EntityId(1), EntityId(5)]);
+        let spec = Specification::unconstrained(&[EntityId(1), EntityId(5)]);
         let txn = client.open(TxnBuilder::new(spec)).unwrap();
         client.validate(txn).unwrap();
         assert_eq!(client.read(txn, EntityId(1)).unwrap(), 0);
@@ -143,7 +129,7 @@ mod tests {
     fn run_batch_matches_per_op_semantics() {
         let svc = service(8, 4);
         let session = svc.session().unwrap();
-        let spec = tautology_spec(&[EntityId(1), EntityId(5)]);
+        let spec = Specification::unconstrained(&[EntityId(1), EntityId(5)]);
         let txn = session.open(TxnBuilder::new(spec)).unwrap();
         session.validate(txn).unwrap();
         let results = session
@@ -170,7 +156,9 @@ mod tests {
         // the in-shard op still executes, the cross-shard op gets its own
         // error instead of failing the whole batch.
         let txn2 = session
-            .open(TxnBuilder::new(tautology_spec(&[EntityId(1)])))
+            .open(TxnBuilder::new(Specification::unconstrained(&[EntityId(
+                1,
+            )])))
             .unwrap();
         session.validate(txn2).unwrap();
         let results = session
@@ -227,7 +215,7 @@ mod tests {
     fn backend_pin_mismatch_fails_closed() {
         let svc = service(8, 4); // default backend: CPC
         let session = svc.session().unwrap();
-        let spec = tautology_spec(&[EntityId(1)]);
+        let spec = Specification::unconstrained(&[EntityId(1)]);
         match session
             .open(TxnBuilder::new(spec.clone()).backend(Backend::Ssi))
             .unwrap_err()
@@ -252,14 +240,16 @@ mod tests {
         let svc = service(8, 4);
         let session = svc.session().unwrap();
         // Entities 0 and 1 live on different shards.
-        let spec = tautology_spec(&[EntityId(0), EntityId(1)]);
+        let spec = Specification::unconstrained(&[EntityId(0), EntityId(1)]);
         assert_eq!(
             session.open(TxnBuilder::new(spec)).unwrap_err(),
             ServerError::CrossShard
         );
         // Accessing an entity outside the home shard is rejected too.
         let txn = session
-            .open(TxnBuilder::new(tautology_spec(&[EntityId(0)])))
+            .open(TxnBuilder::new(Specification::unconstrained(&[EntityId(
+                0,
+            )])))
             .unwrap();
         session.validate(txn).unwrap();
         assert_eq!(
@@ -268,11 +258,13 @@ mod tests {
         );
         // As is an ordering edge onto a transaction of another shard.
         let other = session
-            .open(TxnBuilder::new(tautology_spec(&[EntityId(1)])))
+            .open(TxnBuilder::new(Specification::unconstrained(&[EntityId(
+                1,
+            )])))
             .unwrap();
         assert_eq!(
             session
-                .open(TxnBuilder::new(tautology_spec(&[EntityId(0)])).after(other))
+                .open(TxnBuilder::new(Specification::unconstrained(&[EntityId(0)])).after(other))
                 .unwrap_err(),
             ServerError::CrossShard
         );
@@ -335,7 +327,7 @@ mod tests {
         let s1 = svc.session().unwrap();
         let s2 = svc.session().unwrap();
         let x = EntityId(0);
-        let spec = tautology_spec(&[x]);
+        let spec = Specification::unconstrained(&[x]);
         let greedy = |spec: &Specification| {
             TxnBuilder::new(spec.clone()).strategy(ks_predicate::Strategy::GreedyLatest)
         };
@@ -365,7 +357,7 @@ mod tests {
         let svc = TxnService::new(schema, &initial, ServerConfig::default());
         let session = svc.session().unwrap();
         let x = EntityId(0);
-        let spec = tautology_spec(&[x]);
+        let spec = Specification::unconstrained(&[x]);
         let first = session.open(TxnBuilder::new(spec.clone())).unwrap();
         let second = session
             .open(TxnBuilder::new(spec.clone()).after(first))
@@ -394,7 +386,7 @@ mod tests {
         let initial = UniqueState::new(&schema, vec![5]).unwrap();
         let svc = TxnService::new(schema, &initial, ServerConfig::default());
         let session = svc.session().unwrap();
-        let spec = tautology_spec(&[EntityId(0)]);
+        let spec = Specification::unconstrained(&[EntityId(0)]);
         let early = session.open(TxnBuilder::new(spec.clone())).unwrap();
         let late = session
             .open(TxnBuilder::new(spec.clone()).before(early))
@@ -431,7 +423,7 @@ mod tests {
                         client as u64,
                     );
                     for round in 0..5 {
-                        let spec = tautology_spec(&entities);
+                        let spec = Specification::unconstrained(&entities);
                         let txn = session.open(TxnBuilder::new(spec)).unwrap();
                         loop {
                             match session.validate(txn) {
@@ -572,7 +564,7 @@ mod tests {
         let session = svc.session().unwrap();
         let managers = svc.shutdown();
         assert_eq!(managers.len(), 2);
-        let spec = tautology_spec(&[EntityId(0)]);
+        let spec = Specification::unconstrained(&[EntityId(0)]);
         assert_eq!(
             session.open(TxnBuilder::new(spec)).unwrap_err(),
             ServerError::Shutdown

@@ -12,7 +12,7 @@
 
 use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
-use ks_predicate::{Atom, Clause, CmpOp, Cnf, Strategy};
+use ks_predicate::Strategy;
 use ks_server::{
     verify_certifiers, Client, ServerConfig, ServerError, Session, TxnBuilder, TxnService,
 };
@@ -22,18 +22,6 @@ use rand::{Rng, SeedableRng};
 
 const ENTITIES: usize = 12;
 const RETRY_BUDGET: u32 = 5_000;
-
-fn tautology_spec(entities: &[EntityId]) -> Specification {
-    Specification::new(
-        Cnf::new(
-            entities
-                .iter()
-                .map(|&e| Clause::unit(Atom::cmp_const(e, CmpOp::Ge, i64::MIN / 2)))
-                .collect(),
-        ),
-        Cnf::truth(),
-    )
-}
 
 /// One client's randomized closed loop; returns its commit count.
 fn run_client(svc: &TxnService, client: usize, shards: usize, seed: u64) -> u64 {
@@ -50,7 +38,7 @@ fn run_client(svc: &TxnService, client: usize, shards: usize, seed: u64) -> u64 
             .collect();
         entities.sort_unstable_by_key(|e| e.index());
         entities.dedup();
-        let spec = tautology_spec(&entities);
+        let spec = Specification::unconstrained(&entities);
         let mut budget = RETRY_BUDGET;
         macro_rules! retry {
             ($call:expr) => {

@@ -9,7 +9,7 @@
 //! measure those claims:
 //!
 //! * [`cc::ConcurrencyControl`] — the scheduler interface every engine
-//!   (baselines and the KS protocol adapter) implements;
+//!   (the baselines and the bridge over the served certifiers) implements;
 //! * [`workload`] — parameterized generators for CAD-style long-duration
 //!   transactions: operations separated by human *think time*, skewed
 //!   access patterns, read-mostly designs;

@@ -7,7 +7,6 @@
 
 use crate::{SimTime, SimTxnId};
 use ks_kernel::EntityId;
-use ks_obs::{ObsEvent, ObsKind, ObsSink};
 
 /// Kinds of trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,42 +32,6 @@ pub struct TraceEvent {
     pub txn: SimTxnId,
     /// What happened.
     pub kind: TraceKind,
-}
-
-impl TraceEvent {
-    /// This event in the `ks-obs` model: the simulated tick becomes the
-    /// timestamp, the transaction id the `txn` stamp, and the kind one of
-    /// the `Sim*` variants. `shard` is the caller's stamp (simulations are
-    /// unsharded; pass `u32::MAX` unless replaying onto a partition).
-    pub fn to_obs(&self, shard: u32) -> ObsEvent {
-        let kind = match self.kind {
-            TraceKind::Begin => ObsKind::SimBegin,
-            TraceKind::Read(e) => ObsKind::SimRead {
-                entity: e.index() as u32,
-            },
-            TraceKind::Write(e) => ObsKind::SimWrite {
-                entity: e.index() as u32,
-            },
-            TraceKind::Commit => ObsKind::SimCommit,
-            TraceKind::Abort => ObsKind::SimAbort,
-        };
-        ObsEvent {
-            ts: self.time,
-            shard,
-            txn: self.txn.0,
-            kind,
-        }
-    }
-}
-
-/// Bridge a finished run's trace into a flight-recorder sink, preserving
-/// simulated time as the event timestamp. This lets `ks-obs` tooling
-/// (JSONL export, timeline stitching) consume simulator output unchanged.
-pub fn record_trace(trace: &[TraceEvent], sink: &ObsSink) {
-    for ev in trace {
-        let obs = ev.to_obs(sink.shard());
-        sink.emit_at(obs.ts, obs.txn, obs.kind);
-    }
 }
 
 /// Extract the committed interleaving: reads/writes of attempts that ended
@@ -110,27 +73,6 @@ mod tests {
             txn: SimTxnId(txn),
             kind,
         }
-    }
-
-    #[test]
-    fn trace_bridges_to_obs_preserving_sim_time() {
-        use ks_obs::Recorder;
-        let e = EntityId(3);
-        let trace = vec![
-            ev(10, 1, TraceKind::Begin),
-            ev(11, 1, TraceKind::Read(e)),
-            ev(12, 1, TraceKind::Write(e)),
-            ev(13, 1, TraceKind::Commit),
-            ev(14, 2, TraceKind::Abort),
-        ];
-        let rec = Recorder::new(64);
-        record_trace(&trace, &rec.sink(u32::MAX));
-        let events = rec.drain();
-        assert_eq!(events.len(), trace.len());
-        assert_eq!(events[0].ts, 10);
-        assert!(matches!(events[1].kind, ObsKind::SimRead { entity: 3 }));
-        assert!(matches!(events[3].kind, ObsKind::SimCommit));
-        assert_eq!(events[4].txn, 2);
     }
 
     #[test]

@@ -39,9 +39,9 @@ pub struct SimTxn {
     /// Arrival time.
     pub arrival: SimTime,
     /// Cooperation: the transaction this one is ordered after (same
-    /// chain), if any. Schedulers that understand ordering (the KS
-    /// protocol adapter) turn this into a partial-order edge; classical
-    /// schedulers ignore it.
+    /// chain), if any. Schedulers that understand ordering (the served
+    /// certifiers behind the bridge) turn this into a partial-order edge;
+    /// classical schedulers ignore it.
     pub predecessor: Option<SimTxnId>,
 }
 

@@ -1,13 +1,14 @@
 //! The Section 2.4 argument as a runnable comparison: the same
-//! long-duration workload under strict 2PL, timestamp ordering, MVTO, and
-//! the Korth–Speegle protocol.
+//! long-duration workload under the served strict 2PL, timestamp ordering,
+//! MVTO, and the served Korth–Speegle protocol (CPC).
 //!
 //! ```sh
 //! cargo run --release --example long_transactions
 //! ```
 
-use korth_speegle::baselines::KsProtocolAdapter;
-use korth_speegle::baselines::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
+use korth_speegle::baselines::{CertifierBridge, MultiversionTimestampOrdering, TimestampOrdering};
+use korth_speegle::model::Specification;
+use korth_speegle::protocol::{ProtocolManager, TplCertifier};
 use korth_speegle::sim::{Engine, EngineConfig, Metrics, Workload, WorkloadSpec};
 
 fn main() {
@@ -31,24 +32,36 @@ fn main() {
         println!("  {}", Metrics::header());
         let config = EngineConfig::default();
         let runs: Vec<Metrics> = vec![
-            Engine::new(&w, TwoPhaseLocking::new(), config).run().0,
+            Engine::new(
+                &w,
+                CertifierBridge::for_workload(&w, TplCertifier::new),
+                config,
+            )
+            .run()
+            .0,
             Engine::new(&w, TimestampOrdering::new(), config).run().0,
             Engine::new(&w, MultiversionTimestampOrdering::new(), config)
                 .run()
                 .0,
-            Engine::new(&w, KsProtocolAdapter::for_workload(&w), config)
-                .run()
-                .0,
+            Engine::new(
+                &w,
+                CertifierBridge::for_workload(&w, |schema, initial| {
+                    ProtocolManager::new(schema, initial, Specification::trivial())
+                }),
+                config,
+            )
+            .run()
+            .0,
         ];
         for m in &runs {
             println!("  {}", m.row());
         }
-        let ks = &runs[3];
-        assert_eq!(ks.waits, 0);
-        assert_eq!(ks.aborts, 0);
+        let cpc = &runs[3];
+        assert_eq!(cpc.waits, 0);
+        assert_eq!(cpc.aborts, 0);
         println!();
     }
-    println!("The KS protocol's waits and aborts stay at zero as transactions");
+    println!("CPC's waits and aborts stay at zero as transactions");
     println!("grow: versions decouple readers from writers, and correctness is");
     println!("the model's (predicate satisfaction), not serializability.");
 }

@@ -192,25 +192,36 @@ discrete-event simulator.
 fraction of the duration of a transaction", so long transactions impose
 long waits; timestamp alternatives abort long transactions, losing "large
 amounts of work done by users"; the proposed protocol avoids both.
-*Measured shape:* as think time (transaction duration) grows 1 → 200
-ticks, strict 2PL's total wait time grows by ~3 orders of magnitude and its
-max single wait tracks transaction length; basic T/O collapses (starves to
-0 commits at high durations, wasting millions of ticks of work); MVTO
-survives but still aborts long writers; the KS protocol commits everything
-with **zero waits and zero aborts** at every duration.
+*Measured shape:* the `2pl` and `cpc` rows are the served certifiers
+(`TplCertifier`, `ProtocolManager`) run through the simulator by
+`ks_baselines::CertifierBridge`; T/O, MVTO and predicate-wise 2PL are
+simulator-only schedulers. As think time (transaction duration) grows
+1 → 200 ticks, strict 2PL's total wait time grows about 100× (718 →
+71 626 ticks) and its max single wait tracks transaction length; its
+aborts are all deadlock victims of its waits-for detector (the `rv_ab`
+column, where the certifier counts the aborts it initiates). Basic T/O
+never waits and still commits all 16, but its aborts grow 23 → 121 and
+the work they throw away grows 168 → 71 958 ticks; MVTO aborts fewer
+long writers but follows the same trend. CPC commits everything with
+**zero waits and zero aborts** at every duration.
 
 ```
 {exp_long_txn}
 ```
 
-## coop-chains — cooperation chains under the four schedulers
+## coop-chains — cooperation chains under the five schedulers
 
 *Paper:* cooperating transactions (a designer picking up a colleague's
 in-flight work) are the motivating workload; the protocol expresses the
 cooperation as partial-order edges and repairs optimism with `re-eval`.
 *Measured:* with chains the protocol's internal repair machinery becomes
 visible (re-assigns, a few re-eval aborts) while remaining far cheaper than
-2PL's waits; classical schedulers cannot express the ordering at all.
+2PL's waits. Both served certifiers receive the chain as `after` edges:
+`cpc` orders the commits, and `2pl` also holds a chained transaction's
+commit until its predecessor ends — a wait its deadlock detector sees, so
+a predecessor blocked on its successor's locks costs a deadlock victim
+(`rv_ab`), not a livelock. T/O, MVTO and predicate-wise 2PL cannot express
+the ordering at all.
 
 ```
 {exp_chains}
@@ -356,11 +367,11 @@ percentiles vary by machine.
 
 *Paper (Section 1):* the serializable class is also faulted for admitting
 non-recoverable and cascading schedules.
-*Measured:* strict 2PL's committed traces are always `ST`; the
-multiversion schedulers' flat traces are conservative lower bounds (a flat
-trace cannot express which *version* a read consumed), and the KS protocol
-deliberately forgoes `ACA`: reading in-flight versions is the cooperation
-feature, repaired by cascading undo.
+*Measured:* the served strict 2PL's (`2pl`) committed traces are always
+`ST`; the multiversion schedulers' flat traces are conservative lower
+bounds (a flat trace cannot express which *version* a read consumed), and
+CPC deliberately forgoes `ACA`: reading in-flight versions is the
+cooperation feature, repaired by cascading undo.
 
 ```
 {exp_recovery}

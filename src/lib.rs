@@ -18,8 +18,9 @@
 //! * [`mvstore`] — the multi-version storage substrate;
 //! * [`sim`] — the discrete-event simulator and workload generator for
 //!   long-duration transactions;
-//! * [`baselines`] — strict 2PL, timestamp ordering, and multiversion
-//!   timestamp ordering comparators;
+//! * [`baselines`] — timestamp ordering, multiversion timestamp ordering
+//!   and predicate-wise 2PL comparators, and the bridge that runs the
+//!   served certifiers (strict 2PL, CPC) under the simulator;
 //! * [`protocol`] — the paper's Section 5 correct-execution protocol with
 //!   the `R_v`/`R`/`W` lock table (Figure 3) and `re-eval` procedure
 //!   (Figure 4);

@@ -1,11 +1,24 @@
 //! Scheduler soundness across crates: what each engine guarantees about
 //! the interleavings it commits, checked with the classifier suite.
 
-use ks_baselines::KsProtocolAdapter;
-use ks_baselines::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
+use ks_baselines::{CertifierBridge, MultiversionTimestampOrdering, TimestampOrdering};
+use ks_core::Specification;
+use ks_protocol::{Certifier, ProtocolManager, TplCertifier};
 use ks_schedule::{csr, mvsr, Op, Schedule, TxnId};
 use ks_sim::trace::committed_ops;
 use ks_sim::{Engine, EngineConfig, TraceKind, Workload, WorkloadSpec};
+
+/// The served strict-2PL certifier under the simulator.
+fn tpl(w: &Workload) -> CertifierBridge<TplCertifier> {
+    CertifierBridge::for_workload(w, TplCertifier::new)
+}
+
+/// The served CPC protocol manager under the simulator.
+fn cpc(w: &Workload) -> CertifierBridge<ProtocolManager> {
+    CertifierBridge::for_workload(w, |schema, initial| {
+        ProtocolManager::new(schema, initial, Specification::trivial())
+    })
+}
 
 fn spec(seed: u64, txns: usize, think: u64) -> WorkloadSpec {
     WorkloadSpec {
@@ -39,10 +52,12 @@ fn trace_to_schedule(trace: &[ks_sim::TraceEvent]) -> Schedule {
 fn strict_2pl_commits_only_conflict_serializable_interleavings() {
     for seed in 0..10 {
         let w = Workload::generate(spec(seed, 5, 3));
-        let (m, trace, _) = Engine::new(&w, TwoPhaseLocking::new(), EngineConfig::default()).run();
+        let (m, trace, bridge) = Engine::new(&w, tpl(&w), EngineConfig::default()).run();
         assert_eq!(m.committed, 5, "seed {seed}");
         let s = trace_to_schedule(&trace);
         assert!(csr::is_csr(&s), "seed {seed}: {s}");
+        let verdict = bridge.certifier().verify_history();
+        assert!(verdict.is_correct(), "seed {seed}: {verdict:?}");
     }
 }
 
@@ -78,12 +93,11 @@ fn mvto_commits_multiversion_serializable_interleavings() {
 fn ks_protocol_commits_everything_on_contended_long_workloads() {
     for seed in 0..6 {
         let w = Workload::generate(spec(seed, 6, 40));
-        let adapter = KsProtocolAdapter::for_workload(&w);
-        let (m, _, adapter) = Engine::new(&w, adapter, EngineConfig::default()).run();
+        let (m, _, bridge) = Engine::new(&w, cpc(&w), EngineConfig::default()).run();
         assert_eq!(m.committed, 6, "seed {seed}");
         assert_eq!(m.waits, 0, "seed {seed}");
         assert_eq!(m.aborts, 0, "seed {seed}");
-        let stats = adapter.protocol_stats();
+        let stats = bridge.certifier().stats();
         assert_eq!(stats.validations, 6);
         assert_eq!(stats.reeval_aborts, 0);
     }
@@ -96,8 +110,7 @@ fn ks_protocol_interleavings_need_not_be_serializable() {
     let mut found_non_csr = false;
     for seed in 0..40 {
         let w = Workload::generate(spec(seed, 6, 10));
-        let adapter = KsProtocolAdapter::for_workload(&w);
-        let (_, trace, _) = Engine::new(&w, adapter, EngineConfig::default()).run();
+        let (_, trace, _) = Engine::new(&w, cpc(&w), EngineConfig::default()).run();
         let s = trace_to_schedule(&trace);
         if !csr::is_csr(&s) {
             found_non_csr = true;
@@ -115,7 +128,7 @@ fn engine_metrics_consistent_across_schedulers() {
     let w = Workload::generate(spec(3, 5, 5));
     for (metrics, _, name) in [
         {
-            let (m, t, _) = Engine::new(&w, TwoPhaseLocking::new(), EngineConfig::default()).run();
+            let (m, t, _) = Engine::new(&w, tpl(&w), EngineConfig::default()).run();
             (m, t, "2pl")
         },
         {
@@ -133,9 +146,9 @@ fn engine_metrics_consistent_across_schedulers() {
     }
 }
 
-/// Theorem 2 through the simulator: whatever the KS adapter commits under
-/// the event-driven engine forms a correct, parent-based execution of the
-/// formal model — including under cooperation chains.
+/// Theorem 2 through the simulator: whatever the bridged CPC manager
+/// commits under the event-driven engine forms a correct, parent-based
+/// execution of the formal model — including under cooperation chains.
 #[test]
 fn ks_protocol_sim_runs_are_model_correct() {
     for (seed, chain) in [(0u64, 1usize), (1, 2), (2, 4)] {
@@ -143,9 +156,8 @@ fn ks_protocol_sim_runs_are_model_correct() {
             chain_length: chain,
             ..spec(seed, 8, 8)
         });
-        let adapter = KsProtocolAdapter::for_workload(&w);
-        let (_, _, adapter) = Engine::new(&w, adapter, EngineConfig::default()).run();
-        let pm = adapter.manager();
+        let (_, _, bridge) = Engine::new(&w, cpc(&w), EngineConfig::default()).run();
+        let pm = bridge.certifier();
         let (txn, parent, exec) = ks_protocol::extract::model_execution(pm, pm.root()).unwrap();
         let schema = pm.schema().clone();
         let report = ks_core::check::check(&schema, &txn, &parent, &exec);
