@@ -10,8 +10,8 @@
 //! other versions alone."
 //!
 //! * [`MvStore`] — thread-safe store: one chain per entity, guarded by
-//!   `parking_lot` read-write locks; a global monotone sequence stamps
-//!   versions so "happened before" is queryable.
+//!   a `std::sync::RwLock`; a global monotone sequence stamps versions so
+//!   "happened before" is queryable.
 //! * [`VersionId`] / [`VersionMeta`] — version identity plus author and
 //!   stamp metadata, which the protocol's `re-eval` procedure inspects.
 //! * [`Snapshot`] — an explicit per-entity version selection, convertible

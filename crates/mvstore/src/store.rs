@@ -2,9 +2,9 @@
 
 use crate::{AuthorId, Snapshot, VersionId, VersionMeta, INITIAL_AUTHOR};
 use ks_kernel::{DatabaseState, EntityId, Schema, UniqueState, Value};
-use parking_lot::RwLock;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Errors from store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,6 +35,16 @@ impl fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+/// A panic under a write lock may leave a chain half-appended, so a
+/// poisoned lock fails every later access instead of serving it.
+fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().expect("mvstore lock poisoned")
+}
+
+fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().expect("mvstore lock poisoned")
+}
 
 /// A thread-safe multi-version store: one append-only version chain per
 /// entity. Writes never destroy old versions (the paper's write semantics);
@@ -77,7 +87,7 @@ impl MvStore {
     }
 
     fn is_dead(&self, author: AuthorId) -> bool {
-        author != INITIAL_AUTHOR && self.dead_authors.read().contains(&author)
+        author != INITIAL_AUTHOR && read_lock(&self.dead_authors).contains(&author)
     }
 
     /// The schema.
@@ -104,7 +114,7 @@ impl MvStore {
         if !self.schema.domain(entity).contains(value) {
             return Err(StoreError::DomainViolation { entity, value });
         }
-        let mut chain = self.chain(entity)?.write();
+        let mut chain = write_lock(self.chain(entity)?);
         let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
         let id = VersionId {
             entity,
@@ -121,7 +131,7 @@ impl MvStore {
 
     /// Read a specific version's value.
     pub fn read(&self, version: VersionId) -> Result<Value, StoreError> {
-        let chain = self.chain(version.entity)?.read();
+        let chain = read_lock(self.chain(version.entity)?);
         chain
             .get(version.index as usize)
             .map(|m| m.value)
@@ -130,7 +140,7 @@ impl MvStore {
 
     /// Metadata of a specific version.
     pub fn meta(&self, version: VersionId) -> Result<VersionMeta, StoreError> {
-        let chain = self.chain(version.entity)?.read();
+        let chain = read_lock(self.chain(version.entity)?);
         chain
             .get(version.index as usize)
             .copied()
@@ -139,15 +149,13 @@ impl MvStore {
 
     /// All versions of an entity, oldest first.
     pub fn versions_of(&self, entity: EntityId) -> Result<Vec<VersionMeta>, StoreError> {
-        Ok(self.chain(entity)?.read().clone())
+        Ok(read_lock(self.chain(entity)?).clone())
     }
 
     /// The latest *live* version of an entity (dead authors skipped; the
     /// initial version is always live).
     pub fn latest(&self, entity: EntityId) -> Result<VersionMeta, StoreError> {
-        Ok(*self
-            .chain(entity)?
-            .read()
+        Ok(*read_lock(self.chain(entity)?)
             .iter()
             .rev()
             .find(|m| !self.is_dead(m.author))
@@ -157,9 +165,7 @@ impl MvStore {
     /// Distinct *live* values currently stored for an entity (ascending) —
     /// the candidate list for version assignment.
     pub fn candidate_values(&self, entity: EntityId) -> Result<Vec<Value>, StoreError> {
-        let mut vs: Vec<Value> = self
-            .chain(entity)?
-            .read()
+        let mut vs: Vec<Value> = read_lock(self.chain(entity)?)
             .iter()
             .filter(|m| !self.is_dead(m.author))
             .map(|m| m.value)
@@ -171,7 +177,7 @@ impl MvStore {
 
     /// Number of versions of an entity.
     pub fn chain_len(&self, entity: EntityId) -> Result<usize, StoreError> {
-        Ok(self.chain(entity)?.read().len())
+        Ok(read_lock(self.chain(entity)?).len())
     }
 
     /// Materialize a snapshot (explicit version choice per entity) as a
@@ -197,14 +203,14 @@ impl MvStore {
         // Collect all versions with stamps, replay in stamp order.
         let mut all: Vec<VersionMeta> = Vec::new();
         for e in self.schema.entity_ids() {
-            all.extend(self.chains[e.index()].read().iter().copied());
+            all.extend(read_lock(&self.chains[e.index()]).iter().copied());
         }
         all.retain(|m| !self.is_dead(m.author));
         all.sort_by_key(|m| m.stamp);
         let mut current: Vec<Value> = self
             .schema
             .entity_ids()
-            .map(|e| self.chains[e.index()].read()[0].value)
+            .map(|e| read_lock(&self.chains[e.index()])[0].value)
             .collect();
         let mut db = DatabaseState::singleton(UniqueState::from_values_unchecked(current.clone()));
         for m in all.into_iter().filter(|m| m.stamp > 0) {
@@ -221,7 +227,7 @@ impl MvStore {
     /// [`MvStore::latest`] and the replayed database state. Returns how
     /// many stored versions were newly marked.
     pub fn prune_authors(&self, authors: &std::collections::BTreeSet<AuthorId>) -> usize {
-        let mut dead = self.dead_authors.write();
+        let mut dead = write_lock(&self.dead_authors);
         let newly: Vec<AuthorId> = authors
             .iter()
             .copied()
@@ -231,8 +237,7 @@ impl MvStore {
         self.chains
             .iter()
             .map(|chain| {
-                chain
-                    .read()
+                read_lock(chain)
                     .iter()
                     .filter(|m| newly.contains(&m.author))
                     .count()
@@ -392,24 +397,23 @@ mod tests {
     fn concurrent_writers_and_readers() {
         let s = std::sync::Arc::new(store());
         let x = EntityId(0);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for a in 1..=4u64 {
                 let s = s.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..25 {
                         s.write(x, (a as i64) + (i % 3), AuthorId(a)).unwrap();
                     }
                 });
             }
             let s2 = s.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..100 {
                     let _ = s2.latest(x).unwrap();
                     let _ = s2.candidate_values(x).unwrap();
                 }
             });
-        })
-        .unwrap();
+        });
         assert_eq!(s.chain_len(x).unwrap(), 1 + 100);
         // stamps strictly increasing along the chain
         let versions = s.versions_of(x).unwrap();

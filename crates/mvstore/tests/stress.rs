@@ -29,13 +29,13 @@ fn store() -> MvStore {
 #[test]
 fn stress_writers_readers_and_pruner() {
     let s = Arc::new(store());
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // Writers: author `a` cycles over the entities, so every entity
         // receives exactly WRITES_PER_WRITER writes in total (symmetry of
         // the residues of a+i mod ENTITIES over all authors).
         for a in 1..=WRITERS {
             let s = s.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..WRITES_PER_WRITER {
                     let e = EntityId(((a as usize + i) % ENTITIES) as u32);
                     let value = (a * 1000 + i as u64) as i64;
@@ -47,7 +47,7 @@ fn stress_writers_readers_and_pruner() {
         // these calls may error or observe a torn chain.
         for r in 0..3u32 {
             let s = s.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..200 {
                     let e = EntityId((i + r) % ENTITIES as u32);
                     let latest = s.latest(e).unwrap();
@@ -66,8 +66,7 @@ fn stress_writers_readers_and_pruner() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Exact chain lengths: initial version + every write that returned Ok.
     for e in 0..ENTITIES {
@@ -80,15 +79,15 @@ fn stress_writers_readers_and_pruner() {
     // Prune two finished authors while readers keep going: their values
     // disappear from the candidate sets, everyone else's survive.
     let doomed: BTreeSet<AuthorId> = [AuthorId(1), AuthorId(2)].into_iter().collect();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let pruner = s.clone();
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             let removed = pruner.prune_authors(&doomed);
             assert_eq!(removed, 2 * WRITES_PER_WRITER);
         });
         for _ in 0..2 {
             let s = s.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..200u32 {
                     let e = EntityId(i % ENTITIES as u32);
                     let _ = s.candidate_values(e).unwrap();
@@ -96,8 +95,7 @@ fn stress_writers_readers_and_pruner() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     for e in 0..ENTITIES {
         let e = EntityId(e as u32);
         // Values encode their author: a*1000 + i with i < 1000.

@@ -59,9 +59,8 @@ use ks_obs::{
     derive_trace_id, trace_sampled, ObsEvent, ObsKind, ObsSink, OpCode, Recorder, SpanHop,
     TelemetryDelta, NO_TXN,
 };
+use ks_predicate::random::SplitMix64;
 use ks_server::{backoff, Backend, BatchOp, BatchReply, Client, ServerError, TxnBuilder};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,7 +160,7 @@ pub struct RemoteSession<T: Transport = TcpTransport> {
     shards: usize,
     backend: Backend,
     config: NetClientConfig,
-    rng: Mutex<StdRng>,
+    rng: Mutex<SplitMix64>,
     obs: Option<ObsSink>,
     /// Per-session salt mixed into trace-id derivation: correlation ids
     /// are connection-scoped counters, so unsalted ids would collide
@@ -252,7 +251,7 @@ impl<T: Transport> RemoteSession<T> {
             depths: Mutex::new(HashMap::new()),
             shards,
             backend,
-            rng: Mutex::new(StdRng::seed_from_u64(jitter_seed())),
+            rng: Mutex::new(SplitMix64::new(jitter_seed())),
             obs: config.recorder.as_ref().map(|r| r.sink(u32::MAX)),
             trace_salt: derive_trace_id(jitter_seed()),
             config,

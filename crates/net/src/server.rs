@@ -44,7 +44,6 @@
 use crate::conn::{handshake_reply, ConnAction, ConnCore, ConnHost};
 use crate::poll::{BufferPool, Events, Interest, Poller, PoolStats, Waker};
 use crate::wire::{self, FrameProgress, FrameState, Response};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use ks_obs::{ObsEvent, ObsKind, ObsSink, Recorder, NO_TXN};
 use ks_protocol::Certifier;
 use ks_server::{Backend, MetricsSnapshot, ServerError, TxnService};
@@ -53,6 +52,7 @@ use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -389,7 +389,9 @@ impl NetServer {
         }
         pollers[0].register(listener.as_raw_fd(), TOKEN_LISTEN, Interest::READ)?;
 
-        let (exec_tx, exec_rx) = unbounded::<ExecItem>();
+        let (exec_tx, exec_rx) = mpsc::channel::<ExecItem>();
+        // The one multi-consumer queue: executors take turns receiving.
+        let exec_rx = Arc::new(Mutex::new(exec_rx));
         let pool = BufferPool::new(config.pool_buffers);
         let shared = Arc::new(NetShared {
             service: Mutex::new(Some(service)),
@@ -419,7 +421,7 @@ impl NetServer {
         let exec_handles = (0..executors)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let rx = exec_rx.clone();
+                let rx = Arc::clone(&exec_rx);
                 std::thread::spawn(move || exec_loop(&rx, &shared))
             })
             .collect();
@@ -923,14 +925,16 @@ fn flush_out(conn: &ConnShared) {
 // Executor threads
 // ---------------------------------------------------------------------
 
-fn exec_loop(rx: &Receiver<ExecItem>, shared: &Arc<NetShared>) {
+fn exec_loop(rx: &Mutex<Receiver<ExecItem>>, shared: &Arc<NetShared>) {
     // Reply frames are built in this reused buffer — no per-reply
     // allocation on the hot path.
     let mut scratch: Vec<u8> = Vec::with_capacity(256);
-    while let Ok(item) = rx.recv() {
-        match item {
-            ExecItem::Exit => break,
-            ExecItem::Conn(conn) => run_conn(&conn, shared, &mut scratch),
+    loop {
+        // The guard drops at the end of this statement, before the work.
+        let next = rx.lock().expect("executor queue lock poisoned").recv();
+        match next {
+            Ok(ExecItem::Conn(conn)) => run_conn(&conn, shared, &mut scratch),
+            Ok(ExecItem::Exit) | Err(_) => break,
         }
     }
 }

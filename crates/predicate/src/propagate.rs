@@ -14,8 +14,8 @@
 //! Propagation is sound (never removes a value that appears in a satisfying
 //! assignment) and can decide unsatisfiability outright when a candidate
 //! list empties. [`solve_with_propagation`] runs it as a preprocessing pass
-//! in front of the ordinary solver; the `bench_version_assignment` bench
-//! and the ablation tests quantify the effect.
+//! in front of the ordinary solver; `exp_np_scaling`'s Part C
+//! (`ablate-assign`) and the ablation tests quantify the effect.
 
 use crate::solver::{solve, SolveOutcome, SolveStats, Strategy};
 use crate::{Atom, Cnf, Operand};

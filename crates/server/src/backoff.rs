@@ -10,20 +10,24 @@
 //! tests, and the bench harness all draw from the same curve instead of
 //! burning a core in `yield_now` spins.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ks_predicate::random::SplitMix64;
 use std::time::Duration;
 
 /// The raw schedule: `min(cap, base·2^(attempt−1))`, jittered into
 /// `[delay/2, delay]`. `attempt` is 1-based; a zero `base` is clamped to
 /// 1µs so the exponential has somewhere to start, and `cap` never cuts
 /// below `base`.
-pub fn jittered_delay(rng: &mut StdRng, base: Duration, cap: Duration, attempt: u32) -> Duration {
+pub fn jittered_delay(
+    rng: &mut SplitMix64,
+    base: Duration,
+    cap: Duration,
+    attempt: u32,
+) -> Duration {
     let base = base.max(Duration::from_micros(1));
     let exp = base.saturating_mul(1u32 << (attempt.saturating_sub(1)).min(20));
     let delay = exp.min(cap.max(base));
     let ns = delay.as_nanos() as u64;
-    Duration::from_nanos(rng.random_range(ns / 2..=ns))
+    Duration::from_nanos(ns / 2 + rng.below(ns - ns / 2 + 1))
 }
 
 /// A retry loop's backoff state: attempt counter plus jitter RNG.
@@ -45,7 +49,7 @@ pub struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl Backoff {
@@ -56,7 +60,7 @@ impl Backoff {
             base,
             cap,
             attempt: 0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -87,7 +91,7 @@ mod tests {
     fn delay_is_bounded_and_grows_toward_cap() {
         let base = Duration::from_micros(10);
         let cap = Duration::from_micros(80);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = SplitMix64::new(42);
         for attempt in 1..=12 {
             let ceiling = base.saturating_mul(1u32 << (attempt - 1).min(20)).min(cap);
             let d = jittered_delay(&mut rng, base, cap, attempt);
@@ -102,7 +106,7 @@ mod tests {
 
     #[test]
     fn zero_base_is_clamped_not_divided_by_zero() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SplitMix64::new(0);
         let d = jittered_delay(&mut rng, Duration::ZERO, Duration::ZERO, 1);
         assert!(d <= Duration::from_micros(1));
     }

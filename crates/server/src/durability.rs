@@ -34,14 +34,13 @@
 use crate::metrics::ServerMetrics;
 use crate::worker::{span_end, span_start};
 use crate::ServerError;
-use crossbeam::channel::{Receiver, Sender};
 use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
 use ks_wal::{SegmentStore, Wal, WalRecord};
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long the flusher holds a batch open for other sessions' commits
@@ -158,15 +157,22 @@ impl WalShared {
         }
     }
 
+    /// The log, for one append or sync. A worker that panicked holding
+    /// it left the log in an unknown state, so every later user fails
+    /// closed.
+    fn lock(&self) -> MutexGuard<'_, WalInner> {
+        self.inner.lock().expect("wal lock poisoned")
+    }
+
     /// Current appender counters (flush queue depth, sync count…).
     pub(crate) fn stats(&self) -> ks_wal::WalStats {
-        self.inner.lock().wal.stats()
+        self.lock().wal.stats()
     }
 }
 
 /// A deferred commit acknowledgement parked with the flusher.
 pub(crate) struct Ticket {
-    pub(crate) reply: Sender<Result<(), ServerError>>,
+    pub(crate) reply: SyncSender<Result<(), ServerError>>,
     /// Distributed trace riding this commit (`0` = unsampled); the
     /// flusher emits the `WalEnqueue`/`WalBarrier`/`WalFsync` span
     /// boundaries for it.
@@ -211,7 +217,7 @@ impl WorkerWal {
 
     /// Log `Begin` for a freshly defined transaction.
     pub(crate) fn log_begin(&self, txn: u64, sink: &Option<ObsSink>) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         self.append(
             &mut inner,
             &WalRecord::Begin {
@@ -225,7 +231,7 @@ impl WorkerWal {
 
     /// Log an applied write.
     pub(crate) fn log_write(&self, txn: u64, entity: u32, value: i64, sink: &Option<ObsSink>) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         self.append(
             &mut inner,
             &WalRecord::Write {
@@ -247,7 +253,7 @@ impl WorkerWal {
         if txns.is_empty() {
             return;
         }
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         let mut undoes_commit = false;
         for &txn in txns {
             undoes_commit |= inner.committed_logged.remove(&(self.shard, txn));
@@ -270,7 +276,7 @@ impl WorkerWal {
     /// worker's: with a flusher it hands over a [`Ticket`] (the time until
     /// pickup is the trace's `WalEnqueue` hop), else it replies at once.
     pub(crate) fn log_commit(&self, txn: u64, sink: &Option<ObsSink>) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         self.append(
             &mut inner,
             &WalRecord::Commit {
@@ -288,7 +294,7 @@ impl WorkerWal {
     /// simulation kills the store *before* shutdown, so this cannot
     /// retroactively save a simulated power cut.
     pub(crate) fn sync_quiet(&self) {
-        let _ = self.shared.inner.lock().wal.sync();
+        let _ = self.shared.lock().wal.sync();
     }
 }
 
@@ -334,7 +340,7 @@ pub(crate) fn flusher_loop(
             hand_over(t, SpanHop::WalBarrier, SpanHop::WalFsync);
         }
         let start = Instant::now();
-        let records = shared.inner.lock().wal.sync().expect("wal fsync failed");
+        let records = shared.lock().wal.sync().expect("wal fsync failed");
         if let Some(s) = &sink {
             s.emit(
                 NO_TXN,

@@ -16,10 +16,10 @@
 //!   [`ServerConfig::backend`] — over the shard's sub-schema. The
 //!   certifier stays single-writer; shards are independent correctness
 //!   domains (a transaction lives entirely inside one shard).
-//! - **Workers** ([`worker`]): bounded crossbeam queues feed each shard;
-//!   workers never block on protocol outcomes — contended calls reply
-//!   [`ServerError::Busy`] and the session retries, which is what keeps
-//!   one stalled transaction from wedging its whole shard.
+//! - **Workers** ([`worker`]): a bounded `std::sync::mpsc` queue feeds
+//!   each shard; workers never block on protocol outcomes — contended
+//!   calls reply [`ServerError::Busy`] and the session retries, which is
+//!   what keeps one stalled transaction from wedging its whole shard.
 //! - **Clients** ([`client`]): the transport-generic [`Client`] trait and
 //!   [`TxnBuilder`] (spec, after/before ordering, strategy) — the
 //!   client-visible contract both the in-process [`Session`] and the
@@ -287,6 +287,58 @@ mod tests {
         // Freed capacity readmits.
         let _s3 = svc.session().unwrap();
         assert_eq!(svc.metrics().sessions_shed, 1);
+    }
+
+    /// The per-shard queue depth is a counter, not a channel length: a
+    /// burst that overruns a one-slot queue is shed with `Backpressure`,
+    /// and once every call has returned the counter is back at zero —
+    /// a refused send gave its count back, and the worker counted out no
+    /// more than was counted in.
+    #[test]
+    fn shed_calls_leave_no_queue_depth_behind() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let config = ServerConfig::builder()
+            .shards(1)
+            .queue_depth(1)
+            .build()
+            .unwrap();
+        let svc = TxnService::new(schema(2), &UniqueState::constant(2, 0), config);
+        // Open and validate every transaction before any burst starts, so
+        // only the reads below can be shed.
+        let readers: Vec<_> = (0..6)
+            .map(|_| {
+                let session = svc.session().unwrap();
+                let spec = Specification::unconstrained(&[EntityId(0)]);
+                let txn = session.open(TxnBuilder::new(spec)).unwrap();
+                session.validate(txn).unwrap();
+                (session, txn)
+            })
+            .collect();
+        let shed = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for (session, txn) in readers {
+                let shed = &shed;
+                scope.spawn(move || {
+                    for _ in 0..20_000 {
+                        if shed.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        match session.read(txn, EntityId(0)) {
+                            Err(ServerError::Backpressure) => shed.store(true, Ordering::Relaxed),
+                            other => assert_eq!(other, Ok(0)),
+                        }
+                    }
+                });
+            }
+        });
+        let snap = svc.metrics();
+        assert!(
+            shed.into_inner() && snap.backpressure > 0,
+            "no call was shed"
+        );
+        assert_eq!(snap.timeouts, 0);
+        assert_eq!(snap.queue_depths, vec![0]);
+        svc.shutdown();
     }
 
     #[test]

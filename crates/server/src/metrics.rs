@@ -60,6 +60,9 @@ pub struct ServerMetrics {
     pub telemetry: ks_obs::TelemetrySeries,
     /// Request round-trip latencies (measured at the session), per shard.
     shard_latency: Vec<LatencyHistogram>,
+    /// Requests sitting in each shard's queue: counted in before the send,
+    /// counted out when the worker drains them or the send is refused.
+    queued: Vec<AtomicUsize>,
 }
 
 impl Default for ServerMetrics {
@@ -70,7 +73,7 @@ impl Default for ServerMetrics {
 
 impl ServerMetrics {
     /// Metrics for a service of `shards` shards (one round-trip histogram
-    /// each; at least one).
+    /// and one queue counter each; at least one).
     pub fn new(shards: usize) -> Self {
         ServerMetrics {
             sessions_in_flight: AtomicUsize::new(0),
@@ -89,6 +92,7 @@ impl ServerMetrics {
             shard_latency: (0..shards.max(1))
                 .map(|_| LatencyHistogram::default())
                 .collect(),
+            queued: (0..shards.max(1)).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
@@ -109,8 +113,24 @@ impl ServerMetrics {
         &self.shard_latency
     }
 
+    /// Requests currently queued for `shard`.
+    pub(crate) fn queued(&self, shard: usize) -> usize {
+        self.queued[shard].load(Ordering::Relaxed)
+    }
+
+    /// Count one request into `shard`'s queue, before it is sent.
+    pub(crate) fn enqueue(&self, shard: usize) {
+        self.queued[shard].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count `n` requests out of `shard`'s queue: drained by its worker,
+    /// or refused at the send.
+    pub(crate) fn dequeued(&self, shard: usize, n: usize) {
+        self.queued[shard].fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Materialize a consistent-enough view for reporting.
-    pub fn snapshot(&self, queue_depths: Vec<usize>) -> MetricsSnapshot {
+    pub fn snapshot(&self) -> MetricsSnapshot {
         // Aggregate counts across shards for the headline quantiles.
         let mut total = [0u64; LATENCY_BUCKETS];
         let mut shard_p50 = Vec::with_capacity(self.shard_latency.len());
@@ -146,7 +166,7 @@ impl ServerMetrics {
             queue_wait_p99,
             exec_p50,
             exec_p99,
-            queue_depths,
+            queue_depths: (0..self.queued.len()).map(|s| self.queued(s)).collect(),
         }
     }
 }
@@ -216,7 +236,7 @@ pub fn fmt_duration(d: Option<Duration>) -> String {
 
 impl MetricsSnapshot {
     /// Column headings matching [`MetricsSnapshot`]'s `Display` row —
-    /// the one table format `bench_server` and `ks-top` both print.
+    /// the one table format `ks-top` prints.
     pub fn header() -> &'static str {
         "sess      req   commit   reject     bp    tmo reasgn reevab       p50       p99      qwait      exec  queues"
     }
@@ -260,10 +280,12 @@ mod tests {
         ServerMetrics::add(&m.requests);
         ServerMetrics::add(&m.committed);
         m.record_latency(0, Duration::from_micros(3));
-        let snap = m.snapshot(vec![1, 2]);
+        m.enqueue(1);
+        m.enqueue(1);
+        let snap = m.snapshot();
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.committed, 1);
-        assert_eq!(snap.queue_depths, vec![1, 2]);
+        assert_eq!(snap.queue_depths, vec![0, 2]);
         assert!(snap.p50.is_some());
         assert!(snap.shard_p50[0].is_some());
         assert_eq!(snap.shard_p50[1], None);
@@ -276,7 +298,7 @@ mod tests {
             m.record_latency(0, Duration::from_nanos(100));
             m.record_latency(1, Duration::from_millis(10));
         }
-        let snap = m.snapshot(vec![0, 0]);
+        let snap = m.snapshot();
         assert!(snap.shard_p50[0].unwrap() < Duration::from_micros(1));
         assert!(snap.shard_p50[1].unwrap() >= Duration::from_millis(8));
         // The aggregate sees both populations.
@@ -287,7 +309,7 @@ mod tests {
     fn display_row_matches_header_column_count() {
         let m = ServerMetrics::new(2);
         m.record_latency(0, Duration::from_micros(5));
-        let snap = m.snapshot(vec![3, 4]);
+        let snap = m.snapshot();
         let header_cols = MetricsSnapshot::header().split_whitespace().count();
         let row_cols = snap.to_string().split_whitespace().count();
         assert_eq!(
@@ -326,7 +348,7 @@ mod tests {
                 let mut last_requests = 0;
                 let mut last_committed = 0;
                 for _ in 0..200 {
-                    let snap = m.snapshot(Vec::new());
+                    let snap = m.snapshot();
                     assert!(snap.requests >= last_requests, "requests went backwards");
                     assert!(snap.committed >= last_committed, "commits went backwards");
                     assert!(snap.committed <= snap.requests);
@@ -336,7 +358,7 @@ mod tests {
             });
         });
         let expected = (WRITERS as u64) * PER_WRITER;
-        let snap = m.snapshot(Vec::new());
+        let snap = m.snapshot();
         assert_eq!(snap.requests, expected);
         let mass: u64 = m
             .shard_latency()

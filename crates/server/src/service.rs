@@ -7,7 +7,6 @@ use crate::routing::ShardMap;
 use crate::session::Session;
 use crate::worker::{self, Request, Routed};
 use crate::ServerError;
-use crossbeam::channel::{bounded, unbounded, Sender};
 use ks_core::Specification;
 use ks_kernel::{Schema, UniqueState};
 use ks_obs::{ObsKind, ObsSink, NO_TXN};
@@ -15,13 +14,14 @@ use ks_protocol::manager::ProtocolStats;
 use ks_protocol::{Backend, Certifier, ProtocolManager, SsiCertifier, TplCertifier};
 use ks_wal::{Wal, WalConfig, WalRecord};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// State shared between the service front end and every session.
 pub(crate) struct Shared {
     pub(crate) map: ShardMap,
-    pub(crate) senders: Vec<Sender<Routed>>,
+    pub(crate) senders: Vec<SyncSender<Routed>>,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) config: ServerConfig,
     /// Session-side sink (shard-stamped per call with `emit_for`); `None`
@@ -115,7 +115,7 @@ impl TxnService {
             });
             let shared = Arc::new(WalShared::new(wal, opts.sync_on_commit));
             if opts.sync_on_commit {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = mpsc::channel();
                 let (flush_shared, sink) = (Arc::clone(&shared), obs.clone());
                 let metrics = Arc::clone(&metrics);
                 flusher = Some(std::thread::spawn(move || {
@@ -130,7 +130,7 @@ impl TxnService {
         let mut senders = Vec::with_capacity(map.shards());
         let mut workers = Vec::with_capacity(map.shards());
         for shard in 0..map.shards() {
-            let (tx, rx) = bounded(config.queue_depth.max(1));
+            let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
             let sub_schema = map.sub_schema(shard).clone();
             let shard_initial = match &recovered_states {
                 Some(states) => UniqueState::new(&sub_schema, states[shard].clone())
@@ -173,7 +173,7 @@ impl TxnService {
             });
             let metrics = Arc::clone(&metrics);
             workers.push(std::thread::spawn(move || {
-                worker::run(cert, rx, metrics, sink, wal)
+                worker::run(shard, cert, rx, metrics, sink, wal)
             }));
             senders.push(tx);
         }
@@ -232,8 +232,7 @@ impl TxnService {
 
     /// Point-in-time counters, queue depths, and latency quantiles.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let depths = self.shared.senders.iter().map(|s| s.len()).collect();
-        self.shared.metrics.snapshot(depths)
+        self.shared.metrics.snapshot()
     }
 
     /// Incremental time-series telemetry: every closed window with
@@ -267,15 +266,9 @@ impl TxnService {
     /// gathered by round-tripping each worker.
     pub fn protocol_stats(&self) -> Result<Vec<ProtocolStats>, ServerError> {
         let mut receivers = Vec::with_capacity(self.shared.senders.len());
-        for sender in &self.shared.senders {
-            let (tx, rx) = bounded(1);
-            sender
-                .send(Routed {
-                    enqueued: std::time::Instant::now(),
-                    trace: 0,
-                    request: Request::Stats { reply: tx },
-                })
-                .map_err(|_| ServerError::Shutdown)?;
+        for shard in 0..self.shared.senders.len() {
+            let (tx, rx) = mpsc::sync_channel(1);
+            self.send_blocking(shard, Request::Stats { reply: tx })?;
             receivers.push(rx);
         }
         receivers
@@ -285,6 +278,22 @@ impl TxnService {
                     .map_err(|_| ServerError::Timeout)
             })
             .collect()
+    }
+
+    /// Queue an untraced control request for `shard`, waiting for room;
+    /// counted in the shard's queue depth like a session's request.
+    fn send_blocking(&self, shard: usize, request: Request) -> Result<(), ServerError> {
+        let metrics = &self.shared.metrics;
+        metrics.enqueue(shard);
+        let routed = Routed {
+            enqueued: std::time::Instant::now(),
+            trace: 0,
+            request,
+        };
+        self.shared.senders[shard].send(routed).map_err(|_| {
+            metrics.dequeued(shard, 1);
+            ServerError::Shutdown
+        })
     }
 
     /// The certification backend every shard of this service runs.
@@ -297,12 +306,8 @@ impl TxnService {
     /// (see [`crate::verify`]). Requests still queued behind the shutdown
     /// marker are dropped; their sessions observe `Shutdown`.
     pub fn shutdown(self) -> Vec<Box<dyn Certifier>> {
-        for sender in &self.shared.senders {
-            let _ = sender.send(Routed {
-                enqueued: std::time::Instant::now(),
-                trace: 0,
-                request: Request::Shutdown,
-            });
+        for shard in 0..self.shared.senders.len() {
+            let _ = self.send_blocking(shard, Request::Shutdown);
         }
         let certifiers: Vec<Box<dyn Certifier>> = self
             .workers

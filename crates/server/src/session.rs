@@ -20,15 +20,14 @@ use crate::client::{BatchOp, BatchReply, Client, TxnBuilder};
 use crate::service::Shared;
 use crate::worker::{Request, Routed};
 use crate::ServerError;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use ks_kernel::{EntityId, Value};
 use ks_obs::{derive_trace_id, trace_sampled, ObsKind, SpanHop};
 use ks_predicate::Strategy;
 use ks_protocol::Txn;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A transaction opened through a [`Session`]: the owning shard plus the
@@ -87,13 +86,19 @@ impl Session {
         self.wire_trace.store(trace, Ordering::Relaxed);
     }
 
+    fn strategies(&self) -> MutexGuard<'_, HashMap<TxnHandle, Strategy>> {
+        self.strategies
+            .lock()
+            .expect("session strategy map poisoned")
+    }
+
     /// Drop a transaction's strategy override once its outcome is
     /// terminal (anything but a retryable error keeps the handle dead or
     /// done either way).
     fn forget_if_terminal<T>(&self, handle: TxnHandle, result: &Result<T, ServerError>) {
         let transient = matches!(result, Err(e) if e.is_retryable());
         if !transient {
-            self.strategies.lock().remove(&handle);
+            self.strategies().remove(&handle);
         }
     }
 
@@ -115,9 +120,9 @@ impl Session {
     fn call<T>(
         &self,
         shard: usize,
-        request: impl FnOnce(Sender<Result<T, ServerError>>) -> Request,
+        request: impl FnOnce(SyncSender<Result<T, ServerError>>) -> Request,
     ) -> Result<T, ServerError> {
-        let (tx, rx): (_, Receiver<Result<T, ServerError>>) = bounded(1);
+        let (tx, rx): (_, Receiver<Result<T, ServerError>>) = sync_channel(1);
         let request = request(tx);
         let (op, txn32) = (request.op(), request.txn_u32());
         let wire = self.wire_trace.swap(0, Ordering::Relaxed);
@@ -156,7 +161,8 @@ impl Session {
                 trace,
             });
         }
-        let depth = self.shared.senders[shard].len() as u64;
+        let metrics = &self.shared.metrics;
+        let depth = metrics.queued(shard) as u64;
         let start = Instant::now();
         let routed = Routed {
             enqueued: start,
@@ -181,23 +187,25 @@ impl Session {
                 }
             }
         };
-        match self.shared.senders[shard].try_send(routed) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                crate::metrics::ServerMetrics::add(&self.shared.metrics.backpressure);
-                close_unrouted(false);
-                return Err(ServerError::Backpressure);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                close_unrouted(false);
-                return Err(ServerError::Shutdown);
-            }
+        // Counted before the send, so the worker never drains a request
+        // it was not counted for; a refused request takes its count back.
+        metrics.enqueue(shard);
+        if let Err(refused) = self.shared.senders[shard].try_send(routed) {
+            metrics.dequeued(shard, 1);
+            close_unrouted(false);
+            return Err(match refused {
+                TrySendError::Full(_) => {
+                    crate::metrics::ServerMetrics::add(&metrics.backpressure);
+                    ServerError::Backpressure
+                }
+                TrySendError::Disconnected(_) => ServerError::Shutdown,
+            });
         }
         let result = match rx.recv_timeout(self.shared.config.request_timeout) {
             Ok(result) => {
                 let elapsed = start.elapsed();
-                self.shared.metrics.record_latency(shard, elapsed);
-                self.shared.metrics.telemetry.record_request(
+                metrics.record_latency(shard, elapsed);
+                metrics.telemetry.record_request(
                     elapsed.as_nanos() as u64,
                     op == ks_obs::OpCode::Commit && result.is_ok(),
                     matches!(
@@ -209,8 +217,8 @@ impl Session {
                 result
             }
             Err(RecvTimeoutError::Timeout) => {
-                crate::metrics::ServerMetrics::add(&self.shared.metrics.timeouts);
-                self.shared.metrics.telemetry.record_request(
+                crate::metrics::ServerMetrics::add(&metrics.timeouts);
+                metrics.telemetry.record_request(
                     start.elapsed().as_nanos() as u64,
                     false,
                     false,
@@ -265,15 +273,14 @@ impl Client for Session {
         })?;
         let handle = TxnHandle { shard, txn };
         if let Some(s) = strategy {
-            self.strategies.lock().insert(handle, s);
+            self.strategies().insert(handle, s);
         }
         Ok(handle)
     }
 
     fn validate(&self, handle: TxnHandle) -> Result<(), ServerError> {
         let strategy = self
-            .strategies
-            .lock()
+            .strategies()
             .get(&handle)
             .copied()
             .unwrap_or(self.shared.config.strategy);

@@ -30,7 +30,6 @@ use crate::client::{BatchOp, BatchReply};
 use crate::durability::{Ticket, WorkerWal};
 use crate::metrics::ServerMetrics;
 use crate::ServerError;
-use crossbeam::channel::{Receiver, Sender};
 use ks_core::Specification;
 use ks_kernel::{EntityId, Value};
 use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
@@ -40,6 +39,7 @@ use ks_protocol::{
     Certifier, CommitOutcome, ProtocolError, ReEvalAction, ReadOutcome, Txn, TxnState,
     ValidationOutcome,
 };
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,26 +67,26 @@ pub(crate) enum Request {
         spec: Specification,
         after: Vec<Txn>,
         before: Vec<Txn>,
-        reply: Sender<Result<Txn, ServerError>>,
+        reply: SyncSender<Result<Txn, ServerError>>,
     },
     /// Validate: acquire `R_v` locks and a version assignment.
     Validate {
         txn: Txn,
         strategy: Strategy,
-        reply: Sender<Result<(), ServerError>>,
+        reply: SyncSender<Result<(), ServerError>>,
     },
     /// Read the assigned version of an entity.
     Read {
         txn: Txn,
         entity: EntityId,
-        reply: Sender<Result<Value, ServerError>>,
+        reply: SyncSender<Result<Value, ServerError>>,
     },
     /// Write a new version (may trigger re-eval of siblings).
     Write {
         txn: Txn,
         entity: EntityId,
         value: Value,
-        reply: Sender<Result<(), ServerError>>,
+        reply: SyncSender<Result<(), ServerError>>,
     },
     /// A read/write burst executed back-to-back with one reply
     /// rendezvous. Each op carries its own verdict — including re-eval
@@ -97,20 +97,20 @@ pub(crate) enum Request {
     OpBatch {
         txn: Txn,
         ops: Vec<BatchOp>,
-        reply: Sender<Result<BatchReplies, ServerError>>,
+        reply: SyncSender<Result<BatchReplies, ServerError>>,
     },
     /// Commit (checks the output condition).
     Commit {
         txn: Txn,
-        reply: Sender<Result<(), ServerError>>,
+        reply: SyncSender<Result<(), ServerError>>,
     },
     /// Explicit abort.
     Abort {
         txn: Txn,
-        reply: Sender<Result<(), ServerError>>,
+        reply: SyncSender<Result<(), ServerError>>,
     },
     /// Snapshot the shard manager's protocol statistics.
-    Stats { reply: Sender<ProtocolStats> },
+    Stats { reply: SyncSender<ProtocolStats> },
     /// Drain no further requests and return the manager.
     Shutdown,
 }
@@ -150,14 +150,17 @@ impl Request {
 /// record must become durable first — the [`Ticket`] the flusher
 /// acknowledges. Moves the channel and the value; allocates nothing.
 pub(crate) enum Answer {
-    Txn(Sender<Result<Txn, ServerError>>, Result<Txn, ServerError>),
-    Unit(Sender<Result<(), ServerError>>, Result<(), ServerError>),
+    Txn(
+        SyncSender<Result<Txn, ServerError>>,
+        Result<Txn, ServerError>,
+    ),
+    Unit(SyncSender<Result<(), ServerError>>, Result<(), ServerError>),
     Value(
-        Sender<Result<Value, ServerError>>,
+        SyncSender<Result<Value, ServerError>>,
         Result<Value, ServerError>,
     ),
-    Batch(Sender<Result<BatchReplies, ServerError>>, BatchReplies),
-    Stats(Sender<ProtocolStats>, ProtocolStats),
+    Batch(SyncSender<Result<BatchReplies, ServerError>>, BatchReplies),
+    Stats(SyncSender<ProtocolStats>, ProtocolStats),
     Flusher(Ticket),
 }
 
@@ -166,7 +169,7 @@ impl Answer {
     /// caller that stopped waiting (timed out) is not an error. A ticket
     /// opens the `WalEnqueue` span, which the flusher ends at pickup.
     fn send(self, wal: &Option<WorkerWal>, sink: &Option<ObsSink>, txn32: u32) {
-        fn put<T>(reply: Sender<T>, value: T) {
+        fn put<T>(reply: SyncSender<T>, value: T) {
             let _ = reply.send(value);
         }
         match self {
@@ -522,6 +525,7 @@ impl Worker {
 /// Drain requests until shutdown (message or all senders gone); returns
 /// the certifier for post-run history verification.
 pub(crate) fn run(
+    shard: usize,
     cert: Box<dyn Certifier>,
     requests: Receiver<Routed>,
     metrics: Arc<ServerMetrics>,
@@ -543,6 +547,7 @@ pub(crate) fn run(
                 Err(_) => break,
             }
         }
+        worker.metrics.dequeued(shard, drained.len());
         if let Some(s) = &worker.sink {
             s.emit(
                 NO_TXN,

@@ -12,29 +12,28 @@
 
 use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
+use ks_predicate::random::SplitMix64;
 use ks_predicate::Strategy;
 use ks_server::{
     verify_certifiers, Client, ServerConfig, ServerError, Session, TxnBuilder, TxnService,
 };
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const ENTITIES: usize = 12;
 const RETRY_BUDGET: u32 = 5_000;
 
 /// One client's randomized closed loop; returns its commit count.
 fn run_client(svc: &TxnService, client: usize, shards: usize, seed: u64) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed ^ (client as u64).wrapping_mul(0x9E37_79B9));
+    let mut rng = SplitMix64::new(seed ^ (client as u64).wrapping_mul(0x9E37_79B9));
     let session: Session = svc.session().expect("under the session cap");
     let home = client % shards;
     let per_shard = ENTITIES / shards;
     let mut committed = 0;
-    for _ in 0..rng.random_range(1..=4usize) {
+    for _ in 0..1 + rng.index(4) {
         // Random access set on the home shard, random op mix.
-        let count = rng.random_range(1..=per_shard.min(4));
+        let count = 1 + rng.index(per_shard.min(4));
         let mut entities: Vec<EntityId> = (0..count)
-            .map(|_| EntityId((rng.random_range(0..per_shard) * shards + home) as u32))
+            .map(|_| EntityId((rng.index(per_shard) * shards + home) as u32))
             .collect();
         entities.sort_unstable_by_key(|e| e.index());
         entities.dedup();
@@ -65,10 +64,10 @@ fn run_client(svc: &TxnService, client: usize, shards: usize, seed: u64) -> u64 
             continue;
         }
         let mut doomed = false;
-        for _ in 0..rng.random_range(1..=5usize) {
-            let e = entities[rng.random_range(0..entities.len())];
-            let outcome = if rng.random_range(0..100) < 50 {
-                retry!(session.write(txn, e, rng.random_range(0..1_000i64)))
+        for _ in 0..1 + rng.index(5) {
+            let e = entities[rng.index(entities.len())];
+            let outcome = if rng.coin() {
+                retry!(session.write(txn, e, rng.below(1_000) as i64))
             } else {
                 retry!(session.read(txn, e).map(|_| ()))
             };
@@ -78,7 +77,7 @@ fn run_client(svc: &TxnService, client: usize, shards: usize, seed: u64) -> u64 
             }
         }
         // Sometimes walk away from a healthy transaction.
-        if doomed || rng.random_range(0..100) < 15 {
+        if doomed || rng.below(100) < 15 {
             let _ = session.abort(txn);
             continue;
         }

@@ -66,8 +66,7 @@ Every artifact of Korth & Speegle (SIGMOD 1988) — figures, examples,
 lemmas, theorems, and the qualitative claims of Section 2.4 — regenerated
 by this repository. All numbers below are actual captured output of the
 release-built `exp_*` binaries (deterministic; regenerate this document
-with `python3 scripts/gen_experiments.py`). Criterion micro-benchmarks
-live in `crates/bench/benches/` (`cargo bench --workspace`).
+with `python3 scripts/gen_experiments.py`).
 
 The paper is a theory paper: it reports no absolute performance numbers, so
 "paper vs. measured" means (a) formal artifacts must match **exactly**
@@ -139,15 +138,23 @@ nobody (multiversion independence).
 {exp_fig4}
 ```
 
-## lemma1-np / cpc-poly — the complexity results
+## lemma1-np / cpc-poly / ablate-assign — the complexity results
 
 *Paper:* recognizing correct executions is NP-complete (reduction from
-SAT, Lemma 1 / Theorem 1); CPC membership is polynomial (Section 4.3).
+SAT, Lemma 1 / Theorem 1); CPC membership is polynomial (Section 4.3);
+version selection invites heuristics (Section 5.1).
 *Measured:* random 3-CNF instances near the phase transition are decided
 through the paper's reduction (cross-checked against truth tables inside
 the binary); exhaustive search nodes blow up with the variable count while
 backtracking tracks instance difficulty. CPC testing time grows
-polynomially in schedule length.
+polynomially in schedule length (Part B). Part C (`ablate-assign`) sums
+solver work over 100 seeded CNFs per versions-per-entity count: every
+strategy agrees on satisfiability, exhaustive search grows with the
+product of candidate lists, and unit propagation prunes nothing on these
+instances. Part D times each recognizer per call: the exponential VSR and
+MVSR searches blow up with the transaction count while CSR, MVCSR, CPC
+and the polygraph VSR test stay in microseconds (timings vary by machine;
+the shape is the claim).
 
 ```
 {exp_np_scaling}
@@ -376,23 +383,6 @@ cooperation feature, repaired by cascading undo.
 ```
 {exp_recovery}
 ```
-
----
-
-## Criterion benchmarks
-
-`cargo bench --workspace`:
-
-| bench | question |
-|---|---|
-| `bench_classifiers` | polynomial classes (CSR/MVCSR/CPC) vs exponential (VSR) on the Figure 2 corpus |
-| `bench_np` | Lemma 1 search: exhaustive vs backtracking on SAT-reduced states |
-| `bench_cpc` | CPC scales polynomially to 1024-op schedules |
-| `bench_version_assignment` | solver strategies × versions-per-entity, with and without constraint propagation (`ablate-assign`) |
-| `bench_membership` | recognizer costs vs transaction count, including the polygraph VSR decider |
-| `bench_protocols` | end-to-end scheduler overhead at two think times |
-| `bench_mvstore` | version-store primitive costs |
-| `bench_server` | serving-layer scaling: the same closed-loop workload at 1 vs 4 shards |
 """
 
 if __name__ == "__main__":
