@@ -27,8 +27,8 @@
 //! per-connection buffer sizing the shared pool replaces (every
 //! connection pins N resident bytes for its lifetime), and
 //! `--expect-violation` asserts the memory gate *fails* under it —
-//! proving the bound has teeth. Writes `BENCH_conn.json` (validated by
-//! `validate_bench`) in normal runs; `--smoke` shrinks the horde for CI.
+//! proving the bound has teeth. Writes `BENCH_conn.json` and exits 1 on
+//! a failed verdict or a violation; `--smoke` shrinks the horde for CI.
 //!
 //! The horde's client ends live in a helper child process (this same
 //! binary re-executed with a hidden `--horde` mode): `RLIMIT_NOFILE` is

@@ -15,8 +15,8 @@
 //! each rate keeps its best round. The acceptance metric is
 //! `overhead = 1 − thru(rate)/thru(0)` at the gate rate (default 0.01),
 //! which must stay within the budget (default 0.10): `BENCH_obs.json`
-//! carries the verdict and `validate_bench` (hence `scripts/check.sh`)
-//! enforces it. Sampling wiring has teeth too: the 1.0 run must export
+//! carries the verdict, and a failed one exits 1 (which fails
+//! `scripts/check.sh`). Sampling wiring has teeth too: the 1.0 run must export
 //! spans and the 0.0 run must export none.
 //!
 //! Flags: `--smoke` shrinks the run; `--gate-sample R`,

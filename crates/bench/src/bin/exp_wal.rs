@@ -20,9 +20,9 @@
 //! is whatever the machine gives). `fsync_per_commit` is total
 //! durability barriers over committed transactions, read from the
 //! service's live [`WalStats`](ks_wal::WalStats) after the clients
-//! drain. The verdict lands in `BENCH_wal.json` (`gate.pass`), which
-//! `validate_bench` (and therefore `scripts/check.sh`) enforces; the
-//! injected latency dwarfs scheduling noise, so smoke runs carry it too.
+//! drain. The verdict lands in `BENCH_wal.json` (`gate.pass`) and a
+//! failed one exits 1, which fails `scripts/check.sh`; the injected
+//! latency dwarfs scheduling noise, so smoke runs carry it too.
 
 use ks_bench::driver::{
     bench_service, drive_client, fan_out, micros, percentile, DriverConfig, Run,

@@ -141,9 +141,9 @@ impl Run {
         micros(percentile(&self.outcome.latencies, p))
     }
 
-    /// The fields every report row ends with (what `validate_bench`
-    /// requires of a run): counts, throughput, the exact p50/p99 of
-    /// `samples`, wall time and the offline checker's verdict.
+    /// The fields every report row ends with: counts, throughput, the
+    /// exact p50/p99 of `samples`, wall time and the offline checker's
+    /// verdict.
     pub fn row_tail(&self, samples: &[Duration], violations: usize) -> [(&'static str, Json); 7] {
         [
             ("committed", Json::Num(self.outcome.committed as f64)),

@@ -1,13 +1,13 @@
 //! Machine-readable bench reports.
 //!
-//! The load experiments emit `BENCH_*.json` files so CI (and the
-//! acceptance gates) can check throughput, latency percentiles, and the
-//! correctness-violation count without scraping stdout tables. The repo
-//! vendors no JSON crate, so this is a deliberately small value tree
-//! with a stable writer and a strict recursive-descent parser — enough
-//! for flat report objects, not a general JSON library. The
-//! `validate_bench` binary parses the emitted files back through the
-//! same module, so writer and parser cannot drift apart.
+//! The load experiments emit `BENCH_*.json` files so the acceptance
+//! gates' numbers (throughput, latency percentiles, each verdict and the
+//! correctness-violation count) are diffable artifacts, not scraped
+//! stdout tables. Each experiment decides its own verdicts and exits 1
+//! on a failed one; the report records what it decided. The repo vendors
+//! no JSON crate, so this is a deliberately small value tree with a
+//! stable, diff-friendly writer — enough for flat report objects, not a
+//! general JSON library.
 //!
 //! Only a full-size run may touch the tracked `BENCH_<name>.json` at the
 //! repository root; a `--smoke` run lands under `target/bench/`, so the
@@ -40,8 +40,6 @@ pub fn write_report(name: &str, smoke: bool, doc: &Json) {
 /// A JSON value. Objects keep insertion order (reports are diffable).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
     /// `true` / `false`.
     Bool(bool),
     /// Any number (integers render without a fractional part).
@@ -60,46 +58,6 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Serialize with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -112,7 +70,6 @@ impl Json {
         let pad = "  ".repeat(indent + 1);
         let close = "  ".repeat(indent);
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
             Json::Str(s) => write_str(out, s),
@@ -139,18 +96,6 @@ impl Json {
                 let _ = write!(out, "\n{close}}}");
             }
         }
-    }
-
-    /// Parse a complete JSON document (rejects trailing garbage).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
     }
 }
 
@@ -184,154 +129,6 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-    {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, what: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&what) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected '{}' at byte {}, found {:?}",
-            what as char,
-            *pos,
-            bytes.get(*pos).map(|&b| b as char)
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    other => {
-                        return Err(format!("expected ',' or '}}' in object, found {other:?}"))
-                    }
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    other => return Err(format!("expected ',' or ']' in array, found {other:?}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while bytes
-                .get(*pos)
-                .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("malformed number at byte {start}"))
-        }
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = Vec::new();
-    loop {
-        match bytes.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|e| e.to_string());
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(hex.encode_utf8(&mut buf).as_bytes());
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?} at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(&b) => {
-                out.push(b);
-                *pos += 1;
-            }
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,30 +151,29 @@ mod tests {
     }
 
     #[test]
-    fn render_parse_round_trip() {
-        let v = sample();
-        let text = v.render();
-        let back = Json::parse(&text).expect("own output parses");
-        assert_eq!(back, v);
+    fn render_indents_and_escapes() {
+        let want = r#"{
+  "bench": "net_load",
+  "smoke": true,
+  "runs": [
+    {
+      "shards": 4,
+      "throughput_txn_s": 1234.5678,
+      "violations": 0
     }
-
-    #[test]
-    fn lookups_navigate_the_tree() {
-        let v = sample();
-        assert_eq!(v.get("bench").and_then(Json::as_str), Some("net_load"));
-        assert_eq!(v.get("smoke").and_then(Json::as_bool), Some(true));
-        let runs = v.get("runs").and_then(Json::as_array).unwrap();
-        assert_eq!(
-            runs[0].get("throughput_txn_s").and_then(Json::as_f64),
-            Some(1234.5678)
-        );
-        assert!(v.get("missing").is_none());
+  ],
+  "note": "a \"quoted\" name\n",
+  "total_violations": 0
+}
+"#;
+        assert_eq!(sample().render(), want);
     }
 
     #[test]
     fn integers_render_without_fraction() {
         assert_eq!(Json::Num(42.0).render(), "42\n");
         assert_eq!(Json::Num(0.25).render(), "0.2500\n");
+        assert_eq!(Json::Num(f64::NAN).render(), "null\n");
     }
 
     #[test]
@@ -389,21 +185,24 @@ mod tests {
         assert_eq!(report_path("wal", false), PathBuf::from("BENCH_wal.json"));
     }
 
+    /// The tracked artifacts are full-size runs that passed. Each
+    /// experiment exits 1 on a failed verdict after writing its report;
+    /// this keeps such a report, a smoke one or a hand edit from being
+    /// committed.
     #[test]
-    fn every_tracked_artifact_round_trips() {
+    fn every_tracked_artifact_is_a_passing_full_size_run() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         for name in ["net", "wal", "obs", "certifier", "conn"] {
             let path = root.join(report_path(name, false));
             let text = std::fs::read_to_string(&path).expect("tracked artifact exists");
-            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            assert_eq!(doc.render(), text, "{}", path.display());
-        }
-    }
-
-    #[test]
-    fn malformed_documents_are_rejected() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "12 34", "{\"a\":1}x"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+            let has = |field: &str| {
+                text.lines()
+                    .any(|l| l.trim().trim_end_matches(',') == field)
+            };
+            let file = path.display();
+            assert!(has("\"smoke\": false"), "{file}: not a full-size run");
+            assert!(has("\"total_violations\": 0"), "{file}: violations");
+            assert!(!has("\"pass\": false"), "{file}: a failed verdict");
         }
     }
 }

@@ -3,7 +3,7 @@
 //! When a run fails its oracles, the harness writes one self-contained
 //! text file: the seed and protections (everything needed to replay),
 //! the violations, the minimized plan, the world's fault journal, and
-//! the canonical observability trace. `dst_smoke --replay <seed>`
+//! the canonical observability trace. `dst_replay --replay <seed>`
 //! regenerates the identical artifact from the seed alone.
 
 use crate::link::Protections;

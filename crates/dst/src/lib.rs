@@ -29,7 +29,8 @@
 //! * [`shrink`] — ddmin-style minimization of failing plans.
 //! * [`proto`] — bare-manager fuzzing with `force_assign` perturbations
 //!   (the fault class the service API cannot reach).
-//! * [`artifact`] — replayable failure dumps.
+//! * [`artifact`] — replayable failure dumps; the `dst_replay` binary
+//!   re-runs one seed and writes its artifact.
 //!
 //! The harness can also switch *off* each of four protections the stack
 //! relies on ([`Protections`]) to prove the oracles catch the bug each

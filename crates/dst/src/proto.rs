@@ -178,9 +178,12 @@ pub fn run_proto_clean(seed: u64) -> VerifyReport {
 mod tests {
     use super::*;
 
+    /// The DST gate's seed range, as in `tests/teeth.rs`.
+    const SEEDS: u64 = 25;
+
     #[test]
     fn forced_misassignment_is_caught_and_named() {
-        for seed in 0..10u64 {
+        for seed in 0..SEEDS {
             let (report, dump, victim) = run_proto_forced(seed);
             assert!(
                 !report.is_correct(),
@@ -201,7 +204,7 @@ mod tests {
 
     #[test]
     fn clean_fuzz_never_trips_the_oracle() {
-        for seed in 0..10u64 {
+        for seed in 0..SEEDS {
             let report = run_proto_clean(seed);
             assert!(report.is_correct(), "seed {seed}: {:?}", report.violations);
         }

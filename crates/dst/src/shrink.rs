@@ -5,7 +5,7 @@
 //! one at a time. Every candidate is re-executed with [`run_plan`] under
 //! the same protections; because a run is a pure function of `(plan,
 //! protections)`, shrinking the same failure twice produces the same
-//! minimized plan — the replay guarantee `dst_smoke --replay` checks.
+//! minimized plan — the replay guarantee `dst_replay` checks.
 //!
 //! Slot-based ops make every subset plan well-formed (a step whose
 //! `Open` was deleted just no-ops), and each fault's randomness is

@@ -108,7 +108,7 @@ fn forged_timeouts_on_a_batch_classify_as_ambiguous() {
 
 #[test]
 fn seeded_plans_land_poisoning_faults_on_batches() {
-    // The gates scan seeds 0..25 (`dst_smoke --seeds 25`); within that
+    // The gate scans seeds 0..25 (`tests/teeth.rs`); within that
     // range the generator must land drop/trickle/reset faults on batch
     // steps, or the hand-built shapes above are the only coverage.
     let mut hit = 0usize;

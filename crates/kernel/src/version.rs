@@ -24,12 +24,6 @@ pub struct VersionState {
 }
 
 impl VersionState {
-    /// Wrap an assignment asserted to be a member of `V_S`. Use
-    /// [`VersionState::try_from_state`] to check membership.
-    pub fn from_unique_unchecked(state: UniqueState) -> Self {
-        VersionState { state }
-    }
-
     /// Build a version state from `values`, verifying the defining condition
     /// of `V_S`: every entity's value must appear in some unique state of
     /// `db`. Returns `None` if the condition fails.

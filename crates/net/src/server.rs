@@ -15,7 +15,7 @@
 //!   [`BufferPool`](crate::poll::BufferPool) — an idle connection holds
 //!   *no* decode buffer, which is what keeps 10k+ mostly-idle
 //!   connections cheap.
-//! * A fixed pool of **executor threads** ([`NetConfig::executors`]) that
+//! * A fixed pool of **executor threads** (`EXECUTORS`) that
 //!   run the blocking part: decoded frames queue into a per-connection
 //!   FIFO inbox, a connection with pending work is scheduled onto the
 //!   executor pool (at most once at a time, so requests on one
@@ -70,33 +70,18 @@ pub struct NetConfig {
     /// stop flag and the handshake-deadline scan can get on a fully idle
     /// server. Traffic wakes the loop immediately regardless.
     pub poll_interval: Duration,
-    /// How long [`NetServer::shutdown`] waits for in-flight connections
-    /// to drain before force-closing them.
-    pub drain_timeout: Duration,
     /// Recorder for connection-lifecycle events ([`ObsKind::ConnOpened`]
     /// / [`ObsKind::ConnClosed`]); usually the same recorder the embedded
     /// service uses.
     pub recorder: Option<Recorder>,
     /// I/O threads multiplexing the connections (min 1).
     pub io_threads: usize,
-    /// Executor threads running blocking request handling (min 1).
-    /// Sizes the number of *concurrent* blocking calls — e.g. commits
-    /// rendezvousing in one WAL group-commit barrier.
-    pub executors: usize,
-    /// Free-list capacity of the shared frame-decode [`BufferPool`]:
-    /// bounds pooled buffers retained across requests. Live decode
-    /// memory is bounded by frames concurrently in flight, not by the
-    /// connection count.
-    pub pool_buffers: usize,
     /// Teeth knob: when nonzero, every connection pins a private decode
     /// scratch of this many (resident) bytes for its lifetime instead of
     /// borrowing from the shared pool — the naive per-connection-buffer
     /// sizing the pool replaces. Exists so the connection-scale bench
     /// can prove its memory gate actually trips; leave 0 in production.
     pub pinned_buffers: usize,
-    /// How long a fresh connection may sit without completing the Hello
-    /// handshake before the server closes it.
-    pub handshake_timeout: Duration,
 }
 
 impl Default for NetConfig {
@@ -104,16 +89,30 @@ impl Default for NetConfig {
         NetConfig {
             window: 16,
             poll_interval: Duration::from_millis(50),
-            drain_timeout: Duration::from_secs(5),
             recorder: None,
             io_threads: 2,
-            executors: 8,
-            pool_buffers: 256,
             pinned_buffers: 0,
-            handshake_timeout: Duration::from_secs(5),
         }
     }
 }
+
+/// Executor threads running blocking request handling. Sizes the number
+/// of *concurrent* blocking calls — e.g. commits rendezvousing in one WAL
+/// group-commit barrier.
+const EXECUTORS: usize = 8;
+
+/// Free-list capacity of the shared frame-decode [`BufferPool`]: bounds
+/// pooled buffers retained across requests. Live decode memory is bounded
+/// by frames concurrently in flight, not by the connection count.
+const POOL_BUFFERS: usize = 256;
+
+/// How long [`NetServer::shutdown`] waits for in-flight connections to
+/// drain before force-closing them.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a fresh connection may sit without completing the Hello
+/// handshake before the server closes it.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How many exported span events the server retains for
 /// [`wire::Request::TraceExport`] pollers. Old events fall off the front
@@ -375,7 +374,6 @@ impl NetServer {
         let obs = config.recorder.as_ref().map(|r| r.sink(u32::MAX));
 
         let io_threads = config.io_threads.max(1);
-        let executors = config.executors.max(1);
         let mut pollers = Vec::with_capacity(io_threads);
         let mut io = Vec::with_capacity(io_threads);
         for _ in 0..io_threads {
@@ -392,7 +390,7 @@ impl NetServer {
         let (exec_tx, exec_rx) = mpsc::channel::<ExecItem>();
         // The one multi-consumer queue: executors take turns receiving.
         let exec_rx = Arc::new(Mutex::new(exec_rx));
-        let pool = BufferPool::new(config.pool_buffers);
+        let pool = BufferPool::new(POOL_BUFFERS);
         let shared = Arc::new(NetShared {
             service: Mutex::new(Some(service)),
             stop: AtomicBool::new(false),
@@ -418,7 +416,7 @@ impl NetServer {
                 std::thread::spawn(move || io_loop(idx, poller, listener, &shared))
             })
             .collect();
-        let exec_handles = (0..executors)
+        let exec_handles = (0..EXECUTORS)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let rx = Arc::clone(&exec_rx);
@@ -468,7 +466,7 @@ impl NetServer {
         }
         // Drain: I/O threads stop reading and queue closes behind
         // whatever is already windowed; executors finish it.
-        let deadline = Instant::now() + shared.config.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while shared.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -622,7 +620,6 @@ fn io_loop(idx: usize, poller: Poller, mut listener: Option<TcpListener>, shared
         // Handshake deadline scan: a connection that never says Hello
         // must not hold a registration forever.
         if !pending_hello.is_empty() {
-            let timeout = shared.config.handshake_timeout;
             let expired: Vec<u64> = pending_hello
                 .iter()
                 .filter_map(|(&id, &since)| {
@@ -630,7 +627,7 @@ fn io_loop(idx: usize, poller: Poller, mut listener: Option<TcpListener>, shared
                     if conn.shared.hello_done.load(Ordering::Acquire) {
                         return None; // handled below: drop from the scan
                     }
-                    (since.elapsed() > timeout).then_some(id)
+                    (since.elapsed() > HANDSHAKE_TIMEOUT).then_some(id)
                 })
                 .collect();
             pending_hello.retain(|id, _| {

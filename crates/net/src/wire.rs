@@ -1074,11 +1074,6 @@ impl FrameState {
         FrameState::default()
     }
 
-    /// A partial frame is in progress (prefix or payload bytes held).
-    pub fn mid_frame(&self) -> bool {
-        self.len_read > 0 || self.payload.is_some()
-    }
-
     /// Abandon any partial frame, handing back the payload buffer (for
     /// return to a pool) if one was mid-fill.
     pub fn reset(&mut self) -> Option<Vec<u8>> {

@@ -41,12 +41,6 @@ impl Cnf {
         self
     }
 
-    /// Conjoin one clause.
-    pub fn and_clause(mut self, clause: Clause) -> Self {
-        self.clauses.push(clause);
-        self
-    }
-
     /// The clauses (conjuncts).
     pub fn clauses(&self) -> &[Clause] {
         &self.clauses

@@ -523,3 +523,40 @@ fn grandchild_abort_falls_back_to_the_childs_own_version() {
     // nearest one, not shadowed by it.
     assert_eq!(version_seen_by(&mut pm, silent), own);
 }
+
+/// Lemma 4's minimal counterexample (ROADMAP item 1): an unordered
+/// sibling `h` validates against `w`'s *uncommitted* version of x, reads
+/// it and commits; `w` then overwrites x and commits too. Committed `h`
+/// keeps an input that is neither the parent's version nor `w`'s final
+/// one, so the extracted execution is not parent-based — with every
+/// input predicate still true. Red until the protocol closes the hole
+/// (a commit dependency on the authors of `h`'s snapshot, or undoing
+/// `h`); the fix changes `commit(h)`'s outcome, and this test with it.
+#[test]
+#[ignore = "ROADMAP item 1: committed readers of an unordered sibling's uncommitted version break Lemma 4"]
+fn reader_of_an_overwritten_uncommitted_version_stays_parent_based() {
+    let (schema, mut pm) = manager_with_constraint("x >= 0");
+    let root = pm.root();
+    let w = pm
+        .define(root, spec(&schema, "x >= 0", "true"), &[], &[])
+        .unwrap();
+    pm.validate(w, Strategy::Backtracking).unwrap();
+    pm.write(w, x(), 7).unwrap();
+    // Unordered with `w`: its only candidate with x = 7 is `w`'s version.
+    let h = pm
+        .define(root, spec(&schema, "x = 7", "true"), &[], &[])
+        .unwrap();
+    assert_eq!(
+        pm.validate(h, Strategy::Backtracking).unwrap(),
+        ValidationOutcome::Validated
+    );
+    assert_eq!(pm.read(h, x()).unwrap(), ReadOutcome::Value(7));
+    assert_eq!(pm.commit(h).unwrap(), CommitOutcome::Committed);
+    // `h` is no longer `Validated`, so re-eval has nothing to repair.
+    assert!(pm.write(w, x(), 8).unwrap().reeval.is_empty());
+    assert_eq!(pm.commit(w).unwrap(), CommitOutcome::Committed);
+
+    let (txn, parent_state, exec) = model_execution(&pm, root).unwrap();
+    let report = check::check(&schema, &txn, &parent_state, &exec);
+    assert!(report.is_correct_parent_based(), "{report:?}");
+}

@@ -255,13 +255,6 @@ impl TxnService {
         delta
     }
 
-    /// The live telemetry series itself (shared handle), for callers
-    /// embedding the service in-process — `ks-top`'s live mode reads
-    /// this directly.
-    pub fn telemetry_series(&self) -> &ks_obs::TelemetrySeries {
-        &self.shared.metrics.telemetry
-    }
-
     /// Per-shard protocol statistics (re-evals, re-assigns, aborts…),
     /// gathered by round-tripping each worker.
     pub fn protocol_stats(&self) -> Result<Vec<ProtocolStats>, ServerError> {

@@ -222,17 +222,6 @@ impl MemStore {
     pub fn crashed(&self) -> bool {
         self.inner.lock().unwrap().crashed
     }
-
-    /// What a post-crash recovery would read: durable bytes only, all
-    /// segments concatenated in id order.
-    pub fn durable_bytes(&self) -> Vec<u8> {
-        let inner = self.inner.lock().unwrap();
-        let mut out = Vec::new();
-        for seg in inner.segments.values() {
-            out.extend_from_slice(&seg.durable);
-        }
-        out
-    }
 }
 
 impl SegmentStore for MemStore {

@@ -265,7 +265,7 @@ transaction outcomes, and every extracted execution is correct. Batching
 is the big lever: folding each transaction's six-op burst into one
 `Batch` frame removes five of six syscall round trips, lifting the best
 loopback configuration to ≥0.7× in-process throughput (the gate the run
-records in `BENCH_net.json` and `validate_bench` enforces).
+records in `BENCH_net.json`; a full-size run below it exits 1).
 Depth 4 *loses* to depth 1 on this workload — splitting a six-op burst
 into ⌈6/4⌉-op frames buys overlap that cannot repay the extra framing
 at loopback latency; the sweep keeps the honest number. `p50`/`p99` are
@@ -299,7 +299,7 @@ hundred bytes of RSS per connection (gate: ≤ 32 KiB/conn + fixed
 slack — mandatory even in smoke runs), and the working set's p99 does
 not move outside round-to-round noise (gate: ≤ 2× the baseline,
 recorded for full-size runs only). `BENCH_conn.json` carries both
-verdicts and `validate_bench` enforces them. The teeth run in
+verdicts, and the run exits 1 on a failed one. The teeth run in
 `scripts/check.sh` (`--pinned-buffers 262144 --expect-violation`)
 re-introduces naive per-connection buffers — every connection pinning
 256 KiB resident for its lifetime — and the memory gate must trip,
@@ -328,7 +328,7 @@ two thread hand-offs, no added wait (gates: within 5 % of 1.0; under
 2× the injected latency). Eight committers on the same store need
 0.13–0.20× that (gate: ≤ 0.5×), and the same holds on memory and files
 (0.13–0.19 fsyncs per commit). `BENCH_wal.json` carries the verdict and
-`validate_bench` enforces it, smoke runs included (the injected latency
+the run exits 1 on a failed one, smoke runs included (the injected latency
 dwarfs scheduling noise). Every run's extracted execution still passes
 the model checker.
 
@@ -359,7 +359,7 @@ aborts below are wait-or-die deadlock victims plus retry-budget
 exhaustion, and short-txn throughput pays for the long reader's locks).
 Every run's history passes its backend's offline checker (CPC: the
 model check; SSI/2PL: conflict-graph acyclicity). `BENCH_certifier.json`
-records the curves; `validate_bench` enforces the directional gate
+records the curves; the run exits 1 unless the directional gate holds
 (SSI's long-txn abort rate must exceed CPC's by ≥0.2), and
 `exp_certifier --teeth` proves the offline checker catches a broken
 SSI (detection off) admitting write skew. Abort *rates* are
