@@ -94,8 +94,14 @@ pub fn is_parent_based(
         outputs.push(c.apply(schema, input)?);
     }
     let from_parent = |e: EntityId, v| parent.states().iter().any(|s| s.get(e) == v);
-    for (i, input) in exec.inputs.iter().enumerate() {
-        let sources: Vec<usize> = exec.sources_of(i).collect();
+    // `R`-predecessors per child, in one pass over `R`.
+    let mut sources: Vec<Vec<usize>> = vec![Vec::new(); children.len()];
+    for &(from, to) in &exec.reads_from {
+        if let Some(s) = sources.get_mut(to) {
+            s.push(from);
+        }
+    }
+    for (input, sources) in exec.inputs.iter().zip(&sources) {
         for e in schema.entity_ids() {
             let v = input.get(e);
             let ok = from_parent(e, v) || sources.iter().any(|&j| outputs[j].get(e) == v);

@@ -26,14 +26,6 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// Children that `i` reads from.
-    pub fn sources_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.reads_from
-            .iter()
-            .filter(move |&&(_, to)| to == i)
-            .map(|&(from, _)| from)
-    }
-
     /// Number of children covered.
     pub fn num_children(&self) -> usize {
         self.inputs.len()
@@ -45,7 +37,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sources_filtering() {
+    fn one_child_per_input() {
         let e = Execution {
             reads_from: vec![(0, 2), (1, 2), (0, 1)],
             inputs: vec![
@@ -55,8 +47,6 @@ mod tests {
             ],
             final_input: UniqueState::constant(1, 0),
         };
-        assert_eq!(e.sources_of(2).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(e.sources_of(0).count(), 0);
         assert_eq!(e.num_children(), 3);
     }
 }

@@ -83,7 +83,8 @@ impl Valuation for Partial<'_> {
 ///
 /// `candidates[i]` lists the values entity `i` may take, in chronological
 /// (oldest-first) order; every list must be non-empty. Entities not
-/// mentioned by `cnf` receive their first candidate.
+/// mentioned by `cnf` receive their first candidate. The lists are only
+/// borrowed: a caller that keeps them maintained passes them as slices.
 ///
 /// ```
 /// use ks_kernel::{Domain, Schema};
@@ -95,19 +96,20 @@ impl Valuation for Partial<'_> {
 /// let (outcome, _) = solve(&cnf, &candidates, Strategy::Backtracking);
 /// assert_eq!(outcome.assignment().unwrap(), &[2, 2]);
 /// ```
-pub fn solve(
+pub fn solve<C: AsRef<[Value]>>(
     cnf: &Cnf,
-    candidates: &[Vec<Value>],
+    candidates: &[C],
     strategy: Strategy,
 ) -> (SolveOutcome, SolveStats) {
+    let candidates: Vec<&[Value]> = candidates.iter().map(AsRef::as_ref).collect();
     assert!(
         candidates.iter().all(|c| !c.is_empty()),
         "every entity needs at least one candidate value"
     );
     match strategy {
-        Strategy::Exhaustive => exhaustive(cnf, candidates),
-        Strategy::Backtracking => backtrack(cnf, candidates, false),
-        Strategy::GreedyLatest => backtrack(cnf, candidates, true),
+        Strategy::Exhaustive => exhaustive(cnf, &candidates),
+        Strategy::Backtracking => backtrack(cnf, &candidates, false),
+        Strategy::GreedyLatest => backtrack(cnf, &candidates, true),
     }
 }
 
@@ -128,21 +130,22 @@ pub fn solve_over_state(
 ///
 /// `pins` are `(entity, value)` pairs; a pin replaces the candidate list of
 /// its entity. A pinned value need not appear in the original candidates —
-/// the caller asserts it was a legitimately readable version.
-pub fn solve_pinned(
+/// the caller asserts it was a legitimately readable version. No list is
+/// copied: a pin only swaps which slice its entity reads.
+pub fn solve_pinned<C: AsRef<[Value]>>(
     cnf: &Cnf,
-    candidates: &[Vec<Value>],
+    candidates: &[C],
     pins: &[(EntityId, Value)],
     strategy: Strategy,
 ) -> (SolveOutcome, SolveStats) {
-    let mut cands = candidates.to_vec();
-    for &(e, v) in pins {
-        cands[e.index()] = vec![v];
+    let mut cands: Vec<&[Value]> = candidates.iter().map(AsRef::as_ref).collect();
+    for (e, v) in pins {
+        cands[e.index()] = std::slice::from_ref(v);
     }
     solve(cnf, &cands, strategy)
 }
 
-fn exhaustive(cnf: &Cnf, candidates: &[Vec<Value>]) -> (SolveOutcome, SolveStats) {
+fn exhaustive(cnf: &Cnf, candidates: &[&[Value]]) -> (SolveOutcome, SolveStats) {
     let n = candidates.len();
     let mut stats = SolveStats::default();
     let mut cursor = vec![0usize; n];
@@ -173,18 +176,14 @@ fn exhaustive(cnf: &Cnf, candidates: &[Vec<Value>]) -> (SolveOutcome, SolveStats
     }
 }
 
-fn backtrack(
-    cnf: &Cnf,
-    candidates: &[Vec<Value>],
-    latest_first: bool,
-) -> (SolveOutcome, SolveStats) {
+fn backtrack(cnf: &Cnf, candidates: &[&[Value]], latest_first: bool) -> (SolveOutcome, SolveStats) {
     let n = candidates.len();
     let mut stats = SolveStats::default();
 
     // Only branch on entities the predicate mentions; others take their
     // first (or last, under GreedyLatest) candidate.
     let mentioned = cnf.entities();
-    let default_of = |cs: &Vec<Value>| {
+    let default_of = |cs: &&[Value]| {
         if latest_first {
             *cs.last().unwrap()
         } else {
@@ -249,7 +248,7 @@ fn backtrack(
     let mut depth = 0usize;
     loop {
         let e = order[depth];
-        let cands = &candidates[e.index()];
+        let cands = candidates[e.index()];
         if choice[depth] >= cands.len() {
             // exhausted this level: backtrack
             choice[depth] = 0;

@@ -1,6 +1,6 @@
 //! The phased transaction manager — the protocol of Section 5.1.
 
-use crate::candidates::{allowed_versions, SiblingInfo};
+use crate::candidates::{allowed_versions, CandidateList, SiblingInfo};
 use crate::ProtocolError;
 use ks_core::{Specification, TxnName};
 use ks_kernel::{EntityId, Schema, UniqueState, Value};
@@ -8,6 +8,7 @@ use ks_mvstore::{AuthorId, MvStore, Snapshot, VersionId};
 use ks_obs::{ObsKind, ObsSink};
 use ks_predicate::{solve_pinned, Cnf, SolveOutcome, Strategy};
 use ks_schedule::OrderClosure;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Handle to a transaction managed by [`ProtocolManager`].
@@ -129,11 +130,16 @@ struct Node {
     /// `order`, transitively closed — the one place that answers "is slot
     /// `a` before slot `b`"; `define` closes it edge by edge.
     closure: OrderClosure,
-    /// The one place that knows the last writes: entity → child slot → the
-    /// newest version of it written inside that child's subtree. A write
-    /// updates every ancestor; aborted children are filtered when read,
-    /// and an abort below a child recomputes that child's entries.
-    writers: BTreeMap<EntityId, BTreeMap<usize, VersionId>>,
+    /// The one place that knows the last writes: entity → this node's own
+    /// version of it plus, per live child slot, the newest version written
+    /// inside that child's subtree. A write updates every ancestor, an
+    /// abort drops the child and recomputes the enclosing subtrees'
+    /// entries, and a re-assignment of this node rebases its lists.
+    writers: BTreeMap<EntityId, CandidateList>,
+    /// Children not yet terminated (defined or validated), by node index:
+    /// what `re-eval` and the commit gate visit instead of every child
+    /// ever defined.
+    live: BTreeSet<usize>,
     spec: Specification,
     /// `spec.input_set()`, computed once (specs never change).
     input_set: BTreeSet<EntityId>,
@@ -165,6 +171,7 @@ impl Node {
             order: Vec::new(),
             closure: OrderClosure::new(),
             writers: BTreeMap::new(),
+            live: BTreeSet::new(),
             input_set: spec.input_set(),
             spec,
             state,
@@ -417,6 +424,7 @@ impl ProtocolManager {
         ));
         let pnode = &mut self.nodes[parent.0];
         pnode.children.push(idx);
+        pnode.live.insert(idx);
         let edges = after_slots
             .into_iter()
             .map(|a| (a, slot))
@@ -476,19 +484,28 @@ impl ProtocolManager {
 
     /// Candidate versions for `e` when validating node `idx` (rules 1–3 +
     /// predecessor filter of Section 5.1), from the siblings that wrote `e`.
-    fn candidates_for(&self, idx: usize, e: EntityId) -> Vec<VersionId> {
+    /// When no order edge constrains `idx` for `e` the parent's maintained
+    /// list is the answer, borrowed; otherwise the rules filter its writers.
+    fn candidates_for(&self, idx: usize, e: EntityId) -> Cow<'_, CandidateList> {
         let target_slot = self.nodes[idx].slot;
         let parent_idx = self.nodes[idx].parent.expect("root never validates");
         let parent = &self.nodes[parent_idx];
-        let siblings: Vec<SiblingInfo> = parent
-            .writers
-            .get(&e)
+        let list = parent.writers.get(&e);
+        if let Some(list) = list {
+            let unordered = !parent.closure.has_successors(target_slot)
+                && !list.has_writer(target_slot)
+                && !parent
+                    .closure
+                    .predecessors(target_slot)
+                    .any(|p| list.has_writer(p));
+            if unordered {
+                return Cow::Borrowed(list);
+            }
+        }
+        let siblings: Vec<SiblingInfo> = list
             .into_iter()
-            .flatten()
-            .filter(|&(&slot, _)| {
-                slot != target_slot && self.nodes[parent.children[slot]].state != TxnState::Aborted
-            })
-            .map(|(&slot, &last_version)| SiblingInfo { slot, last_version })
+            .flat_map(CandidateList::writers)
+            .filter(|s| s.slot != target_slot)
             .collect();
         let mut allowed = allowed_versions(
             target_slot,
@@ -510,65 +527,52 @@ impl ProtocolManager {
                 })
             });
         }
-        allowed
+        let valued = allowed
+            .into_iter()
+            .map(|v| (v, self.store.read(v).expect("candidate exists")));
+        Cow::Owned(CandidateList::of_versions(e, valued))
     }
 
     /// Solve the input predicate of node `idx` over its candidate version
     /// sets, honouring `pins` (entities whose value is already fixed by
-    /// performed reads). Returns the chosen snapshot.
+    /// performed reads). Returns the chosen snapshot. The work is per entity
+    /// of `I_t`: the predicate mentions no other, and outside `I_t` the
+    /// transaction keeps its parent's versions.
     fn assign_versions(
-        &mut self,
+        &self,
         idx: usize,
         pins: &[(EntityId, Value)],
         strategy: Strategy,
     ) -> Option<Snapshot> {
-        let input_set = &self.nodes[idx].input_set;
-        // Per-entity candidates: values (for the solver) plus value→version
-        // maps (latest-stamp version wins for equal values).
-        let mut per_entity_versions: Vec<Vec<(VersionId, Value)>> =
-            Vec::with_capacity(self.schema.len());
-        let mut candidates: Vec<Vec<Value>> = Vec::with_capacity(self.schema.len());
-        let parent_idx = self.nodes[idx].parent.expect("root never validates");
-        for e in self.schema.entity_ids() {
-            let mut versions = if input_set.contains(&e) {
-                self.candidates_for(idx, e)
-            } else {
-                vec![self.parent_version(parent_idx, e)]
-            };
-            // Order versions by stamp ascending so GreedyLatest prefers the
-            // newest (all are versions of `e`, and one chain's index order
-            // is its stamp order), and dedup values keeping the newest
-            // version per value.
-            versions.sort_unstable_by_key(|v| v.index);
-            let valued: Vec<(VersionId, Value)> = versions
-                .into_iter()
-                .map(|v| (v, self.store.read(v).expect("candidate exists")))
-                .collect();
-            let mut seen = BTreeSet::new();
-            let values: Vec<Value> = valued
-                .iter()
-                .map(|&(_, val)| val)
-                .filter(|&val| seen.insert(val))
-                .collect();
-            if input_set.contains(&e) {
-                self.emit(
-                    idx,
-                    ObsKind::CandidatesConsidered {
-                        entity: e.index() as u32,
-                        count: valued.len() as u32,
-                    },
-                );
-            }
-            if valued.is_empty() {
+        let node = &self.nodes[idx];
+        let mut lists: Vec<(EntityId, Cow<'_, CandidateList>)> =
+            Vec::with_capacity(node.input_set.len());
+        for &e in &node.input_set {
+            let list = self.candidates_for(idx, e);
+            self.emit(
+                idx,
+                ObsKind::CandidatesConsidered {
+                    entity: e.index() as u32,
+                    count: list.len() as u32,
+                },
+            );
+            if list.is_empty() {
                 // Every allowed version carries a successor's data: nothing
                 // to assign (the solver requires a candidate per entity).
                 return None;
             }
-            per_entity_versions.push(valued);
-            candidates.push(values);
+            lists.push((e, list));
         }
-        let input = self.nodes[idx].spec.input.clone();
-        let (outcome, _) = solve_pinned(&input, &candidates, pins, strategy);
+        // The solver wants a list per schema entity; one it never reads
+        // takes any value. A list's values come in stamp order, one per
+        // value, so GreedyLatest prefers the newest.
+        const UNREAD: &[Value] = &[0];
+        let mut candidates: Vec<&[Value]> = vec![UNREAD; self.schema.len()];
+        for (e, list) in &lists {
+            candidates[e.index()] = list.values();
+        }
+        let input = &node.spec.input;
+        let (outcome, _) = solve_pinned(input, &candidates, pins, strategy);
         let values = match outcome {
             SolveOutcome::Sat(v) => v,
             SolveOutcome::Unsat => {
@@ -576,46 +580,60 @@ impl ProtocolManager {
                 // satisfy (u32::MAX = clauses individually satisfiable but
                 // jointly conflicting). Computed only when someone listens.
                 if self.obs_enabled() {
-                    let clause = unsat_clause_witness(&input, &candidates, pins);
+                    let clause = unsat_clause_witness(input, &candidates, pins);
                     self.emit(idx, ObsKind::ValidationUnsat { clause });
                 }
                 return None;
             }
         };
-        // Map chosen values back to versions (newest version per value).
         let mut snapshot = Snapshot::new();
-        for e in self.schema.entity_ids() {
-            let want = values[e.index()];
-            let chosen = per_entity_versions[e.index()]
-                .iter()
-                .rev() // newest first
-                .find(|&&(_, val)| val == want);
-            match chosen {
-                Some(&(v, _)) => {
-                    if input_set.contains(&e) {
-                        self.emit(
-                            idx,
-                            ObsKind::VersionAssigned {
-                                entity: e.index() as u32,
-                                version: v.index,
-                                forced: false,
-                            },
-                        );
-                    }
+        let parent = &self.nodes[node.parent.expect("root never validates")];
+        for e in parent.snapshot.entities() {
+            if !node.input_set.contains(&e) {
+                snapshot.select(parent.snapshot.version_of(e).expect("selected"));
+            }
+        }
+        // Map chosen values back to versions (newest version per value).
+        for (e, list) in &lists {
+            match list.newest_with(values[e.index()]) {
+                Some(v) => {
+                    self.emit(
+                        idx,
+                        ObsKind::VersionAssigned {
+                            entity: e.index() as u32,
+                            version: v.index,
+                            forced: false,
+                        },
+                    );
                     snapshot.select(v);
                 }
+                // A pinned value from an already-read version that has
+                // since left the candidate set: keep the read version.
                 None => {
-                    // A pinned value from an already-read version that has
-                    // since left the candidate set: keep the read version.
-                    if let Some(v) = self.nodes[idx].snapshot.version_of(e) {
-                        snapshot.select(v);
-                    } else {
-                        return None;
-                    }
+                    snapshot.select(node.snapshot.version_of(*e)?);
                 }
             }
         }
         Some(snapshot)
+    }
+
+    /// Install a (re-)assignment. This node's version is the base of every
+    /// candidate list it keeps for its children, so those follow.
+    fn set_snapshot(&mut self, idx: usize, snapshot: Snapshot) {
+        self.nodes[idx].snapshot = snapshot;
+        let entities: Vec<EntityId> = self.nodes[idx].writers.keys().copied().collect();
+        for e in entities {
+            self.rebase(idx, e);
+        }
+    }
+
+    /// Point node `idx`'s list for `e` at its current version of `e`.
+    fn rebase(&mut self, idx: usize, e: EntityId) {
+        let version = self.parent_version(idx, e);
+        let value = self.store.read(version).expect("assigned version");
+        if let Some(list) = self.nodes[idx].writers.get_mut(&e) {
+            list.rebase(version, value);
+        }
     }
 
     /// Validate a defined transaction: acquire `R_v` locks on its input
@@ -642,7 +660,7 @@ impl ProtocolManager {
         }
         match self.assign_versions(t.0, &[], strategy) {
             Some(snapshot) => {
-                self.nodes[t.0].snapshot = snapshot;
+                self.set_snapshot(t.0, snapshot);
                 self.nodes[t.0].state = TxnState::Validated;
                 self.stats.validations += 1;
                 self.emit(t.0, ObsKind::TxnValidated);
@@ -676,15 +694,11 @@ impl ProtocolManager {
                 state: state.label(),
             });
         }
-        let parent_idx = self.node(t)?.parent.ok_or(ProtocolError::RootImmutable)?;
-        let paths = &self.nodes[parent_idx].closure;
-        let my_slot = self.node(t)?.slot;
+        let parent = &self.nodes[self.node(t)?.parent.ok_or(ProtocolError::RootImmutable)?];
         let my_inputs = &self.node(t)?.input_set;
-        for &s in &self.nodes[parent_idx].children {
+        for slot in parent.closure.predecessors(self.node(t)?.slot) {
+            let s = parent.children[slot];
             let sn = &self.nodes[s];
-            if s == t.0 || !paths.has_edge(sn.slot, my_slot) {
-                continue;
-            }
             let live = matches!(sn.state, TxnState::Defined | TxnState::Validated);
             if live
                 && sn
@@ -766,8 +780,7 @@ impl ProtocolManager {
         let mut inner = t.0;
         while let Some(outer) = self.nodes[inner].parent {
             let slot = self.nodes[inner].slot;
-            let last = self.nodes[outer].writers.entry(e).or_default();
-            last.insert(slot, version);
+            self.list_of(outer, e).set_writer(slot, version, value);
             inner = outer;
         }
         self.stats.writes += 1;
@@ -779,6 +792,19 @@ impl ProtocolManager {
         let reeval = self.re_eval(t.0, e, version);
         self.write_locks.remove(&e);
         Ok(WriteReport { version, reeval })
+    }
+
+    /// Node `idx`'s candidate list for `e`, created on the first write
+    /// below it.
+    fn list_of(&mut self, idx: usize, e: EntityId) -> &mut CandidateList {
+        if !self.nodes[idx].writers.contains_key(&e) {
+            let base = self.parent_version(idx, e);
+            let value = self.store.read(base).expect("assigned version");
+            self.nodes[idx]
+                .writers
+                .insert(e, CandidateList::new(base, value));
+        }
+        self.nodes[idx].writers.get_mut(&e).expect("inserted")
     }
 
     fn record_provenance(&mut self, t: Txn, version: VersionId) {
@@ -843,7 +869,7 @@ impl ProtocolManager {
         );
         let writer_slot = self.nodes[writer].slot;
         let holders: Vec<usize> = self.nodes[parent_idx]
-            .children
+            .live
             .iter()
             .copied()
             .filter(|&h| h != writer)
@@ -932,7 +958,7 @@ impl ProtocolManager {
                 .collect();
             match self.assign_versions(h, &pins, Strategy::GreedyLatest) {
                 Some(snapshot) => {
-                    self.nodes[h].snapshot = snapshot;
+                    self.set_snapshot(h, snapshot);
                     self.stats.re_assigns += 1;
                     self.emit(
                         writer,
@@ -1030,25 +1056,20 @@ impl ProtocolManager {
             });
         }
         // Sibling predecessors must have committed.
-        if let Some(parent_idx) = self.node(t)?.parent {
-            let paths = &self.nodes[parent_idx].closure;
-            let my_slot = self.node(t)?.slot;
-            for &c in &self.nodes[parent_idx].children {
-                let cn = &self.nodes[c];
-                if paths.has_edge(cn.slot, my_slot)
-                    && cn.state != TxnState::Committed
-                    && cn.state != TxnState::Aborted
-                {
-                    return Ok(CommitOutcome::PredecessorsPending(Txn(c)));
-                }
+        let parent_idx = self.node(t)?.parent;
+        if let Some(parent) = parent_idx.map(|p| &self.nodes[p]) {
+            let pending = parent
+                .closure
+                .predecessors(self.node(t)?.slot)
+                .map(|slot| parent.children[slot])
+                .find(|c| parent.live.contains(c));
+            if let Some(c) = pending {
+                return Ok(CommitOutcome::PredecessorsPending(Txn(c)));
             }
         }
         // Children must have terminated.
-        for &c in &self.node(t)?.children.clone() {
-            let cs = self.nodes[c].state;
-            if cs == TxnState::Defined || cs == TxnState::Validated {
-                return Ok(CommitOutcome::ChildrenPending(Txn(c)));
-            }
+        if let Some(&c) = self.node(t)?.live.first() {
+            return Ok(CommitOutcome::ChildrenPending(Txn(c)));
         }
         // Output condition on the final view.
         let view = self.result_view(t)?;
@@ -1056,6 +1077,9 @@ impl ProtocolManager {
             return Ok(CommitOutcome::OutputViolated);
         }
         self.nodes[t.0].state = TxnState::Committed;
+        if let Some(p) = parent_idx {
+            self.nodes[p].live.remove(&t.0);
+        }
         self.emit(t.0, ObsKind::TxnCommitted);
         Ok(CommitOutcome::Committed)
     }
@@ -1136,7 +1160,7 @@ impl ProtocolManager {
                         .collect();
                     match self.assign_versions(s, &pins, Strategy::GreedyLatest) {
                         Some(snapshot) => {
-                            self.nodes[s].snapshot = snapshot;
+                            self.set_snapshot(s, snapshot);
                             self.stats.re_assigns += 1;
                         }
                         None => {
@@ -1184,27 +1208,31 @@ impl ProtocolManager {
             // A commit "is only relative to the parent": aborting the
             // subtree undoes committed descendants as well.
             self.nodes[i].state = TxnState::Aborted;
+            if let Some(p) = self.nodes[i].parent {
+                self.nodes[p].live.remove(&i);
+            }
             out.insert(i);
             stack.extend(self.nodes[i].children.iter().copied());
             self.emit(i, ObsKind::TxnAborted);
         }
-        // `idx`'s entries in its parent's `writers` are filtered by state
-        // when read. The subtrees enclosing the parent are still live and
-        // may have memoised a version that just died: recompute theirs.
+        // `idx` leaves its parent's lists, and the subtrees enclosing the
+        // parent, still live, may have listed a version that just died:
+        // recompute their entries.
         let written: BTreeSet<EntityId> = out
             .iter()
             .flat_map(|&i| self.nodes[i].writes.iter().map(|v| v.entity))
             .collect();
-        let mut inner = self.nodes[idx].parent.expect("the root never aborts");
+        let mut inner = idx;
         while let Some(outer) = self.nodes[inner].parent {
             let slot = self.nodes[inner].slot;
             for &e in &written {
-                let last = self.subtree_last_version(inner, e);
-                let memo = self.nodes[outer].writers.entry(e).or_default();
-                match last {
-                    Some(v) => memo.insert(slot, v),
-                    None => memo.remove(&slot),
-                };
+                match self.subtree_last_version(inner, e) {
+                    Some(v) => {
+                        let value = self.store.read(v).expect("written version");
+                        self.list_of(outer, e).set_writer(slot, v, value);
+                    }
+                    None => self.list_of(outer, e).remove_writer(slot),
+                }
             }
             inner = outer;
         }
@@ -1227,6 +1255,7 @@ impl ProtocolManager {
         let v = VersionId { entity: e, index };
         self.store.meta(v)?; // must name an existing version
         self.nodes[t.0].snapshot.select(v);
+        self.rebase(t.0, e);
         self.emit(
             t.0,
             ObsKind::VersionAssigned {
@@ -1243,12 +1272,12 @@ impl ProtocolManager {
 /// satisfy (honouring `pins`), or `u32::MAX` when every clause is
 /// individually satisfiable and the conflict is cross-clause. Atoms
 /// mention at most two entities, so per-clause checking is cheap.
-fn unsat_clause_witness(input: &Cnf, candidates: &[Vec<Value>], pins: &[(EntityId, Value)]) -> u32 {
+fn unsat_clause_witness(input: &Cnf, candidates: &[&[Value]], pins: &[(EntityId, Value)]) -> u32 {
     let pinned: BTreeMap<EntityId, Value> = pins.iter().copied().collect();
     let values_of = |e: EntityId| -> Vec<Value> {
         match pinned.get(&e) {
             Some(&v) => vec![v],
-            None => candidates.get(e.index()).cloned().unwrap_or_default(),
+            None => candidates.get(e.index()).map_or(Vec::new(), |c| c.to_vec()),
         }
     };
     'clauses: for (ci, clause) in input.clauses().iter().enumerate() {

@@ -1,15 +1,20 @@
 //! Differential test of the indexed candidate computation: over random
-//! nested sessions, after every call, `candidates_for` (closed order on the
-//! node + writer index) must return exactly what the original computation
-//! returned — the closure of the raw order rebuilt from scratch, every
-//! non-aborted sibling walked with `subtree_last_version`, rules 1–3 over
-//! all of them. The reference lives here and nowhere else.
+//! nested sessions, after every call, what `candidates_for` hands the
+//! solver (closed order on the node + maintained candidate lists) must be
+//! exactly what the original computation produced — the closure of the raw
+//! order rebuilt from scratch, every non-aborted sibling walked with
+//! `subtree_last_version`, rules 1–3 over all of them, then sorted and
+//! deduplicated by value. Likewise every node's `live` set must be its
+//! children filtered by state, and `commit` must report the pending sibling
+//! or child a scan of every child finds. The references live here and
+//! nowhere else.
 
 use super::*;
 use ks_kernel::{Domain, UniqueState};
 use ks_predicate::random::SplitMix64;
 use ks_predicate::{Atom, Clause, CmpOp};
 use ks_schedule::DiGraph;
+use std::borrow::Cow;
 
 impl ProtocolManager {
     /// Transitive closure of the partial order over `parent`'s child
@@ -77,22 +82,84 @@ impl ProtocolManager {
             .collect()
     }
 
-    /// Every non-root node × every entity: indexed equals reference, as
-    /// lists (both come out in slot order, which fixes the stamp order
-    /// `assign_versions` then sorts into); and every node's closure equals
-    /// the closure recomputed from its raw order.
-    fn assert_index_matches_reference(&self, after: &str) {
+    /// What `assign_versions` made of a reference candidate set: the
+    /// distinct values in stamp order, and the newest version per value.
+    fn reference_view(&self, idx: usize, e: EntityId) -> CandidateView {
+        let mut versions = self.reference_candidates_for(idx, e);
+        versions.sort_unstable_by_key(|v| v.index);
+        let valued: Vec<(VersionId, Value)> = versions
+            .into_iter()
+            .map(|v| (v, self.store.read(v).expect("candidate exists")))
+            .collect();
+        let mut values: Vec<Value> = Vec::new();
+        for &(_, val) in &valued {
+            if !values.contains(&val) {
+                values.push(val);
+            }
+        }
+        let newest = values
+            .iter()
+            .map(|&val| {
+                let v = valued
+                    .iter()
+                    .rev()
+                    .find(|&&(_, x)| x == val)
+                    .expect("listed");
+                (val, v.0)
+            })
+            .collect();
+        CandidateView {
+            count: valued.len(),
+            values,
+            newest,
+        }
+    }
+
+    /// The pending outcome `commit` reported before the live sets existed.
+    fn reference_commit_gate(&self, t: usize) -> Option<CommitOutcome> {
+        let live =
+            |c: usize| matches!(self.nodes[c].state, TxnState::Defined | TxnState::Validated);
+        if let Some(p) = self.nodes[t].parent {
+            let paths = &self.nodes[p].closure;
+            let slot = self.nodes[t].slot;
+            for &c in &self.nodes[p].children {
+                if paths.has_edge(self.nodes[c].slot, slot) && live(c) {
+                    return Some(CommitOutcome::PredecessorsPending(Txn(c)));
+                }
+            }
+        }
+        let child = self.nodes[t].children.iter().copied().find(|&c| live(c));
+        child.map(|c| CommitOutcome::ChildrenPending(Txn(c)))
+    }
+
+    /// Every node's closure equals the closure recomputed from its raw
+    /// order, and its `live` set is its children filtered by state. Every
+    /// node that can still be (re-)assigned × every entity: indexed view
+    /// equals reference view.
+    fn assert_index_matches_reference(&self, after: &str, cov: &mut Coverage) {
         for idx in 0..self.nodes.len() {
-            let closed: Vec<_> = self.nodes[idx].closure.edges().collect();
+            let node = &self.nodes[idx];
+            let closed: Vec<_> = node.closure.edges().collect();
             let recomputed: Vec<_> = self.paths_of(idx).edges().collect();
             assert_eq!(closed, recomputed, "closure of node {idx} after {after}");
-            if idx == 0 {
+            let live: BTreeSet<usize> = node
+                .children
+                .iter()
+                .copied()
+                .filter(|&c| matches!(self.nodes[c].state, TxnState::Defined | TxnState::Validated))
+                .collect();
+            assert_eq!(node.live, live, "live children of node {idx} after {after}");
+            if idx == 0 || !matches!(node.state, TxnState::Defined | TxnState::Validated) {
                 continue;
             }
             for e in self.schema.entity_ids() {
+                let indexed = self.candidates_for(idx, e);
+                let shared = matches!(indexed, Cow::Borrowed(_));
+                cov.borrowed_multi += u64::from(shared && indexed.values().len() > 2);
+                cov.filtered += u64::from(!shared);
                 assert_eq!(
-                    self.candidates_for(idx, e),
-                    self.reference_candidates_for(idx, e),
+                    CandidateView::of(&indexed),
+                    self.reference_view(idx, e),
                     "candidates of node {idx} for {e} after {after}"
                 );
             }
@@ -101,6 +168,28 @@ impl ProtocolManager {
 
     fn depth(&self, idx: usize) -> usize {
         std::iter::successors(self.nodes[idx].parent, |&p| self.nodes[p].parent).count()
+    }
+}
+
+/// A candidate list as the solver and the back-mapping see it.
+#[derive(Debug, PartialEq)]
+struct CandidateView {
+    count: usize,
+    values: Vec<Value>,
+    newest: Vec<(Value, VersionId)>,
+}
+
+impl CandidateView {
+    fn of(list: &CandidateList) -> CandidateView {
+        CandidateView {
+            count: list.len(),
+            values: list.values().to_vec(),
+            newest: list
+                .values()
+                .iter()
+                .map(|&val| (val, list.newest_with(val).expect("listed value")))
+                .collect(),
+        }
     }
 }
 
@@ -116,6 +205,12 @@ struct Coverage {
     split_writes: u64,
     ordered_defines: u64,
     cycles_rejected: u64,
+    /// Checks that borrowed a maintained list of more than two values.
+    borrowed_multi: u64,
+    /// Checks that filtered the list by the order instead.
+    filtered: u64,
+    /// Commits refused because a sibling or child was pending.
+    gated_commits: u64,
 }
 
 fn pick<T: Copy>(rng: &mut SplitMix64, items: &[T]) -> Option<T> {
@@ -247,7 +342,12 @@ fn random_session(seed: u64, steps: usize, cov: &mut Coverage) -> ProtocolStats 
                 let Some(t) = pick(&mut rng, &validated) else {
                     continue;
                 };
-                let _ = pm.commit(Txn(t));
+                let gate = pm.reference_commit_gate(t);
+                let outcome = pm.commit(Txn(t)).expect("validated");
+                if let Some(pending) = gate {
+                    assert_eq!(outcome, pending, "commit {t} at step {step} of seed {seed}");
+                    cov.gated_commits += 1;
+                }
                 format!("commit {t}")
             }
             _ => {
@@ -270,7 +370,7 @@ fn random_session(seed: u64, steps: usize, cov: &mut Coverage) -> ProtocolStats 
             .iter()
             .filter(|&&c| pm.nodes[c].state == TxnState::Aborted)
             .count() as u64;
-        pm.assert_index_matches_reference(&format!("step {step} of seed {seed}: {what}"));
+        pm.assert_index_matches_reference(&format!("step {step} of seed {seed}: {what}"), cov);
     }
     pm.stats()
 }
@@ -293,6 +393,10 @@ fn indexed_candidates_equal_the_reference_after_every_call() {
     assert!(cov.split_writes > 0, "{cov:?}");
     assert!(
         cov.ordered_defines > 0 && cov.cycles_rejected > 0,
+        "{cov:?}"
+    );
+    assert!(
+        cov.borrowed_multi > 0 && cov.filtered > 0 && cov.gated_commits > 0,
         "{cov:?}"
     );
     assert!(stats.re_assigns > 0, "{stats:?}");

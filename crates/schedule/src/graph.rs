@@ -6,7 +6,8 @@
 //! sibling order: a partial order that only grows, queried far more often
 //! than it changes, so it is kept transitively closed as edges arrive.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// A directed graph over dense node ids `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,33 +60,24 @@ impl DiGraph {
     }
 
     /// Kahn's algorithm: a topological order if the graph is acyclic,
-    /// `None` otherwise.
+    /// `None` otherwise. The smallest available node goes first, so the
+    /// order is deterministic (the lexicographically least one).
     pub fn topological_order(&self) -> Option<Vec<usize>> {
         let mut indegree = vec![0usize; self.n];
         for &(_, to) in &self.edges {
             indegree[to] += 1;
         }
-        let mut queue: Vec<usize> = (0..self.n).filter(|&v| indegree[v] == 0).collect();
-        // Keep deterministic ascending order.
-        queue.sort_unstable();
+        let mut ready: BinaryHeap<Reverse<usize>> = (0..self.n)
+            .filter(|&v| indegree[v] == 0)
+            .map(Reverse)
+            .collect();
         let mut order = Vec::with_capacity(self.n);
-        let mut head = 0;
-        while head < queue.len() {
-            // pop the smallest available node for determinism
-            let rest = &mut queue[head..];
-            let (min_i, _) = rest
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, v)| *v)
-                .expect("non-empty");
-            rest.swap(0, min_i);
-            let v = queue[head];
-            head += 1;
+        while let Some(Reverse(v)) = ready.pop() {
             order.push(v);
-            for u in self.successors(v).collect::<Vec<_>>() {
+            for u in self.successors(v) {
                 indegree[u] -= 1;
                 if indegree[u] == 0 {
-                    queue.push(u);
+                    ready.push(Reverse(u));
                 }
             }
         }

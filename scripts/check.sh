@@ -49,7 +49,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Every test of every crate. One known intermittent is skipped by name
 # until its ROADMAP owner runs it to ground; nothing else is:
 # * item 1 — ks-server --test interleaving,
-#   `extracted_executions_always_check`: fails ~43 % of runs at the
+#   `extracted_executions_always_check`: fails 50–75 % of runs at the
 #   certifier layer (`parent_based: false`, shard 0, proptest case seed
 #   16879330901311285034, `inputs_ok` all true). The same Lemma 4 hole
 #   reproduces deterministically in two `#[ignore]`d tests: ks-bench's
