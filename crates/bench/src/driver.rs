@@ -270,8 +270,8 @@ pub fn drive_txn<C: Client>(
     }
     if cfg.batch {
         // One burst for the whole access phase: the remote client chunks
-        // it into pipelined `Batch` frames, the in-process session hands
-        // it to its shard worker as one coalesced request. A retryable
+        // it into pipelined `Batch` frames, the in-process session runs
+        // it under one acquisition of its shard's lock. A retryable
         // per-op error retries the burst (reads are harmless to repeat
         // and the writes are idempotent re-puts of the same values).
         let burst: Vec<BatchOp> = ops

@@ -1,8 +1,9 @@
 //! The simulated network and the single-threaded world it lives in.
 //!
 //! [`World`] embeds a real [`TxnService`] (real shard workers, real
-//! protocol managers) and serves it through the *production* server-side
-//! connection machinery: every delivered byte goes through
+//! protocol managers, the real WAL flusher) and serves it through the
+//! *production* server-side connection machinery: every delivered byte
+//! goes through
 //! [`wire::FrameReader`] and every decoded request through
 //! [`ConnCore::handle`] — the exact code the TCP server runs. Clients are
 //! real [`RemoteSession`](ks_net::RemoteSession)s whose [`Transport`] is
@@ -15,8 +16,9 @@
 //!
 //! Determinism: the driver is single-threaded and every client call is
 //! synchronous, so at most one request is ever in flight inside the
-//! service — the shard worker threads are real, but they process a
-//! deterministic request sequence. Combined with the plan being fully
+//! service. Certifier calls run on the driver's own thread under their
+//! shard's lock; the one server thread, the WAL flusher, acknowledges
+//! each commit before the driver moves on. Combined with the plan being fully
 //! expanded from the seed (see [`crate::plan`]) and the server-side state
 //! being ordered containers throughout, a run is a pure function of
 //! `(seed, protections)`.
@@ -385,7 +387,7 @@ impl World {
     ///
     /// Order matters: the media crashes *first* (losing a torn,
     /// salt-derived suffix of every segment's unsynced bytes), so the
-    /// dying workers' graceful shutdown syncs are no-ops and can never
+    /// dying shards' graceful shutdown syncs are no-ops and can never
     /// make the cut look cleaner than it was. Connections vaporize with
     /// no goodbye and *no abort sweep* — a power cut runs nothing. The
     /// dying incarnation's managers are snapshotted for their committed

@@ -61,9 +61,9 @@ pub enum Fault {
         /// the cuts do not move when other steps are shrunk away).
         salt: u32,
     },
-    /// The server executes the request but the reply rendezvous expires —
-    /// a stalled shard worker, seen from the wire: the client receives a
-    /// server-signalled `Timeout` while the op *was* applied.
+    /// The server executes the request but signals `Timeout` — a commit
+    /// whose wait for durability expired, seen from the wire: the client
+    /// receives a server-signalled `Timeout` while the op *was* applied.
     ServerTimeoutApplied,
     /// The server sheds the request before execution and signals
     /// `Timeout`: the op was *not* applied.

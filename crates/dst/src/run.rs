@@ -587,8 +587,8 @@ fn check_causality(rings: &[Vec<ObsEvent>], violations: &mut Vec<String>) -> usi
 }
 
 /// Distributed-trace span pairing. Spans cross rings — a `Queue` span
-/// opens on the enqueuing session thread and closes on the shard worker
-/// — so the check runs on the merged, time-ordered stream. The network
+/// opens on the session's sink and closes on the shard's — so the check
+/// runs on the merged, time-ordered stream. The network
 /// may legally replay a frame (`Fault::DupRequest` executes the same
 /// traced request twice), so repeated starts open *incarnations* of the
 /// same `(trace, hop)` span; the invariant is that every end closes an
@@ -640,19 +640,15 @@ fn canonical_trace(rings: &[Vec<ObsEvent>], dropped: u64) -> String {
         out.push_str(&format!("# WARNING: {dropped} events dropped\n"));
     }
     for (i, ring) in rings.iter().enumerate() {
-        // Worker drain sizes depend on thread wakeup timing (how many
-        // requests queued before the shard worker woke), so the events
-        // are dropped from the canonical trace entirely — even their
-        // count varies run to run. Span breadcrumbs and telemetry
-        // deltas go the same way: which WAL flush group a commit lands
-        // in and which 1-second window a request falls into are
-        // wall-clock facts, not logical ones (the span causality oracle
-        // checks them instead).
+        // Span breadcrumbs and telemetry deltas are dropped from the
+        // canonical trace: which WAL flush group a commit lands in and
+        // which 1-second window a request falls into are wall-clock
+        // facts, not logical ones (the span causality oracle checks them
+        // instead).
         let logical = ring.iter().filter(|ev| {
             !matches!(
                 ev.kind,
-                ObsKind::WorkerDrain { .. }
-                    | ObsKind::SpanStart { .. }
+                ObsKind::SpanStart { .. }
                     | ObsKind::SpanEnd { .. }
                     | ObsKind::TelemetryDelta { .. }
             )
@@ -722,7 +718,7 @@ mod tests {
     }
 
     /// A start/end pair split across two rings (the Queue span opens on
-    /// the session thread and closes on the worker) pairs cleanly.
+    /// the session's sink and closes on the shard's) pairs cleanly.
     #[test]
     fn spans_pair_across_rings() {
         let rings = vec![

@@ -640,8 +640,8 @@ fn read_one<R: TransportRx>(rx: &mut R) -> Result<(u64, Response), ServerError> 
 
 /// Requests whose duplicate execution is harmless, and which may
 /// therefore be re-sent after a *server-signalled*
-/// [`ServerError::Timeout`] (the reply rendezvous expired while the
-/// shard worker may still complete the operation). Re-sending anything
+/// [`ServerError::Timeout`] (a logged commit's wait for durability
+/// expired after the certifier accepted it). Re-sending anything
 /// else risks applying it twice — a retried `Commit` could re-submit a
 /// commit that already applied and report `Rejected` for a transaction
 /// that in fact committed, and a retried `Open` could leave an orphan

@@ -323,8 +323,8 @@ impl ConnCore {
 
     /// Execute a wire `Batch`: coalesce maximal runs of consecutive ops
     /// on the same (known) transaction into one [`Client::run_batch`]
-    /// call each, so a typical single-transaction burst costs one worker
-    /// rendezvous. Results come back per op, in op order, the same
+    /// call each, so a typical single-transaction burst takes its shard's
+    /// lock once. Results come back per op, in op order, the same
     /// length as the request — an unknown transaction id fails only its
     /// own ops, and a burst-level error (`Busy`, `Timeout`) is
     /// replicated across the run it covered. The frame itself never

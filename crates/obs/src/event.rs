@@ -100,9 +100,9 @@ pub enum SpanHop {
     Request,
     /// Server connection handler: frame decoded → response bytes ready.
     ConnHandle,
-    /// Shard queue residency: enqueued → dequeued by the worker.
+    /// Wait for the shard lock: asked → held.
     Queue,
-    /// Shard worker execution: dequeue → protocol result.
+    /// Execution under the shard lock: held → protocol result.
     Exec,
     /// Certifier decision inside execution (validate / commit); the end
     /// event's `ok` carries the decision outcome.
@@ -213,9 +213,9 @@ impl SpanHop {
 /// What happened. The taxonomy covers the three layers that emit:
 ///
 /// * **request lifecycle** (server): [`ObsKind::Enqueue`] when a session
-///   posts a request, [`ObsKind::Execute`] when the shard worker dequeues
-///   it (carrying the queue wait), [`ObsKind::Reply`] when the worker
-///   finishes (carrying the execute time);
+///   asks for a shard's lock, [`ObsKind::Execute`] once it holds it
+///   (carrying the wait), [`ObsKind::Reply`] when the call finishes
+///   (carrying the execute time);
 /// * **transaction lifecycle** (protocol): begin / validated / committed /
 ///   aborted, plus session admission at the service edge;
 /// * **protocol decisions** (the Figure 3/4 machinery): how many candidate
@@ -232,19 +232,19 @@ pub enum ObsKind {
     SessionAdmit,
     /// A session was shed by admission control.
     SessionShed,
-    /// A session posted a request onto a shard queue.
+    /// A session asked for a shard's lock to run a request.
     Enqueue {
         /// The operation.
         op: OpCode,
     },
-    /// The shard worker dequeued a request.
+    /// A request holds its shard's lock and starts executing.
     Execute {
         /// The operation.
         op: OpCode,
-        /// Nanoseconds the request sat in the shard queue.
+        /// Nanoseconds the request waited for the shard lock.
         queue_ns: u64,
     },
-    /// The shard worker finished a request.
+    /// A request finished executing under its shard's lock.
     Reply {
         /// The operation.
         op: OpCode,
@@ -348,14 +348,6 @@ pub enum ObsKind {
         /// Number of read/write ops packed into the frame.
         ops: u32,
     },
-    /// A shard worker woke up and drained a bounded batch of queued
-    /// requests in one pass. Timing-dependent (the count reflects queue
-    /// occupancy at wakeup), so deterministic trace comparisons must
-    /// ignore it.
-    WorkerDrain {
-        /// Number of requests drained this wakeup.
-        n: u32,
-    },
     /// Durability: a record was appended to the write-ahead log (not
     /// yet durable).
     WalAppend {
@@ -440,7 +432,6 @@ impl ObsKind {
             ObsKind::ConnClosed { .. } => "conn_closed",
             ObsKind::NetRetry { .. } => "net_retry",
             ObsKind::NetBatch { .. } => "net_batch",
-            ObsKind::WorkerDrain { .. } => "worker_drain",
             ObsKind::WalAppend { .. } => "wal_append",
             ObsKind::WalFsync { .. } => "wal_fsync",
             ObsKind::GroupCommit { .. } => "group_commit",
@@ -483,7 +474,6 @@ impl ObsKind {
                 delay_ns,
             } => (24, op.code(), attempt, delay_ns),
             ObsKind::NetBatch { ops } => (25, ops, 0, 0),
-            ObsKind::WorkerDrain { n } => (26, n, 0, 0),
             ObsKind::WalAppend { bytes } => (27, bytes, 0, 0),
             ObsKind::WalFsync { records, sync_ns } => (28, records, 0, sync_ns),
             ObsKind::GroupCommit { n } => (29, n, 0, 0),
@@ -553,7 +543,6 @@ impl ObsKind {
                 delay_ns: c,
             },
             25 => ObsKind::NetBatch { ops: a },
-            26 => ObsKind::WorkerDrain { n: a },
             27 => ObsKind::WalAppend { bytes: a },
             28 => ObsKind::WalFsync {
                 records: a,
@@ -691,7 +680,6 @@ mod tests {
                 delay_ns: 2_500_000,
             },
             ObsKind::NetBatch { ops: 6 },
-            ObsKind::WorkerDrain { n: 32 },
             ObsKind::WalAppend { bytes: 33 },
             ObsKind::WalFsync {
                 records: 12,
@@ -745,5 +733,7 @@ mod tests {
         assert!(ObsEvent::unpack([0, 0, u64::from(u32::MAX) << 32, 0, 0]).is_none());
         // Tags 17–21 were the retired sim bridge's; they stay unassigned.
         assert!(ObsEvent::unpack([0, 0, 17u64 << 32, 0, 0]).is_none());
+        // Tag 26 was the retired shard-worker drain event's.
+        assert!(ObsEvent::unpack([0, 0, 26u64 << 32, 0, 0]).is_none());
     }
 }

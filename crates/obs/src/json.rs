@@ -107,9 +107,6 @@ pub fn event_to_json(ev: &ObsEvent) -> String {
         ObsKind::NetBatch { ops } => {
             let _ = write!(s, ",\"ops\":{ops}");
         }
-        ObsKind::WorkerDrain { n } => {
-            let _ = write!(s, ",\"n\":{n}");
-        }
         ObsKind::WalAppend { bytes } => {
             let _ = write!(s, ",\"bytes\":{bytes}");
         }
@@ -310,7 +307,6 @@ pub fn event_from_json(line_no: usize, text: &str) -> Result<ObsEvent, JsonError
             delay_ns: f.u64("delay_ns")?,
         },
         "net_batch" => ObsKind::NetBatch { ops: f.u32("ops")? },
-        "worker_drain" => ObsKind::WorkerDrain { n: f.u32("n")? },
         "wal_append" => ObsKind::WalAppend {
             bytes: f.u32("bytes")?,
         },

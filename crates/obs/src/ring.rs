@@ -1,9 +1,9 @@
-//! The flight recorder: lock-free per-thread ring buffers.
+//! The flight recorder: lock-free per-emitter ring buffers.
 //!
-//! Each emitting thread (shard worker, client session, simulator) owns an
-//! [`ObsSink`] backed by its own [`Ring`]; a [`Recorder`] is the registry
-//! that hands out sinks and drains every ring into one time-ordered
-//! stream. The rings are bounded (memory never grows) and overwrite the
+//! Each emitter (a shard, written under its lock; a service's sessions
+//! and WAL flusher; a simulator) owns an [`ObsSink`] backed by its own
+//! [`Ring`]; a [`Recorder`] is the registry that hands out sinks and
+//! drains every ring into one time-ordered stream. The rings are bounded (memory never grows) and overwrite the
 //! oldest events when full, counting every overwrite in a drop counter —
 //! an always-on flight recorder, not a lossless log.
 //!

@@ -281,8 +281,8 @@ impl TelemetrySeries {
     }
 
     /// Record one served request: its latency, whether it was a commit
-    /// or abort resolution, and the shard queue depth observed at reply
-    /// time.
+    /// or abort resolution, and the shard queue depth (waiters for the
+    /// shard) the request met.
     pub fn record_request(
         &self,
         latency_ns: u64,

@@ -84,8 +84,6 @@ fn corpus() -> Vec<ObsEvent> {
         },
         ObsKind::NetBatch { ops: 0 },
         ObsKind::NetBatch { ops: u32::MAX },
-        ObsKind::WorkerDrain { n: 1 },
-        ObsKind::WorkerDrain { n: u32::MAX },
         ObsKind::WalAppend { bytes: 0 },
         ObsKind::WalAppend { bytes: u32::MAX },
         ObsKind::WalFsync {

@@ -61,9 +61,10 @@ pub use manager::{
 pub use ssi::SsiCertifier;
 pub use tpl::TplCertifier;
 
-// The serving layer (`ks-server`) moves certifiers into worker threads and
-// back out through join handles; compile-time-assert they stay `Send` so
-// an accidental `Rc`/raw-pointer field can't silently break the server.
+// The serving layer (`ks-server`) keeps each certifier behind a shard
+// mutex that every session thread takes; compile-time-assert they stay
+// `Send` so an accidental `Rc`/raw-pointer field can't silently break the
+// server.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ProtocolManager>();

@@ -233,7 +233,7 @@ pub trait Client {
     /// Semantically identical to calling [`read`](Client::read)/
     /// [`write`](Client::write) one by one — and that is the default
     /// implementation — but transports may amortize: the in-process
-    /// session makes one worker rendezvous for the whole burst, the
+    /// session takes the shard lock once for the whole burst, the
     /// networked session packs the burst into `Batch` wire frames and
     /// pipelines them up to the transaction's
     /// [`pipeline_depth`](TxnBuilder::pipeline_depth).

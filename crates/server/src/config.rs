@@ -3,9 +3,9 @@
 //! [`ServerConfig`] keeps public fields (struct-literal construction still
 //! works for internal code), but the supported way to build one is the
 //! validating [`ServerConfig::builder`]: it rejects configurations that
-//! would wedge the service at startup — zero shards, a zero-depth queue
-//! nothing can ever enter, a session cap of zero, or a zero timeout that
-//! turns every call into an instant `Timeout`.
+//! would wedge the service at startup — zero shards, a zero wait depth
+//! that sheds every call, a session cap of zero, or a zero timeout that
+//! turns every logged commit into an instant `Timeout`.
 
 use crate::durability::Durability;
 use crate::error::ServerError;
@@ -18,23 +18,25 @@ use std::time::Duration;
 /// Configuration for a [`TxnService`](crate::TxnService).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of entity shards, each served by one worker thread owning
-    /// its own protocol manager. Clamped to `[1, |E|]` at startup.
+    /// Number of entity shards, each a worker owning its own protocol
+    /// manager behind one lock. Clamped to `[1, |E|]` at startup.
     pub shards: usize,
-    /// Bounded depth of each shard's request queue; a full queue sheds
-    /// requests with [`ServerError::Backpressure`](crate::ServerError).
+    /// How many calls may wait for one shard's lock; a call arriving
+    /// when this many already wait is shed with
+    /// [`ServerError::Backpressure`](crate::ServerError).
     pub queue_depth: usize,
     /// Maximum concurrently open sessions; further `session()` calls are
     /// shed with `Backpressure`.
     pub max_sessions: usize,
-    /// How long a session waits for a reply before reporting `Timeout`.
+    /// How long a logged commit waits for the flusher's acknowledgement
+    /// before reporting `Timeout`.
     pub request_timeout: Duration,
     /// Version-assignment solver strategy used at validation (overridable
     /// per transaction via
     /// [`TxnBuilder::strategy`](crate::TxnBuilder::strategy)).
     pub strategy: Strategy,
     /// Flight recorder for structured decision tracing. When set, every
-    /// shard manager and worker gets an [`ObsSink`](ks_obs::ObsSink) and
+    /// shard gets an [`ObsSink`](ks_obs::ObsSink) and
     /// the service records request lifecycle + protocol decision events
     /// into the recorder's rings (see `ks-obs`); `None` disables
     /// instrumentation entirely.
@@ -50,7 +52,7 @@ pub struct ServerConfig {
     /// trace id — those are always honoured — and only when a
     /// `recorder` is attached. See `ks_obs::trace`.
     pub trace_sample: f64,
-    /// Which certification backend every shard worker runs: the paper's
+    /// Which certification backend every shard runs: the paper's
     /// CPC protocol (the default), SSI, or strict 2PL. Advertised to
     /// remote clients in the wire handshake; clients may pin an
     /// expectation per transaction ([`TxnBuilder::backend`]
@@ -126,7 +128,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Per-shard request-queue depth (must be ≥ 1).
+    /// Calls allowed to wait for one shard's lock (must be ≥ 1).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.config.queue_depth = depth;
         self
@@ -138,7 +140,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Reply timeout for every session call (must be non-zero).
+    /// Flusher-acknowledgement timeout for logged commits (must be
+    /// non-zero).
     pub fn request_timeout(mut self, timeout: Duration) -> Self {
         self.config.request_timeout = timeout;
         self
@@ -189,7 +192,7 @@ impl ServerConfigBuilder {
         }
         if c.queue_depth == 0 {
             return Err(ConfigError(
-                "queue_depth must be >= 1 (a zero-depth queue admits nothing)".into(),
+                "queue_depth must be >= 1 (a zero wait depth sheds every call)".into(),
             ));
         }
         if c.max_sessions == 0 {
@@ -199,7 +202,7 @@ impl ServerConfigBuilder {
         }
         if c.request_timeout.is_zero() {
             return Err(ConfigError(
-                "request_timeout must be non-zero (every call would time out)".into(),
+                "request_timeout must be non-zero (every logged commit would time out)".into(),
             ));
         }
         if !(0.0..=1.0).contains(&c.trace_sample) {

@@ -4,36 +4,38 @@
 //! the service opens a [`ks_wal::Wal`] over the configured store at
 //! startup, replays it ([`RecoveryReport`]), writes a synced
 //! [`Checkpoint`](ks_wal::WalRecord::Checkpoint) fence, and hands every
-//! shard worker a [`WorkerWal`] so the commit path logs-then-flushes
+//! shard's worker a [`WorkerWal`] so the commit path logs-then-flushes
 //! before acknowledging.
 //!
 //! **Logging discipline** (what makes recovery exact):
 //!
-//! * every `Define` logs `Begin`, every applied write logs `Write`, in
-//!   worker order — so a transaction's records always precede its
-//!   `Commit` record, and one sync at commit durably covers all of them
-//!   (prefix durability);
+//! * every `Define` logs `Begin`, every applied write logs `Write`,
+//!   under the shard lock — so a transaction's records always precede
+//!   its `Commit` record, and one sync at commit durably covers all of
+//!   them (prefix durability);
 //! * a commit acknowledges only after its `Commit` record is synced,
-//!   and only the flusher thread syncs it: the worker parks a deferred
-//!   reply [`Ticket`] and moves on; the flusher batches the tickets
-//!   that arrive within [`COMPANY_WINDOW`] of the first behind a single
-//!   fsync and acknowledges them all — unless no other session is open,
-//!   in which case there is no one to wait for and a lone committer
-//!   pays exactly its own sync;
+//!   and only the flusher thread syncs it: the committing call appends
+//!   the record and hands the flusher a deferred-reply [`Ticket`] under
+//!   the shard lock, then releases the lock and waits for the ack; the
+//!   flusher batches the tickets that arrive within [`COMPANY_WINDOW`]
+//!   of the first behind a single fsync and acknowledges them all —
+//!   unless no other session is open, in which case there is no one to
+//!   wait for and a lone committer pays exactly its own sync;
 //! * aborts log `Abort` for the target *and every cascaded victim*.
 //!   When a victim's `Commit` record was already logged (the protocol
 //!   can cascade-undo a committed sibling — commit is only relative to
-//!   the parent), the `Abort` is synced before the worker replies, so a
+//!   the parent), the `Abort` is synced before the call returns, so a
 //!   crash can never resurrect an undone commit whose undo was already
 //!   acknowledged.
 //!
-//! WAL I/O errors panic the worker: a server that cannot make commits
-//! durable must not keep acknowledging them (the in-memory and dst
-//! stores are infallible; only real disks can trip this).
+//! WAL I/O errors panic the calling thread under the shard lock, which
+//! poisons it: a server that cannot make commits durable must not keep
+//! acknowledging them, and every later call on that shard reads
+//! `Shutdown` (the in-memory and dst stores are infallible; only real
+//! disks can trip this).
 
 use crate::metrics::ServerMetrics;
 use crate::worker::{span_end, span_start};
-use crate::ServerError;
 use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
 use ks_wal::{SegmentStore, Wal, WalRecord};
 use std::collections::BTreeSet;
@@ -131,7 +133,7 @@ pub struct RecoveryReport {
 }
 
 /// The log plus the committed-logged set, behind one mutex: appends
-/// from every shard worker serialize here, which is what makes "one
+/// from every shard serialize here, which is what makes "one
 /// sync covers every record appended before it" hold globally.
 pub(crate) struct WalShared {
     inner: Mutex<WalInner>,
@@ -157,8 +159,8 @@ impl WalShared {
         }
     }
 
-    /// The log, for one append or sync. A worker that panicked holding
-    /// it left the log in an unknown state, so every later user fails
+    /// The log, for one append or sync. A call that panicked holding it
+    /// left the log in an unknown state, so every later user fails
     /// closed.
     fn lock(&self) -> MutexGuard<'_, WalInner> {
         self.inner.lock().expect("wal lock poisoned")
@@ -172,15 +174,17 @@ impl WalShared {
 
 /// A deferred commit acknowledgement parked with the flusher.
 pub(crate) struct Ticket {
-    pub(crate) reply: SyncSender<Result<(), ServerError>>,
+    pub(crate) reply: SyncSender<()>,
     /// Distributed trace riding this commit (`0` = unsampled); the
     /// flusher emits the `WalEnqueue`/`WalBarrier`/`WalFsync` span
     /// boundaries for it.
     pub(crate) trace: u64,
 }
 
-/// Per-worker handle: the shared log plus this worker's shard id and
-/// the flusher's ticket queue (`None` iff `sync_on_commit` is off).
+/// Per-shard handle: the shared log plus the shard id and the flusher's
+/// ticket queue (`None` iff `sync_on_commit` is off). Only the shard's
+/// worker holds it, so the flusher's queue disconnects once shutdown has
+/// taken every worker out of its shard.
 pub(crate) struct WorkerWal {
     pub(crate) shared: Arc<WalShared>,
     pub(crate) flusher: Option<Sender<Ticket>>,
@@ -274,7 +278,8 @@ impl WorkerWal {
 
     /// Log `Commit` and remember it as logged. Acknowledging is the
     /// worker's: with a flusher it hands over a [`Ticket`] (the time until
-    /// pickup is the trace's `WalEnqueue` hop), else it replies at once.
+    /// pickup is the trace's `WalEnqueue` hop), else the call returns at
+    /// once.
     pub(crate) fn log_commit(&self, txn: u64, sink: &Option<ObsSink>) {
         let mut inner = self.shared.lock();
         self.append(
@@ -304,8 +309,8 @@ impl WorkerWal {
 /// is skipped when this is the only open session — a lone committer
 /// waits for its own sync and nothing else. Every ticket's `Commit`
 /// record was appended before the ticket was sent, hence before the
-/// sync, hence is covered. Exits when all workers (the only `Ticket`
-/// senders) are gone.
+/// sync, hence is covered. Exits when every shard's worker (the only
+/// `Ticket` senders) has been dropped at shutdown.
 ///
 /// For traced tickets the flusher closes the worker's `WalEnqueue` span
 /// at pickup, brackets the wait for company as `WalBarrier`, and the
@@ -360,7 +365,7 @@ pub(crate) fn flusher_loop(
         // Each ticket's last span ends before its acknowledgement.
         for t in batch {
             span_end(&sink, t.trace, NO_TXN, SpanHop::WalFsync, true);
-            let _ = t.reply.send(Ok(()));
+            let _ = t.reply.send(());
         }
     }
 }

@@ -9,29 +9,33 @@
 //! time. This crate scales it out without giving that up:
 //!
 //! - **Sharding** ([`routing`]): entities are partitioned round-robin
-//!   across `S` shards; each shard's worker thread owns a private
+//!   across `S` shards; each shard's worker owns a private
 //!   [`Certifier`](ks_protocol::Certifier) backend — the paper's CPC
 //!   [`ProtocolManager`](ks_protocol::ProtocolManager), an SSI
 //!   certifier, or a strict-2PL baseline, selected per
 //!   [`ServerConfig::backend`] — over the shard's sub-schema. The
 //!   certifier stays single-writer; shards are independent correctness
 //!   domains (a transaction lives entirely inside one shard).
-//! - **Workers** ([`worker`]): a bounded `std::sync::mpsc` queue feeds
-//!   each shard; workers never block on protocol outcomes — contended
-//!   calls reply [`ServerError::Busy`] and the session retries, which is
-//!   what keeps one stalled transaction from wedging its whole shard.
+//! - **Workers** ([`worker`]): a shard is a lock, not a thread. Each
+//!   call takes its shard's mutex and runs the certifier call on the
+//!   caller's own thread; at most `queue_depth` calls wait for the lock
+//!   and the rest are shed. Workers never block on protocol outcomes —
+//!   contended calls return [`ServerError::Busy`] and the session
+//!   retries, which is what keeps one stalled transaction from wedging
+//!   its whole shard. The only service thread is the WAL commit
+//!   flusher.
 //! - **Clients** ([`client`]): the transport-generic [`Client`] trait and
 //!   [`TxnBuilder`] (spec, after/before ordering, strategy) — the
 //!   client-visible contract both the in-process [`Session`] and the
 //!   `ks-net` remote session implement, so workloads are generic over
 //!   transport.
-//! - **Sessions** ([`session`]): blocking in-process client handles with
-//!   a one-shot reply rendezvous per call, request timeouts, and typed
-//!   errors ([`ServerError::Rejected`], [`ServerError::ReEvalAborted`],
+//! - **Sessions** ([`session`]): blocking in-process client handles that
+//!   run each call under its shard's lock, a timeout on a logged
+//!   commit's wait for durability, and typed errors ([`ServerError::Rejected`], [`ServerError::ReEvalAborted`],
 //!   [`ServerError::Backpressure`]…) carrying stable wire codes and a
 //!   single [`ServerError::is_retryable`] classification.
-//! - **Admission control** ([`service`]): a session cap plus full-queue
-//!   shedding degrade gracefully under overload.
+//! - **Admission control** ([`service`]): a session cap plus shedding
+//!   past `queue_depth` waiters degrade gracefully under overload.
 //! - **Metrics** ([`metrics`]): lock-free counters and ks-obs's one
 //!   fixed-bucket latency histogram type (p50/p99) snapshotted on demand.
 //! - **Verification** ([`verify`]): after shutdown, every shard
@@ -289,56 +293,111 @@ mod tests {
         assert_eq!(svc.metrics().sessions_shed, 1);
     }
 
-    /// The per-shard queue depth is a counter, not a channel length: a
-    /// burst that overruns a one-slot queue is shed with `Backpressure`,
-    /// and once every call has returned the counter is back at zero —
-    /// a refused send gave its count back, and the worker counted out no
-    /// more than was counted in.
+    /// Waiters beyond `queue_depth` are shed with `Backpressure`, and once
+    /// every call has returned the wait depth is back at zero: a shed
+    /// call gave its count back, and a call that got the lock counted
+    /// itself out.
     #[test]
     fn shed_calls_leave_no_queue_depth_behind() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         let config = ServerConfig::builder()
             .shards(1)
             .queue_depth(1)
             .build()
             .unwrap();
         let svc = TxnService::new(schema(2), &UniqueState::constant(2, 0), config);
-        // Open and validate every transaction before any burst starts, so
-        // only the reads below can be shed.
-        let readers: Vec<_> = (0..6)
-            .map(|_| {
-                let session = svc.session().unwrap();
-                let spec = Specification::unconstrained(&[EntityId(0)]);
-                let txn = session.open(TxnBuilder::new(spec)).unwrap();
-                session.validate(txn).unwrap();
-                (session, txn)
-            })
-            .collect();
-        let shed = AtomicBool::new(false);
+        let x = EntityId(0);
+        let validated = || {
+            let session = svc.session().unwrap();
+            let spec = Specification::unconstrained(&[x]);
+            let txn = session.open(TxnBuilder::new(spec)).unwrap();
+            session.validate(txn).unwrap();
+            (session, txn)
+        };
+        let (waiter, waiter_txn) = validated();
+        let (shed, shed_txn) = validated();
+        // Hold the shard lock, as a long call would.
+        let held = svc.shared.shards[0].lock().unwrap();
         std::thread::scope(|scope| {
-            for (session, txn) in readers {
-                let shed = &shed;
-                scope.spawn(move || {
-                    for _ in 0..20_000 {
-                        if shed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match session.read(txn, EntityId(0)) {
-                            Err(ServerError::Backpressure) => shed.store(true, Ordering::Relaxed),
-                            other => assert_eq!(other, Ok(0)),
-                        }
-                    }
-                });
+            let waiting = scope.spawn(move || waiter.read(waiter_txn, x));
+            while svc.shared.metrics.queued(0) < 1 {
+                std::thread::yield_now();
             }
+            // One call already waits: the next one is shed at once.
+            assert_eq!(shed.read(shed_txn, x), Err(ServerError::Backpressure));
+            drop(held);
+            assert_eq!(waiting.join().unwrap(), Ok(0));
         });
         let snap = svc.metrics();
-        assert!(
-            shed.into_inner() && snap.backpressure > 0,
-            "no call was shed"
-        );
+        assert_eq!(snap.backpressure, 1);
         assert_eq!(snap.timeouts, 0);
         assert_eq!(snap.queue_depths, vec![0]);
-        svc.shutdown();
+        // Shedding left the transaction intact.
+        assert_eq!(shed.read(shed_txn, x), Ok(0));
+        drop(shed);
+        assert!(verify_certifiers(&svc.shutdown()).is_correct());
+    }
+
+    /// Shutdown while several threads loop whole transactions on one
+    /// logged shard: every call returns a typed result (no hang, no
+    /// panic), every call after shutdown reads `Shutdown`, and the
+    /// returned history is correct and holds exactly the acknowledged
+    /// commits — the flusher acknowledges every ticket it was handed
+    /// before it exits. The backend is SSI: a CPC commit can hold a
+    /// version of a sibling that shutdown then strands uncommitted — the
+    /// open Lemma 4 hole (ROADMAP item 1), which this test is not about.
+    #[test]
+    fn shutdown_under_load_answers_every_call() {
+        const THREADS: usize = 4;
+        let media = ks_wal::MemStore::new();
+        let store: StoreFactory =
+            Arc::new(move || Box::new(media.clone()) as Box<dyn ks_wal::SegmentStore>);
+        let config = ServerConfig::builder()
+            .shards(1)
+            .backend(Backend::Ssi)
+            .durability(Durability::Wal(WalOptions::new(store)))
+            .build()
+            .unwrap();
+        let svc = TxnService::new(schema(THREADS), &UniqueState::constant(THREADS, 0), config);
+        let sessions: Vec<Session> = (0..THREADS).map(|_| svc.session().unwrap()).collect();
+        let (acks, report) = std::thread::scope(|scope| {
+            let loops: Vec<_> = sessions
+                .into_iter()
+                .enumerate()
+                .map(|(t, session)| {
+                    // Each thread owns one entity, so its transactions
+                    // contend for the shard lock, never for versions.
+                    scope.spawn(move || {
+                        let x = EntityId(t as u32);
+                        let spec = Specification::unconstrained(&[x]);
+                        let mut acks = 0u64;
+                        for value in 0.. {
+                            let outcome =
+                                session.open(TxnBuilder::new(spec.clone())).and_then(|txn| {
+                                    session.validate(txn)?;
+                                    session.write(txn, x, value)?;
+                                    session.commit(txn)
+                                });
+                            match outcome {
+                                Ok(()) => acks += 1,
+                                Err(ServerError::Shutdown) => break,
+                                Err(e) => panic!("thread {t}: {e}"),
+                            }
+                        }
+                        let late = session.open(TxnBuilder::new(spec));
+                        assert_eq!(late.unwrap_err(), ServerError::Shutdown);
+                        acks
+                    })
+                })
+                .collect();
+            while svc.metrics().committed < 50 {
+                std::thread::yield_now();
+            }
+            let report = verify_certifiers(&svc.shutdown());
+            let acks: u64 = loops.into_iter().map(|h| h.join().unwrap()).sum();
+            (acks, report)
+        });
+        assert!(report.is_correct(), "{report:?}");
+        assert_eq!(report.committed as u64, acks);
     }
 
     #[test]
@@ -524,9 +583,10 @@ mod tests {
         // call, rooted at the client Request span, with the worker's
         // Queue/Exec (and Certify, for validate/commit) hops inside and,
         // under the WAL, the flusher's three hops on every commit. A
-        // worker that sends before it ends its spans loses the race to
-        // its client only about once in a few hundred calls, so each
-        // service runs LIFECYCLES lifecycles of six calls.
+        // flusher that acknowledged before it ended its last span would
+        // lose the race to its client only about once in a few hundred
+        // commits, so each service runs LIFECYCLES lifecycles of six
+        // calls.
         use ks_obs::{OpCode, SpanHop};
         const LIFECYCLES: usize = 200;
         let media = ks_wal::MemStore::new();

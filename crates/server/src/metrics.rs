@@ -6,10 +6,10 @@
 //! [`ks_obs::telemetry::quantile`] walk, so a reported quantile is the
 //! inclusive upper edge `2^(i+1) − 1` ns of its bucket (≤ 2× relative
 //! error, no allocation). Round-trip latency is kept **per shard** (one
-//! histogram each), and the worker splits every request into its
-//! queue-wait and execute portions, so a slow shard or a queueing
-//! collapse is visible directly instead of being averaged away in one
-//! global distribution.
+//! histogram each), and every call is split into its wait for the shard
+//! lock and its execute portion, so a slow shard or a queueing collapse
+//! is visible directly instead of being averaged away in one global
+//! distribution.
 
 use ks_obs::telemetry::quantile;
 use ks_obs::{LatencyHistogram, LATENCY_BUCKETS};
@@ -22,8 +22,8 @@ fn quantiles_of(counts: &[u64; LATENCY_BUCKETS]) -> (Option<Duration>, Option<Du
     (at(0.50), at(0.99))
 }
 
-/// Shared mutable counters; one instance per service, updated by sessions
-/// and workers.
+/// Shared mutable counters; one instance per service, updated on every
+/// call path.
 #[derive(Debug)]
 pub struct ServerMetrics {
     /// Currently open sessions.
@@ -32,11 +32,12 @@ pub struct ServerMetrics {
     pub sessions_admitted: AtomicU64,
     /// `session()` calls shed by admission control.
     pub sessions_shed: AtomicU64,
-    /// Requests that received a reply (any outcome).
+    /// Requests a shard executed (any outcome).
     pub requests: AtomicU64,
-    /// Requests shed because a shard queue was full.
+    /// Requests shed because `queue_depth` calls already waited for their
+    /// shard's lock.
     pub backpressure: AtomicU64,
-    /// Requests that timed out waiting for a reply.
+    /// Commits that timed out waiting for the flusher's acknowledgement.
     pub timeouts: AtomicU64,
     /// Transactions committed through the service.
     pub committed: AtomicU64,
@@ -46,11 +47,11 @@ pub struct ServerMetrics {
     pub re_assigns: AtomicU64,
     /// Transactions aborted by re-eval.
     pub reeval_aborts: AtomicU64,
-    /// Time requests spent queued (enqueue → worker dequeue).
+    /// Time requests spent waiting for their shard's lock.
     pub queue_wait: LatencyHistogram,
-    /// Time the worker spent executing: dequeue → reply ready. It is
-    /// recorded before the reply (or a logged commit's ticket) leaves the
-    /// worker, so it excludes waking the caller.
+    /// Time a request spent executing under the shard lock: lock held →
+    /// result ready. It is recorded before a logged commit's ticket goes
+    /// to the flusher, so it excludes the wait for durability.
     pub exec_time: LatencyHistogram,
     /// Windowed time-series telemetry (1 s latency-histogram windows,
     /// throughput/abort-rate/queue-depth/flush series) feeding
@@ -60,8 +61,8 @@ pub struct ServerMetrics {
     pub telemetry: ks_obs::TelemetrySeries,
     /// Request round-trip latencies (measured at the session), per shard.
     shard_latency: Vec<LatencyHistogram>,
-    /// Requests sitting in each shard's queue: counted in before the send,
-    /// counted out when the worker drains them or the send is refused.
+    /// Calls waiting for each shard's lock: counted in before the lock is
+    /// requested, counted out once it is held or the call is shed.
     queued: Vec<AtomicUsize>,
 }
 
@@ -73,7 +74,7 @@ impl Default for ServerMetrics {
 
 impl ServerMetrics {
     /// Metrics for a service of `shards` shards (one round-trip histogram
-    /// and one queue counter each; at least one).
+    /// and one waiter counter each; at least one).
     pub fn new(shards: usize) -> Self {
         ServerMetrics {
             sessions_in_flight: AtomicUsize::new(0),
@@ -113,20 +114,20 @@ impl ServerMetrics {
         &self.shard_latency
     }
 
-    /// Requests currently queued for `shard`.
+    /// Calls currently waiting for `shard`'s lock.
     pub(crate) fn queued(&self, shard: usize) -> usize {
         self.queued[shard].load(Ordering::Relaxed)
     }
 
-    /// Count one request into `shard`'s queue, before it is sent.
-    pub(crate) fn enqueue(&self, shard: usize) {
-        self.queued[shard].fetch_add(1, Ordering::Relaxed);
+    /// Count one call in as a waiter for `shard`'s lock; returns how many
+    /// were already waiting.
+    pub(crate) fn enqueue(&self, shard: usize) -> usize {
+        self.queued[shard].fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Count `n` requests out of `shard`'s queue: drained by its worker,
-    /// or refused at the send.
-    pub(crate) fn dequeued(&self, shard: usize, n: usize) {
-        self.queued[shard].fetch_sub(n, Ordering::Relaxed);
+    /// Count one call out: it holds `shard`'s lock, or was shed.
+    pub(crate) fn dequeued(&self, shard: usize) {
+        self.queued[shard].fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Materialize a consistent-enough view for reporting.
@@ -180,11 +181,11 @@ pub struct MetricsSnapshot {
     pub sessions_admitted: u64,
     /// `session()` calls shed by admission control.
     pub sessions_shed: u64,
-    /// Requests that received a reply.
+    /// Requests executed.
     pub requests: u64,
-    /// Requests shed on full queues.
+    /// Requests shed on a full shard wait.
     pub backpressure: u64,
-    /// Reply timeouts.
+    /// Commit acknowledgement timeouts.
     pub timeouts: u64,
     /// Commits.
     pub committed: u64,
@@ -202,15 +203,15 @@ pub struct MetricsSnapshot {
     pub shard_p50: Vec<Option<Duration>>,
     /// 99th-percentile round-trip latency per shard.
     pub shard_p99: Vec<Option<Duration>>,
-    /// Median queue wait (enqueue → dequeue).
+    /// Median wait for the shard lock.
     pub queue_wait_p50: Option<Duration>,
     /// 99th-percentile queue wait.
     pub queue_wait_p99: Option<Duration>,
-    /// Median execute time (dequeue → reply ready).
+    /// Median execute time (lock held → result ready).
     pub exec_p50: Option<Duration>,
     /// 99th-percentile execute time.
     pub exec_p99: Option<Duration>,
-    /// Per-shard request-queue depths at snapshot time.
+    /// Calls waiting for each shard's lock at snapshot time.
     pub queue_depths: Vec<usize>,
 }
 

@@ -1,4 +1,4 @@
-//! Entity sharding: the partition of the schema across worker threads.
+//! Entity sharding: the partition of the schema across shards.
 //!
 //! Shard `s` owns every entity whose global index is `≡ s (mod S)`; inside
 //! a shard, entities are renumbered densely (`local = global / S`). Each

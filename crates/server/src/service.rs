@@ -1,11 +1,11 @@
-//! The front end: shard workers, admission control, lifecycle.
+//! The front end: shards, admission control, lifecycle.
 
 use crate::config::ServerConfig;
 use crate::durability::{self, Durability, RecoveryReport, WalShared, WorkerWal};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::routing::ShardMap;
 use crate::session::Session;
-use crate::worker::{self, Request, Routed};
+use crate::worker::{Shard, Worker};
 use crate::ServerError;
 use ks_core::Specification;
 use ks_kernel::{Schema, UniqueState};
@@ -14,14 +14,13 @@ use ks_protocol::manager::ProtocolStats;
 use ks_protocol::{Backend, Certifier, ProtocolManager, SsiCertifier, TplCertifier};
 use ks_wal::{Wal, WalConfig, WalRecord};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// State shared between the service front end and every session.
 pub(crate) struct Shared {
     pub(crate) map: ShardMap,
-    pub(crate) senders: Vec<SyncSender<Routed>>,
+    pub(crate) shards: Vec<Shard>,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) config: ServerConfig,
     /// Session-side sink (shard-stamped per call with `emit_for`); `None`
@@ -36,25 +35,27 @@ pub(crate) struct Shared {
 /// A concurrent multi-session transaction service over a pluggable
 /// certification backend.
 ///
-/// Entities are partitioned across shard worker threads (see
-/// [`ShardMap`]); each worker owns a [`Certifier`] over its sub-schema —
-/// the paper's CPC [`ProtocolManager`] by default, or the SSI / 2PL
-/// backends via [`ServerConfig::backend`](crate::ServerConfig) — so
-/// every certification decision is made single-threaded while
-/// independent shards proceed in parallel. Sessions obtained from
+/// Entities are partitioned across shards (see [`ShardMap`]); each
+/// shard's worker owns a [`Certifier`] over its sub-schema — the paper's
+/// CPC [`ProtocolManager`] by default, or the SSI / 2PL backends via
+/// [`ServerConfig::backend`](crate::ServerConfig) — behind a lock that
+/// every call holds while it runs, on the caller's own thread. So every
+/// certification decision is made one at a time while independent
+/// shards proceed in parallel. Sessions obtained from
 /// [`TxnService::session`] are the only client surface.
 pub struct TxnService {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<Box<dyn Certifier>>>,
+    pub(crate) shared: Arc<Shared>,
     flusher: Option<JoinHandle<()>>,
     recovery: Option<RecoveryReport>,
     wal: Option<Arc<WalShared>>,
 }
 
 impl TxnService {
-    /// Start the service: build the shard partition and spawn one worker
-    /// per shard, each with a protocol manager rooted at a trivial
-    /// specification over the shard's slice of `initial`.
+    /// Start the service: build the shard partition and one worker per
+    /// shard, each with a protocol manager rooted at a trivial
+    /// specification over the shard's slice of `initial`. The only thread
+    /// it starts is the WAL commit flusher, under a syncing
+    /// [`Durability::Wal`].
     ///
     /// With [`Durability::Wal`], startup first replays the log
     /// (recovered committed state replaces `initial`), then writes a
@@ -127,10 +128,8 @@ impl TxnService {
         }
         let recovered_states = recovery.as_ref().and_then(|r| r.states.clone());
 
-        let mut senders = Vec::with_capacity(map.shards());
-        let mut workers = Vec::with_capacity(map.shards());
+        let mut shards = Vec::with_capacity(map.shards());
         for shard in 0..map.shards() {
-            let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
             let sub_schema = map.sub_schema(shard).clone();
             let shard_initial = match &recovered_states {
                 Some(states) => UniqueState::new(&sub_schema, states[shard].clone())
@@ -151,7 +150,8 @@ impl TxnService {
                 Backend::TwoPl => Box::new(TplCertifier::new(sub_schema, &shard_initial)),
             };
             // One ring per shard, shared by the worker's request spans and
-            // the certifier's protocol decisions (both run on this thread).
+            // the certifier's protocol decisions (both emitted under the
+            // shard lock).
             let sink = config.recorder.as_ref().map(|r| r.sink(shard as u32));
             if let Some(s) = &sink {
                 cert.attach_obs(s.clone());
@@ -171,22 +171,18 @@ impl TxnService {
                 flusher: flusher_tx.clone(),
                 shard: shard as u32,
             });
-            let metrics = Arc::clone(&metrics);
-            workers.push(std::thread::spawn(move || {
-                worker::run(shard, cert, rx, metrics, sink, wal)
-            }));
-            senders.push(tx);
+            let worker = Worker::new(cert, Arc::clone(&metrics), sink, wal);
+            shards.push(Mutex::new(Some(worker)));
         }
         TxnService {
             shared: Arc::new(Shared {
                 map,
-                senders,
+                shards,
                 metrics,
                 config,
                 obs,
                 trace_seq: std::sync::atomic::AtomicU64::new(0),
             }),
-            workers,
             flusher,
             recovery,
             wal: wal_shared,
@@ -256,37 +252,19 @@ impl TxnService {
     }
 
     /// Per-shard protocol statistics (re-evals, re-assigns, aborts…),
-    /// gathered by round-tripping each worker.
+    /// read under each shard's lock.
     pub fn protocol_stats(&self) -> Result<Vec<ProtocolStats>, ServerError> {
-        let mut receivers = Vec::with_capacity(self.shared.senders.len());
-        for shard in 0..self.shared.senders.len() {
-            let (tx, rx) = mpsc::sync_channel(1);
-            self.send_blocking(shard, Request::Stats { reply: tx })?;
-            receivers.push(rx);
-        }
-        receivers
-            .into_iter()
-            .map(|rx| {
-                rx.recv_timeout(self.shared.config.request_timeout)
-                    .map_err(|_| ServerError::Timeout)
+        self.shared
+            .shards
+            .iter()
+            .map(|shard| match shard.lock() {
+                Ok(slot) => slot
+                    .as_ref()
+                    .map(Worker::stats)
+                    .ok_or(ServerError::Shutdown),
+                Err(_) => Err(ServerError::Shutdown),
             })
             .collect()
-    }
-
-    /// Queue an untraced control request for `shard`, waiting for room;
-    /// counted in the shard's queue depth like a session's request.
-    fn send_blocking(&self, shard: usize, request: Request) -> Result<(), ServerError> {
-        let metrics = &self.shared.metrics;
-        metrics.enqueue(shard);
-        let routed = Routed {
-            enqueued: std::time::Instant::now(),
-            trace: 0,
-            request,
-        };
-        self.shared.senders[shard].send(routed).map_err(|_| {
-            metrics.dequeued(shard, 1);
-            ServerError::Shutdown
-        })
     }
 
     /// The certification backend every shard of this service runs.
@@ -294,20 +272,31 @@ impl TxnService {
         self.shared.config.backend
     }
 
-    /// Stop accepting work, join every worker, and hand back the shard
-    /// certifiers so callers can re-verify their histories offline
-    /// (see [`crate::verify`]). Requests still queued behind the shutdown
-    /// marker are dropped; their sessions observe `Shutdown`.
+    /// Stop accepting work: take every shard's worker out of its lock,
+    /// and hand back the shard certifiers so callers can re-verify their
+    /// histories offline (see [`crate::verify`]). A call that holds a
+    /// shard lock finishes first; calls that get the lock afterwards
+    /// observe `Shutdown`.
+    ///
+    /// # Panics
+    ///
+    /// If a call panicked under a shard lock: that shard's certifier is
+    /// in an unknown state.
     pub fn shutdown(self) -> Vec<Box<dyn Certifier>> {
-        for shard in 0..self.shared.senders.len() {
-            let _ = self.send_blocking(shard, Request::Shutdown);
-        }
         let certifiers: Vec<Box<dyn Certifier>> = self
-            .workers
-            .into_iter()
-            .map(|w| w.join().expect("shard worker panicked"))
+            .shared
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .lock()
+                    .expect("a call panicked under the shard lock")
+                    .take()
+                    .expect("only shutdown empties a shard")
+                    .close()
+            })
             .collect();
-        // Workers were the only ticket senders; with them gone the
+        // The workers held the only ticket senders; with them gone the
         // flusher drains its queue and exits.
         if let Some(flusher) = self.flusher {
             flusher.join().expect("commit flusher panicked");

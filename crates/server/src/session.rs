@@ -1,14 +1,15 @@
-//! Blocking in-process client handles: request/reply rendezvous with the
-//! shard workers.
+//! Blocking in-process client handles: each call runs on the caller's
+//! thread, under its shard's lock.
 //!
 //! A [`Session`] is cheap, `Send`, and owned by one client thread. It is
 //! the in-process implementation of the transport-generic
-//! [`Client`](crate::Client) contract: every call routes to the owning
-//! shard's queue (`try_send`, shedding with
-//! [`ServerError::Backpressure`] when full), then blocks on a one-shot
-//! reply channel up to the configured timeout. Sessions speak **global**
-//! entity ids; translation to shard-local ids happens here, at the
-//! boundary.
+//! [`Client`](crate::Client) contract: every call takes the owning
+//! shard's lock (shedding with [`ServerError::Backpressure`] when
+//! `queue_depth` calls already wait for it) and runs the certifier call
+//! itself. A logged commit then waits, with the lock released, for the
+//! flusher's acknowledgement, up to the configured timeout. Sessions
+//! speak **global** entity ids; translation to shard-local ids happens
+//! here, at the boundary.
 //!
 //! Transient outcomes ([`ServerError::Busy`],
 //! [`ServerError::Backpressure`], [`ServerError::Timeout`]) are
@@ -17,16 +18,17 @@
 //! the same schedule remote callers use on the wire.
 
 use crate::client::{BatchOp, BatchReply, Client, TxnBuilder};
+use crate::metrics::ServerMetrics;
 use crate::service::Shared;
-use crate::worker::{Request, Routed};
+use crate::worker::{Call, Served, Worker};
 use crate::ServerError;
 use ks_kernel::{EntityId, Value};
-use ks_obs::{derive_trace_id, trace_sampled, ObsKind, SpanHop};
+use ks_obs::{derive_trace_id, trace_sampled, ObsKind, OpCode, SpanHop, NO_TXN};
 use ks_predicate::Strategy;
 use ks_protocol::Txn;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -42,6 +44,11 @@ impl TxnHandle {
     /// The shard serving this transaction.
     pub fn shard(&self) -> usize {
         self.shard
+    }
+
+    /// The shard-local transaction, as events are stamped with it.
+    fn txn32(&self) -> u32 {
+        self.txn.0 as u32
     }
 }
 
@@ -109,22 +116,23 @@ impl Session {
         Ok(self.shared.map.to_local(entity))
     }
 
-    /// Route one request and rendezvous on its reply channel.
+    /// Run one call on `shard`'s worker, on this thread, under the shard
+    /// lock.
     ///
     /// Tracing: a wire-propagated id (see [`Session::set_trace`]) is
     /// always honoured; otherwise, with a recorder attached and
     /// `trace_sample > 0`, the session *originates* a trace for a
     /// sampled subset of calls — those additionally get the client-side
     /// `Request` span. Either way the traced call opens the `Queue` span
-    /// here; the shard worker closes it at dequeue.
+    /// here, as it asks for the lock; the worker closes it once the lock
+    /// is held.
     fn call<T>(
         &self,
         shard: usize,
-        request: impl FnOnce(SyncSender<Result<T, ServerError>>) -> Request,
+        op: OpCode,
+        txn32: u32,
+        run: impl FnOnce(&mut Worker, u64) -> Served<T>,
     ) -> Result<T, ServerError> {
-        let (tx, rx): (_, Receiver<Result<T, ServerError>>) = sync_channel(1);
-        let request = request(tx);
-        let (op, txn32) = (request.op(), request.txn_u32());
         let wire = self.wire_trace.swap(0, Ordering::Relaxed);
         let (trace, originated) = match (&self.shared.obs, wire) {
             (Some(_), w) if w != 0 => (w, false),
@@ -162,72 +170,78 @@ impl Session {
             });
         }
         let metrics = &self.shared.metrics;
-        let depth = metrics.queued(shard) as u64;
-        let start = Instant::now();
-        let routed = Routed {
-            enqueued: start,
+        let call = Call {
+            op,
+            txn32,
             trace,
-            request,
+            arrived: Instant::now(),
         };
-        // A shed or dead-service call still closes the spans it opened,
-        // so sampled failures don't dangle in the trace export.
-        let close_unrouted = |ok: bool| {
-            if trace != 0 {
-                span(ObsKind::SpanEnd {
-                    hop: SpanHop::Queue,
-                    ok,
-                    trace,
-                });
-                if originated {
+        // Counted in before the lock is requested and out once it is held
+        // (or the call is shed), so the depth is the number of waiters.
+        let depth = metrics.enqueue(shard);
+        let served = if depth >= self.shared.config.queue_depth {
+            metrics.dequeued(shard);
+            ServerMetrics::add(&metrics.backpressure);
+            Err(ServerError::Backpressure)
+        } else {
+            let slot = self.shared.shards[shard].lock();
+            metrics.dequeued(shard);
+            // A poisoned lock fails closed, like a shut-down shard.
+            match slot {
+                Ok(mut slot) => slot
+                    .as_mut()
+                    .map(|worker| worker.serve(call, run))
+                    .ok_or(ServerError::Shutdown),
+                Err(_) => Err(ServerError::Shutdown),
+            }
+        };
+        let result = match served {
+            Ok((result, None)) => result,
+            // The lock is released: wait for the flusher's acknowledgement.
+            Ok((result, Some(ack))) => match ack.recv_timeout(self.shared.config.request_timeout) {
+                Ok(()) => result,
+                Err(RecvTimeoutError::Timeout) => Err(ServerError::Timeout),
+                Err(RecvTimeoutError::Disconnected) => Err(ServerError::Shutdown),
+            },
+            // A shed or dead-shard call still closes the spans it opened,
+            // so sampled failures don't dangle in the trace export.
+            Err(refused) => {
+                if trace != 0 {
                     span(ObsKind::SpanEnd {
-                        hop: SpanHop::Request,
-                        ok,
+                        hop: SpanHop::Queue,
+                        ok: false,
                         trace,
                     });
+                    if originated {
+                        span(ObsKind::SpanEnd {
+                            hop: SpanHop::Request,
+                            ok: false,
+                            trace,
+                        });
+                    }
                 }
+                return Err(refused);
             }
         };
-        // Counted before the send, so the worker never drains a request
-        // it was not counted for; a refused request takes its count back.
-        metrics.enqueue(shard);
-        if let Err(refused) = self.shared.senders[shard].try_send(routed) {
-            metrics.dequeued(shard, 1);
-            close_unrouted(false);
-            return Err(match refused {
-                TrySendError::Full(_) => {
-                    crate::metrics::ServerMetrics::add(&metrics.backpressure);
-                    ServerError::Backpressure
-                }
-                TrySendError::Disconnected(_) => ServerError::Shutdown,
-            });
+        let elapsed = call.arrived.elapsed();
+        let depth = depth as u64;
+        if matches!(result, Err(ServerError::Timeout)) {
+            ServerMetrics::add(&metrics.timeouts);
+            metrics
+                .telemetry
+                .record_request(elapsed.as_nanos() as u64, false, false, depth);
+        } else {
+            metrics.record_latency(shard, elapsed);
+            metrics.telemetry.record_request(
+                elapsed.as_nanos() as u64,
+                op == OpCode::Commit && result.is_ok(),
+                matches!(
+                    result,
+                    Err(ServerError::ReEvalAborted) | Err(ServerError::Rejected(_))
+                ),
+                depth,
+            );
         }
-        let result = match rx.recv_timeout(self.shared.config.request_timeout) {
-            Ok(result) => {
-                let elapsed = start.elapsed();
-                metrics.record_latency(shard, elapsed);
-                metrics.telemetry.record_request(
-                    elapsed.as_nanos() as u64,
-                    op == ks_obs::OpCode::Commit && result.is_ok(),
-                    matches!(
-                        result,
-                        Err(ServerError::ReEvalAborted) | Err(ServerError::Rejected(_))
-                    ),
-                    depth,
-                );
-                result
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                crate::metrics::ServerMetrics::add(&metrics.timeouts);
-                metrics.telemetry.record_request(
-                    start.elapsed().as_nanos() as u64,
-                    false,
-                    false,
-                    depth,
-                );
-                Err(ServerError::Timeout)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(ServerError::Shutdown),
-        };
         if trace != 0 && originated {
             span(ObsKind::SpanEnd {
                 hop: SpanHop::Request,
@@ -265,11 +279,8 @@ impl Client for Session {
         let local = self.shared.map.localize_spec(shard, &spec);
         let after: Vec<Txn> = after.iter().map(|h| h.txn).collect();
         let before: Vec<Txn> = before.iter().map(|h| h.txn).collect();
-        let txn = self.call(shard, |reply| Request::Define {
-            spec: local,
-            after,
-            before,
-            reply,
+        let txn = self.call(shard, OpCode::Define, NO_TXN, |w, _| {
+            w.open(local, &after, &before).into()
         })?;
         let handle = TxnHandle { shard, txn };
         if let Some(s) = strategy {
@@ -284,53 +295,47 @@ impl Client for Session {
             .get(&handle)
             .copied()
             .unwrap_or(self.shared.config.strategy);
-        self.call(handle.shard, |reply| Request::Validate {
-            txn: handle.txn,
-            strategy,
-            reply,
-        })
+        self.call(
+            handle.shard,
+            OpCode::Validate,
+            handle.txn32(),
+            |w, trace| w.validate(handle.txn, strategy, trace).into(),
+        )
     }
 
     fn read(&self, handle: TxnHandle, entity: EntityId) -> Result<Value, ServerError> {
         let entity = self.localize(handle, entity)?;
-        self.call(handle.shard, |reply| Request::Read {
-            txn: handle.txn,
-            entity,
-            reply,
+        self.call(handle.shard, OpCode::Read, handle.txn32(), |w, _| {
+            w.read(handle.txn, entity).into()
         })
     }
 
     fn write(&self, handle: TxnHandle, entity: EntityId, value: Value) -> Result<(), ServerError> {
         let entity = self.localize(handle, entity)?;
-        self.call(handle.shard, |reply| Request::Write {
-            txn: handle.txn,
-            entity,
-            value,
-            reply,
+        self.call(handle.shard, OpCode::Write, handle.txn32(), |w, _| {
+            w.write(handle.txn, entity, value).into()
         })
     }
 
     fn commit(&self, handle: TxnHandle) -> Result<(), ServerError> {
-        let result = self.call(handle.shard, |reply| Request::Commit {
-            txn: handle.txn,
-            reply,
+        let result = self.call(handle.shard, OpCode::Commit, handle.txn32(), |w, trace| {
+            w.commit(handle.txn, trace)
         });
         self.forget_if_terminal(handle, &result);
         result
     }
 
     fn abort(&self, handle: TxnHandle) -> Result<(), ServerError> {
-        let result = self.call(handle.shard, |reply| Request::Abort {
-            txn: handle.txn,
-            reply,
+        let result = self.call(handle.shard, OpCode::Abort, handle.txn32(), |w, _| {
+            w.abort(handle.txn).into()
         });
         self.forget_if_terminal(handle, &result);
         result
     }
 
-    /// One worker rendezvous for the whole burst instead of one per op:
-    /// entities are localized up front, then the ops travel as a single
-    /// [`Request::OpBatch`]. A burst touching an entity outside the
+    /// One lock acquisition for the whole burst instead of one per op:
+    /// entities are localized up front, then the ops run back to back
+    /// under the shard lock. A burst touching an entity outside the
     /// transaction's shard falls back to the per-op path, which reports
     /// [`ServerError::CrossShard`] on exactly the offending ops.
     fn run_batch(
@@ -349,10 +354,8 @@ impl Client for Session {
                 Err(_) => return crate::client::per_op_batch(self, handle, ops),
             }
         }
-        self.call(handle.shard, |reply| Request::OpBatch {
-            txn: handle.txn,
-            ops: local,
-            reply,
+        self.call(handle.shard, OpCode::Batch, handle.txn32(), |w, _| {
+            w.batch(handle.txn, &local)
         })
     }
 }

@@ -1,30 +1,27 @@
-//! The per-shard worker: single-threaded owner of one certifier.
+//! The per-shard worker: one certifier behind one lock.
 //!
-//! Each worker drains its shard's bounded request queue in arrival order
-//! and executes calls against its own [`Certifier`] — the paper's CPC
-//! protocol manager, the SSI certifier, or the 2PL baseline, selected by
-//! `ServerConfig::backend` — so the phased state machine never sees
-//! concurrent mutation. The worker never blocks on protocol outcomes —
-//! a validation that must wait or a read of an in-flight version replies
+//! A [`Worker`] owns its shard's [`Certifier`] — the paper's CPC protocol
+//! manager, the SSI certifier, or the 2PL baseline, selected by
+//! `ServerConfig::backend` — and lives in a [`Shard`]: a mutex every call
+//! holds while it runs. The call runs on the caller's own thread (the
+//! session's thread in-process, a ks-net executor thread over TCP), so
+//! the phased state machine never sees concurrent mutation and no call
+//! crosses a thread. The worker never blocks on protocol outcomes — a
+//! validation that must wait or a read of an in-flight version returns
 //! [`ServerError::Busy`] and lets the session retry, because the
-//! transaction being waited on is served by this same queue.
+//! transaction being waited on needs this same lock to make progress. A
+//! whole read/write burst runs as one [`Worker::batch`] under a single
+//! lock acquisition.
 //!
-//! Each wakeup drains up to [`DRAIN_MAX`] queued requests in one pass
-//! (one blocking `recv`, then non-blocking `try_recv`s), so under load
-//! the channel rendezvous cost is amortized across a batch instead of
-//! paid per op; the bound keeps any single wakeup from starving
-//! shutdown. A whole read/write burst can also arrive as one
-//! [`Request::OpBatch`], which executes its ops back-to-back with a
-//! single reply rendezvous.
-//!
-//! **One way out.** A request executes to its outcome and the [`Answer`]
-//! it owes, and nothing more; [`Worker::finish`] then takes the execute
-//! time, records it, emits the `Reply` event and ends the `Exec` span,
-//! and only then sends. [`Answer::send`] is the only code here that
-//! sends anything, a logged commit's hand-off to the flusher included.
-//! The rule: a hop's span ends before the message that lets its parent
-//! end is sent — a reply sent first lets the session close its `Request`
-//! span while `Exec` is still open, and the trace is malformed.
+//! **One way out.** [`Worker::serve`] runs a call to its result, then, in
+//! order, takes the execute time, records it, emits the `Reply` event and
+//! ends the `Exec` span — and only then hands a logged commit's
+//! [`Ticket`] to the flusher, which opens the `WalEnqueue` span. A hop's
+//! span ends before anything that lets its parent end, so the session
+//! never closes its `Request` span while `Exec` is still open. The
+//! caller waits for the flusher's acknowledgement after it has released
+//! the lock: that is the one hand-off between threads left on the call
+//! path.
 
 use crate::client::{BatchOp, BatchReply};
 use crate::durability::{Ticket, WorkerWal};
@@ -32,163 +29,56 @@ use crate::metrics::ServerMetrics;
 use crate::ServerError;
 use ks_core::Specification;
 use ks_kernel::{EntityId, Value};
-use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
+use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop};
 use ks_predicate::Strategy;
 use ks_protocol::manager::ProtocolStats;
 use ks_protocol::{
     Certifier, CommitOutcome, ProtocolError, ReEvalAction, ReadOutcome, Txn, TxnState,
     ValidationOutcome,
 };
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// A request plus its enqueue instant, so the worker can split round-trip
-/// latency into queue-wait and execute portions.
-pub(crate) struct Routed {
-    pub(crate) enqueued: Instant,
-    /// Distributed trace id this request rides under (`0` = unsampled):
-    /// the worker closes the `Queue` span and brackets execution with
-    /// `Exec`/`Certify` spans for it.
-    pub(crate) trace: u64,
-    pub(crate) request: Request,
-}
+/// One shard: its worker behind the lock each call holds while it runs;
+/// `None` once the service has shut down. A call that panicked under the
+/// lock poisoned it, and the shard fails closed.
+pub(crate) type Shard = Mutex<Option<Worker>>;
 
-/// The per-op verdicts of one [`Request::OpBatch`].
+/// The per-op verdicts of one [`Worker::batch`].
 pub(crate) type BatchReplies = Vec<Result<BatchReply, ServerError>>;
 
-/// One routed service call. Entity ids and specifications are already in
-/// the target shard's local id space (sessions translate at the boundary).
-pub(crate) enum Request {
-    /// Define a new root child with its `(I_t, O_t)` specification,
-    /// optionally ordered after/before sibling transactions of the same
-    /// shard.
-    Define {
-        spec: Specification,
-        after: Vec<Txn>,
-        before: Vec<Txn>,
-        reply: SyncSender<Result<Txn, ServerError>>,
-    },
-    /// Validate: acquire `R_v` locks and a version assignment.
-    Validate {
-        txn: Txn,
-        strategy: Strategy,
-        reply: SyncSender<Result<(), ServerError>>,
-    },
-    /// Read the assigned version of an entity.
-    Read {
-        txn: Txn,
-        entity: EntityId,
-        reply: SyncSender<Result<Value, ServerError>>,
-    },
-    /// Write a new version (may trigger re-eval of siblings).
-    Write {
-        txn: Txn,
-        entity: EntityId,
-        value: Value,
-        reply: SyncSender<Result<(), ServerError>>,
-    },
-    /// A read/write burst executed back-to-back with one reply
-    /// rendezvous. Each op carries its own verdict — including re-eval
-    /// aborts triggered by an earlier op of the same burst. The outer
-    /// `Result` is always `Ok` from the worker; the envelope exists so
-    /// the session's rendezvous machinery can surface transport-level
-    /// failures (backpressure, timeout) batch-wide.
-    OpBatch {
-        txn: Txn,
-        ops: Vec<BatchOp>,
-        reply: SyncSender<Result<BatchReplies, ServerError>>,
-    },
-    /// Commit (checks the output condition).
-    Commit {
-        txn: Txn,
-        reply: SyncSender<Result<(), ServerError>>,
-    },
-    /// Explicit abort.
-    Abort {
-        txn: Txn,
-        reply: SyncSender<Result<(), ServerError>>,
-    },
-    /// Snapshot the shard manager's protocol statistics.
-    Stats { reply: SyncSender<ProtocolStats> },
-    /// Drain no further requests and return the manager.
-    Shutdown,
+/// What one call produced under the lock.
+pub(crate) struct Served<T> {
+    result: Result<T, ServerError>,
+    /// The `Reply` event's outcome: the result's, or for a batch every
+    /// op's.
+    ok: bool,
+    /// A logged commit, acknowledged by the flusher once durable.
+    durable: bool,
 }
 
-impl Request {
-    /// The observability op code of this request.
-    pub(crate) fn op(&self) -> OpCode {
-        match self {
-            Request::Define { .. } => OpCode::Define,
-            Request::Validate { .. } => OpCode::Validate,
-            Request::Read { .. } => OpCode::Read,
-            Request::Write { .. } => OpCode::Write,
-            Request::OpBatch { .. } => OpCode::Batch,
-            Request::Commit { .. } => OpCode::Commit,
-            Request::Abort { .. } => OpCode::Abort,
-            Request::Stats { .. } | Request::Shutdown => OpCode::Stats,
-        }
-    }
-
-    /// The shard-local transaction this request targets, for event
-    /// stamping (`NO_TXN` for define/stats, which have none yet).
-    pub(crate) fn txn_u32(&self) -> u32 {
-        match self {
-            Request::Validate { txn, .. }
-            | Request::Read { txn, .. }
-            | Request::Write { txn, .. }
-            | Request::OpBatch { txn, .. }
-            | Request::Commit { txn, .. }
-            | Request::Abort { txn, .. } => txn.0 as u32,
-            Request::Define { .. } | Request::Stats { .. } | Request::Shutdown => NO_TXN,
+impl<T> From<Result<T, ServerError>> for Served<T> {
+    fn from(result: Result<T, ServerError>) -> Self {
+        Served {
+            ok: result.is_ok(),
+            result,
+            durable: false,
         }
     }
 }
 
-/// What an executed request owes its caller: one of the five reply
-/// channels paired with the value to put on it, or — for a commit whose
-/// record must become durable first — the [`Ticket`] the flusher
-/// acknowledges. Moves the channel and the value; allocates nothing.
-pub(crate) enum Answer {
-    Txn(
-        SyncSender<Result<Txn, ServerError>>,
-        Result<Txn, ServerError>,
-    ),
-    Unit(SyncSender<Result<(), ServerError>>, Result<(), ServerError>),
-    Value(
-        SyncSender<Result<Value, ServerError>>,
-        Result<Value, ServerError>,
-    ),
-    Batch(SyncSender<Result<BatchReplies, ServerError>>, BatchReplies),
-    Stats(SyncSender<ProtocolStats>, ProtocolStats),
-    Flusher(Ticket),
-}
-
-impl Answer {
-    /// Let the answer leave the worker — the only send in this module. A
-    /// caller that stopped waiting (timed out) is not an error. A ticket
-    /// opens the `WalEnqueue` span, which the flusher ends at pickup.
-    fn send(self, wal: &Option<WorkerWal>, sink: &Option<ObsSink>, txn32: u32) {
-        fn put<T>(reply: SyncSender<T>, value: T) {
-            let _ = reply.send(value);
-        }
-        match self {
-            Answer::Txn(reply, result) => put(reply, result),
-            Answer::Unit(reply, result) => put(reply, result),
-            Answer::Value(reply, result) => put(reply, result),
-            Answer::Batch(reply, results) => put(reply, Ok(results)),
-            Answer::Stats(reply, stats) => put(reply, stats),
-            Answer::Flusher(ticket) => {
-                let trace = ticket.trace;
-                span_start(sink, trace, txn32, SpanHop::WalEnqueue, OpCode::Commit);
-                wal.as_ref()
-                    .and_then(|w| w.flusher.as_ref())
-                    .expect("a ticket is only issued with a flusher")
-                    .send(ticket)
-                    .unwrap_or_else(|_| panic!("commit flusher exited while workers live"));
-            }
-        }
-    }
+/// What a call's events and spans are stamped with.
+#[derive(Clone, Copy)]
+pub(crate) struct Call {
+    pub(crate) op: OpCode,
+    /// The shard-local transaction (`NO_TXN` for define, which has none
+    /// yet).
+    pub(crate) txn32: u32,
+    /// Distributed trace id (`0` = unsampled).
+    pub(crate) trace: u64,
+    /// When the call asked for the shard lock.
+    pub(crate) arrived: Instant,
 }
 
 /// Open a span iff this request is being traced (`trace != 0`) and a
@@ -210,13 +100,8 @@ pub(crate) fn span_end(sink: &Option<ObsSink>, trace: u64, txn: u32, hop: SpanHo
     }
 }
 
-/// Upper bound on requests drained per wakeup: big enough to amortize
-/// the channel rendezvous under load, small enough that a saturated
-/// queue cannot indefinitely delay the shutdown message behind it.
-const DRAIN_MAX: usize = 32;
-
 /// One shard's executor: the certifier it owns and where outcomes go.
-struct Worker {
+pub(crate) struct Worker {
     cert: Box<dyn Certifier>,
     metrics: Arc<ServerMetrics>,
     sink: Option<ObsSink>,
@@ -224,6 +109,20 @@ struct Worker {
 }
 
 impl Worker {
+    pub(crate) fn new(
+        cert: Box<dyn Certifier>,
+        metrics: Arc<ServerMetrics>,
+        sink: Option<ObsSink>,
+        wal: Option<WorkerWal>,
+    ) -> Worker {
+        Worker {
+            cert,
+            metrics,
+            sink,
+            wal,
+        }
+    }
+
     /// Convert and count a protocol refusal (the shared conversion is
     /// `ServerError::from`): a certifier killing the caller counts as an
     /// abort (like a re-eval victim), a retryable lock conflict counts as
@@ -261,36 +160,64 @@ impl Worker {
     fn certify(
         &mut self,
         trace: u64,
-        txn32: u32,
+        txn: Txn,
         op: OpCode,
         decide: impl FnOnce(&mut Self) -> Result<(), ServerError>,
     ) -> Result<(), ServerError> {
+        let txn32 = txn.0 as u32;
         span_start(&self.sink, trace, txn32, SpanHop::Certify, op);
         let result = decide(self);
         span_end(&self.sink, trace, txn32, SpanHop::Certify, result.is_ok());
         result
     }
 
-    /// The certifier's validation-time decision (version assignment).
-    fn validate(&mut self, txn: Txn, strategy: Strategy) -> Result<(), ServerError> {
-        self.precheck(txn)?;
-        match self.cert.validate(txn, strategy) {
-            Ok(ValidationOutcome::Validated) => Ok(()),
-            Ok(ValidationOutcome::Blocked(_)) | Ok(ValidationOutcome::MustWait(_)) => {
-                Err(ServerError::Busy)
-            }
-            Ok(ValidationOutcome::CannotSatisfy) => {
-                ServerMetrics::add(&self.metrics.rejected);
-                Err(ServerError::Rejected(
-                    "no version assignment satisfies the input predicate".into(),
-                ))
-            }
-            Err(e) => Err(self.refuse(e)),
+    /// Define a new root child with its `(I_t, O_t)` specification,
+    /// optionally ordered after/before sibling transactions of this shard,
+    /// and log its `Begin`.
+    pub(crate) fn open(
+        &mut self,
+        spec: Specification,
+        after: &[Txn],
+        before: &[Txn],
+    ) -> Result<Txn, ServerError> {
+        let result = self
+            .cert
+            .open(spec, after, before)
+            .map_err(|e| self.refuse(e));
+        if let (Some(w), Ok(txn)) = (&self.wal, &result) {
+            w.log_begin(txn.0 as u64, &self.sink);
         }
+        result
     }
 
-    /// One read (shared by `Read` and `OpBatch`).
-    fn read(&mut self, txn: Txn, entity: EntityId) -> Result<Value, ServerError> {
+    /// The certifier's validation-time decision: `R_v` locks and a
+    /// version assignment.
+    pub(crate) fn validate(
+        &mut self,
+        txn: Txn,
+        strategy: Strategy,
+        trace: u64,
+    ) -> Result<(), ServerError> {
+        self.certify(trace, txn, OpCode::Validate, |w| {
+            w.precheck(txn)?;
+            match w.cert.validate(txn, strategy) {
+                Ok(ValidationOutcome::Validated) => Ok(()),
+                Ok(ValidationOutcome::Blocked(_)) | Ok(ValidationOutcome::MustWait(_)) => {
+                    Err(ServerError::Busy)
+                }
+                Ok(ValidationOutcome::CannotSatisfy) => {
+                    ServerMetrics::add(&w.metrics.rejected);
+                    Err(ServerError::Rejected(
+                        "no version assignment satisfies the input predicate".into(),
+                    ))
+                }
+                Err(e) => Err(w.refuse(e)),
+            }
+        })
+    }
+
+    /// Read the assigned version of an entity.
+    pub(crate) fn read(&mut self, txn: Txn, entity: EntityId) -> Result<Value, ServerError> {
         self.precheck(txn)?;
         match self.cert.read(txn, entity) {
             Ok(ReadOutcome::Value(v)) => Ok(v),
@@ -299,10 +226,15 @@ impl Worker {
         }
     }
 
-    /// One write (shared by `Write` and `OpBatch`), counting re-eval
-    /// consequences. An applied write logs its WAL record, followed by an
-    /// `Abort` record for every victim it felled.
-    fn write(&mut self, txn: Txn, entity: EntityId, value: Value) -> Result<(), ServerError> {
+    /// Write a new version, counting re-eval consequences. An applied
+    /// write logs its WAL record, followed by an `Abort` record for every
+    /// victim it felled.
+    pub(crate) fn write(
+        &mut self,
+        txn: Txn,
+        entity: EntityId,
+        value: Value,
+    ) -> Result<(), ServerError> {
         self.precheck(txn)?;
         let report = self
             .cert
@@ -325,179 +257,107 @@ impl Worker {
         Ok(())
     }
 
+    /// A read/write burst, back to back. Each op carries its own verdict
+    /// — including re-eval aborts triggered by an earlier op of the same
+    /// burst.
+    pub(crate) fn batch(&mut self, txn: Txn, ops: &[BatchOp]) -> Served<BatchReplies> {
+        let results: BatchReplies = ops
+            .iter()
+            .map(|op| match *op {
+                BatchOp::Read(entity) => self.read(txn, entity).map(BatchReply::Value),
+                BatchOp::Write(entity, value) => {
+                    self.write(txn, entity, value).map(|()| BatchReply::Done)
+                }
+            })
+            .collect();
+        Served {
+            ok: results.iter().all(Result::is_ok),
+            result: Ok(results),
+            durable: false,
+        }
+    }
+
     /// The certifier's commit-time decision (output condition + commit
-    /// gating). A transaction that cannot commit is aborted and logged.
-    fn commit(&mut self, txn: Txn) -> Result<(), ServerError> {
-        self.precheck(txn)?;
-        match self.cert.commit(txn) {
-            Ok(CommitOutcome::Committed) => {
-                ServerMetrics::add(&self.metrics.committed);
-                Ok(())
-            }
-            Ok(CommitOutcome::PredecessorsPending(_)) | Ok(CommitOutcome::ChildrenPending(_)) => {
-                Err(ServerError::Busy)
-            }
-            Ok(CommitOutcome::OutputViolated) => {
-                // The transaction cannot terminate successfully; abort it
-                // so its versions don't dangle.
-                let cascaded = self.cert.abort(txn).unwrap_or_default();
-                self.log_aborts(std::iter::once(txn).chain(cascaded));
-                ServerMetrics::add(&self.metrics.rejected);
-                Err(ServerError::Rejected("output condition violated".into()))
-            }
-            Err(e) => {
-                // A certifier abort at commit (SSI FCW or a dangerous
-                // structure) must reach the log too.
-                let err = self.refuse(e);
-                if err == ServerError::ReEvalAborted {
-                    self.log_aborts([txn]);
+    /// gating). A transaction that cannot commit is aborted and logged; a
+    /// logged commit is acknowledged only once its record is durable, and
+    /// the flusher owns that acknowledgement.
+    pub(crate) fn commit(&mut self, txn: Txn, trace: u64) -> Served<()> {
+        let result = self.certify(trace, txn, OpCode::Commit, |w| {
+            w.precheck(txn)?;
+            match w.cert.commit(txn) {
+                Ok(CommitOutcome::Committed) => {
+                    ServerMetrics::add(&w.metrics.committed);
+                    Ok(())
                 }
-                Err(err)
-            }
-        }
-    }
-
-    /// Execute one request to its outcome and the answer it owes —
-    /// sending nothing. `None` for `Shutdown`.
-    fn execute(&mut self, request: Request, trace: u64, txn32: u32) -> Option<(bool, Answer)> {
-        let outcome = match request {
-            Request::Define {
-                spec,
-                after,
-                before,
-                reply,
-            } => {
-                let result = self
-                    .cert
-                    .open(spec, &after, &before)
-                    .map_err(|e| self.refuse(e));
-                if let (Some(w), Ok(txn)) = (&self.wal, &result) {
-                    w.log_begin(txn.0 as u64, &self.sink);
+                Ok(CommitOutcome::PredecessorsPending(_))
+                | Ok(CommitOutcome::ChildrenPending(_)) => Err(ServerError::Busy),
+                Ok(CommitOutcome::OutputViolated) => {
+                    // The transaction cannot terminate successfully; abort
+                    // it so its versions don't dangle.
+                    let cascaded = w.cert.abort(txn).unwrap_or_default();
+                    w.log_aborts(std::iter::once(txn).chain(cascaded));
+                    ServerMetrics::add(&w.metrics.rejected);
+                    Err(ServerError::Rejected("output condition violated".into()))
                 }
-                (result.is_ok(), Answer::Txn(reply, result))
-            }
-            Request::Validate {
-                txn,
-                strategy,
-                reply,
-            } => {
-                let result = self.certify(trace, txn32, OpCode::Validate, |w| {
-                    w.validate(txn, strategy)
-                });
-                (result.is_ok(), Answer::Unit(reply, result))
-            }
-            Request::Read { txn, entity, reply } => {
-                let result = self.read(txn, entity);
-                (result.is_ok(), Answer::Value(reply, result))
-            }
-            Request::Write {
-                txn,
-                entity,
-                value,
-                reply,
-            } => {
-                let result = self.write(txn, entity, value);
-                (result.is_ok(), Answer::Unit(reply, result))
-            }
-            Request::OpBatch { txn, ops, reply } => {
-                let results: BatchReplies = ops
-                    .iter()
-                    .map(|op| match *op {
-                        BatchOp::Read(entity) => self.read(txn, entity).map(BatchReply::Value),
-                        BatchOp::Write(entity, value) => {
-                            self.write(txn, entity, value).map(|()| BatchReply::Done)
-                        }
-                    })
-                    .collect();
-                (
-                    results.iter().all(Result::is_ok),
-                    Answer::Batch(reply, results),
-                )
-            }
-            Request::Commit { txn, reply } => {
-                let result = self.certify(trace, txn32, OpCode::Commit, |w| w.commit(txn));
-                // A logged commit is acknowledged only once its record is
-                // durable, and the flusher owns that acknowledgement.
-                if let (Some(w), Ok(())) = (&self.wal, &result) {
-                    w.log_commit(txn.0 as u64, &self.sink);
-                    if w.flusher.is_some() {
-                        return Some((true, Answer::Flusher(Ticket { reply, trace })));
+                Err(e) => {
+                    // A certifier abort at commit (SSI FCW or a dangerous
+                    // structure) must reach the log too.
+                    let err = w.refuse(e);
+                    if err == ServerError::ReEvalAborted {
+                        w.log_aborts([txn]);
                     }
+                    Err(err)
                 }
-                (result.is_ok(), Answer::Unit(reply, result))
             }
-            Request::Abort { txn, reply } => {
-                // Aborting an already-aborted transaction is a no-op ack,
-                // not an error: the session is acknowledging the doom.
-                let result = match self.cert.state_of(txn) {
-                    Ok(TxnState::Aborted) => Ok(()),
-                    Ok(_) => self
-                        .cert
-                        .abort(txn)
-                        .map(|cascaded| self.log_aborts(std::iter::once(txn).chain(cascaded))),
-                    Err(e) => Err(e),
-                }
-                .map_err(ServerError::from);
-                (result.is_ok(), Answer::Unit(reply, result))
-            }
-            Request::Stats { reply } => (true, Answer::Stats(reply, self.cert.stats())),
-            Request::Shutdown => {
-                // Graceful exit leaves the log durable whatever the sync
-                // mode (simulated crashes kill the store before shutdown,
-                // so this cannot mask a power cut).
-                if let Some(w) = &self.wal {
-                    w.sync_quiet();
-                }
-                return None;
-            }
-        };
-        Some(outcome)
-    }
-
-    /// The one way out, in order: take the execute time once, record it,
-    /// emit the `Reply` event, end the `Exec` span — then send.
-    fn finish(
-        &self,
-        exec_start: Instant,
-        op: OpCode,
-        txn32: u32,
-        trace: u64,
-        (ok, answer): (bool, Answer),
-    ) {
-        let exec = exec_start.elapsed();
-        self.metrics.exec_time.record(exec);
-        if let Some(s) = &self.sink {
-            s.emit(
-                txn32,
-                ObsKind::Reply {
-                    op,
-                    ok,
-                    exec_ns: exec.as_nanos() as u64,
-                },
-            );
+        });
+        let mut served = Served::from(result);
+        if let (Some(w), Ok(())) = (&self.wal, &served.result) {
+            w.log_commit(txn.0 as u64, &self.sink);
+            served.durable = w.flusher.is_some();
         }
-        span_end(&self.sink, trace, txn32, SpanHop::Exec, ok);
-        answer.send(&self.wal, &self.sink, txn32);
+        served
     }
 
-    /// Serve one dequeued request; `false` once it was `Shutdown`.
+    /// Explicit abort. Aborting an already-aborted transaction is a no-op
+    /// ack, not an error: the session is acknowledging the doom.
+    pub(crate) fn abort(&mut self, txn: Txn) -> Result<(), ServerError> {
+        match self.cert.state_of(txn) {
+            Ok(TxnState::Aborted) => Ok(()),
+            Ok(_) => self
+                .cert
+                .abort(txn)
+                .map(|cascaded| self.log_aborts(std::iter::once(txn).chain(cascaded))),
+            Err(e) => Err(e),
+        }
+        .map_err(ServerError::from)
+    }
+
+    /// The shard certifier's protocol statistics.
+    pub(crate) fn stats(&self) -> ProtocolStats {
+        self.cert.stats()
+    }
+
+    /// Serve one call on the calling thread, which holds the shard lock.
     ///
-    /// Records the request's queue wait and (in [`Worker::finish`]) its
-    /// execute time; with a sink attached, the two are also emitted as
-    /// `Execute`/`Reply` events so a flight-recorder dump shows where
-    /// each request's time went.
-    fn serve(
+    /// Records the call's wait for the lock and its execute time; with a
+    /// sink attached, the two are also emitted as `Execute`/`Reply`
+    /// events so a flight-recorder dump shows where each call's time
+    /// went. Returns the result and, for a logged commit, the flusher's
+    /// acknowledgement to wait for once the lock is released.
+    pub(crate) fn serve<T>(
         &mut self,
-        Routed {
-            enqueued,
+        call: Call,
+        run: impl FnOnce(&mut Worker, u64) -> Served<T>,
+    ) -> (Result<T, ServerError>, Option<Receiver<()>>) {
+        let Call {
+            op,
+            txn32,
             trace,
-            request,
-        }: Routed,
-    ) -> bool {
-        let queue_wait = enqueued.elapsed();
+            arrived,
+        } = call;
+        let queue_wait = arrived.elapsed();
         self.metrics.queue_wait.record(queue_wait);
         ServerMetrics::add(&self.metrics.requests);
-        let (op, txn32) = (request.op(), request.txn_u32());
         if let Some(s) = &self.sink {
             s.emit(
                 txn32,
@@ -507,60 +367,60 @@ impl Worker {
                 },
             );
         }
-        // The session opened the Queue span at enqueue; dequeue ends it,
-        // and the worker's execution gets its own span.
+        // The session opened the Queue span when it asked for the lock;
+        // holding it ends the span, and execution gets its own.
         span_end(&self.sink, trace, txn32, SpanHop::Queue, true);
         span_start(&self.sink, trace, txn32, SpanHop::Exec, op);
         let exec_start = Instant::now();
-        match self.execute(request, trace, txn32) {
-            Some(outcome) => {
-                self.finish(exec_start, op, txn32, trace, outcome);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// Drain requests until shutdown (message or all senders gone); returns
-/// the certifier for post-run history verification.
-pub(crate) fn run(
-    shard: usize,
-    cert: Box<dyn Certifier>,
-    requests: Receiver<Routed>,
-    metrics: Arc<ServerMetrics>,
-    sink: Option<ObsSink>,
-    wal: Option<WorkerWal>,
-) -> Box<dyn Certifier> {
-    let mut worker = Worker {
-        cert,
-        metrics,
-        sink,
-        wal,
-    };
-    let mut drained: Vec<Routed> = Vec::with_capacity(DRAIN_MAX);
-    'serve: while let Ok(first) = requests.recv() {
-        drained.push(first);
-        while drained.len() < DRAIN_MAX {
-            match requests.try_recv() {
-                Ok(r) => drained.push(r),
-                Err(_) => break,
-            }
-        }
-        worker.metrics.dequeued(shard, drained.len());
-        if let Some(s) = &worker.sink {
+        let served = run(self, trace);
+        // The one way out, in order: take the execute time once, record
+        // it, emit the `Reply` event, end the `Exec` span — then hand over.
+        let exec = exec_start.elapsed();
+        self.metrics.exec_time.record(exec);
+        if let Some(s) = &self.sink {
             s.emit(
-                NO_TXN,
-                ObsKind::WorkerDrain {
-                    n: drained.len() as u32,
+                txn32,
+                ObsKind::Reply {
+                    op,
+                    ok: served.ok,
+                    exec_ns: exec.as_nanos() as u64,
                 },
             );
         }
-        for routed in drained.drain(..) {
-            if !worker.serve(routed) {
-                break 'serve;
-            }
-        }
+        span_end(&self.sink, trace, txn32, SpanHop::Exec, served.ok);
+        let ack = served.durable.then(|| self.hand_to_flusher(trace, txn32));
+        (served.result, ack)
     }
-    worker.cert
+
+    /// Hand a logged commit's ticket to the flusher, opening the
+    /// `WalEnqueue` span the flusher ends at pickup; the returned receiver
+    /// yields the acknowledgement once the record is durable.
+    fn hand_to_flusher(&self, trace: u64, txn32: u32) -> Receiver<()> {
+        let (reply, ack) = sync_channel(1);
+        span_start(
+            &self.sink,
+            trace,
+            txn32,
+            SpanHop::WalEnqueue,
+            OpCode::Commit,
+        );
+        self.wal
+            .as_ref()
+            .and_then(|w| w.flusher.as_ref())
+            .expect("a durable commit is only issued with a flusher")
+            .send(Ticket { reply, trace })
+            .unwrap_or_else(|_| panic!("commit flusher exited while shards live"));
+        ack
+    }
+
+    /// Retire the worker at shutdown and return its certifier. A graceful
+    /// exit leaves the log durable whatever the sync mode (simulated
+    /// crashes kill the store before shutdown, so this cannot mask a
+    /// power cut); dropping the rest drops this shard's ticket sender.
+    pub(crate) fn close(self) -> Box<dyn Certifier> {
+        if let Some(w) = &self.wal {
+            w.sync_quiet();
+        }
+        self.cert
+    }
 }

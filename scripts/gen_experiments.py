@@ -180,9 +180,19 @@ violations:
 correct.
 *Measured:* 200 randomized cooperative sessions (random predicates,
 orders, reads, writes, aborts), each extracted into the formal model and
-verified by the `ks-core` checkers — zero violations. (Reaching zero
-required three strengthenings of the literal protocol; see DESIGN.md
-"Protocol strengthenings".) The proptest harness
+verified by the `ks-core` checkers — zero violations *in this
+generator*. (Reaching zero required three strengthenings of the literal
+protocol; see DESIGN.md "Protocol strengthenings".) **The code does not
+yet hold the theorem everywhere:** the generator cannot produce the
+shape of the open Lemma 4 hole (ROADMAP item 1) — an unordered sibling
+reads another's uncommitted version and commits before that version is
+overwritten, so its input is neither the parent's version nor the
+writer's final one. Two `#[ignore]`d tests reproduce it
+deterministically (ks-protocol's scenario
+`reader_of_an_overwritten_uncommitted_version_stays_parent_based` and
+ks-bench's `chained_cpc_history_is_parent_based`), and the served-system
+property test (`ks-server --test interleaving`) fails on it in 29 of 200
+runs, which is why `scripts/check.sh` skips it by name. The proptest harness
 (`tests/protocol_model_props.rs`) re-verifies this on every test run;
 `crates/protocol/tests/multilevel.rs` extends the check to every level of
 three-level sessions (the paper's multi-level criterion); and
@@ -257,15 +267,19 @@ once with in-process `Session`s (the baseline), then over loopback-TCP
 `RemoteSession`s sweeping pipeline depth {{1, 4}} × op batching
 {{off, on}} (per-request deadlines and bounded jittered retry/backoff
 active throughout). Every run finishes with a graceful drain handing
-every shard manager to the model checker. What this experiment alone
-gates is the loopback/in-process ratio; shard scaling and per-layer
-cost are `benchmark/`'s job (`2pl_net`, `cpc_short`).
+every shard manager to the model checker; zero violations is this
+experiment's one verdict (a violation exits 1). Shard scaling and
+per-layer cost are `benchmark/`'s job (`2pl_net`, `cpc_short`).
 *Measured:* all transports and configurations account for identical
 transaction outcomes, and every extracted execution is correct. Batching
 is the big lever: folding each transaction's six-op burst into one
-`Batch` frame removes five of six syscall round trips, lifting the best
-loopback configuration to ≥0.7× in-process throughput (the gate the run
-records in `BENCH_net.json`; a full-size run below it exits 1).
+`Batch` frame removes five of six syscall round trips. The in-process
+baseline runs each certifier call on the client's own thread under its
+shard's lock — no hand-off at all — so the best loopback configuration
+reaches only a small fraction of its throughput. `BENCH_net.json`
+records that ratio but no longer gates it: it divides by the one number
+the shard lock multiplied, and the old 0.7 gate already sat inside its
+own spread (0.45–0.70 across full-size runs on a 2-core box).
 Depth 4 *loses* to depth 1 on this workload — splitting a six-op burst
 into ⌈6/4⌉-op frames buys overlap that cannot repay the extra framing
 at loopback latency; the sweep keeps the honest number. `p50`/`p99` are
