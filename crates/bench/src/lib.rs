@@ -196,16 +196,12 @@ mod tests {
         }
     }
 
-    /// ROADMAP item 1's suspected Lemma 4 hole, reproduced single-threaded
-    /// and deterministically: the `coop-chains` shape at chain length 2
-    /// with seed 15. The engine counts 16 commits and every input
-    /// predicate holds, yet the bridged CPC's extracted execution is not
-    /// parent-based. Across seeds 0..200 of the chained sweep rows, 66
-    /// runs fail this way and 22 more cascade-abort a transaction the
-    /// engine already counted as committed; chain length 1 and the
-    /// duration sweep (no `after` edges) are clean.
+    /// Lemma 4 on the `coop-chains` shape at chain length 2 with seed 15,
+    /// single-threaded and deterministic: when a committed reader could
+    /// keep an unordered sibling's uncommitted version, the engine counted
+    /// 16 commits with every input predicate true, yet the bridged CPC's
+    /// extracted execution was not parent-based.
     #[test]
-    #[ignore = "ROADMAP item 1: a committed CPC reader keeps an unordered sibling's uncommitted version (Lemma 4)"]
     fn chained_cpc_history_is_parent_based() {
         let (chain, spec) = chain_sweep()[1].clone();
         assert_eq!(chain, 2);

@@ -24,7 +24,7 @@
 //!   [`run_plan_with`]
 //!   (per-backend history correctness, terminal end state, commit coherence,
 //!   commit accounting, benign-fault liveness, obs causality, and crash
-//!   durability: every acked commit survives recovery, nothing revoked
+//!   durability: every acked commit survives recovery, nothing uncommitted
 //!   is resurrected).
 //! * [`shrink`] — ddmin-style minimization of failing plans.
 //! * [`proto`] — bare-manager fuzzing with `force_assign` perturbations

@@ -392,7 +392,7 @@ impl World {
     /// no goodbye and *no abort sweep* — a power cut runs nothing. The
     /// dying incarnation's managers are snapshotted for their committed
     /// effects, a fresh incarnation recovers from the log, and any
-    /// divergence (acked commit lost, revoked commit resurrected,
+    /// divergence (acked commit lost, uncommitted txn resurrected,
     /// recovered state off) is recorded for the durability oracle.
     pub fn crash_restart(&mut self, torn_salt: u32) {
         self.crashes += 1;

@@ -26,19 +26,18 @@
 //!    commit produces — the retried frame hits a spent id and the
 //!    client is told a committed transaction failed).
 //! 4. **Commit accounting** — the server's committed count must lie in
-//!    `[definite − undone, definite + ambiguous]`, where `undone` counts
-//!    commits the protocol cascaded away (a committed sibling's commit
-//!    "is only relative to the parent" and may be undone — the paper's
-//!    first option). The server may resolve ambiguity either way but can
-//!    never commit more than the clients submitted.
+//!    `[definite, definite + ambiguous]`: the server may resolve
+//!    ambiguity either way but can never commit more than the clients
+//!    submitted, and never loses a commit it acknowledged.
 //! 5. **Benign-fault liveness** — a step whose fault is
 //!    [benign](Fault::is_benign) (the server provably produced a
 //!    readable reply) must not end in a transport timeout, and the
 //!    server-side stream must never record a framing/decode error
 //!    (catches reassembly desync without corrupting a single byte).
 //! 6. **Obs causality** — per ring and transaction: at most one
-//!    `TxnCommitted`, no validation after termination, no begin after
-//!    termination (catches trace corruption and double-retired txns).
+//!    `TxnCommitted`, no abort after a commit (a commit is final), no
+//!    validation after termination, no begin after termination (catches
+//!    trace corruption and double-retired txns).
 
 use crate::link::{Protections, SimLink, World};
 use crate::plan::{
@@ -267,7 +266,7 @@ pub fn run_plan_with(plan: &RunPlan, protections: Protections, backend: Backend)
     }
 
     // Oracle 7: durability — every acked commit survives recovery,
-    // nothing revoked is resurrected, recovered state matches the dying
+    // nothing uncommitted is resurrected, recovered state matches the dying
     // incarnation's committed effects (collected by the world at each
     // crash and at the final graceful shutdown).
     violations.extend(end.durability_violations.iter().cloned());
@@ -307,26 +306,21 @@ pub fn run_plan_with(plan: &RunPlan, protections: Protections, backend: Backend)
         violations.push(format!("server stream desync: {e}"));
     }
 
-    // Oracle 6: obs causality, meaningful only on a complete trace; also
-    // yields the cascade-undone commit count oracle 4 needs.
+    // Oracle 6: obs causality, meaningful only on a complete trace.
     let rings = end.recorder.drain_rings();
     let dropped_events = end.recorder.dropped();
-    let undone = if dropped_events == 0 {
-        check_causality(&rings, &mut violations)
-    } else {
-        0
-    };
+    if dropped_events == 0 {
+        check_causality(&rings, &mut violations);
+    }
 
-    // Oracle 4: commit accounting (skipped on an incomplete trace, where
-    // `undone` is unknowable). Counts span every incarnation.
-    if dropped_events == 0
-        && (server_committed + undone < definite_commits
-            || server_committed > definite_commits + ambiguous_commits)
+    // Oracle 4: commit accounting. Counts span every incarnation.
+    if server_committed < definite_commits
+        || server_committed > definite_commits + ambiguous_commits
     {
         violations.push(format!(
-            "commit accounting: server committed {server_committed} (+{undone} undone by \
-             cascade) but clients saw {definite_commits} definite + \
-             {ambiguous_commits} ambiguous (double-applied or lost commit)"
+            "commit accounting: server committed {server_committed} but clients saw \
+             {definite_commits} definite + {ambiguous_commits} ambiguous \
+             (double-applied or lost commit)"
         ));
     }
 
@@ -520,13 +514,9 @@ fn classify(session: &RemoteSession<SimLink>, e: &ServerError) -> Outcome {
 }
 
 /// Per-ring, per-txn lifecycle checks plus cross-ring span pairing on a
-/// complete trace. Returns the number of commits the protocol later
-/// undid by cascade (a committed sibling aborted when versions it
-/// depends on became doomed — legal per the paper, and needed by the
-/// accounting oracle's lower bound).
-fn check_causality(rings: &[Vec<ObsEvent>], violations: &mut Vec<String>) -> usize {
+/// complete trace.
+fn check_causality(rings: &[Vec<ObsEvent>], violations: &mut Vec<String>) {
     use std::collections::BTreeMap;
-    let mut undone = 0usize;
     for (ring_ix, ring) in rings.iter().enumerate() {
         // txn -> (seen_begin, committed, aborted)
         let mut life: BTreeMap<(u32, u32), (bool, bool, bool)> = BTreeMap::new();
@@ -567,9 +557,10 @@ fn check_causality(rings: &[Vec<ObsEvent>], violations: &mut Vec<String>) -> usi
                 }
                 ObsKind::TxnAborted => {
                     if entry.1 {
-                        // Committed-then-aborted is cascade undo: legal,
-                        // but it loosens the accounting lower bound.
-                        undone += 1;
+                        violations.push(format!(
+                            "obs ring {ring_ix}: txn {key:?} aborted after committing \
+                             (undone commit)"
+                        ));
                     }
                     entry.2 = true;
                 }
@@ -583,7 +574,6 @@ fn check_causality(rings: &[Vec<ObsEvent>], violations: &mut Vec<String>) -> usi
         }
     }
     check_spans(rings, violations);
-    undone
 }
 
 /// Distributed-trace span pairing. Spans cross rings — a `Queue` span

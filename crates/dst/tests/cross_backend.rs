@@ -3,7 +3,7 @@
 //! production stack (wire framing, connection core, shard workers, WAL),
 //! and every oracle must hold for each of them. The seed set is required
 //! to contain power cuts, so the durability oracle (acked commits
-//! survive recovery, nothing revoked is resurrected) runs against every
+//! survive recovery, nothing uncommitted is resurrected) runs against every
 //! backend, not just the paper's.
 
 use ks_dst::{generate, run_plan_with, Backend, Fault, Protections, RunPlan};

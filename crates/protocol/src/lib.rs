@@ -22,7 +22,9 @@
 //!    procedure of Figure 4 (aborting `R` holders that read a superseded
 //!    predecessor version, salvaging `R_v` holders via **re-assign**);
 //! 4. **termination** — a transaction commits only when its sibling
-//!    predecessors have committed, its children have terminated, and its
+//!    predecessors have committed, its children have terminated, every
+//!    sibling that wrote one of its assigned inputs has committed (so a
+//!    commit is final relative to the parent, and Lemma 4 holds), and its
 //!    output condition holds (Theorem 2's ingredients).
 //!
 //! [`locks`] implements the Figure 3 compatibility matrix; [`candidates`]

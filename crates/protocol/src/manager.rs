@@ -879,6 +879,10 @@ impl ProtocolManager {
             })
             .collect();
         for h in holders {
+            // An earlier repair's cascade may have aborted this holder.
+            if self.nodes[h].state != TxnState::Validated {
+                continue;
+            }
             let h_slot = self.nodes[h].slot;
             // V = author of the version the holder was assigned for e.
             let assigned = self.nodes[h].snapshot.version_of(e).unwrap_or(VersionId {
@@ -991,15 +995,7 @@ impl ProtocolManager {
     /// The slot (under `parent_idx`) of the child whose subtree contains
     /// node `author_idx`.
     fn slot_of_author(&self, parent_idx: usize, author_idx: usize) -> Option<usize> {
-        let mut cur = author_idx;
-        loop {
-            let node = &self.nodes[cur];
-            match node.parent {
-                Some(p) if p == parent_idx => return Some(node.slot),
-                Some(p) => cur = p,
-                None => return None,
-            }
-        }
+        self.child_slot_containing(Txn(parent_idx), Txn(author_idx))
     }
 
     // ------------------------------------------------------------------
@@ -1008,12 +1004,13 @@ impl ProtocolManager {
 
     /// The transaction's final view: its assigned snapshot overlaid with
     /// its own and its committed descendants' writes, in stamp order.
-    /// For the root this is `X(t_f)` of the whole execution.
+    /// For the root this is `X(t_f)` of the whole execution: a child
+    /// that has not committed contributes nothing.
     pub fn result_view(&self, t: Txn) -> Result<UniqueState, ProtocolError> {
         let node = self.node(t)?;
         let mut state = self.store.materialize(&node.snapshot)?;
         let mut writes: Vec<(u64, VersionId)> = Vec::new();
-        self.collect_committed_writes(t.0, true, &mut writes);
+        self.collect_committed_writes(t.0, &mut writes);
         writes.sort_by_key(|&(s, _)| s);
         for (_, v) in writes {
             let meta = self.store.meta(v)?;
@@ -1026,27 +1023,23 @@ impl ProtocolManager {
         Ok(state)
     }
 
-    fn collect_committed_writes(&self, idx: usize, is_self: bool, out: &mut Vec<(u64, VersionId)>) {
+    fn collect_committed_writes(&self, idx: usize, out: &mut Vec<(u64, VersionId)>) {
         let node = &self.nodes[idx];
-        if !is_self && node.state == TxnState::Aborted {
-            return;
-        }
         for &v in &node.writes {
             let stamp = self.store.meta(v).expect("written").stamp;
             out.push((stamp, v));
         }
         for &c in &node.children {
-            // include children that committed, or (for the in-progress
-            // self) all non-aborted descendants
-            let cs = self.nodes[c].state;
-            if cs == TxnState::Committed || (is_self && cs == TxnState::Validated) {
-                self.collect_committed_writes(c, false, out);
+            if self.nodes[c].state == TxnState::Committed {
+                self.collect_committed_writes(c, out);
             }
         }
     }
 
     /// Attempt to commit: all sibling predecessors committed, all children
-    /// terminated, output condition satisfied.
+    /// terminated, every sibling that wrote an assigned version committed
+    /// (a commit is final: it never rests on a version whose author may
+    /// still overwrite or abort it), output condition satisfied.
     pub fn commit(&mut self, t: Txn) -> Result<CommitOutcome, ProtocolError> {
         let state = self.node(t)?.state;
         if state != TxnState::Validated {
@@ -1071,6 +1064,11 @@ impl ProtocolManager {
         if let Some(&c) = self.node(t)?.live.first() {
             return Ok(CommitOutcome::ChildrenPending(Txn(c)));
         }
+        // Authors of assigned inputs must have committed (Lemma 4: a child
+        // reads its parent's version or a sibling's final output).
+        if let Some(author) = self.uncommitted_author(t.0) {
+            return Ok(CommitOutcome::PredecessorsPending(Txn(author)));
+        }
         // Output condition on the final view.
         let view = self.result_view(t)?;
         if !self.node(t)?.spec.output_holds(&view) {
@@ -1084,9 +1082,27 @@ impl ProtocolManager {
         Ok(CommitOutcome::Committed)
     }
 
-    /// Abort a transaction and its live descendants. Siblings that were
-    /// assigned (or read) one of the aborted subtree's versions are
-    /// re-assigned or cascade-aborted. Returns the cascaded aborts.
+    /// The first sibling of node `idx` that wrote one of its assigned
+    /// inputs and has not committed yet.
+    fn uncommitted_author(&self, idx: usize) -> Option<usize> {
+        let node = &self.nodes[idx];
+        let parent_idx = node.parent?;
+        let parent = &self.nodes[parent_idx];
+        node.input_set.iter().find_map(|&e| {
+            let v = node.snapshot.version_of(e)?;
+            if v == self.parent_version(parent_idx, e) {
+                return None;
+            }
+            let author = self.store.meta(v).expect("assigned version").author.0 as usize;
+            let sibling = parent.children[self.slot_of_author(parent_idx, author)?];
+            (sibling != idx && self.nodes[sibling].state != TxnState::Committed).then_some(sibling)
+        })
+    }
+
+    /// Abort a transaction and its descendants. Live transactions, at any
+    /// enclosing level, that were assigned (or read) one of the aborted
+    /// subtree's versions are re-assigned or cascade-aborted. Returns the
+    /// cascaded aborts.
     pub fn abort(&mut self, t: Txn) -> Result<Vec<Txn>, ProtocolError> {
         if t.0 == 0 {
             return Err(ProtocolError::RootImmutable);
@@ -1103,62 +1119,52 @@ impl ProtocolManager {
         Ok(self.cascade_from(parent_idx, doomed))
     }
 
-    /// Worklist repair after versions become doomed: siblings (under
-    /// `parent_idx`) whose assignment depends on doomed versions are
-    /// salvaged (re-assign) or aborted — including COMMITTED siblings,
-    /// whose commit "is only relative to the parent" and is undone (the
-    /// paper's first option). Each new abort may doom further versions,
-    /// hence the fixpoint loop. Returns the cascaded aborts.
+    /// Worklist repair after versions become doomed, at every level that
+    /// can see them: live children of `parent_idx`, then of each enclosing
+    /// node up to the root (a version written below a child is that
+    /// child's subtree's version to the child's siblings), whose
+    /// assignment depends on a doomed version are salvaged (re-assign) or
+    /// aborted. A committed child is never reached: it committed only on
+    /// committed authors. Each new abort may doom further versions, hence
+    /// the fixpoint loop per level. Returns the cascaded aborts.
     fn cascade_from(&mut self, parent_idx: usize, mut doomed_authors: BTreeSet<usize>) -> Vec<Txn> {
         let mut cascaded = Vec::new();
-        loop {
-            let mut changed = false;
-            let siblings: Vec<usize> = self.nodes[parent_idx]
-                .children
-                .iter()
-                .copied()
-                .filter(|&s| {
-                    !doomed_authors.contains(&s)
-                        && matches!(
-                            self.nodes[s].state,
-                            TxnState::Validated | TxnState::Committed
-                        )
-                })
-                .collect();
-            for s in siblings {
-                let input_set = &self.nodes[s].input_set;
-                // Entities whose assigned version was authored by a doomed
-                // node, with that author — each pair is a causal cascade
-                // edge `doomed author → s`.
-                let depends: Vec<(EntityId, usize)> = input_set
-                    .iter()
-                    .copied()
-                    .filter_map(|e| {
-                        let v = self.nodes[s].snapshot.version_of(e)?;
-                        let author = self.store.meta(v).expect("version").author.0 as usize;
-                        doomed_authors.contains(&author).then_some((e, author))
-                    })
-                    .collect();
-                if depends.is_empty() {
-                    continue;
-                }
-                let committed = self.nodes[s].state == TxnState::Committed;
-                let read_one = depends
-                    .iter()
-                    .any(|(e, _)| self.nodes[s].reads_done.contains_key(e));
-                if committed || read_one {
-                    self.emit_cascade_edges(s, &depends);
-                    doomed_authors.extend(self.abort_subtree(s));
-                    self.stats.cascade_aborts += 1;
-                    cascaded.push(Txn(s));
-                    changed = true;
-                } else {
-                    let pins: Vec<(EntityId, Value)> = self.nodes[s]
-                        .reads_done
+        let mut level = Some(parent_idx);
+        while let Some(parent_idx) = level {
+            loop {
+                let mut changed = false;
+                let siblings: Vec<usize> = self.nodes[parent_idx].live.iter().copied().collect();
+                for s in siblings {
+                    // Entities whose assigned version was authored by a
+                    // doomed node, with that author — each pair is a causal
+                    // cascade edge `doomed author → s`.
+                    let depends: Vec<(EntityId, usize)> = self.nodes[s]
+                        .input_set
                         .iter()
-                        .map(|(&k, &v)| (k, v))
+                        .copied()
+                        .filter_map(|e| {
+                            let v = self.nodes[s].snapshot.version_of(e)?;
+                            let author = self.store.meta(v).expect("version").author.0 as usize;
+                            doomed_authors.contains(&author).then_some((e, author))
+                        })
                         .collect();
-                    match self.assign_versions(s, &pins, Strategy::GreedyLatest) {
+                    if depends.is_empty() {
+                        continue;
+                    }
+                    let read_one = depends
+                        .iter()
+                        .any(|(e, _)| self.nodes[s].reads_done.contains_key(e));
+                    let salvaged = if read_one {
+                        None
+                    } else {
+                        let pins: Vec<(EntityId, Value)> = self.nodes[s]
+                            .reads_done
+                            .iter()
+                            .map(|(&k, &v)| (k, v))
+                            .collect();
+                        self.assign_versions(s, &pins, Strategy::GreedyLatest)
+                    };
+                    match salvaged {
                         Some(snapshot) => {
                             self.set_snapshot(s, snapshot);
                             self.stats.re_assigns += 1;
@@ -1172,10 +1178,11 @@ impl ProtocolManager {
                         }
                     }
                 }
+                if !changed {
+                    break;
+                }
             }
-            if !changed {
-                break;
-            }
+            level = self.nodes[parent_idx].parent;
         }
         // Defense in depth: dead versions leave the candidate space at the
         // store level too (VersionIds stay readable for introspection).

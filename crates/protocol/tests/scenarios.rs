@@ -140,6 +140,39 @@ fn reeval_aborts_reader_of_stale_predecessor_version() {
     assert_eq!(pm.state_of(reader).unwrap(), TxnState::Aborted);
 }
 
+/// A `re-eval` abort's cascade can reach a later holder of the same
+/// entity: `h2` read `h1`'s y, and both read `w`'s x. When `w`
+/// overwrites x, `h1` is aborted and takes `h2` with it; `h2` is then
+/// no longer a holder to repair, and is aborted once.
+#[test]
+fn reeval_cascade_victim_is_aborted_once() {
+    let (schema, mut pm) = manager_with_constraint("x >= 0");
+    let root = pm.root();
+    let w = pm
+        .define(root, spec(&schema, "x >= 0", "true"), &[], &[])
+        .unwrap();
+    pm.validate(w, Strategy::Backtracking).unwrap();
+    pm.write(w, x(), 1).unwrap();
+    let h1 = pm
+        .define(root, spec(&schema, "x >= 0", "true"), &[w], &[])
+        .unwrap();
+    pm.validate(h1, Strategy::Backtracking).unwrap();
+    pm.read(h1, x()).unwrap();
+    pm.write(h1, y(), 6).unwrap();
+    let h2 = pm
+        .define(root, spec(&schema, "x >= 0 & y = 6", "true"), &[w], &[])
+        .unwrap();
+    pm.validate(h2, Strategy::Backtracking).unwrap();
+    assert_eq!(pm.read(h2, x()).unwrap(), ReadOutcome::Value(1));
+    assert_eq!(pm.read(h2, y()).unwrap(), ReadOutcome::Value(6));
+    let report = pm.write(w, x(), 2).unwrap();
+    assert_eq!(
+        report.reeval,
+        vec![ReEvalAction::Aborted(h1), ReEvalAction::Aborted(h2)]
+    );
+    assert_eq!(pm.stats().reeval_aborts, 1);
+}
+
 /// Figure 4, branch 2: a sibling holding only `R_v` (validated, nothing
 /// read yet) is salvaged by `re-assign` — its snapshot moves to the new
 /// version.
@@ -524,16 +557,14 @@ fn grandchild_abort_falls_back_to_the_childs_own_version() {
     assert_eq!(version_seen_by(&mut pm, silent), own);
 }
 
-/// Lemma 4's minimal counterexample (ROADMAP item 1): an unordered
-/// sibling `h` validates against `w`'s *uncommitted* version of x, reads
-/// it and commits; `w` then overwrites x and commits too. Committed `h`
-/// keeps an input that is neither the parent's version nor `w`'s final
-/// one, so the extracted execution is not parent-based — with every
-/// input predicate still true. Red until the protocol closes the hole
-/// (a commit dependency on the authors of `h`'s snapshot, or undoing
-/// `h`); the fix changes `commit(h)`'s outcome, and this test with it.
+/// Lemma 4's minimal counterexample: an unordered sibling `h` validates
+/// against `w`'s *uncommitted* version of x and reads it; `w` then
+/// overwrites x. Had `h` committed first, it would keep an input that is
+/// neither the parent's version nor `w`'s final one, and the extracted
+/// execution would not be parent-based with every input predicate still
+/// true. So `h`'s commit waits for `w`, and `w`'s overwrite aborts the
+/// reader of its superseded version.
 #[test]
-#[ignore = "ROADMAP item 1: committed readers of an unordered sibling's uncommitted version break Lemma 4"]
 fn reader_of_an_overwritten_uncommitted_version_stays_parent_based() {
     let (schema, mut pm) = manager_with_constraint("x >= 0");
     let root = pm.root();
@@ -551,10 +582,44 @@ fn reader_of_an_overwritten_uncommitted_version_stays_parent_based() {
         ValidationOutcome::Validated
     );
     assert_eq!(pm.read(h, x()).unwrap(), ReadOutcome::Value(7));
-    assert_eq!(pm.commit(h).unwrap(), CommitOutcome::Committed);
-    // `h` is no longer `Validated`, so re-eval has nothing to repair.
-    assert!(pm.write(w, x(), 8).unwrap().reeval.is_empty());
+    assert_eq!(pm.commit(h).unwrap(), CommitOutcome::PredecessorsPending(w));
+    assert_eq!(
+        pm.write(w, x(), 8).unwrap().reeval,
+        vec![ReEvalAction::Aborted(h)]
+    );
     assert_eq!(pm.commit(w).unwrap(), CommitOutcome::Committed);
+
+    let (txn, parent_state, exec) = model_execution(&pm, root).unwrap();
+    let report = check::check(&schema, &txn, &parent_state, &exec);
+    assert!(report.is_correct_parent_based(), "{report:?}");
+}
+
+/// An abort below a child cascades at every enclosing level: `c`, a
+/// child of `p`, writes x; `q`, a sibling of `p`, is assigned `c`'s
+/// version (it is `p`'s subtree's last write) and reads it. When `c`
+/// aborts, `q` has consumed a dead version and must abort too, even
+/// though `p` itself survives and commits.
+#[test]
+fn nested_abort_cascades_to_the_enclosing_level() {
+    let (schema, mut pm) = manager_with_constraint("x >= 0");
+    let root = pm.root();
+    let any_x = || spec(&schema, "x >= 0", "true");
+    let p = pm.define(root, any_x(), &[], &[]).unwrap();
+    pm.validate(p, Strategy::Backtracking).unwrap();
+    let c = pm.define(p, any_x(), &[], &[]).unwrap();
+    pm.validate(c, Strategy::Backtracking).unwrap();
+    pm.write(c, x(), 7).unwrap();
+    let q = pm
+        .define(root, spec(&schema, "x = 7", "true"), &[], &[])
+        .unwrap();
+    assert_eq!(
+        pm.validate(q, Strategy::Backtracking).unwrap(),
+        ValidationOutcome::Validated
+    );
+    assert_eq!(pm.read(q, x()).unwrap(), ReadOutcome::Value(7));
+    assert_eq!(pm.abort(c).unwrap(), vec![q]);
+    assert_eq!(pm.state_of(q).unwrap(), TxnState::Aborted);
+    assert_eq!(pm.commit(p).unwrap(), CommitOutcome::Committed);
 
     let (txn, parent_state, exec) = model_execution(&pm, root).unwrap();
     let report = check::check(&schema, &txn, &parent_state, &exec);

@@ -21,12 +21,11 @@
 //!   of the first behind a single fsync and acknowledges them all —
 //!   unless no other session is open, in which case there is no one to
 //!   wait for and a lone committer pays exactly its own sync;
-//! * aborts log `Abort` for the target *and every cascaded victim*.
-//!   When a victim's `Commit` record was already logged (the protocol
-//!   can cascade-undo a committed sibling — commit is only relative to
-//!   the parent), the `Abort` is synced before the call returns, so a
-//!   crash can never resurrect an undone commit whose undo was already
-//!   acknowledged.
+//! * aborts log `Abort` for the target *and every cascaded victim*,
+//!   unsynced: a victim is always a transaction that has not committed
+//!   (a served transaction commits only once every author of its inputs
+//!   has, so no cascade reaches a commit), and a lost `Abort` recovers
+//!   as the same abort. No `Abort` follows a `Commit` in the log.
 //!
 //! WAL I/O errors panic the calling thread under the shard lock, which
 //! poisons it: a server that cannot make commits durable must not keep
@@ -38,7 +37,6 @@ use crate::metrics::ServerMetrics;
 use crate::worker::{span_end, span_start};
 use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
 use ks_wal::{SegmentStore, Wal, WalRecord};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -132,43 +130,26 @@ pub struct RecoveryReport {
     pub torn: Option<String>,
 }
 
-/// The log plus the committed-logged set, behind one mutex: appends
-/// from every shard serialize here, which is what makes "one
-/// sync covers every record appended before it" hold globally.
-pub(crate) struct WalShared {
-    inner: Mutex<WalInner>,
-    sync_on_commit: bool,
-}
-
-struct WalInner {
-    wal: Wal<Box<dyn SegmentStore>>,
-    /// Transactions whose `Commit` record has been logged this
-    /// incarnation — an `Abort` targeting one of these is an undo of a
-    /// commit and must be synced before it is acknowledged.
-    committed_logged: BTreeSet<(u32, u64)>,
-}
+/// The log behind one mutex: appends from every shard serialize here,
+/// which is what makes "one sync covers every record appended before it"
+/// hold globally.
+pub(crate) struct WalShared(Mutex<Wal<Box<dyn SegmentStore>>>);
 
 impl WalShared {
-    pub(crate) fn new(wal: Wal<Box<dyn SegmentStore>>, sync_on_commit: bool) -> WalShared {
-        WalShared {
-            inner: Mutex::new(WalInner {
-                wal,
-                committed_logged: BTreeSet::new(),
-            }),
-            sync_on_commit,
-        }
+    pub(crate) fn new(wal: Wal<Box<dyn SegmentStore>>) -> WalShared {
+        WalShared(Mutex::new(wal))
     }
 
     /// The log, for one append or sync. A call that panicked holding it
     /// left the log in an unknown state, so every later user fails
     /// closed.
-    fn lock(&self) -> MutexGuard<'_, WalInner> {
-        self.inner.lock().expect("wal lock poisoned")
+    fn lock(&self) -> MutexGuard<'_, Wal<Box<dyn SegmentStore>>> {
+        self.0.lock().expect("wal lock poisoned")
     }
 
     /// Current appender counters (flush queue depth, sync count…).
     pub(crate) fn stats(&self) -> ks_wal::WalStats {
-        self.lock().wal.stats()
+        self.lock().stats()
     }
 }
 
@@ -192,28 +173,16 @@ pub(crate) struct WorkerWal {
 }
 
 impl WorkerWal {
-    fn append(&self, inner: &mut WalInner, record: &WalRecord, txn32: u32, sink: &Option<ObsSink>) {
-        let before = inner.wal.stats().bytes;
-        inner.wal.append(record).expect("wal append failed");
+    /// Append one record of this shard's under the log lock.
+    fn append(&self, record: &WalRecord, txn32: u32, sink: &Option<ObsSink>) {
+        let mut wal = self.shared.lock();
+        let before = wal.stats().bytes;
+        wal.append(record).expect("wal append failed");
         if let Some(s) = sink {
             s.emit(
                 txn32,
                 ObsKind::WalAppend {
-                    bytes: (inner.wal.stats().bytes - before) as u32,
-                },
-            );
-        }
-    }
-
-    fn sync(&self, inner: &mut WalInner, sink: &Option<ObsSink>) {
-        let start = Instant::now();
-        let records = inner.wal.sync().expect("wal fsync failed");
-        if let Some(s) = sink {
-            s.emit(
-                NO_TXN,
-                ObsKind::WalFsync {
-                    records: records as u32,
-                    sync_ns: start.elapsed().as_nanos() as u64,
+                    bytes: (wal.stats().bytes - before) as u32,
                 },
             );
         }
@@ -221,77 +190,45 @@ impl WorkerWal {
 
     /// Log `Begin` for a freshly defined transaction.
     pub(crate) fn log_begin(&self, txn: u64, sink: &Option<ObsSink>) {
-        let mut inner = self.shared.lock();
-        self.append(
-            &mut inner,
-            &WalRecord::Begin {
-                shard: self.shard,
-                txn,
-            },
-            txn as u32,
-            sink,
-        );
+        let record = WalRecord::Begin {
+            shard: self.shard,
+            txn,
+        };
+        self.append(&record, txn as u32, sink);
     }
 
     /// Log an applied write.
     pub(crate) fn log_write(&self, txn: u64, entity: u32, value: i64, sink: &Option<ObsSink>) {
-        let mut inner = self.shared.lock();
-        self.append(
-            &mut inner,
-            &WalRecord::Write {
-                shard: self.shard,
-                txn,
-                entity,
-                value,
-            },
-            txn as u32,
-            sink,
-        );
+        let record = WalRecord::Write {
+            shard: self.shard,
+            txn,
+            entity,
+            value,
+        };
+        self.append(&record, txn as u32, sink);
     }
 
     /// Log `Abort` for each victim (the explicit target and any cascade
-    /// victims). Syncs before returning iff some victim's commit record
-    /// was already logged — the undo of a durable commit must itself be
-    /// durable before it is acknowledged.
+    /// victims).
     pub(crate) fn log_aborts(&self, txns: &[u64], sink: &Option<ObsSink>) {
-        if txns.is_empty() {
-            return;
-        }
-        let mut inner = self.shared.lock();
-        let mut undoes_commit = false;
         for &txn in txns {
-            undoes_commit |= inner.committed_logged.remove(&(self.shard, txn));
-            self.append(
-                &mut inner,
-                &WalRecord::Abort {
-                    shard: self.shard,
-                    txn,
-                },
-                txn as u32,
-                sink,
-            );
-        }
-        if undoes_commit && self.shared.sync_on_commit {
-            self.sync(&mut inner, sink);
+            let record = WalRecord::Abort {
+                shard: self.shard,
+                txn,
+            };
+            self.append(&record, txn as u32, sink);
         }
     }
 
-    /// Log `Commit` and remember it as logged. Acknowledging is the
-    /// worker's: with a flusher it hands over a [`Ticket`] (the time until
-    /// pickup is the trace's `WalEnqueue` hop), else the call returns at
-    /// once.
+    /// Log `Commit`. Acknowledging is the worker's: with a flusher it
+    /// hands over a [`Ticket`] (the time until pickup is the trace's
+    /// `WalEnqueue` hop), else the call returns at once.
     pub(crate) fn log_commit(&self, txn: u64, sink: &Option<ObsSink>) {
-        let mut inner = self.shared.lock();
-        self.append(
-            &mut inner,
-            &WalRecord::Commit {
-                shard: self.shard,
-                txn,
-            },
-            txn as u32,
-            sink,
-        );
-        inner.committed_logged.insert((self.shard, txn));
+        let record = WalRecord::Commit {
+            shard: self.shard,
+            txn,
+        };
+        self.append(&record, txn as u32, sink);
     }
 
     /// Final barrier at graceful shutdown: even in teeth runs with
@@ -299,7 +236,7 @@ impl WorkerWal {
     /// simulation kills the store *before* shutdown, so this cannot
     /// retroactively save a simulated power cut.
     pub(crate) fn sync_quiet(&self) {
-        let _ = self.shared.lock().wal.sync();
+        let _ = self.shared.lock().sync();
     }
 }
 
@@ -345,7 +282,7 @@ pub(crate) fn flusher_loop(
             hand_over(t, SpanHop::WalBarrier, SpanHop::WalFsync);
         }
         let start = Instant::now();
-        let records = shared.lock().wal.sync().expect("wal fsync failed");
+        let records = shared.lock().sync().expect("wal fsync failed");
         if let Some(s) = &sink {
             s.emit(
                 NO_TXN,

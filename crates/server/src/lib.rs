@@ -342,18 +342,27 @@ mod tests {
     /// panic), every call after shutdown reads `Shutdown`, and the
     /// returned history is correct and holds exactly the acknowledged
     /// commits — the flusher acknowledges every ticket it was handed
-    /// before it exits. The backend is SSI: a CPC commit can hold a
-    /// version of a sibling that shutdown then strands uncommitted — the
-    /// open Lemma 4 hole (ROADMAP item 1), which this test is not about.
+    /// before it exits, and a transaction shutdown strands uncommitted
+    /// leaves nothing in the final state.
     #[test]
     fn shutdown_under_load_answers_every_call() {
+        shutdown_under_load(Backend::Ssi);
+    }
+
+    /// [`shutdown_under_load_answers_every_call`] on the paper's protocol.
+    #[test]
+    fn shutdown_under_load_answers_every_call_cpc() {
+        shutdown_under_load(Backend::Cpc);
+    }
+
+    fn shutdown_under_load(backend: Backend) {
         const THREADS: usize = 4;
         let media = ks_wal::MemStore::new();
         let store: StoreFactory =
             Arc::new(move || Box::new(media.clone()) as Box<dyn ks_wal::SegmentStore>);
         let config = ServerConfig::builder()
             .shards(1)
-            .backend(Backend::Ssi)
+            .backend(backend)
             .durability(Durability::Wal(WalOptions::new(store)))
             .build()
             .unwrap();

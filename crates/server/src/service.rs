@@ -114,7 +114,7 @@ impl TxnService {
                 states: replayed.states.clone(),
                 torn: replayed.torn.clone(),
             });
-            let shared = Arc::new(WalShared::new(wal, opts.sync_on_commit));
+            let shared = Arc::new(WalShared::new(wal));
             if opts.sync_on_commit {
                 let (tx, rx) = mpsc::channel();
                 let (flush_shared, sink) = (Arc::clone(&shared), obs.clone());

@@ -19,10 +19,11 @@
 //! * [`recover`] — the redo pass: last durable [`Checkpoint`] as base
 //!   state, then replay the writes of finally-committed transactions in
 //!   log order. A transaction is recovered iff its commit record is in
-//!   the clean prefix and no later abort record undid it (the protocol
-//!   can cascade-undo a *committed* sibling — commit is only relative to
-//!   the parent), which is exactly the visibility rule the server
-//!   enforces when logging.
+//!   the clean prefix and no later abort record undid it. The server no
+//!   longer writes `Abort` after `Commit` (a served commit is final: it
+//!   waits for the authors of its inputs, so no cascade reaches it); the
+//!   rule stays so logs written before that change recover as they
+//!   were written.
 //!
 //! Group commit lives in `ks-server` (it needs the reply plumbing); this
 //! crate only promises that one `sync` covers every record appended

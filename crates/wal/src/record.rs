@@ -55,10 +55,11 @@ pub enum WalRecord {
         /// Shard-local transaction id.
         txn: u64,
     },
-    /// The transaction aborted — explicitly, by re-eval, or by a cascade
-    /// that can undo an already-committed sibling (commit is only
-    /// relative to the parent in the KS model), so an `Abort` *after* a
-    /// `Commit` for the same transaction revokes it.
+    /// The transaction aborted — explicitly, by re-eval, or by a cascade.
+    /// The server writes it only for transactions that have not
+    /// committed; an `Abort` *after* a `Commit` for the same transaction
+    /// (written by servers that could cascade-undo a committed sibling)
+    /// revokes it.
     Abort {
         /// Owning shard.
         shard: u32,

@@ -10,8 +10,9 @@
 //!    whose shard-local txn ids may have been reused).
 //! 3. Replay the records after the checkpoint: a transaction is
 //!    *finally committed* iff its last fate record in the prefix is a
-//!    `Commit` (a later `Abort` revokes it — the protocol cascade can
-//!    undo a committed sibling). Writes of finally-committed
+//!    `Commit` (a later `Abort` revokes it: the server no longer writes
+//!    one, but logs from servers that could cascade-undo a committed
+//!    sibling hold them). Writes of finally-committed
 //!    transactions apply to the base state in log order, so last-write-
 //!    wins per entity matches the MvStore's latest-live-version rule.
 //!
@@ -204,8 +205,8 @@ mod tests {
 
     #[test]
     fn abort_after_commit_revokes_it() {
-        // The protocol can cascade-undo a committed sibling; the log
-        // records that as Commit then Abort for the same txn.
+        // Servers that could cascade-undo a committed sibling logged
+        // that as Commit then Abort for the same txn.
         let store = MemStore::new();
         let mut wal = wal_over(&store);
         wal.append(&WalRecord::Checkpoint {

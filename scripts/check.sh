@@ -46,33 +46,23 @@ fi
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Every test of every crate. One known intermittent is skipped by name
-# until its ROADMAP owner runs it to ground; nothing else is:
-# * item 1 — ks-server --test interleaving,
-#   `extracted_executions_always_check`: fails about one run in seven
-#   (29 of 200; it was 94 of 200 while every call crossed a shard worker
-#   thread) at the certifier layer (`parent_based: false`, shard 0,
-#   proptest case seed 16879330901311285034, `inputs_ok` all true). The
-#   same Lemma 4 hole reproduces deterministically in two `#[ignore]`d
-#   tests: ks-bench's
-#   `chained_cpc_history_is_parent_based` and ks-protocol's scenario
-#   `reader_of_an_overwritten_uncommitted_version_stays_parent_based`.
-echo "== cargo test --workspace (all crates incl. the DST seed gate 0..25 and its teeth, one named intermittent skipped)"
-cargo test -q --workspace -- \
-    --skip extracted_executions_always_check
+# Every test of every crate, none skipped.
+echo "== cargo test --workspace (all crates incl. the DST seed gate 0..25 and its teeth)"
+cargo test -q --workspace
 
-# Two ks-server lib tests that race real threads, repeated under 4x
+# Three ks-server lib tests that race real threads, repeated under 4x
 # thread oversubscription (4 x nproc concurrent processes): shutdown
-# while calls hold and wait for a shard lock, and trace well-formedness
-# across the flusher's hand-off (ROADMAP 1 (c)).
+# while calls hold and wait for a shard lock, on SSI and on CPC, and
+# trace well-formedness across the flusher's hand-off.
 soak_runs=100
 soak_jobs=$((4 * $(nproc)))
-echo "== soak: shard shutdown under load and stitchable traces, ${soak_runs}x each, ${soak_jobs} processes"
+echo "== soak: shard shutdown under load (SSI, CPC) and stitchable traces, ${soak_runs}x each, ${soak_jobs} processes"
 soak_bin=$(cargo test -p ks-server --lib --no-run 2>&1 |
     sed -n 's/.*Executable unittests src\/lib.rs (\(.*\))/\1/p')
 soak_log=target/soak.log
 if ! seq "$soak_runs" | xargs -P "$soak_jobs" -I{} "$soak_bin" -q --exact \
     tests::shutdown_under_load_answers_every_call \
+    tests::shutdown_under_load_answers_every_call_cpc \
     tests::sampled_sessions_emit_stitchable_traces >"$soak_log" 2>&1; then
     cat "$soak_log" >&2
     echo "FAIL: a soak run failed (test binary: '$soak_bin')" >&2

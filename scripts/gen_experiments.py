@@ -180,19 +180,20 @@ violations:
 correct.
 *Measured:* 200 randomized cooperative sessions (random predicates,
 orders, reads, writes, aborts), each extracted into the formal model and
-verified by the `ks-core` checkers — zero violations *in this
-generator*. (Reaching zero required three strengthenings of the literal
-protocol; see DESIGN.md "Protocol strengthenings".) **The code does not
-yet hold the theorem everywhere:** the generator cannot produce the
-shape of the open Lemma 4 hole (ROADMAP item 1) — an unordered sibling
-reads another's uncommitted version and commits before that version is
-overwritten, so its input is neither the parent's version nor the
-writer's final one. Two `#[ignore]`d tests reproduce it
-deterministically (ks-protocol's scenario
+verified by the `ks-core` checkers — zero violations. (Reaching zero
+required four strengthenings of the literal protocol; see DESIGN.md
+"Protocol strengthenings".) The fourth closed a Lemma 4 hole this
+generator cannot produce: an unordered sibling read another's
+uncommitted version and committed before that version was overwritten,
+so its input was neither the parent's version nor the writer's final
+one. A commit now waits for the authors of its inputs. Three
+deterministic tests pin the shape and its nested-abort cousin
+(ks-protocol's scenarios
 `reader_of_an_overwritten_uncommitted_version_stays_parent_based` and
-ks-bench's `chained_cpc_history_is_parent_based`), and the served-system
-property test (`ks-server --test interleaving`) fails on it in 29 of 200
-runs, which is why `scripts/check.sh` skips it by name. The proptest harness
+`nested_abort_cascades_to_the_enclosing_level`, and ks-bench's
+`chained_cpc_history_is_parent_based`), and the served-system property
+test (`ks-server --test interleaving`), which once failed on it in up to
+94 of 200 runs, runs unskipped in `scripts/check.sh`. The proptest harness
 (`tests/protocol_model_props.rs`) re-verifies this on every test run;
 `crates/protocol/tests/multilevel.rs` extends the check to every level of
 three-level sessions (the paper's multi-level criterion); and
@@ -234,8 +235,9 @@ cooperation as partial-order edges and repairs optimism with `re-eval`.
 *Measured:* with chains the protocol's internal repair machinery becomes
 visible (re-assigns, a few re-eval aborts) while remaining far cheaper than
 2PL's waits. Both served certifiers receive the chain as `after` edges:
-`cpc` orders the commits, and `2pl` also holds a chained transaction's
-commit until its predecessor ends — a wait its deadlock detector sees, so
+`cpc` orders the commits and holds a commit until the authors of its
+assigned inputs have committed (the few `cpc` waits), and `2pl` also
+holds a chained transaction's commit until its predecessor ends — a wait its deadlock detector sees, so
 a predecessor blocked on its successor's locks costs a deadlock victim
 (`rv_ab`), not a livelock. T/O, MVTO and predicate-wise 2PL cannot express
 the ordering at all.
