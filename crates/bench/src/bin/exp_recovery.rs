@@ -9,7 +9,9 @@
 //! version — so their RC/ACA/ST columns are a conservative lower bound:
 //! `false` there means "not guaranteed at the flat-trace level", which is
 //! exactly the paper's point — reading in-flight versions IS the
-//! cooperation feature, repaired by cascading undo rather than prevented.
+//! cooperation feature. An abort cascades to the live readers of its
+//! versions; a CPC commit waits for the authors of its inputs, so nothing
+//! committed is ever undone by a sibling.
 
 use ks_baselines::MultiversionTimestampOrdering;
 use ks_bench::{bridged_2pl, bridged_cpc};
@@ -96,5 +98,6 @@ fn main() {
     println!("2pl is always strict. The multiversion rows are conservative");
     println!("lower bounds (flat traces can't say which version a read consumed);");
     println!("the KS protocol intentionally gives up ACA — reading in-flight");
-    println!("versions IS the cooperation the paper wants, repaired by cascading undo.");
+    println!("versions IS the cooperation the paper wants. An abort cascades to");
+    println!("live readers only: a commit waits for the authors of its inputs.");
 }

@@ -1,8 +1,9 @@
 //! # ks-bench
 //!
 //! The experiment harness: shared generators and runners used by the
-//! `exp_*` binaries (which regenerate every figure, table and claim of the
-//! paper — see `EXPERIMENTS.md`).
+//! `exp_*` binaries, which measure the paper's Section 2.4 claims and the
+//! served system. The paper's formal artifacts are owned by tests, which
+//! `EXPERIMENTS.md` names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -152,6 +153,9 @@ pub fn chain_sweep() -> Vec<(usize, WorkloadSpec)> {
 mod tests {
     use super::*;
     use ks_protocol::Certifier;
+    use std::collections::BTreeSet;
+    use std::fs;
+    use std::path::Path;
 
     #[test]
     fn random_interleaving_preserves_program_order() {
@@ -211,6 +215,71 @@ mod tests {
         let verdict = cpc.certifier().verify_history();
         assert!(verdict.is_correct(), "{verdict:?}");
         assert_eq!(verdict.committed, 16);
+    }
+
+    /// EXPERIMENTS.md cannot drift from the code. `BINARIES` and
+    /// `NOT_CAPTURED` in `scripts/gen_experiments.py` split the `exp_*`
+    /// binaries between them, and every backticked name on an *Owned by*
+    /// paragraph is a test (`module::name`) whose `fn` exists in the
+    /// workspace sources.
+    #[test]
+    fn experiments_doc_names_only_what_exists() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let script = fs::read_to_string(root.join("scripts/gen_experiments.py")).unwrap();
+        let py_list = |name: &str| -> BTreeSet<String> {
+            let list = script.split(&format!("\n{name} = [")).nth(1).unwrap();
+            list[..list.find(']').unwrap()]
+                .split(',')
+                .map(|b| b.trim().trim_matches('"').to_string())
+                .filter(|b| !b.is_empty())
+                .collect()
+        };
+        let (captured, not_captured) = (py_list("BINARIES"), py_list("NOT_CAPTURED"));
+        let bins: BTreeSet<String> = fs::read_dir(root.join("crates/bench/src/bin"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.starts_with("exp_"))
+            .filter_map(|f| f.strip_suffix(".rs").map(String::from))
+            .collect();
+        assert!(
+            captured.is_disjoint(&not_captured),
+            "{captured:?} {not_captured:?}"
+        );
+        assert_eq!(
+            &captured | &not_captured,
+            bins,
+            "gen_experiments.py BINARIES + NOT_CAPTURED vs src/bin/exp_*.rs"
+        );
+
+        fn rust_sources(dir: &Path, out: &mut String) {
+            for entry in fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    rust_sources(&path, out);
+                } else if path.extension().is_some_and(|x| x == "rs") {
+                    out.push_str(&fs::read_to_string(&path).unwrap());
+                }
+            }
+        }
+        let mut sources = String::new();
+        for dir in ["crates", "src", "tests"] {
+            rust_sources(&root.join(dir), &mut sources);
+        }
+        let doc = fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+        let owners: Vec<&str> = doc
+            .split("\n\n")
+            .filter(|p| p.starts_with("*Owned by:*"))
+            .collect();
+        assert!(owners.len() >= 7, "{} Owned by paragraphs", owners.len());
+        for paragraph in owners {
+            for name in paragraph.split('`').skip(1).step_by(2) {
+                let test = name.rsplit("::").next().unwrap();
+                assert!(
+                    name.contains("::") && sources.contains(&format!("fn {test}(")),
+                    "EXPERIMENTS.md names `{name}`, which is not a test in the workspace"
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,12 @@
 //! constraint … re-evaluated based on the new version written by one of
 //! its predecessors" (Figure 4). Two writes never conflict: each creates
 //! its own version.
-
-use std::fmt;
+//!
+//! [`compatibility`] is the matrix as a function, and this module's unit
+//! tests assert all nine cells. The manager enacts the same entries:
+//! `read` and `validate` return `Blocked` on a held `W`, and `write` runs
+//! `re-eval` on the read-side holders (the scenarios in
+//! `tests/scenarios.rs` drive each branch).
 
 /// The three lock modes of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -37,16 +41,6 @@ pub enum LockMode {
     Write,
 }
 
-impl fmt::Display for LockMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            LockMode::ReadValidation => "Rv",
-            LockMode::Read => "R",
-            LockMode::Write => "W",
-        })
-    }
-}
-
 /// An entry of the compatibility matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatrixEntry {
@@ -57,16 +51,6 @@ pub enum MatrixEntry {
     /// "re-eval": grant the (write) request and interrupt the read-side
     /// holder for input-constraint re-evaluation.
     ReEval,
-}
-
-impl fmt::Display for MatrixEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            MatrixEntry::Grant => "true",
-            MatrixEntry::Block => "false",
-            MatrixEntry::ReEval => "re-eval",
-        })
-    }
 }
 
 /// The Figure 3 compatibility function: what happens when `requested` is
@@ -83,25 +67,6 @@ pub fn compatibility(held: LockMode, requested: LockMode) -> MatrixEntry {
         // writes never conflict: each creates a fresh version
         (Write, Write) => MatrixEntry::Grant,
     }
-}
-
-/// Render the full matrix as the paper's Figure 3 (for `exp_fig3`).
-pub fn figure3_table() -> String {
-    use LockMode::*;
-    let modes = [ReadValidation, Read, Write];
-    let mut out = String::from("held \\ requested |   Rv    |    R    |    W\n");
-    out.push_str("-----------------+---------+---------+---------\n");
-    for held in modes {
-        out.push_str(&format!("{:<17}", format!("{held}")));
-        for requested in modes {
-            out.push_str(&format!(
-                "| {:<8}",
-                compatibility(held, requested).to_string()
-            ));
-        }
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -134,13 +99,5 @@ mod tests {
     #[test]
     fn writes_never_conflict_with_writes() {
         assert_eq!(compatibility(Write, Write), Grant);
-    }
-
-    #[test]
-    fn table_renders_all_nine_entries() {
-        let t = figure3_table();
-        assert_eq!(t.matches("true").count(), 5);
-        assert_eq!(t.matches("false").count(), 2);
-        assert_eq!(t.matches("re-eval").count(), 2);
     }
 }

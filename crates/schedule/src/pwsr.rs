@@ -117,9 +117,9 @@ mod tests {
     fn witnesses_disagree_across_objects() {
         let s = Schedule::parse("R1(x) W1(x) R2(x) R2(y) W2(y) R1(y) W1(y)").unwrap();
         let ws = pwsr_witnesses(&s, &xy_objects()).unwrap();
-        let x_order = &ws[0].1;
-        let y_order = &ws[1].1;
-        assert_ne!(x_order, y_order); // t1 before t2 on x; t2 before t1 on y
+        // t1 before t2 on x; t2 before t1 on y.
+        assert_eq!(ws[0].1, vec![TxnId(0), TxnId(1)]);
+        assert_eq!(ws[1].1, vec![TxnId(1), TxnId(0)]);
     }
 
     #[test]

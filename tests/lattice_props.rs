@@ -1,11 +1,14 @@
 //! Property tests: the containment lattice of Section 4 holds on random
 //! schedules, and every witness a classifier returns is actually valid.
+//! One exhaustive test counts the interleavings each class admits.
 
 use ks_kernel::EntityId;
 use ks_predicate::Object;
 use ks_schedule::classify::classify;
+use ks_schedule::corpus::xy_objects;
 use ks_schedule::csr::{conflict_equivalent, csr_witness};
 use ks_schedule::mvsr::{mv_feasible, mvcsr_witness, mvsr_witness};
+use ks_schedule::search::{programs_from, Interleavings};
 use ks_schedule::vsr::{view_equivalent, vsr_witness};
 use ks_schedule::{Action, Op, Schedule, TxnId};
 use proptest::prelude::*;
@@ -104,5 +107,41 @@ proptest! {
     fn classify_deterministic(s in schedules(4, 3, 12)) {
         let objs = per_entity_objects(&s);
         prop_assert_eq!(classify(&s, &objs), classify(&s, &objs));
+    }
+}
+
+/// Section 4's "richer classes", counted: over every interleaving of two
+/// program pairs (x and y in separate conjuncts), the number of schedules
+/// each class admits. The predicate-wise classes admit more than `SR`, and
+/// on Example 1's programs so do the multiversion ones.
+#[test]
+fn class_richness_counts() {
+    // CSR, VSR, FSR, MVCSR, MVSR, PWCSR, PWSR, <CSR, <SR, CPC, PC
+    let cases: [(&[&str], u64, [u64; 11]); 2] = [
+        (
+            &["R1(x) W1(x) R1(y) W1(y)", "R2(x) W2(x) R2(y) W2(y)"],
+            70,
+            [12, 12, 12, 12, 12, 14, 14, 12, 12, 14, 14],
+        ),
+        (
+            &["R1(x) W1(x) R1(y) W1(y)", "R2(x) R2(y) W2(y)"],
+            35,
+            [12, 12, 12, 13, 13, 15, 15, 12, 12, 15, 15],
+        ),
+    ];
+    for (programs, total, expected) in cases {
+        let mut schedules = 0;
+        let mut admitted = [0u64; 11];
+        for s in Interleavings::new(programs_from(programs).unwrap()) {
+            let m = classify(&s, &xy_objects());
+            let member = [
+                m.csr, m.vsr, m.fsr, m.mvcsr, m.mvsr, m.pwcsr, m.pwsr, m.pocsr, m.posr, m.cpc, m.pc,
+            ];
+            for (count, is) in admitted.iter_mut().zip(member) {
+                *count += u64::from(is);
+            }
+            schedules += 1;
+        }
+        assert_eq!((schedules, admitted), (total, expected), "{programs:?}");
     }
 }

@@ -86,7 +86,7 @@ fn lemma2_exhaustive_two_transactions() {
             );
         }
     }
-    assert!(vsr_count >= 2, "at least the serial orders are VSR");
+    assert_eq!(vsr_count, 12, "VSR interleavings of the two templates");
 }
 
 #[test]
