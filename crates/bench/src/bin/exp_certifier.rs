@@ -21,8 +21,10 @@
 //! Expected physics: CPC commits the long transaction every round
 //! (abort rate ≈ 0); SSI kills it at commit (first-committer-wins —
 //! a short writer always beat it to the hot entity) or earlier via
-//! dangerous-structure detection; 2PL lets it commit but collapses
-//! short-txn throughput while the long reader holds its shared locks.
+//! dangerous-structure detection; 2PL parks short writers behind the
+//! long reader's shared locks, and the long transaction's own write
+//! then closes a waits-for cycle often enough that wait-or-die kills
+//! it in most rounds.
 //! The machine-readable gate asserts the headline number: SSI's
 //! long-txn abort rate exceeds CPC's by a wide margin.
 //!
@@ -465,6 +467,7 @@ fn main() {
     }
     println!("\nexpected shape: CPC commits the long transaction every round");
     println!("(reads pinned to assigned versions); SSI kills it at commit");
-    println!("(first-committer-wins / dangerous structures); 2PL commits it");
-    println!("but stalls the short writers on its read locks.");
+    println!("(first-committer-wins / dangerous structures); 2PL parks short");
+    println!("writers on its read locks, and its own write is often the");
+    println!("deadlock victim.");
 }

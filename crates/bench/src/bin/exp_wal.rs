@@ -1,11 +1,13 @@
-//! `wal-load`: what the commit flusher charges a lone committer and
-//! what concurrent committers share.
+//! `wal-load`: what group commit charges a lone committer and what
+//! concurrent committers share.
 //!
 //! Closed-loop clients drive the sharded `TxnService` with the WAL on.
-//! A commit becomes durable one way only: the worker parks a ticket, the
-//! flusher thread batches the tickets of a short window behind one fsync
-//! and acknowledges them all — and skips the window when no other
-//! session is open. The two things to check are the ends, on a store
+//! A commit becomes durable one way only, on the committing thread: a
+//! committer whose record is not yet durable leads a flush when none is
+//! in flight (write the buffered tail, one fsync) and otherwise waits
+//! for the one in flight; whatever is appended during a sync rides the
+//! next. There is no window and no flusher thread. The two things to
+//! check are the ends, on a store
 //! whose sync latency is known (`SlowSync`: a `MemStore` taking
 //! `SLOW_SYNC` per sync):
 //!
@@ -36,8 +38,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const CLIENTS: usize = 8;
-/// Shard count: the WAL (and its flusher) is shared across shards, so
-/// commits batch globally regardless. Four shards keep the protocol
+/// Shard count: the WAL (and its group commit) is shared across shards,
+/// so commits batch globally regardless. Four shards keep the protocol
 /// layer fast enough at full size that a transaction stays well under
 /// `SLOW_SYNC` — a single manager degrades with transaction count
 /// (validate cost grows with history: `certifier.validate_growth` in
@@ -167,7 +169,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let txns = if smoke { TXNS_SMOKE } else { TXNS_FULL };
     let slow_us = micros(SLOW_SYNC);
-    println!("wal-load — closed-loop clients, one commit path (the flusher)");
+    println!("wal-load — closed-loop clients, one commit path (group commit)");
     println!(
         "{txns} txns/client, {TOTAL_ENTITIES} entities, {SHARDS} shards, \
          slow store = {slow_us:.0} µs/sync{}\n",

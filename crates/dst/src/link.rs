@@ -1,7 +1,7 @@
 //! The simulated network and the single-threaded world it lives in.
 //!
 //! [`World`] embeds a real [`TxnService`] (real shard workers, real
-//! protocol managers, the real WAL flusher) and serves it through the
+//! protocol managers, the real WAL group commit) and serves it through the
 //! *production* server-side connection machinery: every delivered byte
 //! goes through
 //! [`wire::FrameReader`] and every decoded request through
@@ -17,8 +17,8 @@
 //! Determinism: the driver is single-threaded and every client call is
 //! synchronous, so at most one request is ever in flight inside the
 //! service. Certifier calls run on the driver's own thread under their
-//! shard's lock; the one server thread, the WAL flusher, acknowledges
-//! each commit before the driver moves on. Combined with the plan being fully
+//! shard's lock, and each commit leads its own WAL flush on that thread
+//! too: the service starts no thread. Combined with the plan being fully
 //! expanded from the seed (see [`crate::plan`]) and the server-side state
 //! being ordered containers throughout, a run is a pure function of
 //! `(seed, protections)`.

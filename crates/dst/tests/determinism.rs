@@ -37,11 +37,13 @@ fn traces_are_complete_and_nonempty() {
 }
 
 /// The durability oracle judges the production commit path: every plan
-/// runs over the WAL, and an acknowledged commit got durable through the
-/// flusher — at least one `GroupCommit` per definite commit, each a
-/// batch of one because the driver is synchronous.
+/// runs over the WAL, and an acknowledged commit got durable through a
+/// group commit its own call led — at least one `GroupCommit` per
+/// definite commit, each a group of one because the driver is
+/// synchronous. A shutdown's quiescing flush announces no group, so no
+/// `GroupCommit` is ever empty.
 #[test]
-fn wal_plans_commit_through_the_flusher() {
+fn wal_plans_commit_through_group_commit() {
     let (mut commits, mut flushes) = (0, 0);
     for seed in 0..10u64 {
         let out = run_plan(&generate(seed), Protections::all_on());
@@ -57,7 +59,7 @@ fn wal_plans_commit_through_the_flusher() {
             .collect();
         assert!(
             batches.len() >= out.definite_commits,
-            "seed {seed}: {} flusher batches for {} acked commits",
+            "seed {seed}: {} commit groups for {} acked commits",
             batches.len(),
             out.definite_commits
         );
@@ -70,6 +72,6 @@ fn wal_plans_commit_through_the_flusher() {
     }
     assert!(
         commits > 0 && flushes > 0,
-        "ten plans must ack some commit ({commits}) through the flusher ({flushes})"
+        "ten plans must ack some commit ({commits}) through a group commit ({flushes})"
     );
 }

@@ -157,8 +157,8 @@ fn exported_commit_trace_covers_every_hop_and_latency_adds_up() {
     session.commit(txn).expect("commit");
     let wall_ns = wall.elapsed().as_nanos() as u64;
 
-    // Give the WAL flusher thread a beat to emit its span ends, then
-    // drain everything new since the warmup cursor.
+    // Pause briefly, then drain everything new since the warmup cursor
+    // (every server span of the commit ends before its reply is sent).
     std::thread::sleep(Duration::from_millis(50));
     let (_, fresh) = drain_export(&session, cursor, 4096);
 

@@ -107,13 +107,14 @@ pub enum SpanHop {
     /// Certifier decision inside execution (validate / commit); the end
     /// event's `ok` carries the decision outcome.
     Certify,
-    /// Group commit: ticket enqueued by the worker → picked up by the
-    /// flusher.
+    /// Group commit: `Commit` record appended → the committer, off the
+    /// shard lock, reaches the flush.
     WalEnqueue,
-    /// Group commit: flusher pickup → fsync issued (the wait for other
-    /// sessions' commits; ≈ 0 for a lone session).
+    /// Group commit: waiting out a flush in flight that does not cover
+    /// this commit (≈ 0 for a lone session).
     WalBarrier,
-    /// Durability barrier: fsync start → fsync complete.
+    /// Durability barrier: the write and sync that cover this commit,
+    /// led by it or by the committer it waits on.
     WalFsync,
 }
 
@@ -186,9 +187,9 @@ impl SpanHop {
             SpanHop::ConnHandle => Some(SpanHop::Request),
             SpanHop::Queue | SpanHop::Exec => Some(SpanHop::ConnHandle),
             SpanHop::Certify => Some(SpanHop::Exec),
-            // WAL hops overlap the worker's deferred-ack window, not the
-            // execute interval, so they nest under the connection handler
-            // (the conn thread blocks until the flusher acks).
+            // WAL hops follow the execute interval, after the shard lock
+            // is released, so they nest under the connection handler
+            // (the conn thread waits for the commit to be durable).
             SpanHop::WalEnqueue | SpanHop::WalBarrier | SpanHop::WalFsync => {
                 Some(SpanHop::ConnHandle)
             }
@@ -362,8 +363,8 @@ pub enum ObsKind {
         /// deterministic trace comparisons must zero it.
         sync_ns: u64,
     },
-    /// Durability: the group-commit flusher amortized one fsync across
-    /// a batch of concurrent commit acknowledgements.
+    /// Durability: a group-commit leader amortized one fsync across
+    /// every commit its flush covered.
     GroupCommit {
         /// Commits acknowledged by this single fsync.
         n: u32,

@@ -17,7 +17,7 @@ use crate::ProtocolError;
 use ks_kernel::{EntityId, Schema, UniqueState, Value};
 use ks_mvstore::{StoreError, VersionId};
 use ks_obs::{ObsKind, ObsSink};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One committed version of one entity. It carries no sequence number:
 /// chains are in install order, and a backend that needs a version's
@@ -44,6 +44,9 @@ pub(crate) struct Ledger {
     /// Per entity (dense, schema order): the committed version chain.
     chains: Vec<Vec<Version>>,
     txns: Vec<LedgerTxn>,
+    /// The transactions not yet committed or aborted — what a backend
+    /// scans for concurrent activity, instead of every index ever opened.
+    live: BTreeSet<usize>,
     order: OrderBook,
     /// Backends add their own certifier-initiated aborts here.
     pub(crate) stats: ProtocolStats,
@@ -63,6 +66,7 @@ impl Ledger {
                 })
                 .collect(),
             txns: Vec::new(),
+            live: BTreeSet::new(),
             order: OrderBook::default(),
             stats: ProtocolStats::default(),
             obs: None,
@@ -120,6 +124,11 @@ impl Ledger {
         0..self.txns.len()
     }
 
+    /// The active transactions (`Defined` or `Validated`), ascending.
+    pub(crate) fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live.iter().copied()
+    }
+
     pub(crate) fn chain(&self, e: usize) -> &[Version] {
         &self.chains[e]
     }
@@ -146,6 +155,7 @@ impl Ledger {
             reads: BTreeMap::new(),
             writes: BTreeMap::new(),
         });
+        self.live.insert(t);
         self.emit(t, ObsKind::TxnBegin);
         Ok(Txn(t))
     }
@@ -199,12 +209,14 @@ impl Ledger {
             });
         }
         self.txns[t].state = TxnState::Committed;
+        self.live.remove(&t);
         self.emit(t, ObsKind::TxnCommitted);
     }
 
     /// Mark `t` aborted; its buffered writes are never installed.
     pub(crate) fn mark_aborted(&mut self, t: usize) {
         self.txns[t].state = TxnState::Aborted;
+        self.live.remove(&t);
         self.emit(t, ObsKind::TxnAborted);
     }
 
@@ -253,10 +265,12 @@ impl Ledger {
 
 #[cfg(test)]
 mod tests {
+    use super::Ledger;
     use crate::{Certifier, CommitOutcome, ReadOutcome, SsiCertifier, TplCertifier, Txn, TxnState};
     use ks_core::Specification;
     use ks_kernel::{Domain, EntityId, Schema, UniqueState};
     use ks_predicate::Strategy;
+    use std::collections::BTreeSet;
 
     fn both(n: usize) -> [Box<dyn Certifier>; 2] {
         let schema = Schema::uniform(
@@ -277,6 +291,72 @@ mod tests {
         let t = c.open(Specification::trivial(), after, &[]).unwrap();
         c.validate(t, Strategy::Backtracking).unwrap();
         t
+    }
+
+    /// SplitMix64: a seeded op stream for the live-set property.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Drive `c` with a random mix of opens (some ordered after an
+    /// earlier transaction), validations, reads, writes, commits and
+    /// aborts, checking after every call that the ledger's live set is
+    /// exactly `{t | is_active(t)}` — certifier-initiated aborts
+    /// (dangerous structures, deadlock victims) included. Errors are
+    /// part of the stream: a refused call must leave the set right too.
+    fn live_set_tracks_activity<C: Certifier>(mut c: C, ledger: fn(&C) -> &Ledger, seed: u64) {
+        let mut rng = seed;
+        let mut opened = 0usize;
+        for _ in 0..80 {
+            let roll = next(&mut rng);
+            let pick = |r: u64| Txn((r % opened.max(1) as u64) as usize);
+            let target = pick(next(&mut rng));
+            let entity = EntityId((next(&mut rng) % 3) as u32);
+            match roll % 7 {
+                0 | 1 => {
+                    let after: Vec<Txn> = if opened > 0 && roll.is_multiple_of(3) {
+                        vec![target]
+                    } else {
+                        Vec::new()
+                    };
+                    if c.open(Specification::trivial(), &after, &[]).is_ok() {
+                        opened += 1;
+                    }
+                }
+                _ if opened == 0 => {}
+                2 => drop(c.validate(target, Strategy::Backtracking)),
+                3 => drop(c.read(target, entity)),
+                4 => drop(c.write(target, entity, (roll % 100) as i64)),
+                5 => drop(c.commit(target)),
+                _ => drop(c.abort(target)),
+            }
+            let l = ledger(&c);
+            let live: BTreeSet<usize> = l.live().collect();
+            let active: BTreeSet<usize> = l.indices().filter(|&t| l.is_active(t)).collect();
+            assert_eq!(live, active, "{} seed {seed}", c.backend());
+        }
+    }
+
+    #[test]
+    fn live_set_is_exactly_the_active_transactions() {
+        let schema = Schema::uniform(
+            (0..3).map(|i| format!("e{i}")),
+            Domain::Range {
+                min: -1000,
+                max: 1000,
+            },
+        );
+        let initial = UniqueState::constant(3, 0);
+        for seed in 0..300 {
+            let ssi = SsiCertifier::new(schema.clone(), &initial);
+            live_set_tracks_activity(ssi, SsiCertifier::ledger, seed);
+            let tpl = TplCertifier::new(schema.clone(), &initial);
+            live_set_tracks_activity(tpl, TplCertifier::ledger, seed);
+        }
     }
 
     #[test]

@@ -176,8 +176,7 @@ impl SsiCertifier {
         self.since_gc = 0;
         let oldest_active = self
             .ledger
-            .indices()
-            .filter(|&t| self.ledger.is_active(t))
+            .live()
             .map(|t| self.txns[t].snapshot)
             .min()
             .unwrap_or(self.seq);
@@ -239,10 +238,8 @@ impl Certifier for SsiCertifier {
             // set will produce the same edge when they commit.
             let writers: Vec<usize> = self
                 .ledger
-                .indices()
-                .filter(|&w| {
-                    w != t && self.ledger.is_active(w) && self.ledger.has_buffered_write(w, entity)
-                })
+                .live()
+                .filter(|&w| w != t && self.ledger.has_buffered_write(w, entity))
                 .collect();
             for w in writers {
                 self.mark_rw(t, w, t, &mut others)?;
@@ -358,6 +355,14 @@ impl Certifier for SsiCertifier {
 
     fn verify_history(&self) -> HistoryVerdict {
         self.ledger.verify_history()
+    }
+}
+
+#[cfg(test)]
+impl SsiCertifier {
+    /// The shared ledger, for tests that check its invariants.
+    pub(crate) fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 }
 

@@ -222,6 +222,14 @@ impl Certifier for TplCertifier {
 }
 
 #[cfg(test)]
+impl TplCertifier {
+    /// The shared ledger, for tests that check its invariants.
+    pub(crate) fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use ks_kernel::Domain;

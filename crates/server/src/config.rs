@@ -28,8 +28,9 @@ pub struct ServerConfig {
     /// Maximum concurrently open sessions; further `session()` calls are
     /// shed with `Backpressure`.
     pub max_sessions: usize,
-    /// How long a logged commit waits for the flusher's acknowledgement
-    /// before reporting `Timeout`.
+    /// How long a logged commit waits on another committer's WAL flush
+    /// before reporting `Timeout` (a commit leading its own flush waits
+    /// for its write and sync, not for this).
     pub request_timeout: Duration,
     /// Version-assignment solver strategy used at validation (overridable
     /// per transaction via
@@ -140,8 +141,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Flusher-acknowledgement timeout for logged commits (must be
-    /// non-zero).
+    /// How long a logged commit waits on another committer's WAL flush
+    /// (must be non-zero).
     pub fn request_timeout(mut self, timeout: Duration) -> Self {
         self.config.request_timeout = timeout;
         self

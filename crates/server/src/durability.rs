@@ -1,11 +1,11 @@
-//! The durability layer: WAL wiring, the commit flusher, recovery report.
+//! The durability layer: WAL wiring, group commit, recovery report.
 //!
 //! [`Durability`] is the `ServerConfig` knob. With `Durability::Wal`,
 //! the service opens a [`ks_wal::Wal`] over the configured store at
 //! startup, replays it ([`RecoveryReport`]), writes a synced
 //! [`Checkpoint`](ks_wal::WalRecord::Checkpoint) fence, and hands every
-//! shard's worker a [`WorkerWal`] so the commit path logs-then-flushes
-//! before acknowledging.
+//! shard's worker a [`WorkerWal`] so the commit path logs, flushes and
+//! only then acknowledges.
 //!
 //! **Logging discipline** (what makes recovery exact):
 //!
@@ -13,40 +13,40 @@
 //!   under the shard lock — so a transaction's records always precede
 //!   its `Commit` record, and one sync at commit durably covers all of
 //!   them (prefix durability);
-//! * a commit acknowledges only after its `Commit` record is synced,
-//!   and only the flusher thread syncs it: the committing call appends
-//!   the record and hands the flusher a deferred-reply [`Ticket`] under
-//!   the shard lock, then releases the lock and waits for the ack; the
-//!   flusher batches the tickets that arrive within [`COMPANY_WINDOW`]
-//!   of the first behind a single fsync and acknowledges them all —
-//!   unless no other session is open, in which case there is no one to
-//!   wait for and a lone committer pays exactly its own sync;
+//! * an append only pushes the record onto the log's buffered tail
+//!   under a short mutex and returns its position; it never waits on
+//!   I/O;
+//! * a commit acknowledges only once its `Commit` record's position is
+//!   durable. The committing call waits for that on its own thread,
+//!   after it has released the shard lock ([`WalShared::await_durable`]):
+//!   if no flush is in flight it *leads* one — takes the whole tail,
+//!   writes it with [`Wal::append_all`], syncs, publishes the new
+//!   durable position and wakes every waiter — and otherwise it waits
+//!   for the flush in flight. Whatever is appended while a sync runs
+//!   goes into the next one, so concurrent committers share fsyncs
+//!   with no window, no thread and no hand-off, and a lone committer
+//!   pays exactly its own sync;
 //! * aborts log `Abort` for the target *and every cascaded victim*,
 //!   unsynced: a victim is always a transaction that has not committed
 //!   (a served transaction commits only once every author of its inputs
 //!   has, so no cascade reaches a commit), and a lost `Abort` recovers
 //!   as the same abort. No `Abort` follows a `Commit` in the log.
 //!
-//! WAL I/O errors panic the calling thread under the shard lock, which
-//! poisons it: a server that cannot make commits durable must not keep
-//! acknowledging them, and every later call on that shard reads
-//! `Shutdown` (the in-memory and dst stores are infallible; only real
-//! disks can trip this).
+//! A WAL I/O error fails closed: the leader whose write or sync failed
+//! (or who died mid-flush) marks the log failed and wakes every waiter,
+//! and from then on every waiting and every later commit, on any shard,
+//! returns [`ServerError::Shutdown`] — a server that cannot make
+//! commits durable never acknowledges them (the in-memory and dst
+//! stores are infallible; only real disks can trip this).
 
 use crate::metrics::ServerMetrics;
 use crate::worker::{span_end, span_start};
+use crate::ServerError;
 use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
-use ks_wal::{SegmentStore, Wal, WalRecord};
+use ks_wal::{SegmentStore, Wal, WalRecord, WalStats};
 use std::fmt;
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How long the flusher holds a batch open for other sessions' commits
-/// before the shared fsync. A constant, not an option: every other
-/// value in the tree only ever shortened a test or a demo.
-const COMPANY_WINDOW: Duration = Duration::from_millis(2);
 
 /// Builds a fresh handle onto the log's storage. A factory (not a
 /// store) so `ServerConfig` stays `Clone` and a restarted service can
@@ -80,10 +80,11 @@ impl fmt::Debug for Durability {
 pub struct WalOptions {
     /// Storage factory (file dir, shared memory, dst sim store…).
     pub store: StoreFactory,
-    /// Sync the commit record before acknowledging. Turning this off
-    /// (dst "commit-flush" teeth) still logs everything but lets an
-    /// acknowledged commit die with the page cache — the durability
-    /// oracle must catch that.
+    /// Flush the commit record before acknowledging. Turning this off
+    /// (dst "commit-flush" teeth) still logs everything but acknowledges
+    /// at once, leaving the records buffered until a later flush or a
+    /// graceful shutdown — so a crash loses acknowledged commits, which
+    /// the durability oracle must catch.
     pub sync_on_commit: bool,
     /// Segment rotation threshold in bytes.
     pub segment_bytes: usize,
@@ -130,62 +131,249 @@ pub struct RecoveryReport {
     pub torn: Option<String>,
 }
 
-/// The log behind one mutex: appends from every shard serialize here,
-/// which is what makes "one sync covers every record appended before it"
-/// hold globally.
-pub(crate) struct WalShared(Mutex<Wal<Box<dyn SegmentStore>>>);
+/// The log's append side: what no leader has taken yet, and the
+/// group-commit state every committer reads.
+struct Tail {
+    /// Appended records no leader has taken yet, in log order.
+    records: Vec<WalRecord>,
+    /// `Commit` records among them: the size of the next group.
+    commits: u32,
+    /// Position of the last appended record (= records ever appended).
+    appended: u64,
+    /// Frame bytes ever appended.
+    bytes: u64,
+    /// Syncs the media had completed when the last flush ended.
+    syncs: u64,
+    /// Every record up to this position is durable.
+    durable: u64,
+    /// The position the flush in flight will make durable.
+    flushing: Option<u64>,
+    /// A leader's write or sync failed: nothing becomes durable again.
+    failed: bool,
+}
+
+/// The log shared by every shard: a buffered tail behind a short
+/// mutex, the media behind another that only the one leader in flight
+/// takes. No thread holds both, and no shard lock is held by a leader.
+pub(crate) struct WalShared {
+    tail: Mutex<Tail>,
+    /// Signalled whenever a flush ends (durable or failed).
+    flushed: Condvar,
+    media: Mutex<Wal<Box<dyn SegmentStore>>>,
+    sync_on_commit: bool,
+    /// The service-level sink: group-commit events and the committers'
+    /// WAL spans.
+    sink: Option<ObsSink>,
+    metrics: Arc<ServerMetrics>,
+}
 
 impl WalShared {
-    pub(crate) fn new(wal: Wal<Box<dyn SegmentStore>>) -> WalShared {
-        WalShared(Mutex::new(wal))
+    /// Wrap a log whose every record so far is durable (the startup
+    /// checkpoint was synced).
+    pub(crate) fn new(
+        wal: Wal<Box<dyn SegmentStore>>,
+        sync_on_commit: bool,
+        sink: Option<ObsSink>,
+        metrics: Arc<ServerMetrics>,
+    ) -> WalShared {
+        let stats = wal.stats();
+        WalShared {
+            tail: Mutex::new(Tail {
+                records: Vec::new(),
+                commits: 0,
+                appended: stats.records,
+                bytes: stats.bytes,
+                syncs: stats.syncs,
+                durable: stats.records,
+                flushing: None,
+                failed: false,
+            }),
+            flushed: Condvar::new(),
+            media: Mutex::new(wal),
+            sync_on_commit,
+            sink,
+            metrics,
+        }
     }
 
-    /// The log, for one append or sync. A call that panicked holding it
-    /// left the log in an unknown state, so every later user fails
-    /// closed.
-    fn lock(&self) -> MutexGuard<'_, Wal<Box<dyn SegmentStore>>> {
-        self.0.lock().expect("wal lock poisoned")
+    /// The tail. Nothing that can panic runs while it is held.
+    fn tail(&self) -> MutexGuard<'_, Tail> {
+        self.tail.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current appender counters (flush queue depth, sync count…).
-    pub(crate) fn stats(&self) -> ks_wal::WalStats {
-        self.lock().stats()
+    /// Buffer one record; returns its position and frame size. Never
+    /// waits on I/O.
+    fn append(&self, record: WalRecord) -> (u64, u32) {
+        let bytes = record.frame_len() as u32;
+        let mut tail = self.tail();
+        tail.commits += u32::from(matches!(record, WalRecord::Commit { .. }));
+        tail.records.push(record);
+        tail.appended += 1;
+        tail.bytes += u64::from(bytes);
+        (tail.appended, bytes)
+    }
+
+    /// Wait until position `pos` is durable, leading a flush whenever
+    /// none is in flight, for at most `timeout` of waiting on others.
+    ///
+    /// A traced commit enters with its `WalEnqueue` span open (append →
+    /// reaching the flush), spends `WalBarrier` waiting out a flush that
+    /// does not cover it, and `WalFsync` in the write and sync that do;
+    /// every span ends before this returns.
+    pub(crate) fn await_durable(
+        &self,
+        pos: u64,
+        trace: u64,
+        timeout: Duration,
+    ) -> Result<(), ServerError> {
+        let deadline = Instant::now() + timeout;
+        let sink = &self.sink;
+        let hop = |done: SpanHop, next: SpanHop| {
+            span_end(sink, trace, NO_TXN, done, true);
+            span_start(sink, trace, NO_TXN, next, OpCode::Commit);
+        };
+        hop(SpanHop::WalEnqueue, SpanHop::WalBarrier);
+        let mut covered = false;
+        let mut tail = self.tail();
+        let outcome = loop {
+            if tail.failed {
+                break Err(ServerError::Shutdown);
+            }
+            // The next flush to end covers `pos` — it is in flight, or
+            // this call leads it — so the wait is now for the fsync.
+            if !covered && (tail.durable >= pos || tail.flushing.is_none_or(|to| to >= pos)) {
+                covered = true;
+                hop(SpanHop::WalBarrier, SpanHop::WalFsync);
+            }
+            if tail.durable >= pos {
+                break Ok(());
+            }
+            if tail.flushing.is_none() {
+                tail = self.lead(tail, true);
+                continue;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break Err(ServerError::Timeout);
+            }
+            tail = self
+                .flushed
+                .wait_timeout(tail, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
+        drop(tail);
+        let last = if covered {
+            SpanHop::WalFsync
+        } else {
+            SpanHop::WalBarrier
+        };
+        span_end(sink, trace, NO_TXN, last, outcome.is_ok());
+        outcome
+    }
+
+    /// Lead one flush: take the whole tail, write it and sync it with
+    /// the tail unlocked (appends go on meanwhile, into the next flush),
+    /// then publish the outcome and wake every waiter. An `announce`d
+    /// flush is a commit group: it emits `GroupCommit` and `WalFsync`
+    /// and feeds the flush series.
+    fn lead<'a>(&'a self, mut tail: MutexGuard<'a, Tail>, announce: bool) -> MutexGuard<'a, Tail> {
+        let records = std::mem::take(&mut tail.records);
+        let commits = std::mem::take(&mut tail.commits);
+        let upto = tail.appended;
+        tail.flushing = Some(upto);
+        drop(tail);
+        let start = Instant::now();
+        let (synced, syncs) = {
+            let _watch = LeaderWatch(self);
+            let mut wal = self.media.lock().unwrap_or_else(PoisonError::into_inner);
+            let synced = wal.append_all(&records).and_then(|()| wal.sync());
+            (synced, wal.stats().syncs)
+        };
+        if let (Ok(records), true) = (&synced, announce) {
+            if let Some(s) = &self.sink {
+                s.emit(NO_TXN, ObsKind::GroupCommit { n: commits });
+                s.emit(
+                    NO_TXN,
+                    ObsKind::WalFsync {
+                        records: *records as u32,
+                        sync_ns: start.elapsed().as_nanos() as u64,
+                    },
+                );
+            }
+            self.metrics.telemetry.record_flush(u64::from(commits));
+        }
+        let mut tail = self.tail();
+        tail.flushing = None;
+        tail.syncs = syncs;
+        match synced {
+            Ok(_) => tail.durable = upto,
+            Err(_) => tail.failed = true,
+        }
+        self.flushed.notify_all();
+        tail
+    }
+
+    /// Final barrier at graceful shutdown: even in teeth runs with
+    /// `sync_on_commit` off, a clean exit leaves the log durable. Crash
+    /// simulation kills the store *before* shutdown, so this cannot
+    /// retroactively save a simulated power cut.
+    pub(crate) fn sync_quiet(&self) {
+        let mut tail = self.tail();
+        while tail.flushing.is_some() {
+            tail = self
+                .flushed
+                .wait(tail)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if !tail.failed {
+            drop(self.lead(tail, false));
+        }
+    }
+
+    /// Appender counters: records and bytes appended (buffered ones
+    /// included), syncs completed by finished flushes, and records not
+    /// yet durable. Never waits on a flush in flight.
+    pub(crate) fn stats(&self) -> WalStats {
+        let tail = self.tail();
+        WalStats {
+            records: tail.appended,
+            bytes: tail.bytes,
+            syncs: tail.syncs,
+            pending_records: tail.appended - tail.durable,
+        }
     }
 }
 
-/// A deferred commit acknowledgement parked with the flusher.
-pub(crate) struct Ticket {
-    pub(crate) reply: SyncSender<()>,
-    /// Distributed trace riding this commit (`0` = unsampled); the
-    /// flusher emits the `WalEnqueue`/`WalBarrier`/`WalFsync` span
-    /// boundaries for it.
-    pub(crate) trace: u64,
+/// Fails the log if its leader unwinds mid-flush, so nobody waits on a
+/// dead leader.
+struct LeaderWatch<'a>(&'a WalShared);
+
+impl Drop for LeaderWatch<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut tail = self.0.tail();
+            tail.flushing = None;
+            tail.failed = true;
+            self.0.flushed.notify_all();
+        }
+    }
 }
 
-/// Per-shard handle: the shared log plus the shard id and the flusher's
-/// ticket queue (`None` iff `sync_on_commit` is off). Only the shard's
-/// worker holds it, so the flusher's queue disconnects once shutdown has
-/// taken every worker out of its shard.
+/// Per-shard handle: the shared log plus the shard id its records carry.
 pub(crate) struct WorkerWal {
     pub(crate) shared: Arc<WalShared>,
-    pub(crate) flusher: Option<Sender<Ticket>>,
     pub(crate) shard: u32,
 }
 
 impl WorkerWal {
-    /// Append one record of this shard's under the log lock.
-    fn append(&self, record: &WalRecord, txn32: u32, sink: &Option<ObsSink>) {
-        let mut wal = self.shared.lock();
-        let before = wal.stats().bytes;
-        wal.append(record).expect("wal append failed");
+    /// Buffer one record of this shard's; returns its position.
+    fn append(&self, record: WalRecord, txn32: u32, sink: &Option<ObsSink>) -> u64 {
+        let (pos, bytes) = self.shared.append(record);
         if let Some(s) = sink {
-            s.emit(
-                txn32,
-                ObsKind::WalAppend {
-                    bytes: (wal.stats().bytes - before) as u32,
-                },
-            );
+            s.emit(txn32, ObsKind::WalAppend { bytes });
         }
+        pos
     }
 
     /// Log `Begin` for a freshly defined transaction.
@@ -194,7 +382,7 @@ impl WorkerWal {
             shard: self.shard,
             txn,
         };
-        self.append(&record, txn as u32, sink);
+        self.append(record, txn as u32, sink);
     }
 
     /// Log an applied write.
@@ -205,7 +393,7 @@ impl WorkerWal {
             entity,
             value,
         };
-        self.append(&record, txn as u32, sink);
+        self.append(record, txn as u32, sink);
     }
 
     /// Log `Abort` for each victim (the explicit target and any cascade
@@ -216,93 +404,18 @@ impl WorkerWal {
                 shard: self.shard,
                 txn,
             };
-            self.append(&record, txn as u32, sink);
+            self.append(record, txn as u32, sink);
         }
     }
 
-    /// Log `Commit`. Acknowledging is the worker's: with a flusher it
-    /// hands over a [`Ticket`] (the time until pickup is the trace's
-    /// `WalEnqueue` hop), else the call returns at once.
-    pub(crate) fn log_commit(&self, txn: u64, sink: &Option<ObsSink>) {
+    /// Log `Commit`; returns the position the commit must see durable
+    /// before it is acknowledged, or `None` when `sync_on_commit` is off.
+    pub(crate) fn log_commit(&self, txn: u64, sink: &Option<ObsSink>) -> Option<u64> {
         let record = WalRecord::Commit {
             shard: self.shard,
             txn,
         };
-        self.append(&record, txn as u32, sink);
-    }
-
-    /// Final barrier at graceful shutdown: even in teeth runs with
-    /// `sync_on_commit` off, a clean exit leaves the log durable. Crash
-    /// simulation kills the store *before* shutdown, so this cannot
-    /// retroactively save a simulated power cut.
-    pub(crate) fn sync_quiet(&self) {
-        let _ = self.shared.lock().sync();
-    }
-}
-
-/// The commit flusher — the only place a commit becomes durable:
-/// collect every ticket within [`COMPANY_WINDOW`] of the first, issue
-/// one fsync, acknowledge them all. The window is for company, so it
-/// is skipped when this is the only open session — a lone committer
-/// waits for its own sync and nothing else. Every ticket's `Commit`
-/// record was appended before the ticket was sent, hence before the
-/// sync, hence is covered. Exits when every shard's worker (the only
-/// `Ticket` senders) has been dropped at shutdown.
-///
-/// For traced tickets the flusher closes the worker's `WalEnqueue` span
-/// at pickup, brackets the wait for company as `WalBarrier`, and the
-/// shared fsync as `WalFsync` — so a slow commit shows up in the trace
-/// tree attributed to the right phase. Every batch's size also feeds
-/// the windowed telemetry series.
-pub(crate) fn flusher_loop(
-    shared: Arc<WalShared>,
-    tickets: Receiver<Ticket>,
-    sink: Option<ObsSink>,
-    metrics: Arc<ServerMetrics>,
-) {
-    // A traced ticket leaves one hop and enters the next.
-    let hand_over = |t: &Ticket, done: SpanHop, next: SpanHop| {
-        span_end(&sink, t.trace, NO_TXN, done, true);
-        span_start(&sink, t.trace, NO_TXN, next, OpCode::Commit);
-    };
-    while let Ok(first) = tickets.recv() {
-        hand_over(&first, SpanHop::WalEnqueue, SpanHop::WalBarrier);
-        let mut batch = vec![first];
-        let deadline = Instant::now() + COMPANY_WINDOW;
-        while metrics.sessions_in_flight.load(Ordering::Relaxed) > 1 {
-            match tickets.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok(t) => {
-                    hand_over(&t, SpanHop::WalEnqueue, SpanHop::WalBarrier);
-                    batch.push(t);
-                }
-                Err(_) => break,
-            }
-        }
-        for t in &batch {
-            hand_over(t, SpanHop::WalBarrier, SpanHop::WalFsync);
-        }
-        let start = Instant::now();
-        let records = shared.lock().sync().expect("wal fsync failed");
-        if let Some(s) = &sink {
-            s.emit(
-                NO_TXN,
-                ObsKind::GroupCommit {
-                    n: batch.len() as u32,
-                },
-            );
-            s.emit(
-                NO_TXN,
-                ObsKind::WalFsync {
-                    records: records as u32,
-                    sync_ns: start.elapsed().as_nanos() as u64,
-                },
-            );
-        }
-        metrics.telemetry.record_flush(batch.len() as u64);
-        // Each ticket's last span ends before its acknowledgement.
-        for t in batch {
-            span_end(&sink, t.trace, NO_TXN, SpanHop::WalFsync, true);
-            let _ = t.reply.send(());
-        }
+        let pos = self.append(record, txn as u32, sink);
+        self.shared.sync_on_commit.then_some(pos)
     }
 }

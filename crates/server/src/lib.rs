@@ -22,8 +22,8 @@
 //!   and the rest are shed. Workers never block on protocol outcomes —
 //!   contended calls return [`ServerError::Busy`] and the session
 //!   retries, which is what keeps one stalled transaction from wedging
-//!   its whole shard. The only service thread is the WAL commit
-//!   flusher.
+//!   its whole shard. The service starts no thread: a logged commit
+//!   leads or joins its WAL flush on the caller's thread too.
 //! - **Clients** ([`client`]): the transport-generic [`Client`] trait and
 //!   [`TxnBuilder`] (spec, after/before ordering, strategy) — the
 //!   client-visible contract both the in-process [`Session`] and the
@@ -341,8 +341,8 @@ mod tests {
     /// logged shard: every call returns a typed result (no hang, no
     /// panic), every call after shutdown reads `Shutdown`, and the
     /// returned history is correct and holds exactly the acknowledged
-    /// commits — the flusher acknowledges every ticket it was handed
-    /// before it exits, and a transaction shutdown strands uncommitted
+    /// commits — a commit waiting on the log at shutdown still gets its
+    /// flush's verdict, and a transaction shutdown strands uncommitted
     /// leaves nothing in the final state.
     #[test]
     fn shutdown_under_load_answers_every_call() {
@@ -591,11 +591,10 @@ mod tests {
         // the drained rings must stitch into one well-formed tree per
         // call, rooted at the client Request span, with the worker's
         // Queue/Exec (and Certify, for validate/commit) hops inside and,
-        // under the WAL, the flusher's three hops on every commit. A
-        // flusher that acknowledged before it ended its last span would
-        // lose the race to its client only about once in a few hundred
-        // commits, so each service runs LIFECYCLES lifecycles of six
-        // calls.
+        // under the WAL, the three group-commit hops on every commit. A
+        // committer that returned before it ended its last WAL span
+        // would break a tree only about once in a few hundred commits,
+        // so each service runs LIFECYCLES lifecycles of six calls.
         use ks_obs::{OpCode, SpanHop};
         const LIFECYCLES: usize = 200;
         let media = ks_wal::MemStore::new();

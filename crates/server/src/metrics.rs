@@ -37,7 +37,7 @@ pub struct ServerMetrics {
     /// Requests shed because `queue_depth` calls already waited for their
     /// shard's lock.
     pub backpressure: AtomicU64,
-    /// Commits that timed out waiting for the flusher's acknowledgement.
+    /// Commits that timed out waiting on another committer's WAL flush.
     pub timeouts: AtomicU64,
     /// Transactions committed through the service.
     pub committed: AtomicU64,
@@ -50,8 +50,8 @@ pub struct ServerMetrics {
     /// Time requests spent waiting for their shard's lock.
     pub queue_wait: LatencyHistogram,
     /// Time a request spent executing under the shard lock: lock held →
-    /// result ready. It is recorded before a logged commit's ticket goes
-    /// to the flusher, so it excludes the wait for durability.
+    /// result ready. It is recorded before a logged commit waits for its
+    /// record to be durable, so it excludes that wait.
     pub exec_time: LatencyHistogram,
     /// Windowed time-series telemetry (1 s latency-histogram windows,
     /// throughput/abort-rate/queue-depth/flush series) feeding

@@ -1,7 +1,7 @@
 //! The front end: shards, admission control, lifecycle.
 
 use crate::config::ServerConfig;
-use crate::durability::{self, Durability, RecoveryReport, WalShared, WorkerWal};
+use crate::durability::{Durability, RecoveryReport, WalShared, WorkerWal};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::routing::ShardMap;
 use crate::session::Session;
@@ -14,8 +14,7 @@ use ks_protocol::manager::ProtocolStats;
 use ks_protocol::{Backend, Certifier, ProtocolManager, SsiCertifier, TplCertifier};
 use ks_wal::{Wal, WalConfig, WalRecord};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 /// State shared between the service front end and every session.
 pub(crate) struct Shared {
@@ -26,6 +25,9 @@ pub(crate) struct Shared {
     /// Session-side sink (shard-stamped per call with `emit_for`); `None`
     /// when the service runs without a recorder.
     pub(crate) obs: Option<ObsSink>,
+    /// The write-ahead log every shard appends to, under
+    /// [`Durability::Wal`].
+    pub(crate) wal: Option<Arc<WalShared>>,
     /// Monotone seed for in-process trace origination (see
     /// `ServerConfig::trace_sample`): each sampled-candidate call draws
     /// a sequence number whose SplitMix64 hash is the trace id.
@@ -45,17 +47,14 @@ pub(crate) struct Shared {
 /// [`TxnService::session`] are the only client surface.
 pub struct TxnService {
     pub(crate) shared: Arc<Shared>,
-    flusher: Option<JoinHandle<()>>,
     recovery: Option<RecoveryReport>,
-    wal: Option<Arc<WalShared>>,
 }
 
 impl TxnService {
     /// Start the service: build the shard partition and one worker per
     /// shard, each with a protocol manager rooted at a trivial
-    /// specification over the shard's slice of `initial`. The only thread
-    /// it starts is the WAL commit flusher, under a syncing
-    /// [`Durability::Wal`].
+    /// specification over the shard's slice of `initial`. It starts no
+    /// thread: every call, and every WAL flush, runs on a caller's.
     ///
     /// With [`Durability::Wal`], startup first replays the log
     /// (recovered committed state replaces `initial`), then writes a
@@ -67,11 +66,9 @@ impl TxnService {
         let metrics = Arc::new(ServerMetrics::new(map.shards()));
         let obs = config.recorder.as_ref().map(|r| r.sink(u32::MAX));
 
-        // Durability startup: recover, fence, arm the flusher.
+        // Durability startup: recover, then fence.
         let mut recovery = None;
         let mut wal_shared: Option<Arc<WalShared>> = None;
-        let mut flusher = None;
-        let mut flusher_tx = None;
         if let Durability::Wal(opts) = &config.durability {
             let store = (opts.store)();
             let replayed = ks_wal::recover(&store).expect("wal recovery failed");
@@ -114,17 +111,12 @@ impl TxnService {
                 states: replayed.states.clone(),
                 torn: replayed.torn.clone(),
             });
-            let shared = Arc::new(WalShared::new(wal));
-            if opts.sync_on_commit {
-                let (tx, rx) = mpsc::channel();
-                let (flush_shared, sink) = (Arc::clone(&shared), obs.clone());
-                let metrics = Arc::clone(&metrics);
-                flusher = Some(std::thread::spawn(move || {
-                    durability::flusher_loop(flush_shared, rx, sink, metrics)
-                }));
-                flusher_tx = Some(tx);
-            }
-            wal_shared = Some(shared);
+            wal_shared = Some(Arc::new(WalShared::new(
+                wal,
+                opts.sync_on_commit,
+                obs.clone(),
+                Arc::clone(&metrics),
+            )));
         }
         let recovered_states = recovery.as_ref().and_then(|r| r.states.clone());
 
@@ -168,7 +160,6 @@ impl TxnService {
             }
             let wal = wal_shared.as_ref().map(|shared| WorkerWal {
                 shared: Arc::clone(shared),
-                flusher: flusher_tx.clone(),
                 shard: shard as u32,
             });
             let worker = Worker::new(cert, Arc::clone(&metrics), sink, wal);
@@ -181,11 +172,10 @@ impl TxnService {
                 metrics,
                 config,
                 obs,
+                wal: wal_shared,
                 trace_seq: std::sync::atomic::AtomicU64::new(0),
             }),
-            flusher,
             recovery,
-            wal: wal_shared,
         }
     }
 
@@ -195,10 +185,11 @@ impl TxnService {
         self.recovery.as_ref()
     }
 
-    /// Live WAL appender counters (records, bytes, fsyncs, flush queue
-    /// depth); `None` when the service runs without durability.
+    /// Live WAL appender counters (records and bytes appended, fsyncs,
+    /// records not yet durable); `None` when the service runs without
+    /// durability.
     pub fn wal_stats(&self) -> Option<ks_wal::WalStats> {
-        self.wal.as_ref().map(|w| w.stats())
+        self.shared.wal.as_ref().map(|w| w.stats())
     }
 
     /// Open a session, or shed it with [`ServerError::Backpressure`] when
@@ -273,10 +264,10 @@ impl TxnService {
     }
 
     /// Stop accepting work: take every shard's worker out of its lock,
-    /// and hand back the shard certifiers so callers can re-verify their
-    /// histories offline (see [`crate::verify`]). A call that holds a
-    /// shard lock finishes first; calls that get the lock afterwards
-    /// observe `Shutdown`.
+    /// leave the log durable, and hand back the shard certifiers so
+    /// callers can re-verify their histories offline (see
+    /// [`crate::verify`]). A call that holds a shard lock finishes first;
+    /// calls that get the lock afterwards observe `Shutdown`.
     ///
     /// # Panics
     ///
@@ -296,10 +287,11 @@ impl TxnService {
                     .close()
             })
             .collect();
-        // The workers held the only ticket senders; with them gone the
-        // flusher drains its queue and exits.
-        if let Some(flusher) = self.flusher {
-            flusher.join().expect("commit flusher panicked");
+        // A graceful exit leaves the log durable whatever the sync mode
+        // (simulated crashes kill the store before shutdown, so this
+        // cannot mask a power cut).
+        if let Some(wal) = &self.shared.wal {
+            wal.sync_quiet();
         }
         certifiers
     }

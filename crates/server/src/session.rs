@@ -6,8 +6,9 @@
 //! [`Client`](crate::Client) contract: every call takes the owning
 //! shard's lock (shedding with [`ServerError::Backpressure`] when
 //! `queue_depth` calls already wait for it) and runs the certifier call
-//! itself. A logged commit then waits, with the lock released, for the
-//! flusher's acknowledgement, up to the configured timeout. Sessions
+//! itself. A logged commit then waits, with the lock released, for its
+//! record to become durable — leading the flush itself when none is in
+//! flight — up to the configured timeout. Sessions
 //! speak **global** entity ids; translation to shard-local ids happens
 //! here, at the boundary.
 //!
@@ -28,7 +29,6 @@ use ks_predicate::Strategy;
 use ks_protocol::Txn;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -197,12 +197,14 @@ impl Session {
         };
         let result = match served {
             Ok((result, None)) => result,
-            // The lock is released: wait for the flusher's acknowledgement.
-            Ok((result, Some(ack))) => match ack.recv_timeout(self.shared.config.request_timeout) {
-                Ok(()) => result,
-                Err(RecvTimeoutError::Timeout) => Err(ServerError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => Err(ServerError::Shutdown),
-            },
+            // The lock is released: see the commit record durable.
+            Ok((result, Some(pos))) => self
+                .shared
+                .wal
+                .as_ref()
+                .expect("a logged commit implies a WAL")
+                .await_durable(pos, trace, self.shared.config.request_timeout)
+                .and(result),
             // A shed or dead-shard call still closes the spans it opened,
             // so sampled failures don't dangle in the trace export.
             Err(refused) => {

@@ -15,16 +15,17 @@
 //!
 //! **One way out.** [`Worker::serve`] runs a call to its result, then, in
 //! order, takes the execute time, records it, emits the `Reply` event and
-//! ends the `Exec` span — and only then hands a logged commit's
-//! [`Ticket`] to the flusher, which opens the `WalEnqueue` span. A hop's
-//! span ends before anything that lets its parent end, so the session
-//! never closes its `Request` span while `Exec` is still open. The
-//! caller waits for the flusher's acknowledgement after it has released
-//! the lock: that is the one hand-off between threads left on the call
-//! path.
+//! ends the `Exec` span — and only then opens a logged commit's
+//! `WalEnqueue` span and returns the position of its `Commit` record. A
+//! hop's span ends before anything that lets its parent end, so the
+//! session never closes its `Request` span while `Exec` is still open.
+//! The caller waits for that position to become durable after it has
+//! released the lock, on its own thread
+//! ([`WalShared::await_durable`](crate::durability::WalShared::await_durable)):
+//! no call crosses a thread.
 
 use crate::client::{BatchOp, BatchReply};
-use crate::durability::{Ticket, WorkerWal};
+use crate::durability::WorkerWal;
 use crate::metrics::ServerMetrics;
 use crate::ServerError;
 use ks_core::Specification;
@@ -36,7 +37,6 @@ use ks_protocol::{
     Certifier, CommitOutcome, ProtocolError, ReEvalAction, ReadOutcome, Txn, TxnState,
     ValidationOutcome,
 };
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -54,8 +54,8 @@ pub(crate) struct Served<T> {
     /// The `Reply` event's outcome: the result's, or for a batch every
     /// op's.
     ok: bool,
-    /// A logged commit, acknowledged by the flusher once durable.
-    durable: bool,
+    /// A logged commit's log position, acknowledged once durable.
+    durable: Option<u64>,
 }
 
 impl<T> From<Result<T, ServerError>> for Served<T> {
@@ -63,7 +63,7 @@ impl<T> From<Result<T, ServerError>> for Served<T> {
         Served {
             ok: result.is_ok(),
             result,
-            durable: false,
+            durable: None,
         }
     }
 }
@@ -273,14 +273,14 @@ impl Worker {
         Served {
             ok: results.iter().all(Result::is_ok),
             result: Ok(results),
-            durable: false,
+            durable: None,
         }
     }
 
     /// The certifier's commit-time decision (output condition + commit
     /// gating). A transaction that cannot commit is aborted and logged; a
-    /// logged commit is acknowledged only once its record is durable, and
-    /// the flusher owns that acknowledgement.
+    /// logged commit is acknowledged only once its record is durable,
+    /// which the caller waits for after releasing the lock.
     pub(crate) fn commit(&mut self, txn: Txn, trace: u64) -> Served<()> {
         let result = self.certify(trace, txn, OpCode::Commit, |w| {
             w.precheck(txn)?;
@@ -312,8 +312,7 @@ impl Worker {
         });
         let mut served = Served::from(result);
         if let (Some(w), Ok(())) = (&self.wal, &served.result) {
-            w.log_commit(txn.0 as u64, &self.sink);
-            served.durable = w.flusher.is_some();
+            served.durable = w.log_commit(txn.0 as u64, &self.sink);
         }
         served
     }
@@ -342,13 +341,13 @@ impl Worker {
     /// Records the call's wait for the lock and its execute time; with a
     /// sink attached, the two are also emitted as `Execute`/`Reply`
     /// events so a flight-recorder dump shows where each call's time
-    /// went. Returns the result and, for a logged commit, the flusher's
-    /// acknowledgement to wait for once the lock is released.
+    /// went. Returns the result and, for a logged commit, the log
+    /// position to see durable once the lock is released.
     pub(crate) fn serve<T>(
         &mut self,
         call: Call,
         run: impl FnOnce(&mut Worker, u64) -> Served<T>,
-    ) -> (Result<T, ServerError>, Option<Receiver<()>>) {
+    ) -> (Result<T, ServerError>, Option<u64>) {
         let Call {
             op,
             txn32,
@@ -374,7 +373,7 @@ impl Worker {
         let exec_start = Instant::now();
         let served = run(self, trace);
         // The one way out, in order: take the execute time once, record
-        // it, emit the `Reply` event, end the `Exec` span — then hand over.
+        // it, emit the `Reply` event, end the `Exec` span — then enqueue.
         let exec = exec_start.elapsed();
         self.metrics.exec_time.record(exec);
         if let Some(s) = &self.sink {
@@ -388,39 +387,21 @@ impl Worker {
             );
         }
         span_end(&self.sink, trace, txn32, SpanHop::Exec, served.ok);
-        let ack = served.durable.then(|| self.hand_to_flusher(trace, txn32));
-        (served.result, ack)
-    }
-
-    /// Hand a logged commit's ticket to the flusher, opening the
-    /// `WalEnqueue` span the flusher ends at pickup; the returned receiver
-    /// yields the acknowledgement once the record is durable.
-    fn hand_to_flusher(&self, trace: u64, txn32: u32) -> Receiver<()> {
-        let (reply, ack) = sync_channel(1);
-        span_start(
-            &self.sink,
-            trace,
-            txn32,
-            SpanHop::WalEnqueue,
-            OpCode::Commit,
-        );
-        self.wal
-            .as_ref()
-            .and_then(|w| w.flusher.as_ref())
-            .expect("a durable commit is only issued with a flusher")
-            .send(Ticket { reply, trace })
-            .unwrap_or_else(|_| panic!("commit flusher exited while shards live"));
-        ack
-    }
-
-    /// Retire the worker at shutdown and return its certifier. A graceful
-    /// exit leaves the log durable whatever the sync mode (simulated
-    /// crashes kill the store before shutdown, so this cannot mask a
-    /// power cut); dropping the rest drops this shard's ticket sender.
-    pub(crate) fn close(self) -> Box<dyn Certifier> {
-        if let Some(w) = &self.wal {
-            w.sync_quiet();
+        if served.durable.is_some() {
+            span_start(
+                &self.sink,
+                trace,
+                txn32,
+                SpanHop::WalEnqueue,
+                OpCode::Commit,
+            );
         }
+        (served.result, served.durable)
+    }
+
+    /// Retire the worker at shutdown and return its certifier (the
+    /// service leaves the log durable once every shard is out).
+    pub(crate) fn close(self) -> Box<dyn Certifier> {
         self.cert
     }
 }

@@ -10,11 +10,14 @@
 use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_predicate::{Atom, Clause, CmpOp, Cnf};
-use ks_server::{Client, Durability, ServerConfig, TxnBuilder, TxnService, WalOptions};
+use ks_server::{
+    Client, Durability, ServerConfig, ServerError, TxnBuilder, TxnService, WalOptions,
+};
 use ks_wal::{MemStore, SegmentStore};
 use std::io;
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 const ENTITIES: usize = 8;
 
@@ -157,7 +160,7 @@ fn lone_committer_syncs_once_per_commit_and_acks_survive_a_power_cut() {
         );
     }
     // Power cut: the media dies before the graceful shutdown syncs, so
-    // only what the flusher already made durable can survive.
+    // only what the commits' own flushes made durable can survive.
     store.crash(0xD15C_0DE5);
     svc.shutdown();
     store.revive();
@@ -313,5 +316,229 @@ fn no_durability_means_no_recovery_report() {
         ServerConfig::default(),
     );
     assert!(svc.recovery_report().is_none());
+    svc.shutdown();
+}
+
+/// Where a gated store's `sync` parks: once armed, every `sync` waits
+/// for the gate to open, then succeeds or fails as configured.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<GateState>,
+    moved: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    armed: bool,
+    open: bool,
+    fail: bool,
+    /// Syncs that reached the closed gate.
+    parked: usize,
+}
+
+impl Gate {
+    fn arm(&self, fail: bool) {
+        let mut state = self.state.lock().unwrap();
+        state.armed = true;
+        state.fail = fail;
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().open = true;
+        self.moved.notify_all();
+    }
+
+    /// Block until `n` syncs are parked at the closed gate.
+    fn await_parked(&self, n: usize) {
+        let state = self.state.lock().unwrap();
+        let (state, waited) = self
+            .moved
+            .wait_timeout_while(state, Duration::from_secs(10), |s| s.parked < n)
+            .unwrap();
+        assert!(
+            !waited.timed_out(),
+            "{} syncs parked, want {n}",
+            state.parked
+        );
+    }
+}
+
+/// Opens the gate when dropped, so a failed assertion cannot leave a
+/// committer parked forever inside a scope.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// A [`MemStore`] whose syncs park at a [`Gate`] once it is armed.
+struct GatedSync(MemStore, Arc<Gate>);
+
+impl SegmentStore for GatedSync {
+    fn create(&mut self, id: u64) -> io::Result<()> {
+        self.0.create(id)
+    }
+    fn append(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
+        self.0.append(id, bytes)
+    }
+    fn sync(&mut self, id: u64) -> io::Result<()> {
+        let gate = &self.1;
+        let mut state = gate.state.lock().unwrap();
+        if state.armed {
+            state.parked += 1;
+            gate.moved.notify_all();
+            state = gate.moved.wait_while(state, |s| !s.open).unwrap();
+            if state.fail {
+                return Err(io::Error::other("injected sync failure"));
+            }
+        }
+        drop(state);
+        self.0.sync(id)
+    }
+    fn list(&self) -> io::Result<Vec<u64>> {
+        self.0.list()
+    }
+    fn len(&self, id: u64) -> io::Result<u64> {
+        self.0.len(id)
+    }
+    fn read(&self, id: u64) -> io::Result<Vec<u8>> {
+        self.0.read(id)
+    }
+    fn remove(&mut self, id: u64) -> io::Result<()> {
+        self.0.remove(id)
+    }
+}
+
+/// A service over a gated store, with the given commit timeout.
+fn gated_service(store: &MemStore, gate: &Arc<Gate>, timeout: Duration) -> TxnService {
+    let (media, gate) = (store.clone(), Arc::clone(gate));
+    let factory: ks_server::StoreFactory = Arc::new(move || {
+        Box::new(GatedSync(media.clone(), Arc::clone(&gate))) as Box<dyn SegmentStore>
+    });
+    let mut config = wal_config_over(factory, true);
+    config.request_timeout = timeout;
+    TxnService::new(schema(), &UniqueState::constant(ENTITIES, 0), config)
+}
+
+/// Two entities on different shards.
+fn entities_on_two_shards(svc: &TxnService) -> (EntityId, EntityId) {
+    let map = svc.shard_map();
+    let a = EntityId(0);
+    let b = (1..ENTITIES as u32)
+        .map(EntityId)
+        .find(|&e| map.shard_of(e) != map.shard_of(a))
+        .expect("two shards");
+    (a, b)
+}
+
+/// Open, validate and write one transaction; commit it and return the
+/// commit's verdict.
+fn try_commit_write(svc: &TxnService, entity: EntityId, value: i64) -> Result<(), ServerError> {
+    let session = svc.session().unwrap();
+    let txn = session.open(TxnBuilder::new(spec(&[entity]))).unwrap();
+    session.validate(txn).unwrap();
+    session.write(txn, entity, value).unwrap();
+    session.commit(txn)
+}
+
+/// An append never waits behind a sync in flight: while one committer
+/// is parked inside the log's sync, another session's write and commit
+/// on a different shard run to the end of their shard-lock work (and
+/// leave every shard lock free). Once the sync returns, both commits
+/// are acknowledged with at most two syncs — the second commit rides
+/// the next flush.
+#[test]
+fn an_append_never_waits_behind_an_in_flight_sync() {
+    let (store, gate) = (MemStore::new(), Arc::new(Gate::default()));
+    let svc = gated_service(&store, &gate, Duration::from_secs(30));
+    let (a, b) = entities_on_two_shards(&svc);
+    let booted = store.sync_count();
+    gate.arm(false);
+    std::thread::scope(|scope| {
+        let _open = OpenOnDrop(Arc::clone(&gate));
+        let first = scope.spawn(|| try_commit_write(&svc, a, 1));
+        gate.await_parked(1);
+        let (wrote, written) = mpsc::channel();
+        let svc = &svc;
+        let second = scope.spawn(move || {
+            let session = svc.session().unwrap();
+            let txn = session.open(TxnBuilder::new(spec(&[b]))).unwrap();
+            session.validate(txn).unwrap();
+            session.write(txn, b, 2).unwrap();
+            wrote.send(()).unwrap();
+            session.commit(txn)
+        });
+        written
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a write waited behind the sync in flight");
+        // The second commit is certified and its record appended while
+        // the first sync is still parked...
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while svc.metrics().committed < 2 || svc.wal_stats().unwrap().pending_records < 6 {
+            assert!(
+                Instant::now() < deadline,
+                "the second commit never left its shard lock"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ...and no shard lock is held by anyone waiting on the log.
+        assert_eq!(svc.protocol_stats().unwrap().len(), 2);
+        assert_eq!(store.sync_count(), booted, "the parked sync has not landed");
+        gate.open();
+        assert_eq!(first.join().unwrap(), Ok(()));
+        assert_eq!(second.join().unwrap(), Ok(()));
+    });
+    let syncs = store.sync_count() - booted;
+    assert!(
+        (1..=2).contains(&syncs),
+        "{syncs} syncs for two overlapping commits"
+    );
+    svc.shutdown();
+}
+
+/// A sync that fails fails the log closed: the leader and a committer
+/// waiting on its flush both read `Shutdown` — the waiter promptly, not
+/// at its timeout — and every later commit, on any shard, is refused
+/// the same way. No commit after the failure is acknowledged.
+#[test]
+fn a_failed_sync_fails_every_later_commit_closed() {
+    const TIMEOUT: Duration = Duration::from_secs(20);
+    let (store, gate) = (MemStore::new(), Arc::new(Gate::default()));
+    let svc = gated_service(&store, &gate, TIMEOUT);
+    let (a, b) = entities_on_two_shards(&svc);
+    gate.arm(true);
+    std::thread::scope(|scope| {
+        let _open = OpenOnDrop(Arc::clone(&gate));
+        let leader = scope.spawn(|| try_commit_write(&svc, a, 1));
+        gate.await_parked(1);
+        let waiter = scope.spawn(|| {
+            let start = Instant::now();
+            (try_commit_write(&svc, b, 2), start.elapsed())
+        });
+        // The waiter's commit record is buffered behind the parked flush.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while svc.wal_stats().unwrap().pending_records < 6 {
+            assert!(Instant::now() < deadline, "the waiter never appended");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gate.open();
+        assert_eq!(leader.join().unwrap(), Err(ServerError::Shutdown));
+        let (verdict, waited) = waiter.join().unwrap();
+        assert_eq!(verdict, Err(ServerError::Shutdown));
+        assert!(
+            waited < TIMEOUT,
+            "the waiter sat out its timeout: {waited:?}"
+        );
+    });
+    for entity in [a, b] {
+        assert_eq!(
+            try_commit_write(&svc, entity, 3),
+            Err(ServerError::Shutdown),
+            "a commit after the failure was acknowledged"
+        );
+    }
+    assert_eq!(svc.metrics().timeouts, 0);
     svc.shutdown();
 }

@@ -1,8 +1,8 @@
-//! A shard is a lock, not a thread: starting a service adds no thread
-//! without durability and exactly one, the WAL commit flusher, with a
-//! syncing log; shutdown joins it. This file holds a single test, so the
-//! harness runs nothing else beside it and the process's thread count
-//! moves only with the service.
+//! A shard is a lock, not a thread, and group commit runs on the
+//! committing thread: starting a service adds no thread, with or without
+//! a syncing log. This file holds a single test, so the harness runs
+//! nothing else beside it and the process's thread count moves only
+//! with the service.
 
 #![cfg(target_os = "linux")]
 
@@ -39,7 +39,7 @@ fn service(durability: Durability) -> TxnService {
     TxnService::new(schema, &UniqueState::constant(4, 0), config)
 }
 
-/// One committed transaction, so the flusher (when there is one) serves.
+/// One committed transaction, so a WAL flush (when there is a log) runs.
 fn commit_one(svc: &TxnService) {
     let session = svc.session().unwrap();
     let spec = ks_core::Specification::unconstrained(&[EntityId(1)]);
@@ -50,7 +50,7 @@ fn commit_one(svc: &TxnService) {
 }
 
 #[test]
-fn only_the_flusher_is_a_service_thread() {
+fn a_service_starts_no_thread() {
     let base = threads();
 
     let svc = service(Durability::None);
@@ -63,11 +63,11 @@ fn only_the_flusher_is_a_service_thread() {
     let store: StoreFactory =
         Arc::new(move || Box::new(media.clone()) as Box<dyn ks_wal::SegmentStore>);
     let svc = service(Durability::Wal(WalOptions::new(store)));
-    assert_eq!(threads(), base + 1, "a WAL starts exactly the flusher");
+    assert_eq!(threads(), base, "a WAL starts no thread");
     commit_one(&svc);
-    assert_eq!(threads(), base + 1);
+    assert_eq!(threads(), base, "the committer leads its own flush");
     let report = verify_certifiers(&svc.shutdown());
     assert!(report.is_correct(), "{report:?}");
     assert_eq!(report.committed, 1);
-    assert_eq!(threads(), base, "shutdown joins the flusher");
+    assert_eq!(threads(), base, "shutdown leaves no thread behind");
 }

@@ -25,9 +25,11 @@
 //!   rule stays so logs written before that change recover as they
 //!   were written.
 //!
-//! Group commit lives in `ks-server` (it needs the reply plumbing); this
-//! crate only promises that one `sync` covers every record appended
-//! before it, which is what makes batching fsyncs safe.
+//! Group commit lives in `ks-server` (the committing threads elect a
+//! leader); this crate only promises that one `sync` covers every
+//! record appended before it, which is what makes batching fsyncs safe,
+//! and writes a batch with one store write per segment run
+//! ([`Wal::append_all`]).
 //!
 //! [`Checkpoint`]: record::WalRecord::Checkpoint
 //! [`FileStore`]: storage::FileStore

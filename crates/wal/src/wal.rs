@@ -37,9 +37,10 @@ pub struct WalStats {
 
 /// An append-only segmented write-ahead log over any [`SegmentStore`].
 ///
-/// Single-writer by design: the server serializes appends behind one
-/// mutex (shard workers interleave records, which is fine — recovery
-/// keys every record by `(shard, txn)`).
+/// Single-writer by design: the server buffers every shard's records in
+/// one tail and a group-commit leader hands the tail over with
+/// [`Wal::append_all`] (shard records interleave, which is fine —
+/// recovery keys every record by `(shard, txn)`).
 pub struct Wal<S: SegmentStore> {
     store: S,
     config: WalConfig,
@@ -75,17 +76,36 @@ impl<S: SegmentStore> Wal<S> {
     /// Append one record (rotating first if it would overflow the active
     /// segment). Not durable until the next [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
+        self.append_all(std::slice::from_ref(record))
+    }
+
+    /// Append `records` in order with one store write per segment run:
+    /// a record that would overflow the active segment first seals it
+    /// (writing the run so far, then syncing and rotating), so records
+    /// never span segments. Not durable until the next [`Wal::sync`].
+    pub fn append_all(&mut self, records: &[WalRecord]) -> io::Result<()> {
+        // `scratch` holds the run: bytes of the active segment that are
+        // counted in `active_len` but not yet in the store.
         self.scratch.clear();
-        record.encode(&mut self.scratch);
-        let frame = self.scratch.len() as u64;
-        if self.active_len > 0 && self.active_len + frame > self.config.segment_bytes as u64 {
-            self.rotate()?;
+        for record in records {
+            let start = self.scratch.len();
+            record.encode(&mut self.scratch);
+            let frame = (self.scratch.len() - start) as u64;
+            if self.active_len > 0 && self.active_len + frame > self.config.segment_bytes as u64 {
+                if start > 0 {
+                    self.store.append(self.active, &self.scratch[..start])?;
+                    self.scratch.drain(..start);
+                }
+                self.rotate()?;
+            }
+            self.active_len += frame;
+            self.stats.records += 1;
+            self.stats.bytes += frame;
+            self.stats.pending_records += 1;
         }
-        self.store.append(self.active, &self.scratch)?;
-        self.active_len += frame;
-        self.stats.records += 1;
-        self.stats.bytes += frame;
-        self.stats.pending_records += 1;
+        if !self.scratch.is_empty() {
+            self.store.append(self.active, &self.scratch)?;
+        }
         Ok(())
     }
 
@@ -191,6 +211,88 @@ mod tests {
             (0..6).map(rec).collect::<Vec<_>>(),
             "sealed segments hold the first six records"
         );
+    }
+
+    /// Counts store calls per segment: appends, and syncs.
+    #[derive(Clone, Default)]
+    struct Counting {
+        mem: MemStore,
+        appends: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
+        syncs: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    impl SegmentStore for Counting {
+        fn create(&mut self, id: u64) -> io::Result<()> {
+            self.mem.create(id)
+        }
+        fn append(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
+            self.appends.lock().unwrap().push(id);
+            self.mem.append(id, bytes)
+        }
+        fn sync(&mut self, id: u64) -> io::Result<()> {
+            self.syncs.lock().unwrap().push(id);
+            self.mem.sync(id)
+        }
+        fn list(&self) -> io::Result<Vec<u64>> {
+            self.mem.list()
+        }
+        fn len(&self, id: u64) -> io::Result<u64> {
+            self.mem.len(id)
+        }
+        fn read(&self, id: u64) -> io::Result<Vec<u8>> {
+            self.mem.read(id)
+        }
+        fn remove(&mut self, id: u64) -> io::Result<()> {
+            self.mem.remove(id)
+        }
+    }
+
+    #[test]
+    fn append_all_writes_one_run_per_segment_and_rotates_between_records() {
+        let store = Counting::default();
+        let frame = rec(0).frame_len();
+        let config = WalConfig {
+            segment_bytes: frame * 3, // three records per segment
+        };
+        let mut wal = Wal::open(store.clone(), config).unwrap();
+        wal.append(&rec(100)).unwrap(); // segment 0 already holds one
+        store.appends.lock().unwrap().clear();
+        let batch: Vec<WalRecord> = (0..7).map(rec).collect();
+        wal.append_all(&batch).unwrap();
+
+        // Runs: 2 records fill segment 0, then 3 in segment 1, 2 in 2.
+        assert_eq!(
+            *store.appends.lock().unwrap(),
+            vec![0, 1, 2],
+            "one append per run"
+        );
+        assert_eq!(
+            *store.syncs.lock().unwrap(),
+            vec![0, 1],
+            "each outgoing segment is synced at rotation"
+        );
+        // Sealed segments are durable, and each holds whole records only.
+        store.mem.crash(0);
+        let mut records = Vec::new();
+        for id in [0u64, 1] {
+            let scan = decode_stream(&store.mem.read(id).unwrap());
+            assert_eq!(scan.torn, None, "segment {id} ends on a record boundary");
+            records.extend(scan.records);
+        }
+        let mut expected = vec![rec(100)];
+        expected.extend((0..5).map(rec));
+        assert_eq!(records, expected, "order survives the rotation");
+        assert_eq!(wal.stats().records, 8);
+        assert_eq!(wal.stats().pending_records, 2, "the open run awaits a sync");
+    }
+
+    #[test]
+    fn append_all_of_nothing_touches_no_media() {
+        let store = Counting::default();
+        let mut wal = Wal::open(store.clone(), WalConfig::default()).unwrap();
+        wal.append_all(&[]).unwrap();
+        assert!(store.appends.lock().unwrap().is_empty());
+        assert_eq!(wal.stats(), WalStats::default());
     }
 
     #[test]

@@ -53,7 +53,7 @@ cargo test -q --workspace
 # Three ks-server lib tests that race real threads, repeated under 4x
 # thread oversubscription (4 x nproc concurrent processes): shutdown
 # while calls hold and wait for a shard lock, on SSI and on CPC, and
-# trace well-formedness across the flusher's hand-off.
+# trace well-formedness across the committers' group-commit flushes.
 soak_runs=100
 soak_jobs=$((4 * $(nproc)))
 echo "== soak: shard shutdown under load (SSI, CPC) and stitchable traces, ${soak_runs}x each, ${soak_jobs} processes"

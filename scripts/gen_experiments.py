@@ -360,25 +360,31 @@ proving the bound can see the regression class it exists to prevent.
 ## wal-load — one commit path: a lone committer pays its own fsync, company shares one
 
 *Beyond the paper:* with `Durability::Wal` every acknowledged commit is
-preceded by an fsynced commit record (see `docs/durability.md`), and
-exactly one thread issues those fsyncs. A shard worker appends the
-commit record, parks the client's reply as a ticket and moves on; the
-flusher batches the tickets of a 2 ms window behind one `sync` and
-acknowledges them all — safe because one `sync` covers every record
-appended before it — and skips the window when no other session is
-open, since there is nobody to wait for. There is no second mode and no
-knob. The experiment pins the sync latency with a test double (`slow`:
-a `MemStore` taking 2 ms per sync) and checks both ends, then records
-the same 8 clients over plain memory and real files, ungated.
-*Measured:* a lone committer on the 2 ms store pays exactly one fsync
-per commit at a median commit latency of 2.2–2.3 ms — its own sync plus
-two thread hand-offs, no added wait (gates: within 5 % of 1.0; under
-2× the injected latency). Eight committers on the same store need
-0.13–0.20× that (gate: ≤ 0.5×), and the same holds on memory and files
-(0.13–0.19 fsyncs per commit). `BENCH_wal.json` carries the verdict and
-the run exits 1 on a failed one, smoke runs included (the injected latency
-dwarfs scheduling noise). Every run's extracted execution still passes
-the model checker.
+preceded by an fsynced commit record (see `docs/durability.md`), and a
+commit makes it so on its own thread. A shard appends the commit record
+to the log's buffered tail under the shard lock; then, with the lock
+released, the committer leads a flush if none is in flight — write the
+whole tail, one `sync`, wake every waiter — and otherwise waits for the
+one in flight. That is safe because one `sync` covers every record
+appended before it, and it batches because whatever is appended while
+a sync runs rides the next one. There is no window, no flusher thread,
+no second mode and no knob. The experiment pins the sync latency with
+a test double (`slow`: a `MemStore` taking 2 ms per sync) and checks
+both ends, then records the same 8 clients over plain memory and real
+files, ungated.
+*Measured:* a lone committer on the 2 ms store pays exactly one
+fsync per commit at a median commit latency of 2.09–2.11 ms — its own
+sync and nothing else (gates: within 5 % of 1.0; under 2× the injected
+latency). Eight committers on the same store need ≈ 0.24× that (gate:
+≤ 0.5×): while one leader syncs, the other seven append and wait, and
+the next leader takes them all. Real files share the same way (about
+one fsync per four commits). Plain memory, whose sync costs nothing, shares
+almost nothing (0.96–0.99): with no window a committer never waits for
+company, so commits share a sync only when they arrive during one.
+`BENCH_wal.json` carries the verdict and the run exits 1 on a failed
+one, smoke runs included (the injected latency dwarfs scheduling
+noise). Every run's extracted execution still passes the model
+checker.
 
 ```
 {exp_wal}
@@ -402,9 +408,13 @@ transaction every round at a 0% long-txn abort rate** (later writers
 just create new versions; its reads stay pinned to assigned versions),
 **SSI aborts it every round (100%)** — the long writer always loses
 first-committer-wins against the short-writer stream — and **2PL
-commits it but stalls the short writers** on its read locks (their
-aborts below are wait-or-die deadlock victims plus retry-budget
-exhaustion, and short-txn throughput pays for the long reader's locks).
+mostly loses it too**: short writers park on the long reader's shared
+locks, and the long transaction's own write then closes a waits-for
+cycle, so wait-or-die makes it the victim in 40–100 % of rounds (five
+full-size runs; it committed every round while each short commit still
+waited out the WAL's old 2 ms group-commit window). The short writers'
+aborts below are the same deadlock victims plus retry-budget
+exhaustion.
 Every run's history passes its backend's offline checker (CPC: the
 model check; SSI/2PL: conflict-graph acyclicity). `BENCH_certifier.json`
 records the curves; the run exits 1 unless the directional gate holds
