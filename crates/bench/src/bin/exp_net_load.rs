@@ -1,10 +1,10 @@
-//! `net-load`: the unified-client story, measured — with pipelining.
+//! `net-load`: the unified-client story, measured — with op batching.
 //!
 //! The same deterministic closed-loop workload (the transport-generic
 //! driver in `ks_bench::driver`) runs against identically configured
-//! services: once through in-process [`Session`]s as the baseline, then
-//! through loopback-TCP [`RemoteSession`]s across a pipeline-depth ×
-//! op-batching sweep — one connection per client thread, deadlines and
+//! services: once through in-process [`Session`](ks_server::Session)s as
+//! the baseline, then through loopback-TCP [`RemoteSession`]s with op
+//! batching off and on — one connection per client thread, deadlines and
 //! bounded retry/backoff active. Every run ends with a graceful shutdown
 //! that hands every shard manager to the model checker, so the table's
 //! last column is a correctness gate, not a decoration: the binary exits
@@ -18,8 +18,8 @@
 //! next to no hand-off at all, and its spread on a small box is wider
 //! than any margin a gate could set (per-layer network cost is
 //! `benchmark/`'s `2pl_net`). Batching packs a transaction's access
-//! phase into `Batch` wire frames and pipelining keeps several of them
-//! in flight, so the wire's per-request syscall round trip amortizes.
+//! phase into one `Batch` wire frame, so the wire's per-request syscall
+//! round trip amortizes.
 //! `--smoke` shrinks the run for CI and writes under `target/bench/`
 //! instead of the tracked file.
 
@@ -58,15 +58,8 @@ fn run_in_process(shards: usize, clients: usize, txns: usize) -> (Run, usize) {
 }
 
 /// One loopback run: the same service behind a `NetServer`, one TCP
-/// connection per client thread, at the given pipeline depth and
-/// batching mode.
-fn run_loopback(
-    shards: usize,
-    clients: usize,
-    txns: usize,
-    pipeline_depth: usize,
-    batch: bool,
-) -> (Run, usize) {
+/// connection per client thread, with batching on or off.
+fn run_loopback(shards: usize, clients: usize, txns: usize, batch: bool) -> (Run, usize) {
     let server = NetServer::start(
         service(shards, clients),
         "127.0.0.1:0",
@@ -83,7 +76,6 @@ fn run_loopback(
             let out = drive_client(
                 &session,
                 &DriverConfig {
-                    pipeline_depth,
                     batch,
                     ..driver_config(client, shards, txns)
                 },
@@ -95,11 +87,10 @@ fn run_loopback(
     (run, verify_certifiers(&server.shutdown()).violations.len())
 }
 
-fn row(transport: &str, depth: usize, batch: bool, r: &Run, violations: usize) -> String {
+fn row(transport: &str, batch: bool, r: &Run, violations: usize) -> String {
     format!(
-        "{:>11} {:>5} {:>5} {:>9} {:>7} {:>6} {:>11.0} {:>8.1} {:>8.1} {:>10}",
+        "{:>11} {:>5} {:>9} {:>7} {:>6} {:>11.0} {:>8.1} {:>8.1} {:>10}",
         transport,
-        depth,
         if batch { "yes" } else { "no" },
         r.outcome.committed,
         r.outcome.aborted,
@@ -111,18 +102,10 @@ fn row(transport: &str, depth: usize, batch: bool, r: &Run, violations: usize) -
     )
 }
 
-fn run_json(
-    shards: usize,
-    transport: &str,
-    depth: usize,
-    batch: bool,
-    r: &Run,
-    violations: usize,
-) -> Json {
+fn run_json(shards: usize, transport: &str, batch: bool, r: &Run, violations: usize) -> Json {
     let own = [
         ("shards", Json::Num(shards as f64)),
         ("transport", Json::Str(transport.to_string())),
-        ("pipeline_depth", Json::Num(depth as f64)),
         ("batch", Json::Bool(batch)),
         ("rejected", Json::Num(r.outcome.rejected as f64)),
         ("busy_retries", Json::Num(r.outcome.busy_retries as f64)),
@@ -141,13 +124,12 @@ fn main() {
     println!("net-load — identical closed-loop workload, in-process vs loopback TCP");
     println!(
         "{clients} clients, {txns} txns/client, {ops_per_txn} ops/txn, {TOTAL_ENTITIES} entities, \
-         {shards} shards, pipeline×batch sweep{}\n",
+         {shards} shards, batch off/on{}\n",
         if smoke { " (smoke mode)" } else { "" }
     );
     println!(
-        "{:>11} {:>5} {:>5} {:>9} {:>7} {:>6} {:>11} {:>8} {:>8} {:>10}",
+        "{:>11} {:>5} {:>9} {:>7} {:>6} {:>11} {:>8} {:>8} {:>10}",
         "transport",
-        "depth",
         "batch",
         "committed",
         "aborted",
@@ -159,52 +141,45 @@ fn main() {
     );
 
     let (local, mut total_violations) = run_in_process(shards, clients, txns);
-    println!("{}", row("in-process", 1, false, &local, total_violations));
+    println!("{}", row("in-process", false, &local, total_violations));
     let mut runs = vec![run_json(
         shards,
         "in-process",
-        1,
         false,
         &local,
         total_violations,
     )];
     let local_accounted = local.outcome.committed + local.outcome.aborted + local.outcome.rejected;
 
-    let mut best: Option<(f64, usize, bool)> = None;
-    for depth in [1, 4] {
-        for batch in [false, true] {
-            let (remote, violations) = run_loopback(shards, clients, txns, depth, batch);
-            total_violations += violations;
-            println!("{}", row("loopback", depth, batch, &remote, violations));
-            runs.push(run_json(
-                shards, "loopback", depth, batch, &remote, violations,
-            ));
-            // Identical deterministic workloads must commit the same
-            // work on both transports and under every wire shape
-            // (retries differ; outcomes must not).
-            assert_eq!(
-                local_accounted,
-                remote.outcome.committed + remote.outcome.aborted + remote.outcome.rejected,
-                "every transaction accounted for (depth {depth}, batch {batch})"
-            );
-            let thru = remote.throughput();
-            if best.is_none_or(|(b, _, _)| thru > b) {
-                best = Some((thru, depth, batch));
-            }
+    let mut best: Option<(f64, bool)> = None;
+    for batch in [false, true] {
+        let (remote, violations) = run_loopback(shards, clients, txns, batch);
+        total_violations += violations;
+        println!("{}", row("loopback", batch, &remote, violations));
+        runs.push(run_json(shards, "loopback", batch, &remote, violations));
+        // Identical deterministic workloads must commit the same work on
+        // both transports and with or without batching (retries differ;
+        // outcomes must not).
+        assert_eq!(
+            local_accounted,
+            remote.outcome.committed + remote.outcome.aborted + remote.outcome.rejected,
+            "every transaction accounted for (batch {batch})"
+        );
+        let thru = remote.throughput();
+        if best.is_none_or(|(b, _)| thru > b) {
+            best = Some((thru, batch));
         }
     }
-    let (best_thru, best_depth, best_batch) = best.expect("sweep is non-empty");
+    let (best_thru, best_batch) = best.expect("sweep is non-empty");
     let ratio = best_thru / local.throughput();
     println!(
-        "  best loopback/in-process throughput ratio: {ratio:.2} \
-         (depth {best_depth}, batch {})\n",
+        "  best loopback/in-process throughput ratio: {ratio:.2} (batch {})\n",
         if best_batch { "on" } else { "off" }
     );
     let ratio_entry = [
         ("shards", Json::Num(shards as f64)),
         ("in_process_txn_s", Json::Num(local.throughput())),
         ("loopback_best_txn_s", Json::Num(best_thru)),
-        ("best_pipeline_depth", Json::Num(best_depth as f64)),
         ("best_batch", Json::Bool(best_batch)),
         ("loopback_over_in_process", Json::Num(ratio)),
     ];

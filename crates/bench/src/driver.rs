@@ -49,9 +49,6 @@ pub struct DriverConfig {
     pub seed: u64,
     /// Transient-error retries per transaction before giving up.
     pub retry_budget: u32,
-    /// Pipeline depth hint (≥ 1): how many `Batch` wire frames a remote
-    /// session keeps in flight per burst (in-process sessions ignore it).
-    pub pipeline_depth: usize,
     /// Issue each transaction's reads/writes as one
     /// [`Client::run_batch`] burst instead of sequential calls.
     pub batch: bool,
@@ -75,7 +72,6 @@ impl DriverConfig {
             ops_per_txn: 6,
             seed,
             retry_budget: 10_000,
-            pipeline_depth: 1,
             batch: false,
         }
     }
@@ -161,13 +157,16 @@ impl Run {
 /// client first builds its connection with `connect` (an in-process
 /// `Session`, a TCP `RemoteSession`, …); when all are up a barrier
 /// releases them into `drive` together, so set-up cost (admission, TCP
-/// connects, handshakes) stays outside the measured window.
+/// connects, handshakes) stays outside the measured window. The window
+/// runs from the first client's release to the last client's finish, both
+/// read on the clients' own threads: a short in-process run can finish
+/// before a coordinating thread is even scheduled again.
 pub fn fan_out<S>(
     clients: usize,
     connect: impl Fn(usize) -> S + Sync,
     drive: impl Fn(usize, S) -> DriveOutcome + Sync,
 ) -> Run {
-    let start = Barrier::new(clients + 1);
+    let start = Barrier::new(clients);
     let (mut outcome, elapsed) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|client| {
@@ -175,17 +174,20 @@ pub fn fan_out<S>(
                 scope.spawn(move || {
                     let session = connect(client);
                     start.wait();
-                    drive(client, session)
+                    let began = Instant::now();
+                    let outcome = drive(client, session);
+                    (began, outcome, Instant::now())
                 })
             })
             .collect();
-        start.wait();
-        let began = Instant::now();
         let mut outcome = DriveOutcome::default();
+        let mut window: Option<(Instant, Instant)> = None;
         for handle in handles {
-            outcome.merge(handle.join().expect("bench client panicked"));
+            let (began, out, ended) = handle.join().expect("bench client panicked");
+            outcome.merge(out);
+            window = Some(window.map_or((began, ended), |(b, e)| (b.min(began), e.max(ended))));
         }
-        (outcome, began.elapsed())
+        (outcome, window.map_or(Duration::ZERO, |(b, e)| e - b))
     });
     outcome.latencies.sort_unstable();
     outcome.commit_latencies.sort_unstable();
@@ -250,8 +252,7 @@ pub fn drive_txn<C: Client>(
             }
         };
     }
-    let builder = TxnBuilder::new(Specification::unconstrained(entities))
-        .pipeline_depth(cfg.pipeline_depth.max(1));
+    let builder = TxnBuilder::new(Specification::unconstrained(entities));
     let txn_start = Instant::now();
     let txn = match retry!(session.open(builder.clone())) {
         Ok(t) => t,
@@ -269,8 +270,8 @@ pub fn drive_txn<C: Client>(
         Err(_) => return finish_abort(out),
     }
     if cfg.batch {
-        // One burst for the whole access phase: the remote client chunks
-        // it into pipelined `Batch` frames, the in-process session runs
+        // One burst for the whole access phase: the remote client sends
+        // it as one `Batch` frame, the in-process session runs
         // it under one acquisition of its shard's lock. A retryable
         // per-op error retries the burst (reads are harmless to repeat
         // and the writes are idempotent re-puts of the same values).

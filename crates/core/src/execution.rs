@@ -5,7 +5,7 @@
 //! pseudo-transaction `t_f` reads the whole database; its input `X(t_f)` is
 //! the execution's final state.
 //!
-//! The parent's own input `X(t)` is represented as a [`DatabaseState`]: the
+//! The parent's own input `X(t)` is represented as a [`DatabaseState`](ks_kernel::DatabaseState): the
 //! set of versions available to this level before any child runs. (For the
 //! classical single-version embedding this is a singleton; for the Lemma 1
 //! reduction it is the two-state database `{all-0, all-1}`.)

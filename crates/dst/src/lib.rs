@@ -11,11 +11,11 @@
 //!
 //! The moving parts:
 //!
-//! * [`plan`] — the seed expands into an explicit [`RunPlan`](plan::RunPlan)
+//! * [`plan`] — the seed expands into an explicit [`RunPlan`]
 //!   (ops + fault schedule) before anything executes, so shrinking never
 //!   shifts the randomness of the steps it keeps.
-//! * [`link`] — the simulated [`World`](link::World) and the
-//!   [`SimLink`](link::SimLink) transport: drops, duplicates, trickled
+//! * [`link`] — the simulated [`World`] and the
+//!   [`SimLink`] transport: drops, duplicates, trickled
 //!   frames, readiness starvation, resets, forged server timeouts, and whole-server
 //!   crash-restarts against WAL-backed simulated storage with torn
 //!   unsynced tails, all byte-exact against the production frame reader.
@@ -26,7 +26,7 @@
 //!   commit accounting, benign-fault liveness, obs causality, and crash
 //!   durability: every acked commit survives recovery, nothing uncommitted
 //!   is resurrected).
-//! * [`shrink`] — ddmin-style minimization of failing plans.
+//! * [`shrink`](mod@shrink) — ddmin-style minimization of failing plans.
 //! * [`proto`] — bare-manager fuzzing with `force_assign` perturbations
 //!   (the fault class the service API cannot reach).
 //! * [`artifact`] — replayable failure dumps; the `dst_replay` binary

@@ -26,7 +26,7 @@
 use crate::plan::{trickle_cuts, Fault, ENTITIES_PER_SHARD, MAX_VALUE, SHARDS};
 use ks_kernel::{Domain, Schema, UniqueState};
 use ks_net::wire::{self, FrameProgress, FrameReader, Response};
-use ks_net::{ConnAction, ConnCore, Transport, TransportRx};
+use ks_net::{ConnAction, ConnCore, Transport};
 use ks_obs::{ObsKind, ObsSink, Recorder, NO_TXN};
 use ks_protocol::{Backend, Certifier, TxnState};
 use ks_server::{Durability, ServerConfig, ServerError, TxnService, WalOptions};
@@ -787,9 +787,6 @@ fn forged_corr(bytes: &[u8]) -> u64 {
 /// The client-side [`Transport`]: an in-memory link into a shared
 /// [`World`]. Writes accumulate until `flush` hands one frame to the
 /// world; reads serve the inbox or fail like an expired socket deadline.
-/// Splitting yields two handles onto the same connection — legal here
-/// because the simulation is single-threaded, so the "halves" are never
-/// used concurrently.
 pub struct SimLink {
     world: Rc<RefCell<World>>,
     conn: usize,
@@ -835,24 +832,10 @@ impl Write for SimLink {
     }
 }
 
-impl TransportRx for SimLink {
+impl Transport for SimLink {
     fn set_read_deadline(&mut self, _deadline: Option<Duration>) -> io::Result<()> {
         // The simulated clock decides when a reply is "late": an empty
         // inbox at read time *is* the deadline expiring.
         Ok(())
-    }
-}
-
-impl Transport for SimLink {
-    type Rx = SimLink;
-    type Tx = SimLink;
-
-    fn split(self) -> (SimLink, SimLink) {
-        let rx = SimLink {
-            world: Rc::clone(&self.world),
-            conn: self.conn,
-            out: Vec::new(),
-        };
-        (rx, self)
     }
 }

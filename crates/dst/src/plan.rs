@@ -126,9 +126,6 @@ pub enum OpKind {
         before: Vec<u8>,
         /// Per-transaction solver override.
         strategy: Option<Strategy>,
-        /// Pipeline depth hint (≥ 1): how many `Batch` wire frames the
-        /// client keeps in flight for this transaction's bursts.
-        depth: u8,
     },
     /// Validate the slot's transaction.
     Validate {
@@ -153,8 +150,8 @@ pub enum OpKind {
     },
     /// Run a burst of reads and writes through
     /// [`Client::run_batch`](ks_server::Client::run_batch): the client
-    /// chunks it into pipelined `Batch` wire frames per the slot's
-    /// pipeline depth, so faults on this step land on batch frames.
+    /// sends it as a `Batch` wire frame, so faults on this step land on
+    /// batch frames.
     Batch {
         /// Target slot.
         slot: u8,
@@ -346,7 +343,7 @@ pub fn generate(seed: u64) -> RunPlan {
         let mut commit_live = false;
         // Set when the op is a batch burst on a validated transaction:
         // these steps get their own fault bias so drops, trickles, and
-        // resets land on (and mid-way through) pipelined batch frames.
+        // resets land on (and mid-way through) batch frames.
         let mut batch_live = false;
         let op = match *p {
             GenPhase::Empty => match roll {
@@ -375,7 +372,6 @@ pub fn generate(seed: u64) -> RunPlan {
                         after,
                         before,
                         strategy,
-                        depth: 1 + rng.index(3) as u8,
                     }
                 }
                 // No-op ops on an empty slot: kept so the shrinker's
@@ -426,8 +422,8 @@ pub fn generate(seed: u64) -> RunPlan {
                     commit_live = true;
                     OpKind::Commit { slot }
                 }
-                // The pipelined-batch surface: a burst of reads/writes
-                // chunked into in-flight `Batch` frames.
+                // The batch surface: a burst of reads/writes sent as one
+                // `Batch` frame.
                 55..=69 => {
                     batch_live = true;
                     OpKind::Batch {

@@ -353,15 +353,13 @@ fn exec_step(
             after,
             before,
             strategy,
-            depth,
         } => {
             let slot = *slot as usize;
             if cs.slots[slot].is_some() {
                 return None;
             }
             let pool = client_entities(client_of(cs));
-            let mut builder =
-                TxnBuilder::new(spec_for(*spec_salt, &pool)).pipeline_depth(*depth as usize);
+            let mut builder = TxnBuilder::new(spec_for(*spec_salt, &pool));
             for &s in after {
                 if let Some(h) = cs.slots[s as usize] {
                     builder = builder.after(h);

@@ -1,19 +1,17 @@
-//! Faults landing on pipelined `Batch` frames.
+//! Faults landing on `Batch` frames.
 //!
-//! A batch burst is chunked into several wire frames in flight at once,
-//! and the fault directive arms on the burst's *first* frame — so a
-//! `Reset` leaves the rest of the burst writing into a dead connection,
-//! a `Trickle` straddles one frame of an in-flight window, and a dropped
-//! reply must poison exactly the callers of that burst. These hand-built
+//! A batch burst goes out as one wire frame, and the fault directive
+//! arms on it — so a `Reset` kills the connection under the burst, a
+//! `Trickle` delivers the frame in pieces, and a dropped request or
+//! reply must poison the caller of that burst. These hand-built
 //! plans pin each of those shapes; the generator-coverage test keeps the
 //! seeded gates exercising them; and the final test re-checks the
 //! commit-coherence oracle still bites now that plans contain batches.
 
 use ks_dst::{generate, run_plan, Fault, OpKind, Protections, RunPlan, Step};
 
-/// A minimal full lifecycle around one batch burst: open (pipeline depth
-/// 3) → validate → 8-op batch (3 frames in flight) → commit, with
-/// `fault` armed on the batch step.
+/// A minimal full lifecycle around one batch burst: open → validate →
+/// 8-op batch (one frame) → commit, with `fault` armed on the batch step.
 fn batch_plan(fault: Option<Fault>) -> RunPlan {
     let open = OpKind::Open {
         slot: 0,
@@ -21,7 +19,6 @@ fn batch_plan(fault: Option<Fault>) -> RunPlan {
         after: Vec::new(),
         before: Vec::new(),
         strategy: None,
-        depth: 3,
     };
     let steps = vec![
         Step {
@@ -53,7 +50,7 @@ fn batch_plan(fault: Option<Fault>) -> RunPlan {
 }
 
 #[test]
-fn clean_pipelined_batch_commits() {
+fn clean_batch_commits() {
     let out = run_plan(&batch_plan(None), Protections::all_on());
     assert!(!out.failed(), "{:#?}", out.violations);
     assert_eq!(

@@ -15,7 +15,7 @@
 //! * [`VersionId`] / [`VersionMeta`] — version identity plus author and
 //!   stamp metadata, which the protocol's `re-eval` procedure inspects.
 //! * [`Snapshot`] — an explicit per-entity version selection, convertible
-//!   to a kernel [`UniqueState`] (a version state in the model's sense).
+//!   to a kernel [`UniqueState`](ks_kernel::UniqueState) (a version state in the model's sense).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

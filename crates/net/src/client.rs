@@ -30,29 +30,25 @@
 //!   [`ServerError::Wire`]. Transient *server* errors arrive as complete
 //!   `Err` frames on a healthy stream and do not poison.
 //!
-//! # Pipelining
+//! # Lock-step
 //!
-//! Since protocol version 2 every frame carries a correlation id, and a
-//! session keeps multiple requests in flight on one connection. The
-//! transport is split ([`Transport::split`]) into a shared send half
-//! (brief mutex per frame, reused encode scratch buffer) and a receive
-//! half driven by an *elected reader*: whichever caller is waiting for a
-//! reply and finds no reader active reads the next frame, routes it by
-//! correlation id (stashing replies that belong to other waiters,
-//! dropping replies nobody is waiting for — which is what makes a
-//! duplicated or abandoned reply harmless), and hands the role off. No
-//! background thread exists, so the same code runs single-threaded over
-//! the deterministic simulation link. [`Client::run_batch`] exploits the
-//! pipeline by packing a read/write burst into `Batch` frames and
-//! sending up to the transaction's [`TxnBuilder::pipeline_depth`] of
-//! them back-to-back before collecting replies in order.
+//! A session keeps one request in flight. An exchange holds the
+//! connection from the moment it encodes its frame (into a reused
+//! scratch buffer) until the reply carrying its correlation id arrives;
+//! any other frame read on the way — a duplicated reply, or one whose
+//! correlation id no request is waiting on — is dropped, so the stream
+//! stays in sync. Concurrent callers of one session serialise on that
+//! lock. [`Client::run_batch`] packs a read/write burst into `Batch`
+//! frames of up to [`MAX_BATCH_OPS`](wire::MAX_BATCH_OPS) ops and sends
+//! them one exchange after another. The wire still lets a peer pipeline
+//! (see `docs/wire.md`); this client does not.
 //!
 //! The byte stream itself is pluggable: [`RemoteSession::connect`] dials
 //! TCP ([`TcpTransport`]), while [`RemoteSession::over`] wraps any
 //! [`Transport`] — the deterministic simulation harness (`ks-dst`) runs
 //! this exact client over an in-memory simulated link.
 
-use crate::transport::{TcpTransport, Transport, TransportRx};
+use crate::transport::{TcpTransport, Transport};
 use crate::wire::{self, read_frame, write_frame, Request, Response, WireMetrics, HELLO_MAGIC};
 use ks_kernel::{EntityId, Value};
 use ks_obs::{
@@ -61,10 +57,9 @@ use ks_obs::{
 };
 use ks_predicate::random::SplitMix64;
 use ks_server::{backoff, Backend, BatchOp, BatchReply, Client, ServerError, TxnBuilder};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Client-side tuning: timeouts, deadlines, and the retry envelope.
@@ -123,23 +118,11 @@ impl Default for NetClientConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RemoteTxn(pub u64);
 
-/// The shared send half: the transport's Tx plus a reused encode
-/// buffer, so the frame hot path allocates nothing.
-struct TxHalf<W> {
-    writer: W,
+/// Everything one exchange holds from its write to its reply.
+struct Conn<T> {
+    transport: T,
+    /// Reused encode buffer, so the frame hot path allocates nothing.
     scratch: Vec<u8>,
-}
-
-/// Demultiplexer bookkeeping, shared by all callers of one session.
-struct MuxState {
-    /// Correlation ids with a caller waiting (or about to wait).
-    pending: BTreeSet<u64>,
-    /// Replies read off the wire for a pending id other than the
-    /// reader's own, parked until their waiter claims them.
-    arrived: BTreeMap<u64, Response>,
-    /// Whether some caller currently holds the reader role (is blocked
-    /// in `read` on the Rx half).
-    reader_active: bool,
     /// Set after a transport failure: the reason every later call fails
     /// fast with. Server-signalled `Err` frames never set this.
     poisoned: Option<String>,
@@ -149,14 +132,8 @@ struct MuxState {
 /// [`Client`] is expected. Generic over the byte stream; defaults to
 /// TCP.
 pub struct RemoteSession<T: Transport = TcpTransport> {
-    tx: Mutex<TxHalf<T::Tx>>,
-    rx: Mutex<T::Rx>,
-    mux: Mutex<MuxState>,
-    cv: Condvar,
+    conn: Mutex<Conn<T>>,
     next_corr: AtomicU64,
-    /// Pipeline-depth hints per open wire transaction id (declared at
-    /// [`TxnBuilder::pipeline_depth`], dropped on terminal outcomes).
-    depths: Mutex<HashMap<u64, usize>>,
     shards: usize,
     backend: Backend,
     config: NetClientConfig,
@@ -211,19 +188,19 @@ impl<T: Transport> RemoteSession<T> {
     /// deterministic simulation link — get the full production client:
     /// framing, correlation, deadlines, retry/backoff, and poisoning all
     /// behave identically.
-    pub fn over(transport: T, config: NetClientConfig) -> Result<Self, ServerError> {
-        let (mut rx, mut tx) = transport.split();
-        rx.set_read_deadline(Some(config.connect_timeout))
+    pub fn over(mut transport: T, config: NetClientConfig) -> Result<Self, ServerError> {
+        transport
+            .set_read_deadline(Some(config.connect_timeout))
             .map_err(|e| ServerError::Wire(e.to_string()))?;
         // Version negotiation happens serially: Hello must be answered
         // by HelloOk before any other frame is sent. Correlation id 0 is
         // reserved for it; real requests start at 1.
         write_frame(
-            &mut tx,
+            &mut transport,
             &wire::encode_request(0, 0, &Request::Hello { magic: HELLO_MAGIC }),
         )
         .map_err(|e| map_io(&e, "hello"))?;
-        let (shards, backend) = match read_one(&mut rx)? {
+        let (shards, backend) = match read_one(&mut transport)? {
             (_, Response::HelloOk { shards, backend }) => (shards as usize, backend),
             (_, Response::Error { code, detail }) => {
                 return Err(Response::into_server_error(code, &detail))
@@ -235,20 +212,12 @@ impl<T: Transport> RemoteSession<T> {
             }
         };
         Ok(RemoteSession {
-            tx: Mutex::new(TxHalf {
-                writer: tx,
+            conn: Mutex::new(Conn {
+                transport,
                 scratch: Vec::with_capacity(256),
-            }),
-            rx: Mutex::new(rx),
-            mux: Mutex::new(MuxState {
-                pending: BTreeSet::new(),
-                arrived: BTreeMap::new(),
-                reader_active: false,
                 poisoned: None,
             }),
-            cv: Condvar::new(),
             next_corr: AtomicU64::new(1),
-            depths: Mutex::new(HashMap::new()),
             shards,
             backend,
             rng: Mutex::new(SplitMix64::new(jitter_seed())),
@@ -275,7 +244,7 @@ impl<T: Transport> RemoteSession<T> {
     /// Whether an earlier transport failure has poisoned the connection
     /// (every later call fails fast; reconnect to recover).
     pub fn is_poisoned(&self) -> bool {
-        self.mux.lock().unwrap().poisoned.is_some()
+        self.conn.lock().unwrap().poisoned.is_some()
     }
 
     /// Fetch the server's metrics snapshot.
@@ -317,23 +286,10 @@ impl<T: Transport> RemoteSession<T> {
             return Ok(()); // nothing orderly left to do
         }
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let mut tx = self.tx.into_inner().unwrap();
-        let mut rx = self.rx.into_inner().unwrap();
-        wire::encode_request_into(&mut tx.scratch, corr, 0, &Request::Shutdown);
-        write_frame(&mut tx.writer, &tx.scratch).map_err(|e| map_io(&e, "shutdown"))?;
-        let _ = rx.set_read_deadline(Some(self.config.request_deadline));
-        // Late replies for abandoned correlation ids may still be queued
-        // ahead of the Bye; skip a bounded number of them.
-        for _ in 0..64 {
-            match read_one(&mut rx)? {
-                (c, Response::Bye) if c == corr => return Ok(()),
-                (c, other) if c == corr => {
-                    return Err(ServerError::Wire(format!("expected Bye, got {other:?}")))
-                }
-                _ => continue,
-            }
+        match self.roundtrip(corr, 0, &Request::Shutdown)? {
+            Response::Bye => Ok(()),
+            other => Err(ServerError::Wire(format!("expected Bye, got {other:?}"))),
         }
-        Err(ServerError::Wire("no Bye within 64 frames".into()))
     }
 
     /// One request/reply exchange, with the retry envelope around
@@ -414,9 +370,7 @@ impl<T: Transport> RemoteSession<T> {
                 );
             }
         }
-        let result = self
-            .send_with(corr, trace, req)
-            .and_then(|()| self.await_reply(corr));
+        let result = self.roundtrip(corr, trace, req);
         if trace != 0 {
             // "ok" is the client's view: a deadline expiry or transport
             // failure closes the span unsuccessfully even though a
@@ -454,141 +408,54 @@ impl<T: Transport> RemoteSession<T> {
         }
     }
 
-    /// Allocate a correlation id, derive this attempt's trace id, and
-    /// send `req`. Returns the id to await. Used by paths that pipeline
-    /// frames without a per-exchange `Request` span (`run_batch`).
-    fn send_request(&self, req: &Request) -> Result<u64, ServerError> {
-        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        self.send_with(corr, self.pick_trace(corr), req)?;
-        Ok(corr)
-    }
-
-    /// Encode `req` into the shared scratch buffer and write it as one
-    /// frame, registering its correlation id with the demultiplexer
-    /// *before* any byte hits the wire (so a fast reply can never race
-    /// the registration and be dropped as unknown).
-    fn send_with(&self, corr: u64, trace: u64, req: &Request) -> Result<(), ServerError> {
-        let mut tx = self.tx.lock().unwrap();
-        let TxHalf { writer, scratch } = &mut *tx;
+    /// Write `req` as one frame and read frames until the one echoing
+    /// `corr` arrives, holding the connection throughout. Any other
+    /// frame — a duplicated reply, or one whose `corr` no request of this
+    /// session is waiting on — is dropped. A transport failure or an
+    /// expired reply deadline poisons the connection; a request too large
+    /// to frame is refused before any byte is written, so it does not.
+    fn roundtrip(&self, corr: u64, trace: u64, req: &Request) -> Result<Response, ServerError> {
+        let mut conn = self.conn.lock().unwrap();
+        let Conn {
+            transport,
+            scratch,
+            poisoned,
+        } = &mut *conn;
+        if let Some(reason) = poisoned {
+            return Err(ServerError::Wire(reason.clone()));
+        }
         wire::encode_request_into(scratch, corr, trace, req);
         if scratch.len() > wire::MAX_FRAME {
-            // Refused before any bytes hit the stream, which is therefore
-            // still in sync: a typed per-request error, not poison.
             return Err(ServerError::Wire(format!(
                 "encoded request of {} bytes exceeds MAX_FRAME ({})",
                 scratch.len(),
                 wire::MAX_FRAME
             )));
         }
-        {
-            let mut mux = self.mux.lock().unwrap();
-            if let Some(reason) = &mux.poisoned {
-                return Err(ServerError::Wire(reason.clone()));
-            }
-            mux.pending.insert(corr);
+        if let Err(e) = write_frame(transport, scratch) {
+            *poisoned = Some(poison_reason(&format!("send failed: {e}")));
+            return Err(map_io(&e, "send"));
         }
-        if let Err(e) = write_frame(writer, scratch) {
-            let err = map_io(&e, "send");
-            self.poison(corr, format!("send failed: {e}"));
-            return Err(err);
-        }
-        Ok(())
-    }
-
-    /// Wait for the reply correlated with `corr`, cooperating on the
-    /// reader role: claim the reply if it already arrived, otherwise
-    /// either become the reader (read one frame off the Rx half, route
-    /// it, hand the role back) or wait to be notified. Deadline expiry —
-    /// ours or the transport's — poisons the connection.
-    fn await_reply(&self, corr: u64) -> Result<Response, ServerError> {
         let start = Instant::now();
-        let deadline = self.config.request_deadline;
         loop {
-            let remaining = {
-                let mut mux = self.mux.lock().unwrap();
-                if let Some(resp) = mux.arrived.remove(&corr) {
-                    mux.pending.remove(&corr);
-                    return Ok(resp);
-                }
-                if let Some(reason) = &mux.poisoned {
-                    let reason = reason.clone();
-                    mux.pending.remove(&corr);
-                    return Err(ServerError::Wire(reason));
-                }
-                let Some(remaining) = deadline.checked_sub(start.elapsed()) else {
-                    mux.pending.remove(&corr);
-                    mux.poisoned = Some(poison_reason("reply deadline expired"));
-                    drop(mux);
-                    self.cv.notify_all();
-                    return Err(ServerError::Timeout);
-                };
-                if mux.reader_active {
-                    // Someone else is blocked in `read`; they will route
-                    // our reply (or poison) and notify.
-                    let _ = self.cv.wait_timeout(mux, remaining).unwrap();
-                    continue;
-                }
-                mux.reader_active = true;
-                remaining
+            let Some(remaining) = self.config.request_deadline.checked_sub(start.elapsed()) else {
+                *poisoned = Some(poison_reason("reply deadline expired"));
+                return Err(ServerError::Timeout);
             };
-            // We are the elected reader. Read one frame without holding
-            // the mux lock (so parked waiters can time out), then route.
-            let read = {
-                let mut rx = self.rx.lock().unwrap();
-                let _ = rx.set_read_deadline(Some(remaining));
-                read_one(&mut *rx)
-            };
-            let mut mux = self.mux.lock().unwrap();
-            mux.reader_active = false;
-            match read {
-                Ok((rcorr, resp)) => {
-                    if rcorr == corr {
-                        mux.pending.remove(&corr);
-                        drop(mux);
-                        self.cv.notify_all();
-                        return Ok(resp);
-                    }
-                    if mux.pending.contains(&rcorr) {
-                        mux.arrived.insert(rcorr, resp);
-                    }
-                    // else: a reply nobody is waiting for (abandoned or
-                    // duplicated) — dropped; the stream stays sound.
-                    drop(mux);
-                    self.cv.notify_all();
-                }
+            let _ = transport.set_read_deadline(Some(remaining));
+            match read_one(transport) {
+                Ok((rcorr, resp)) if rcorr == corr => return Ok(resp),
+                Ok(_) => continue,
                 Err(e) => {
-                    mux.pending.remove(&corr);
-                    mux.poisoned = Some(poison_reason(&e.to_string()));
-                    drop(mux);
-                    self.cv.notify_all();
+                    *poisoned = Some(poison_reason(&e.to_string()));
                     return Err(e);
                 }
             }
         }
     }
 
-    /// Drop interest in `corr`; its reply, if it ever comes, is
-    /// discarded by the demultiplexer.
-    fn abandon(&self, corr: u64) {
-        let mut mux = self.mux.lock().unwrap();
-        mux.pending.remove(&corr);
-        mux.arrived.remove(&corr);
-    }
-
-    /// Poison after a transport failure attributable to `corr`.
-    fn poison(&self, corr: u64, why: String) {
-        let mut mux = self.mux.lock().unwrap();
-        mux.pending.remove(&corr);
-        mux.poisoned = Some(poison_reason(&why));
-        drop(mux);
-        self.cv.notify_all();
-    }
-
     fn desync(&self, got: Response) -> ServerError {
-        let mut mux = self.mux.lock().unwrap();
-        mux.poisoned = Some(poison_reason("response type desync"));
-        drop(mux);
-        self.cv.notify_all();
+        self.conn.lock().unwrap().poisoned = Some(poison_reason("response type desync"));
         ServerError::Wire(format!("response type desync: unexpected {got:?}"))
     }
 
@@ -596,24 +463,6 @@ impl<T: Transport> RemoteSession<T> {
         match self.call(op, req)? {
             Response::Done => Ok(()),
             other => Err(self.desync(other)),
-        }
-    }
-
-    /// The transaction's pipeline-depth hint (≥ 1).
-    fn depth_hint(&self, txn: RemoteTxn) -> usize {
-        self.depths
-            .lock()
-            .unwrap()
-            .get(&txn.0)
-            .copied()
-            .unwrap_or(1)
-            .max(1)
-    }
-
-    fn forget_depth_if_terminal<V>(&self, txn: RemoteTxn, result: &Result<V, ServerError>) {
-        let transient = matches!(result, Err(e) if e.is_retryable());
-        if !transient {
-            self.depths.lock().unwrap().remove(&txn.0);
         }
     }
 }
@@ -625,10 +474,10 @@ fn poison_reason(why: &str) -> String {
 /// Read and decode one reply frame into `(corr, response)`. EOF and
 /// timeouts are transport failures (the caller poisons); a decoded
 /// `Error` frame is *not* — it is a healthy reply.
-fn read_one<R: TransportRx>(rx: &mut R) -> Result<(u64, Response), ServerError> {
+fn read_one(rx: &mut impl std::io::Read) -> Result<(u64, Response), ServerError> {
     match read_frame(rx) {
-        // The echoed trace id is dropped here: the demultiplexer routes
-        // by correlation id alone, and the client's span for the attempt
+        // The echoed trace id is dropped here: a reply is matched by
+        // correlation id alone, and the client's span for the attempt
         // closes in `exchange` regardless of what the reply echoes.
         Ok(Some(payload)) => wire::decode_response(&payload)
             .map(|(corr, _trace, resp)| (corr, resp))
@@ -669,7 +518,6 @@ impl<T: Transport> Client for RemoteSession<T> {
     type Handle = RemoteTxn;
 
     fn open(&self, txn: TxnBuilder<RemoteTxn>) -> Result<RemoteTxn, ServerError> {
-        let depth = txn.pipeline_depth_hint();
         let (spec, after, before, strategy, backend) = txn.into_parts();
         let req = Request::Open {
             spec,
@@ -679,12 +527,7 @@ impl<T: Transport> Client for RemoteSession<T> {
             backend,
         };
         match self.call(OpCode::Define, req)? {
-            Response::Opened { txn } => {
-                if depth > 1 {
-                    self.depths.lock().unwrap().insert(txn, depth);
-                }
-                Ok(RemoteTxn(txn))
-            }
+            Response::Opened { txn } => Ok(RemoteTxn(txn)),
             other => Err(self.desync(other)),
         }
     }
@@ -712,80 +555,48 @@ impl<T: Transport> Client for RemoteSession<T> {
     }
 
     fn commit(&self, txn: RemoteTxn) -> Result<(), ServerError> {
-        let result = self.unit(OpCode::Commit, Request::Commit { txn: txn.0 });
-        self.forget_depth_if_terminal(txn, &result);
-        result
+        self.unit(OpCode::Commit, Request::Commit { txn: txn.0 })
     }
 
     fn abort(&self, txn: RemoteTxn) -> Result<(), ServerError> {
-        let result = self.unit(OpCode::Abort, Request::Abort { txn: txn.0 });
-        self.forget_depth_if_terminal(txn, &result);
-        result
+        self.unit(OpCode::Abort, Request::Abort { txn: txn.0 })
     }
 
-    /// Pack the burst into `Batch` wire frames — up to the transaction's
-    /// [`TxnBuilder::pipeline_depth`] of them in flight at once — so N
-    /// ops cost about ⌈N/depth⌉ round trips instead of N. Frames are
-    /// sent back-to-back, then replies are collected in order (the
-    /// demultiplexer handles any interleaving). Batch frames are not
-    /// retried at the frame level: per-op transient errors (`Busy`)
-    /// surface in the inner results for the caller's retry policy, and a
-    /// transport failure poisons as usual.
+    /// Pack the burst into `Batch` wire frames of up to
+    /// [`MAX_BATCH_OPS`](wire::MAX_BATCH_OPS) ops, one exchange per
+    /// frame, so N ops cost ⌈N / `MAX_BATCH_OPS`⌉ round trips instead of
+    /// N. Batch frames are not retried at the frame level: per-op
+    /// transient errors (`Busy`) surface in the inner results for the
+    /// caller's retry policy, and a transport failure poisons as usual.
     fn run_batch(
         &self,
         txn: RemoteTxn,
         ops: &[BatchOp],
     ) -> Result<Vec<Result<BatchReply, ServerError>>, ServerError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        let depth = self.depth_hint(txn);
-        let frames = depth.min(ops.len());
-        let chunk = ops.len().div_ceil(frames).min(wire::MAX_BATCH_OPS);
-        let mut corrs = Vec::with_capacity(frames);
-        let mut failed = None;
-        for chunk_ops in ops.chunks(chunk) {
+        let mut results = Vec::with_capacity(ops.len());
+        for chunk in ops.chunks(wire::MAX_BATCH_OPS) {
             if let Some(obs) = &self.obs {
                 obs.emit(
                     txn.0 as u32,
                     ObsKind::NetBatch {
-                        ops: chunk_ops.len() as u32,
+                        ops: chunk.len() as u32,
                     },
                 );
             }
             let req = Request::Batch {
-                ops: chunk_ops.iter().map(|&op| (txn.0, op)).collect(),
+                ops: chunk.iter().map(|&op| (txn.0, op)).collect(),
             };
-            match self.send_request(&req) {
-                Ok(corr) => corrs.push(corr),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        let mut results = Vec::with_capacity(ops.len());
-        for corr in corrs {
-            if failed.is_some() {
-                // A reply may still arrive for an already-sent frame;
-                // drop interest so the demultiplexer discards it.
-                self.abandon(corr);
-                continue;
-            }
-            match self.await_reply(corr) {
-                Ok(Response::Batch { results: rs }) => results.extend(rs.into_iter().map(|r| {
+            let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
+            match self.roundtrip(corr, self.pick_trace(corr), &req)? {
+                Response::Batch { results: rs } => results.extend(rs.into_iter().map(|r| {
                     r.map_err(|(code, detail)| Response::into_server_error(code, &detail))
                 })),
-                Ok(Response::Error { code, detail }) => {
-                    failed = Some(Response::into_server_error(code, &detail))
+                Response::Error { code, detail } => {
+                    return Err(Response::into_server_error(code, &detail))
                 }
-                Ok(other) => failed = Some(self.desync(other)),
-                Err(e) => failed = Some(e),
+                other => return Err(self.desync(other)),
             }
         }
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(results),
-        }
+        Ok(results)
     }
 }

@@ -14,7 +14,7 @@
 //!   frames covering the full session surface (hello / open / validate /
 //!   read / write / commit / abort / metrics / telemetry / trace export /
 //!   shutdown), each carrying a correlation id **and a trace id** so
-//!   replies can be matched to pipelined requests and distributed-trace
+//!   replies can be matched to their requests and distributed-trace
 //!   spans can be stitched across the client/server boundary, plus
 //!   `Batch` frames packing a burst of reads/writes with per-op
 //!   results. Specifications are encoded structurally and errors as
@@ -22,12 +22,11 @@
 //!   [`ServerError`](ks_server::ServerError). Documented normatively in
 //!   `docs/wire.md`.
 //! * [`transport`] — [`Transport`]: the byte-stream abstraction under
-//!   the client (an ordered reliable stream that splits into a deadlined
-//!   [`TransportRx`] read half and a `Write` send half, which is what
-//!   lets the client pipeline). [`TcpTransport`] is the production
-//!   implementation; the deterministic simulation harness (`ks-dst`)
-//!   substitutes an in-memory link with seeded fault injection.
-//! * [`conn`] — [`ConnCore`](conn::ConnCore): the transport-agnostic
+//!   the client (an ordered reliable stream with read deadlines).
+//!   [`TcpTransport`] is the production implementation; the
+//!   deterministic simulation harness (`ks-dst`) substitutes an
+//!   in-memory link with seeded fault injection.
+//! * [`conn`] — [`ConnCore`]: the transport-agnostic
 //!   per-connection request executor (id table, commit/abort id
 //!   lifecycle, batch coalescing into per-transaction runs,
 //!   abort-on-disconnect sweep) shared by the TCP server and the
@@ -48,11 +47,11 @@
 //!   connections per process.
 //! * [`client`] — [`RemoteSession`]: connect timeouts, per-request
 //!   deadlines, bounded jittered retry/backoff on transient errors,
-//!   fail-fast poisoning after transport faults, and correlation-id
-//!   demultiplexing so multiple requests — notably
-//!   [`Client::run_batch`](ks_server::Client::run_batch) bursts — are in
-//!   flight per connection; generic over [`Transport`] via
-//!   [`RemoteSession::over`].
+//!   fail-fast poisoning after transport faults, and one request in
+//!   flight per connection, matched to its reply by correlation id
+//!   ([`Client::run_batch`](ks_server::Client::run_batch) bursts go out
+//!   as `Batch` frames, one exchange each); generic over [`Transport`]
+//!   via [`RemoteSession::over`].
 //!
 //! The design stance matches the rest of the repo: the network may delay,
 //! sever, or refuse, but it must never *invent* an outcome — every
@@ -73,7 +72,7 @@ pub mod wire;
 pub use client::{NetClientConfig, RemoteSession, RemoteTxn};
 pub use conn::{ConnAction, ConnCore, ConnHost};
 pub use server::{NetConfig, NetServer};
-pub use transport::{TcpRx, TcpTransport, Transport, TransportRx};
+pub use transport::{TcpTransport, Transport};
 pub use wire::{
     peek_corr, Request, Response, WireError, WireMetrics, MAX_BATCH_OPS, MAX_FRAME,
     MAX_TRACE_EVENTS, PROTOCOL_VERSION,

@@ -5,14 +5,14 @@
 //! whose thread-spawn cost capped concurrency — ROADMAP item 2):
 //!
 //! * A fixed pool of **I/O threads** ([`NetConfig::io_threads`]), each
-//!   owning one epoll [`Poller`](crate::poll::Poller) that multiplexes
+//!   owning one epoll [`Poller`] that multiplexes
 //!   its share of the connections (round-robin assignment at accept; the
 //!   listener itself is a registration on the first I/O thread, so there
 //!   is no dedicated acceptor). Sockets are nonblocking; frame decode
-//!   runs the incremental [`FrameState`](crate::wire::FrameState)
+//!   runs the incremental [`FrameState`]
 //!   machine, so a frame that straddles readiness ticks is resumed, not
 //!   restarted, and payload buffers come from a shared bounded
-//!   [`BufferPool`](crate::poll::BufferPool) — an idle connection holds
+//!   [`BufferPool`] — an idle connection holds
 //!   *no* decode buffer, which is what keeps 10k+ mostly-idle
 //!   connections cheap.
 //! * A fixed pool of **executor threads** (`EXECUTORS`) that
@@ -20,7 +20,7 @@
 //!   FIFO inbox, a connection with pending work is scheduled onto the
 //!   executor pool (at most once at a time, so requests on one
 //!   connection stay in order), and the executor drives the unchanged
-//!   transport-agnostic [`ConnCore`](crate::conn::ConnCore) — blocking
+//!   transport-agnostic [`ConnCore`] — blocking
 //!   session calls (commit barriers, WAL group-commit fsyncs) therefore
 //!   never stall an I/O thread.
 //! * **Nonblocking writes with per-connection backpressure.** Replies
@@ -29,7 +29,7 @@
 //!   back. The buffer is bounded by the in-flight window: a request
 //!   counts against the window until its reply bytes are buffered, and
 //!   the I/O thread stops *reading* a connection at the window — so at
-//!   most `window` replies (≤ `MAX_FRAME` each) can ever sit in one
+//!   most `WINDOW` (16) replies (≤ `MAX_FRAME` each) can ever sit in one
 //!   connection's output queue, and a client that pipelines deeper
 //!   blocks in TCP backpressure instead of ballooning server memory.
 //!
@@ -61,11 +61,6 @@ use std::time::{Duration, Instant};
 /// [`ServerConfig`](ks_server::ServerConfig)).
 #[derive(Clone)]
 pub struct NetConfig {
-    /// Per-connection in-flight request window: how many decoded
-    /// requests may be awaiting execution or reply flush before the I/O
-    /// thread stops reading the socket. Also bounds the reply output
-    /// buffer (see the module docs).
-    pub window: usize,
     /// The I/O threads' readiness-wait timeout: bounds how stale the
     /// stop flag and the handshake-deadline scan can get on a fully idle
     /// server. Traffic wakes the loop immediately regardless.
@@ -87,7 +82,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            window: 16,
             poll_interval: Duration::from_millis(50),
             recorder: None,
             io_threads: 2,
@@ -95,6 +89,13 @@ impl Default for NetConfig {
         }
     }
 }
+
+/// Per-connection in-flight request window: how many decoded requests
+/// may be awaiting execution or reply flush before the I/O thread stops
+/// reading the socket. Also bounds the reply output buffer (see the
+/// module docs). A lock-step client never has more than one request in
+/// flight; the window is what bounds a peer that pipelines.
+const WINDOW: usize = 16;
 
 /// Executor threads running blocking request handling. Sizes the number
 /// of *concurrent* blocking calls — e.g. commits rendezvousing in one WAL
@@ -203,7 +204,7 @@ struct Inbox {
     /// replies in request order.
     scheduled: bool,
     /// Requests decoded but not yet answered-and-buffered. The I/O
-    /// thread pauses reading at [`NetConfig::window`].
+    /// thread pauses reading at `WINDOW`.
     in_flight: usize,
     /// No further frames will be queued (close pending or done).
     closing: bool,
@@ -609,7 +610,7 @@ fn io_loop(idx: usize, poller: Poller, mut listener: Option<TcpListener>, shared
                 }
                 if conn.paused && !conn.read_done {
                     let inbox = conn.shared.inbox.lock().unwrap();
-                    if inbox.in_flight < shared.config.window.max(1) && !inbox.closing {
+                    if inbox.in_flight < WINDOW && !inbox.closing {
                         conn.paused = false;
                     }
                 }
@@ -762,7 +763,6 @@ fn adopt(
 /// Pull frames off a readable socket until it would block, the window
 /// fills, or the stream ends.
 fn read_drain(conn: &mut IoConn, shared: &Arc<NetShared>, poller: &Poller) {
-    let window = shared.config.window.max(1);
     let pinned = shared.config.pinned_buffers > 0;
     loop {
         let progress = {
@@ -789,7 +789,7 @@ fn read_drain(conn: &mut IoConn, shared: &Arc<NetShared>, poller: &Poller) {
                 }
                 inbox.queue.push_back(Work::Frame(payload));
                 inbox.in_flight += 1;
-                let full = inbox.in_flight >= window;
+                let full = inbox.in_flight >= WINDOW;
                 let schedule = !inbox.scheduled;
                 if schedule {
                     inbox.scheduled = true;
@@ -941,7 +941,6 @@ fn exec_loop(rx: &Mutex<Receiver<ExecItem>>, shared: &Arc<NetShared>) {
 /// id), and the socket is flushed once when the inbox momentarily
 /// empties — so a pipelined burst coalesces into few writes.
 fn run_conn(conn: &Arc<ConnShared>, shared: &Arc<NetShared>, scratch: &mut Vec<u8>) {
-    let window = shared.config.window.max(1);
     let mut poke = false;
     loop {
         let work = {
@@ -967,7 +966,7 @@ fn run_conn(conn: &Arc<ConnShared>, shared: &Arc<NetShared>, scratch: &mut Vec<u
                 let was = inbox.in_flight;
                 inbox.in_flight = was.saturating_sub(1);
                 drop(inbox);
-                if was >= window {
+                if was >= WINDOW {
                     poke = true; // the I/O thread paused reads: resume
                 }
                 if closed {

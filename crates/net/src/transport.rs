@@ -1,74 +1,35 @@
 //! The byte-stream abstraction under [`RemoteSession`](crate::RemoteSession).
 //!
 //! A [`Transport`] is an ordered, reliable, bidirectional byte stream
-//! that splits into independent halves: a [`TransportRx`] read half with
-//! deadlines (so a reply that never arrives surfaces as
-//! `WouldBlock`/`TimedOut` instead of hanging the caller) and a plain
-//! `Write` send half. The split is what makes client-side pipelining
-//! possible: one thread can block in `read` on the Rx half while the Tx
-//! half keeps accepting correlated request frames. TCP provides the
-//! halves via handle cloning; the deterministic simulation harness
-//! (`ks-dst`) provides them as two handles onto one in-memory link with a
-//! logical clock. Everything above this trait — framing, correlation,
-//! retry/backoff, poisoning — is identical on both, so the simulator
-//! exercises the same client code that talks to production sockets.
+//! with read deadlines, so a reply that never arrives surfaces as
+//! `WouldBlock`/`TimedOut` instead of hanging the caller. The client
+//! keeps one request in flight and holds the whole transport for each
+//! exchange, so one object serves both directions. TCP provides it as a
+//! buffered socket; the deterministic simulation harness (`ks-dst`)
+//! provides it as an in-memory link with a logical clock. Everything
+//! above this trait — framing, correlation, retry/backoff, poisoning —
+//! is identical on both, so the simulator exercises the same client code
+//! that talks to production sockets.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// The receive half: an ordered reliable byte stream with read deadlines.
+/// An ordered reliable byte stream with read deadlines.
 ///
 /// `read` must honor the last deadline set: if no bytes become available
 /// in time it fails with [`io::ErrorKind::WouldBlock`] or
 /// [`io::ErrorKind::TimedOut`] (the client maps both to
 /// [`ServerError::Timeout`](ks_server::ServerError::Timeout) and poisons
-/// the connection).
-pub trait TransportRx: Read {
+/// the connection). `write`/`flush` failures mean the peer is gone.
+pub trait Transport: Read + Write {
     /// Bound subsequent reads; `None` blocks indefinitely.
     fn set_read_deadline(&mut self, deadline: Option<Duration>) -> io::Result<()>;
 }
 
-/// A bidirectional byte stream that splits into independent halves.
-///
-/// `write`/`flush` failures on the [`Tx`](Transport::Tx) half mean the
-/// peer is gone. The halves must reference the same underlying
-/// connection: bytes written on `Tx` are answered on `Rx`.
-pub trait Transport {
-    /// The receive half (deadlined reads).
-    type Rx: TransportRx;
-    /// The send half.
-    type Tx: Write;
-
-    /// Consume the transport, yielding its two halves.
-    fn split(self) -> (Self::Rx, Self::Tx);
-}
-
-/// The receive half of a [`TcpTransport`]: the socket handle (deadlines
-/// are set here) plus a buffered reader over a clone of it.
-pub struct TcpRx {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Read for TcpRx {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.reader.read(buf)
-    }
-}
-
-impl TransportRx for TcpRx {
-    fn set_read_deadline(&mut self, deadline: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(deadline)
-    }
-}
-
 /// The production [`Transport`]: a TCP stream, buffered in both
-/// directions, split via handle cloning (both halves clone the same fd,
-/// so deadlines set on the Rx half govern reads while writes proceed
-/// concurrently).
+/// directions over two handles onto the same socket.
 pub struct TcpTransport {
-    stream: TcpStream,
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
 }
@@ -76,27 +37,31 @@ pub struct TcpTransport {
 impl TcpTransport {
     /// Buffer an already-connected stream.
     pub fn new(stream: TcpStream) -> io::Result<TcpTransport> {
-        let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream.try_clone()?);
         Ok(TcpTransport {
-            stream,
-            reader,
-            writer,
+            reader: BufReader::new(stream.try_clone()?),
+            writer: BufWriter::new(stream),
         })
     }
 }
 
-impl Transport for TcpTransport {
-    type Rx = TcpRx;
-    type Tx = BufWriter<TcpStream>;
+impl Read for TcpTransport {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reader.read(buf)
+    }
+}
 
-    fn split(self) -> (TcpRx, BufWriter<TcpStream>) {
-        (
-            TcpRx {
-                stream: self.stream,
-                reader: self.reader,
-            },
-            self.writer,
-        )
+impl Write for TcpTransport {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writer.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.writer.flush()
+    }
+}
+
+impl Transport for TcpTransport {
+    fn set_read_deadline(&mut self, deadline: Option<Duration>) -> io::Result<()> {
+        self.reader.get_ref().set_read_timeout(deadline)
     }
 }

@@ -4,12 +4,12 @@
 //! every payload starts with the protocol version byte, a `u64`
 //! correlation id, a `u64` trace id, and a message-type byte. Integers
 //! are little-endian; strings are `u32` length + UTF-8. The full format,
-//! the correlation and pipelining rules, the version-negotiation story
+//! the correlation rules, the version-negotiation story
 //! and the error-code table live in `docs/wire.md` — this module is the
 //! normative encoder and decoder, and the round-trip tests in
 //! `tests/wire_fuzz.rs` pin it.
 //!
-//! The correlation id is what makes pipelining sound: a client may keep
+//! The correlation id is what makes pipelining sound: a peer may keep
 //! several requests in flight on one connection, and the server echoes
 //! each request's id on its reply, so responses can complete out of
 //! order without ambiguity. The server never *reorders* replies today,

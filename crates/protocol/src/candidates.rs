@@ -21,7 +21,7 @@
 //! When no order edge constrains `t` for `d` — nothing follows `t`, and no
 //! predecessor of `t` wrote `d` — every rule above is vacuous: the allowed
 //! versions are the parent's plus every other live sibling's last one. A
-//! [`CandidateList`] keeps exactly that set per parent and data item, in
+//! `CandidateList` keeps exactly that set per parent and data item, in
 //! the shape the solver reads, so validation borrows it instead of
 //! rebuilding it from every sibling that ever wrote `d`.
 

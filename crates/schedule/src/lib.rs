@@ -25,7 +25,7 @@
 //! | `PC`     | [`pc`]      | per-object projections all MVSR | exp |
 //! | `CPC`    | [`pc`]      | per-object reads-before-writes graphs all acyclic | poly |
 //!
-//! [`classify`] runs the whole battery and produces a [`classify::Membership`]
+//! [`classify()`] runs the whole battery and produces a [`classify::Membership`]
 //! report; [`corpus`] carries the paper's Examples 1–3 and the nine Figure 2
 //! region schedules; [`search`] enumerates interleavings to find schedules
 //! with a prescribed membership signature (used to verify the regions and to

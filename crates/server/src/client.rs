@@ -33,7 +33,6 @@ pub struct TxnBuilder<H> {
     before: Vec<H>,
     strategy: Option<Strategy>,
     backend: Option<Backend>,
-    pipeline_depth: usize,
 }
 
 impl<H: Copy> TxnBuilder<H> {
@@ -45,7 +44,6 @@ impl<H: Copy> TxnBuilder<H> {
             before: Vec::new(),
             strategy: None,
             backend: None,
-            pipeline_depth: 1,
         }
     }
 
@@ -104,20 +102,6 @@ impl<H: Copy> TxnBuilder<H> {
     /// The pinned backend expectation, if any.
     pub fn backend_expectation(&self) -> Option<Backend> {
         self.backend
-    }
-
-    /// Hint how many request frames a transport may keep in flight on the
-    /// connection while serving this transaction's [`run_batch`]
-    /// (`Client::run_batch`) bursts. `1` (the default) is strict
-    /// request/reply lock-step; in-process transports ignore the hint.
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// The pipelining hint (always ≥ 1).
-    pub fn pipeline_depth_hint(&self) -> usize {
-        self.pipeline_depth
     }
 
     /// Decompose into `(spec, after, before, strategy, backend)` — used
@@ -235,8 +219,7 @@ pub trait Client {
     /// implementation — but transports may amortize: the in-process
     /// session takes the shard lock once for the whole burst, the
     /// networked session packs the burst into `Batch` wire frames and
-    /// pipelines them up to the transaction's
-    /// [`pipeline_depth`](TxnBuilder::pipeline_depth).
+    /// sends them one round trip each.
     ///
     /// The outer `Err` is a transport/batch-level failure (nothing can be
     /// said about individual ops); per-op verdicts — including re-eval
@@ -279,14 +262,5 @@ mod tests {
     fn builder_defaults_to_no_backend_pin() {
         let b: TxnBuilder<u64> = TxnBuilder::new(Specification::new(Cnf::truth(), Cnf::truth()));
         assert_eq!(b.backend_expectation(), None);
-    }
-
-    #[test]
-    fn pipeline_depth_defaults_to_one_and_clamps_zero() {
-        let b: TxnBuilder<u64> = TxnBuilder::new(Specification::new(Cnf::truth(), Cnf::truth()));
-        assert_eq!(b.pipeline_depth_hint(), 1);
-        assert_eq!(b.pipeline_depth(0).pipeline_depth_hint(), 1);
-        let b: TxnBuilder<u64> = TxnBuilder::new(Specification::new(Cnf::truth(), Cnf::truth()));
-        assert_eq!(b.pipeline_depth(8).pipeline_depth_hint(), 8);
     }
 }

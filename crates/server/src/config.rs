@@ -56,8 +56,8 @@ pub struct ServerConfig {
     /// Which certification backend every shard runs: the paper's
     /// CPC protocol (the default), SSI, or strict 2PL. Advertised to
     /// remote clients in the wire handshake; clients may pin an
-    /// expectation per transaction ([`TxnBuilder::backend`]
-    /// (crate::TxnBuilder::backend)), which fails closed with
+    /// expectation per transaction
+    /// ([`TxnBuilder::backend`](crate::TxnBuilder::backend)), which fails closed with
     /// [`ServerError::BackendMismatch`](crate::ServerError) on disagreement.
     pub backend: Backend,
     /// SSI dangerous-structure detection (`true`, the default). Turning

@@ -4,7 +4,7 @@
 //! the service opens a [`ks_wal::Wal`] over the configured store at
 //! startup, replays it ([`RecoveryReport`]), writes a synced
 //! [`Checkpoint`](ks_wal::WalRecord::Checkpoint) fence, and hands every
-//! shard's worker a [`WorkerWal`] so the commit path logs, flushes and
+//! shard's worker a `WorkerWal` so the commit path logs, flushes and
 //! only then acknowledges.
 //!
 //! **Logging discipline** (what makes recovery exact):
@@ -18,7 +18,7 @@
 //!   I/O;
 //! * a commit acknowledges only once its `Commit` record's position is
 //!   durable. The committing call waits for that on its own thread,
-//!   after it has released the shard lock ([`WalShared::await_durable`]):
+//!   after it has released the shard lock (`WalShared::await_durable`):
 //!   if no flush is in flight it *leads* one — takes the whole tail,
 //!   writes it with [`Wal::append_all`], syncs, publishes the new
 //!   durable position and wakes every waiter — and otherwise it waits

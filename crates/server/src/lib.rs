@@ -10,13 +10,13 @@
 //!
 //! - **Sharding** ([`routing`]): entities are partitioned round-robin
 //!   across `S` shards; each shard's worker owns a private
-//!   [`Certifier`](ks_protocol::Certifier) backend — the paper's CPC
+//!   [`Certifier`] backend — the paper's CPC
 //!   [`ProtocolManager`](ks_protocol::ProtocolManager), an SSI
 //!   certifier, or a strict-2PL baseline, selected per
 //!   [`ServerConfig::backend`] — over the shard's sub-schema. The
 //!   certifier stays single-writer; shards are independent correctness
 //!   domains (a transaction lives entirely inside one shard).
-//! - **Workers** ([`worker`]): a shard is a lock, not a thread. Each
+//! - **Workers** (`worker`): a shard is a lock, not a thread. Each
 //!   call takes its shard's mutex and runs the certifier call on the
 //!   caller's own thread; at most `queue_depth` calls wait for the lock
 //!   and the rest are shed. Workers never block on protocol outcomes —

@@ -3,7 +3,7 @@
 //!
 //! A [`Session`] is cheap, `Send`, and owned by one client thread. It is
 //! the in-process implementation of the transport-generic
-//! [`Client`](crate::Client) contract: every call takes the owning
+//! [`Client`] contract: every call takes the owning
 //! shard's lock (shedding with [`ServerError::Backpressure`] when
 //! `queue_depth` calls already wait for it) and runs the certifier call
 //! itself. A logged commit then waits, with the lock released, for its

@@ -16,7 +16,7 @@
 //! * [`wal`] — the appender: segment rotation at record boundaries and
 //!   the prefix-durability contract (`sync` makes everything appended so
 //!   far durable, because rotation syncs the outgoing segment first).
-//! * [`recover`] — the redo pass: last durable [`Checkpoint`] as base
+//! * [`recover`](mod@recover) — the redo pass: last durable [`Checkpoint`] as base
 //!   state, then replay the writes of finally-committed transactions in
 //!   log order. A transaction is recovered iff its commit record is in
 //!   the clean prefix and no later abort record undid it. The server no

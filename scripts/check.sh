@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Repo-wide verification: formatting, dead dependency edges, lints, every
-# test in the workspace (which carries the DST seed gate and its teeth,
-# and the guard on the tracked BENCH_*.json artifacts), and the five bench
-# gates with their teeth runs. Each gate's verdict is decided once, by the
-# program that measures it: an exp_* binary exits 1 on a failed verdict or
-# a model violation, and ks-dst's tests fail on a dirty seed.
+# Repo-wide verification: formatting, dead dependency edges, lints, doc
+# links, every test in the workspace (which carries the DST seed gate and
+# its teeth, and the guard on the tracked BENCH_*.json artifacts), and the
+# five bench gates with their teeth runs. Each gate's verdict is decided
+# once, by the program that measures it: an exp_* binary exits 1 on a
+# failed verdict or a model violation, and ks-dst's tests fail on a dirty
+# seed.
 #
 # Usage: scripts/check.sh
 # This is the gate referenced by ROADMAP.md's tier-1 line; CI and local
@@ -46,6 +47,11 @@ fi
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every intra-doc link resolves, and no public doc links a private item:
+# a link left pointing at a deleted item fails here.
+echo "== cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+
 # Every test of every crate, none skipped.
 echo "== cargo test --workspace (all crates incl. the DST seed gate 0..25 and its teeth)"
 cargo test -q --workspace
@@ -69,7 +75,7 @@ if ! seq "$soak_runs" | xargs -P "$soak_jobs" -I{} "$soak_bin" -q --exact \
     exit 1
 fi
 
-echo "== exp_net_load --smoke (loopback TCP vs in-process, pipeline×batch sweep)"
+echo "== exp_net_load --smoke (loopback TCP vs in-process, batch off/on)"
 exp exp_net_load -- --smoke
 
 echo "== exp_wal --smoke (2 ms sync: a lone committer pays 1 fsync and no wait, 8 share ≤ 0.5×)"
@@ -100,4 +106,4 @@ if [ "$(tree_state)" != "$tree_before" ]; then
     exit 1
 fi
 
-echo "OK: fmt, dependency edges, clippy, workspace tests (incl. dst gate and teeth), net/wal/obs/certifier/conn-scale gates with teeth, clean tree"
+echo "OK: fmt, dependency edges, clippy, rustdoc, workspace tests (incl. dst gate and teeth), net/wal/obs/certifier/conn-scale gates with teeth, clean tree"
