@@ -74,7 +74,7 @@ pub enum Fault {
     Reset,
     /// Readiness starvation: the request's bytes arrive and the
     /// connection is *readable*, but the event loop does not schedule it
-    /// for `ticks` logical ticks (a busy I/O thread servicing other
+    /// for `ticks` logical ticks (every pool thread busy serving other
     /// connections), after which it is finally serviced and the request
     /// executes normally. Models the poll-loop hazard where a ready
     /// connection sits unserviced behind its neighbours — the bytes must

@@ -32,19 +32,19 @@
 //!   abort-on-disconnect sweep) shared by the TCP server and the
 //!   simulator, so both drive identical server-side logic.
 //! * [`poll`] — the readiness plumbing under the server: a small epoll
-//!   wrapper (level-triggered `Poller` + eventfd `Waker`), the bounded
-//!   frame-decode `BufferPool`, and the `/proc` probes the
-//!   connection-scale gates measure with.
-//! * [`server`] — [`NetServer`]: a readiness-based event loop embedding
-//!   a `TxnService` — a fixed pool of I/O threads multiplexing all
-//!   connections (nonblocking sockets, incremental pooled frame decode,
-//!   backpressured nonblocking writes) feeding a fixed executor pool
-//!   that runs the blocking request handling, with a bounded in-flight
-//!   window per connection (the server answers pipelined requests in
-//!   arrival order, echoing each request's correlation id, and coalesces
-//!   reply flushes) and a graceful drain shutdown that hands back the
-//!   shard certifiers for model-checking. Scales to 10k+ mostly-idle
-//!   connections per process.
+//!   wrapper (a one-shot `Poller` many threads wait on, an eventfd
+//!   `Waker`), the bounded frame-decode `BufferPool`, and the `/proc`
+//!   probes the connection-scale gates measure with.
+//! * [`server`] — [`NetServer`]: one pool of threads on a single poller
+//!   embedding a `TxnService`. Every connection is registered one-shot,
+//!   so the thread a readiness event lands on owns the connection: it
+//!   decodes frames incrementally into pooled buffers, runs each request
+//!   and writes the reply itself (requests on one connection are
+//!   answered in arrival order, echoing each request's correlation id),
+//!   and reads nothing while a reply is unflushed, so a peer that does
+//!   not read meets TCP backpressure. A graceful drain shutdown hands
+//!   back the shard certifiers for model-checking. Scales to 10k+
+//!   mostly-idle connections per process.
 //! * [`client`] — [`RemoteSession`]: connect timeouts, per-request
 //!   deadlines, bounded jittered retry/backoff on transient errors,
 //!   fail-fast poisoning after transport faults, and one request in

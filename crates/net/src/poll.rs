@@ -12,14 +12,16 @@
 //!
 //! Design notes:
 //!
-//! * **Level-triggered.** Interest is re-reported until drained, so a
-//!   connection whose frames outpace one executor slice is simply seen
-//!   again next tick — no edge-trigger re-arm bookkeeping, and pausing a
-//!   connection (backpressure) is just dropping `EPOLLIN` from its mask.
-//! * **One poller per I/O thread.** `epoll_ctl` is thread-safe, but this
-//!   codebase never needs it: every registration mutation happens on the
-//!   thread that owns the poller, and cross-thread signalling goes
-//!   through the [`Waker`] (an `eventfd` registered like any other fd).
+//! * **One-shot.** Every registration is `EPOLLONESHOT`: an event is
+//!   delivered to one waiting thread, after which the fd reports nothing
+//!   until [`Poller::rearm`]. Many threads can wait on one poller, and
+//!   the thread an event lands on owns that fd until it re-arms it.
+//!   Readiness is still level-checked at re-arm time, so an fd that is
+//!   already readable (or writable) fires again at once.
+//! * **One poller, shared.** `epoll_ctl` and `epoll_wait` are
+//!   thread-safe; the server's whole pool waits on a single [`Poller`],
+//!   and a [`Waker`] (an `eventfd` registered like any other fd) wakes
+//!   it from outside.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -36,6 +38,7 @@ const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLONESHOT: u32 = 1 << 30;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
@@ -96,10 +99,19 @@ impl Interest {
         writable: false,
     };
 
+    /// Write-only interest — a connection waiting to flush a reply.
+    pub const WRITE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
+
     fn mask(self) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = EPOLLONESHOT;
+        // A half-closed peer stays "read-hung-up" for good, so it is only
+        // asked about while reading; otherwise a write-only registration
+        // would fire on it again after every re-arm.
         if self.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             m |= EPOLLOUT;
@@ -151,8 +163,8 @@ impl Events {
     }
 }
 
-/// An epoll instance: register fds with a token and an [`Interest`],
-/// wait for readiness.
+/// An epoll instance: register fds one-shot with a token and an
+/// [`Interest`], wait for readiness, re-arm.
 pub struct Poller {
     epfd: RawFd,
 }
@@ -172,13 +184,14 @@ impl Poller {
         cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(drop)
     }
 
-    /// Start watching `fd`; events carry `token` back.
+    /// Start watching `fd` for one event; it carries `token` back.
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    /// Change an existing registration's interest.
-    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Watch a registered `fd` for one more event, with a new interest.
+    /// Fires at once if the fd is already ready for it.
+    pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
@@ -226,28 +239,36 @@ impl Drop for Poller {
 }
 
 /// A cross-thread wakeup for a [`Poller`]: an `eventfd` registered like
-/// any other fd. [`Waker::wake`] makes the owning thread's `wait` return
-/// immediately; the owner calls [`Waker::drain`] to reset it.
+/// any other fd. [`Waker::wake`] makes one waiting thread's `wait`
+/// return; [`Waker::drain`] resets it, and [`Waker::rearm`] lets it be
+/// delivered again (at once, if it was not drained).
 pub struct Waker {
     efd: RawFd,
+    token: u64,
 }
 
 impl Waker {
     /// Create the eventfd and register it with `poller` under `token`.
     pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
         let efd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
+        let waker = Waker { efd, token };
         poller.register(efd, token, Interest::READ)?;
-        Ok(Waker { efd })
+        Ok(waker)
     }
 
-    /// Wake the owning poller. Cheap and idempotent: concurrent wakes
-    /// coalesce into one readable event.
+    /// Re-arm the registration after its event was delivered.
+    pub fn rearm(&self, poller: &Poller) -> io::Result<()> {
+        poller.rearm(self.efd, self.token, Interest::READ)
+    }
+
+    /// Wake a thread waiting on the poller. Cheap and idempotent:
+    /// concurrent wakes coalesce into one readable event.
     pub fn wake(&self) {
         let one: u64 = 1;
         unsafe { write(self.efd, one.to_ne_bytes().as_ptr(), 8) };
     }
 
-    /// Reset after a wake so the (level-triggered) poller goes quiet.
+    /// Reset after a wake, so a re-armed waker stays quiet.
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
         unsafe { read(self.efd, buf.as_mut_ptr(), 8) };
@@ -262,8 +283,8 @@ impl Drop for Waker {
 
 /// A bounded free list of frame-decode buffers.
 ///
-/// The event loop borrows a buffer when a frame's length prefix
-/// completes and the executor returns it once the request is handled,
+/// A connection's owner borrows a buffer when a frame's length prefix
+/// completes and returns it once the request is handled,
 /// so steady-state decode allocation is bounded by the number of frames
 /// *concurrently* in flight — not by the connection count. An idle
 /// connection holds no buffer at all, which is what keeps 10k+ mostly
@@ -412,10 +433,47 @@ mod tests {
         assert_eq!(ev.token, 7);
         assert!(ev.readable);
         waker.drain();
+        waker.rearm(&poller).unwrap();
         let n = poller
             .wait(&mut events, Some(Duration::from_millis(1)))
             .unwrap();
         assert_eq!(n, 0, "drained waker goes quiet");
+    }
+
+    #[test]
+    fn one_shot_fires_once_until_rearmed() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+
+        use std::os::fd::AsRawFd;
+        let poller = Poller::new().unwrap();
+        poller
+            .register(server.as_raw_fd(), 9, Interest::READ)
+            .unwrap();
+        let mut events = Events::with_capacity(4);
+        client.write_all(b"ping").unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(n, 1, "one event for the first bytes");
+        assert_eq!(events.iter().next().unwrap().token, 9);
+
+        // The bytes are still unread, and more arrive: silent until re-armed.
+        client.write_all(b"pong").unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0, "a delivered one-shot registration stays silent");
+
+        poller.rearm(server.as_raw_fd(), 9, Interest::READ).unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(n, 1, "re-arming a readable fd fires at once");
+        let ev = events.iter().next().unwrap();
+        assert!(ev.token == 9 && ev.readable && !ev.failed);
     }
 
     #[test]

@@ -1,45 +1,46 @@
-//! The TCP front end: a readiness-based event loop scaled to tens of
-//! thousands of connections.
+//! The TCP front end: one pool of threads serving every connection off a
+//! single epoll [`Poller`], scaled to tens of thousands of connections.
 //!
-//! Architecture (replacing the old two-threads-per-connection design,
-//! whose thread-spawn cost capped concurrency — ROADMAP item 2):
+//! * **One-shot owners.** The listener and every connection are
+//!   registered with `EPOLLONESHOT`, so a readiness event is delivered to
+//!   one pool thread and the registration stays silent until that thread
+//!   re-arms it. The thread an event lands on owns the connection for
+//!   that turn: it reads a frame off the nonblocking socket with the
+//!   incremental [`FrameState`] machine (a frame that straddles readiness
+//!   events is resumed, not restarted, and its payload buffer comes from
+//!   the shared bounded [`BufferPool`], so an idle connection holds no
+//!   decode buffer), runs it through the transport-agnostic [`ConnCore`],
+//!   writes the reply itself and re-arms. Requests on one connection
+//!   therefore run in arrival order with no queue between the reader and
+//!   the executor. A turn runs one request, so a connection whose next
+//!   request is already waiting queues behind the other ready ones
+//!   instead of holding its thread. The pool is sized from
+//!   [`std::thread::available_parallelism`] (at least two threads).
+//! * **Backpressure: no reads while a reply is unflushed.** When the
+//!   socket will not take a whole reply, the owner arms `EPOLLOUT` only
+//!   and reads nothing more until the reply is written, then re-arms
+//!   `EPOLLIN`. A connection holds
+//!   at most one unflushed reply (≤ [`MAX_FRAME`](crate::MAX_FRAME)), and
+//!   a peer that pipelines requests without reading replies blocks in
+//!   TCP backpressure instead of growing server memory.
 //!
-//! * A fixed pool of **I/O threads** ([`NetConfig::io_threads`]), each
-//!   owning one epoll [`Poller`] that multiplexes
-//!   its share of the connections (round-robin assignment at accept; the
-//!   listener itself is a registration on the first I/O thread, so there
-//!   is no dedicated acceptor). Sockets are nonblocking; frame decode
-//!   runs the incremental [`FrameState`]
-//!   machine, so a frame that straddles readiness ticks is resumed, not
-//!   restarted, and payload buffers come from a shared bounded
-//!   [`BufferPool`] — an idle connection holds
-//!   *no* decode buffer, which is what keeps 10k+ mostly-idle
-//!   connections cheap.
-//! * A fixed pool of **executor threads** (`EXECUTORS`) that
-//!   run the blocking part: decoded frames queue into a per-connection
-//!   FIFO inbox, a connection with pending work is scheduled onto the
-//!   executor pool (at most once at a time, so requests on one
-//!   connection stay in order), and the executor drives the unchanged
-//!   transport-agnostic [`ConnCore`] — blocking
-//!   session calls (commit barriers, WAL group-commit fsyncs) therefore
-//!   never stall an I/O thread.
-//! * **Nonblocking writes with per-connection backpressure.** Replies
-//!   append to a per-connection output buffer flushed opportunistically
-//!   by the executor and drained via `EPOLLOUT` when the socket pushes
-//!   back. The buffer is bounded by the in-flight window: a request
-//!   counts against the window until its reply bytes are buffered, and
-//!   the I/O thread stops *reading* a connection at the window — so at
-//!   most `WINDOW` (16) replies (≤ `MAX_FRAME` each) can ever sit in one
-//!   connection's output queue, and a client that pipelines deeper
-//!   blocks in TCP backpressure instead of ballooning server memory.
+//! **Why a pool thread may block.** No server call waits for another
+//! connection's next request: 2PL's wait-or-die, CPC's final-commit gate
+//! and a full shard queue all answer `Busy` or `Backpressure` instead of
+//! waiting. A pool thread can therefore wait only on a shard mutex (one
+//! certifier call) or, in a logged commit, in `await_durable`, on a flush
+//! that is already running or that it leads itself — each of which
+//! finishes without any other connection being served. The cost is that
+//! a durable commit holds its pool thread through its fsync, so at most
+//! pool-size commits can share one flush.
 //!
 //! Wire-visible transaction ids are connection-scoped `u64`s mapped to
 //! in-process handles inside the core, so server handles never cross the
-//! wire. Shutdown drains: stop accepting, enqueue a close behind every
-//! connection's already-buffered requests, give in-flight work up to the
-//! drain timeout, force-close stragglers, join both pools, then shut the
-//! embedded [`TxnService`] down and hand back its shard certifiers for
-//! verification.
+//! wire. Shutdown drains: stop accepting and re-arm every connection; its
+//! owner finishes the request it is running, flushes the reply, then
+//! sweeps and closes the connection. Stragglers are force-closed after
+//! the drain timeout, the pool is joined, and the embedded [`TxnService`]
+//! shuts down and hands back its shard certifiers for verification.
 
 use crate::conn::{handshake_reply, ConnAction, ConnCore, ConnHost};
 use crate::poll::{BufferPool, Events, Interest, Poller, PoolStats, Waker};
@@ -52,8 +53,7 @@ use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,16 +61,14 @@ use std::time::{Duration, Instant};
 /// [`ServerConfig`](ks_server::ServerConfig)).
 #[derive(Clone)]
 pub struct NetConfig {
-    /// The I/O threads' readiness-wait timeout: bounds how stale the
-    /// stop flag and the handshake-deadline scan can get on a fully idle
-    /// server. Traffic wakes the loop immediately regardless.
+    /// The pool threads' readiness-wait timeout: bounds how stale the
+    /// handshake-deadline scan can get on a fully idle server. Traffic
+    /// wakes the pool immediately regardless.
     pub poll_interval: Duration,
     /// Recorder for connection-lifecycle events ([`ObsKind::ConnOpened`]
     /// / [`ObsKind::ConnClosed`]); usually the same recorder the embedded
     /// service uses.
     pub recorder: Option<Recorder>,
-    /// I/O threads multiplexing the connections (min 1).
-    pub io_threads: usize,
     /// Teeth knob: when nonzero, every connection pins a private decode
     /// scratch of this many (resident) bytes for its lifetime instead of
     /// borrowing from the shared pool — the naive per-connection-buffer
@@ -84,31 +82,18 @@ impl Default for NetConfig {
         NetConfig {
             poll_interval: Duration::from_millis(50),
             recorder: None,
-            io_threads: 2,
             pinned_buffers: 0,
         }
     }
 }
-
-/// Per-connection in-flight request window: how many decoded requests
-/// may be awaiting execution or reply flush before the I/O thread stops
-/// reading the socket. Also bounds the reply output buffer (see the
-/// module docs). A lock-step client never has more than one request in
-/// flight; the window is what bounds a peer that pipelines.
-const WINDOW: usize = 16;
-
-/// Executor threads running blocking request handling. Sizes the number
-/// of *concurrent* blocking calls — e.g. commits rendezvousing in one WAL
-/// group-commit barrier.
-const EXECUTORS: usize = 8;
 
 /// Free-list capacity of the shared frame-decode [`BufferPool`]: bounds
 /// pooled buffers retained across requests. Live decode memory is bounded
 /// by frames concurrently in flight, not by the connection count.
 const POOL_BUFFERS: usize = 256;
 
-/// How long [`NetServer::shutdown`] waits for in-flight connections to
-/// drain before force-closing them.
+/// How long [`NetServer::shutdown`] waits for connections to drain
+/// before force-closing them.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long a fresh connection may sit without completing the Hello
@@ -186,52 +171,7 @@ impl TraceBuf {
     }
 }
 
-/// One unit of per-connection work for the executor pool.
-enum Work {
-    /// A decoded frame payload (returned to the buffer pool afterwards).
-    Frame(Vec<u8>),
-    /// The connection is going away: run the abort-on-disconnect sweep
-    /// and release the session. Always the last item in a FIFO, so
-    /// already-buffered requests finish first (graceful drain).
-    Close,
-}
-
-/// The per-connection FIFO between the I/O thread and the executors.
-struct Inbox {
-    queue: VecDeque<Work>,
-    /// The connection is on (or running in) the executor pool. At most
-    /// one executor drains a connection at a time — this is what keeps
-    /// replies in request order.
-    scheduled: bool,
-    /// Requests decoded but not yet answered-and-buffered. The I/O
-    /// thread pauses reading at `WINDOW`.
-    in_flight: usize,
-    /// No further frames will be queued (close pending or done).
-    closing: bool,
-}
-
-/// The reply output buffer, drained nonblockingly by whoever holds the
-/// lock (executor appends flush opportunistically; the I/O thread drains
-/// the rest on `EPOLLOUT`).
-struct OutBuf {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already written to the socket.
-    pos: usize,
-    /// The last flush hit `WouldBlock`: `EPOLLOUT` is (being) armed.
-    want_write: bool,
-    /// Finalize the connection once the buffer drains.
-    close_after_flush: bool,
-    /// The socket is broken; stop buffering, drop what is left.
-    error: bool,
-}
-
-impl OutBuf {
-    fn is_drained(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-}
-
-/// Executor phase of one connection.
+/// Request phase of one connection.
 enum Phase {
     /// Nothing allocated server-side until a well-formed Hello arrives.
     Handshake,
@@ -241,83 +181,84 @@ enum Phase {
     Finished,
 }
 
-/// Connection state shared between its I/O thread and the executors.
-/// Split into three independently locked pieces so the I/O thread never
-/// waits on a lock held across a blocking session call: `exec` (the only
-/// lock held during request handling) is touched exclusively by
-/// executors, serialized by `Inbox::scheduled`.
-struct ConnShared {
+/// Everything one connection's owner touches during its turn.
+struct ConnState {
+    phase: Phase,
+    /// Incremental frame decode, surviving readiness events mid-frame.
+    frame: FrameState,
+    /// The reply not yet written, from byte `sent` on. Empty whenever a
+    /// frame is read: that is the backpressure rule.
+    out: Vec<u8>,
+    sent: usize,
+    /// No more reads ever: EOF, a transport error, Bye, a failed
+    /// handshake or shutdown.
+    read_done: bool,
+    /// Teeth ballast: the private decode scratch a connection pins for
+    /// its lifetime when [`NetConfig::pinned_buffers`] is nonzero.
+    _pinned: Option<Vec<u8>>,
+}
+
+/// One accepted connection. Its token in the poller is its id.
+struct Conn {
     id: u64,
-    /// Index of the owning I/O thread (for executor → I/O pokes).
-    io: usize,
     stream: TcpStream,
-    inbox: Mutex<Inbox>,
-    exec: Mutex<Phase>,
-    out: Mutex<OutBuf>,
-    /// The executor ran the close sweep; the I/O thread may finalize.
-    swept: AtomicBool,
-    /// Handshake completed (read by the I/O thread's deadline scan).
-    hello_done: AtomicBool,
+    /// Locked by the thread a one-shot event landed on, so it is
+    /// uncontended except against shutdown and the handshake scan.
+    state: Mutex<ConnState>,
 }
 
-/// What rides the executor queue.
-enum ExecItem {
-    Conn(Arc<ConnShared>),
-    Exit,
-}
-
-/// Cross-thread mailbox of one I/O thread.
-struct IoShared {
-    inbox: Mutex<IoInbox>,
-    waker: Waker,
-}
-
-#[derive(Default)]
-struct IoInbox {
-    /// Freshly accepted connections to register.
-    adopt: Vec<Arc<ConnShared>>,
-    /// Connection ids whose readiness bookkeeping needs a second look
-    /// (resume reading, arm `EPOLLOUT`, finalize).
-    attention: Vec<u64>,
+impl Conn {
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state
+            .lock()
+            .expect("a pool thread panicked serving this connection")
+    }
 }
 
 struct NetShared {
     service: Mutex<Option<TxnService>>,
+    poller: Poller,
+    /// `None` once shutdown stopped accepting.
+    listener: Mutex<Option<TcpListener>>,
+    /// Set when shutdown starts: owners close instead of reading.
     stop: AtomicBool,
-    /// Set after drain/force-close: I/O threads exit their loops.
-    halt: AtomicBool,
-    active: AtomicUsize,
-    /// Every live connection, for force-close and the final sweep.
-    registry: Mutex<HashMap<u64, Arc<ConnShared>>>,
+    /// Fired (and never drained) to send the pool home.
+    halt: Waker,
+    /// Every live connection by id (= poller token).
+    registry: Mutex<HashMap<u64, Arc<Conn>>>,
     config: NetConfig,
     obs: Option<ObsSink>,
     traces: Mutex<TraceBuf>,
     pool: BufferPool,
-    io: Vec<Arc<IoShared>>,
-    exec_tx: Sender<ExecItem>,
     next_conn: AtomicU64,
+    /// Accepted connections in accept order, for the handshake deadline.
+    handshakes: Mutex<VecDeque<(Instant, Weak<Conn>)>>,
+    /// Most reply bytes one connection ever held unwritten.
+    backlog_peak: AtomicUsize,
 }
 
 impl NetShared {
     fn with_service<T>(&self, f: impl FnOnce(&TxnService) -> T) -> Option<T> {
-        self.service.lock().unwrap().as_ref().map(f)
+        self.service
+            .lock()
+            .expect("service lock poisoned")
+            .as_ref()
+            .map(f)
     }
 
-    /// Ask a connection's I/O thread to re-evaluate it.
-    fn poke(&self, conn: &ConnShared) {
-        let io = &self.io[conn.io];
-        let mut inbox = io.inbox.lock().unwrap();
-        let was_idle = inbox.attention.is_empty() && inbox.adopt.is_empty();
-        inbox.attention.push(conn.id);
-        drop(inbox);
-        if was_idle {
-            io.waker.wake();
-        }
+    fn registry(&self) -> MutexGuard<'_, HashMap<u64, Arc<Conn>>> {
+        self.registry.lock().expect("registry lock poisoned")
     }
 
     fn emit_closed(&self, id: u64) {
         if let Some(obs) = &self.obs {
             obs.emit(NO_TXN, ObsKind::ConnClosed { conn: id as u32 });
+        }
+    }
+
+    fn put_buffer(&self, buf: Vec<u8>) {
+        if self.config.pinned_buffers == 0 {
+            self.pool.put(buf);
         }
     }
 }
@@ -342,7 +283,7 @@ impl ConnHost for NetHost<'_> {
 
     fn trace_export(&self, since: u64, max: u32) -> Option<(u64, Vec<ObsEvent>)> {
         let recorder = self.0.config.recorder.as_ref()?;
-        let mut buf = self.0.traces.lock().unwrap();
+        let mut buf = self.0.traces.lock().expect("trace buffer lock poisoned");
         buf.refresh(recorder);
         Some(buf.export(since, max))
     }
@@ -353,13 +294,12 @@ impl ConnHost for NetHost<'_> {
 pub struct NetServer {
     shared: Arc<NetShared>,
     addr: SocketAddr,
-    io_handles: Vec<JoinHandle<()>>,
-    exec_handles: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-/// Poller token of an I/O thread's waker eventfd.
-const TOKEN_WAKER: u64 = 0;
-/// Poller token of the listener (first I/O thread only).
+/// Poller token of the halt waker.
+const TOKEN_HALT: u64 = 0;
+/// Poller token of the listener.
 const TOKEN_LISTEN: u64 = 1;
 /// Connection ids start here so their tokens never collide with the
 /// fixed tokens above (token == connection id).
@@ -372,63 +312,36 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        let halt = Waker::new(&poller, TOKEN_HALT)?;
+        poller.register(listener.as_raw_fd(), TOKEN_LISTEN, Interest::READ)?;
         let obs = config.recorder.as_ref().map(|r| r.sink(u32::MAX));
-
-        let io_threads = config.io_threads.max(1);
-        let mut pollers = Vec::with_capacity(io_threads);
-        let mut io = Vec::with_capacity(io_threads);
-        for _ in 0..io_threads {
-            let poller = Poller::new()?;
-            let waker = Waker::new(&poller, TOKEN_WAKER)?;
-            pollers.push(poller);
-            io.push(Arc::new(IoShared {
-                inbox: Mutex::new(IoInbox::default()),
-                waker,
-            }));
-        }
-        pollers[0].register(listener.as_raw_fd(), TOKEN_LISTEN, Interest::READ)?;
-
-        let (exec_tx, exec_rx) = mpsc::channel::<ExecItem>();
-        // The one multi-consumer queue: executors take turns receiving.
-        let exec_rx = Arc::new(Mutex::new(exec_rx));
-        let pool = BufferPool::new(POOL_BUFFERS);
         let shared = Arc::new(NetShared {
             service: Mutex::new(Some(service)),
+            poller,
+            listener: Mutex::new(Some(listener)),
             stop: AtomicBool::new(false),
-            halt: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
+            halt,
             registry: Mutex::new(HashMap::new()),
             config,
             obs,
             traces: Mutex::new(TraceBuf::new()),
-            pool,
-            io,
-            exec_tx,
+            pool: BufferPool::new(POOL_BUFFERS),
             next_conn: AtomicU64::new(FIRST_CONN_ID),
+            handshakes: Mutex::new(VecDeque::new()),
+            backlog_peak: AtomicUsize::new(0),
         });
-
-        let mut listener = Some(listener);
-        let io_handles = pollers
-            .into_iter()
-            .enumerate()
-            .map(|(idx, poller)| {
-                let shared = Arc::clone(&shared);
-                let listener = if idx == 0 { listener.take() } else { None };
-                std::thread::spawn(move || io_loop(idx, poller, listener, &shared))
-            })
-            .collect();
-        let exec_handles = (0..EXECUTORS)
+        let size = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+        let threads = (0..size)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&exec_rx);
-                std::thread::spawn(move || exec_loop(&rx, &shared))
+                std::thread::spawn(move || pool_loop(&shared))
             })
             .collect();
         Ok(NetServer {
             shared,
             addr,
-            io_handles,
-            exec_handles,
+            threads,
         })
     }
 
@@ -437,16 +350,12 @@ impl NetServer {
         self.addr
     }
 
-    /// Connections currently open.
+    /// Connections currently open. A connection is registered with the
+    /// poller for exactly its lifetime, so this also counts
+    /// registrations; the connection-churn tests assert it returns to
+    /// baseline (no leaked registrations).
     pub fn connections(&self) -> usize {
-        self.shared.active.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently registered with the pollers — equals
-    /// [`NetServer::connections`] in steady state; the connection-churn
-    /// tests assert it returns to baseline (no leaked registrations).
-    pub fn registrations(&self) -> usize {
-        self.shared.registry.lock().unwrap().len()
+        self.shared.registry().len()
     }
 
     /// Counters of the shared frame-decode buffer pool.
@@ -454,65 +363,69 @@ impl NetServer {
         self.shared.pool.stats()
     }
 
-    /// Graceful shutdown: stop accepting, enqueue a close behind every
-    /// connection's buffered requests, drain up to the drain timeout,
-    /// force-close stragglers, stop the embedded service, and return its
+    /// The most reply bytes any one connection has held unwritten in the
+    /// server so far. A connection is not read while its reply is
+    /// unflushed, so this never exceeds one reply frame
+    /// (≤ [`MAX_FRAME`](crate::MAX_FRAME)), however many requests a peer
+    /// sends without reading.
+    pub fn reply_backlog_peak(&self) -> usize {
+        self.shared.backlog_peak.load(Ordering::Relaxed)
+    }
+
+    /// Graceful shutdown: stop accepting, let every connection's owner
+    /// finish its request, sweep and close, force-close stragglers after
+    /// the drain timeout, stop the embedded service, and return its
     /// shard certifiers for verification (see
     /// [`ks_server::verify_certifiers`]).
     pub fn shutdown(self) -> Vec<Box<dyn Certifier>> {
         let shared = &self.shared;
         shared.stop.store(true, Ordering::SeqCst);
-        for io in &shared.io {
-            io.waker.wake();
+        // Taking the listener waits out an accept burst, so every
+        // connection it accepted is in the registry below.
+        let listener = shared
+            .listener
+            .lock()
+            .expect("listener lock poisoned")
+            .take();
+        if let Some(listener) = listener {
+            let _ = shared.poller.deregister(listener.as_raw_fd());
         }
-        // Drain: I/O threads stop reading and queue closes behind
-        // whatever is already windowed; executors finish it.
+        // Re-arm every connection under its lock: an owner mid-request
+        // either re-armed before this (and the write-readiness here hands
+        // the connection to a thread that sees `stop`) or sees `stop`
+        // itself when it next looks.
+        let conns: Vec<Arc<Conn>> = shared.registry().values().cloned().collect();
+        for conn in &conns {
+            let _turn = conn.lock();
+            let _ = shared
+                .poller
+                .rearm(conn.stream.as_raw_fd(), conn.id, Interest::WRITE);
+        }
+        drop(conns);
         let deadline = Instant::now() + DRAIN_TIMEOUT;
-        while shared.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
+        while !shared.registry().is_empty() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        // Force-close anything still open past the deadline; pending
-        // writes fail over to the error path and unblock the pools.
-        for conn in shared.registry.lock().unwrap().values() {
+        // Force-close anything still open past the deadline: its owner's
+        // next write fails and it closes.
+        for conn in shared.registry().values() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        for _ in &self.exec_handles {
-            let _ = shared.exec_tx.send(ExecItem::Exit);
-        }
-        for h in self.exec_handles {
+        shared.halt.wake();
+        for h in self.threads {
             let _ = h.join();
         }
-        shared.halt.store(true, Ordering::SeqCst);
-        for io in &shared.io {
-            io.waker.wake();
-        }
-        for h in self.io_handles {
-            let _ = h.join();
-        }
-        // Final sweep: anything the pools did not finalize (force-closed
-        // mid-request, or queued work dropped at executor exit) still
-        // must not leak locks or sessions.
-        let leftovers: Vec<Arc<ConnShared>> = shared
-            .registry
-            .lock()
-            .unwrap()
-            .drain()
-            .map(|(_, c)| c)
-            .collect();
+        // Final sweep: a connection the pool did not finalize (force-closed
+        // mid-request) still must not leak locks or sessions.
+        let leftovers: Vec<Arc<Conn>> = shared.registry().drain().map(|(_, c)| c).collect();
         for conn in leftovers {
-            let mut phase = conn.exec.lock().unwrap();
-            if let Phase::Open(core) = &mut *phase {
-                core.abort_open_txns();
-            }
-            *phase = Phase::Finished;
-            drop(phase);
+            sweep(&mut conn.lock());
             shared.emit_closed(conn.id);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
         }
         let service = shared
             .service
             .lock()
-            .unwrap()
+            .expect("service lock poisoned")
             .take()
             .expect("shutdown called twice");
         service.shutdown()
@@ -520,548 +433,263 @@ impl NetServer {
 }
 
 // ---------------------------------------------------------------------
-// I/O threads
+// The pool
 // ---------------------------------------------------------------------
 
-/// Per-connection state owned by its I/O thread alone (never locked).
-struct IoConn {
-    shared: Arc<ConnShared>,
-    /// Incremental frame decode, surviving readiness ticks mid-frame.
-    state: FrameState,
-    /// Interest currently registered with the poller.
-    interest: Interest,
-    /// Reading paused: the in-flight window is full.
-    paused: bool,
-    /// No more reads ever (EOF, error, or close pending).
-    read_done: bool,
-    /// Teeth ballast: the private decode scratch a connection pins for
-    /// its lifetime when [`NetConfig::pinned_buffers`] is nonzero.
-    _pinned: Option<Vec<u8>>,
-}
-
-fn io_loop(idx: usize, poller: Poller, mut listener: Option<TcpListener>, shared: &Arc<NetShared>) {
-    let mut conns: HashMap<u64, IoConn> = HashMap::new();
-    let mut pending_hello: HashMap<u64, Instant> = HashMap::new();
-    let mut events = Events::with_capacity(256);
-    let mut draining = false;
+fn pool_loop(shared: &Arc<NetShared>) {
+    // One event per wait: an event is a connection's whole turn, and a
+    // thread holding several would make the others wait behind it.
+    let mut events = Events::with_capacity(1);
     loop {
-        if shared.halt.load(Ordering::SeqCst) {
-            break;
-        }
-        if shared.stop.load(Ordering::SeqCst) && !draining {
-            draining = true;
-            // Close the listener (deregisters on drop) and queue a close
-            // behind every connection's already-decoded requests.
-            listener = None;
-            let ids: Vec<u64> = conns.keys().copied().collect();
-            for id in ids {
-                if let Some(conn) = conns.get_mut(&id) {
-                    initiate_close(conn, shared, &poller);
-                    try_finalize(id, &mut conns, &mut pending_hello, shared, &poller);
+        let _ = shared
+            .poller
+            .wait(&mut events, Some(shared.config.poll_interval));
+        let token = events.iter().next().map(|ev| ev.token);
+        match token {
+            Some(TOKEN_HALT) => {
+                // Pass the (still set) wakeup on to the next thread.
+                let _ = shared.halt.rearm(&shared.poller);
+                return;
+            }
+            Some(TOKEN_LISTEN) => accept_burst(shared),
+            Some(id) => {
+                let conn = shared.registry().get(&id).cloned();
+                if let Some(conn) = conn {
+                    serve(&conn, shared);
                 }
             }
+            None => {}
         }
-        let _ = poller.wait(&mut events, Some(shared.config.poll_interval));
-        let ready: Vec<_> = events.iter().collect();
-        for ev in ready {
-            match ev.token {
-                TOKEN_WAKER => shared.io[idx].waker.drain(),
-                TOKEN_LISTEN => {
-                    if let Some(l) = &listener {
-                        accept_burst(l, shared, &mut conns, &mut pending_hello, &poller);
-                    }
-                }
-                id => {
-                    let Some(conn) = conns.get_mut(&id) else {
-                        continue;
-                    };
-                    if ev.failed {
-                        let mut out = conn.shared.out.lock().unwrap();
-                        out.error = true;
-                        drop(out);
-                        initiate_close(conn, shared, &poller);
-                    } else {
-                        if ev.writable {
-                            flush_out(&conn.shared);
-                            update_interest(conn, &poller);
-                        }
-                        if ev.readable && !conn.read_done && !conn.paused {
-                            read_drain(conn, shared, &poller);
-                        }
-                    }
-                    try_finalize(id, &mut conns, &mut pending_hello, shared, &poller);
-                }
-            }
-        }
-        // Cross-thread mail: adopt fresh connections, re-evaluate poked
-        // ones (resume reading, arm EPOLLOUT, finalize).
-        let mail = {
-            let mut inbox = shared.io[idx].inbox.lock().unwrap();
-            std::mem::take(&mut *inbox)
-        };
-        for conn in mail.adopt {
-            adopt(conn, shared, &mut conns, &mut pending_hello, &poller);
-        }
-        for id in mail.attention {
-            if let Some(conn) = conns.get_mut(&id) {
-                let want_write = conn.shared.out.lock().unwrap().want_write;
-                if want_write {
-                    flush_out(&conn.shared);
-                }
-                if conn.paused && !conn.read_done {
-                    let inbox = conn.shared.inbox.lock().unwrap();
-                    if inbox.in_flight < WINDOW && !inbox.closing {
-                        conn.paused = false;
-                    }
-                }
-                update_interest(conn, &poller);
-                try_finalize(id, &mut conns, &mut pending_hello, shared, &poller);
-            }
-        }
-        // Handshake deadline scan: a connection that never says Hello
-        // must not hold a registration forever.
-        if !pending_hello.is_empty() {
-            let expired: Vec<u64> = pending_hello
-                .iter()
-                .filter_map(|(&id, &since)| {
-                    let conn = conns.get(&id)?;
-                    if conn.shared.hello_done.load(Ordering::Acquire) {
-                        return None; // handled below: drop from the scan
-                    }
-                    (since.elapsed() > HANDSHAKE_TIMEOUT).then_some(id)
-                })
-                .collect();
-            pending_hello.retain(|id, _| {
-                conns
-                    .get(id)
-                    .is_some_and(|c| !c.shared.hello_done.load(Ordering::Acquire))
-            });
-            for id in expired {
-                if let Some(conn) = conns.get_mut(&id) {
-                    let _ = conn.shared.stream.shutdown(Shutdown::Both);
-                    initiate_close(conn, shared, &poller);
-                    try_finalize(id, &mut conns, &mut pending_hello, shared, &poller);
-                }
-            }
-        }
+        expire_handshakes(shared);
     }
 }
 
-fn accept_burst(
-    listener: &TcpListener,
-    shared: &Arc<NetShared>,
-    conns: &mut HashMap<u64, IoConn>,
-    pending_hello: &mut HashMap<u64, Instant>,
-    poller: &Poller,
-) {
+fn accept_burst(shared: &Arc<NetShared>) {
+    let guard = shared.listener.lock().expect("listener lock poisoned");
+    let Some(listener) = guard.as_ref() else {
+        return;
+    };
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            // Transient accept failure (e.g. fd exhaustion): the
-            // listener stays registered, so we simply retry on the next
-            // readiness event instead of spinning.
-            Err(_) => return,
+            // Drained, or a transient failure (e.g. fd exhaustion): the
+            // re-armed listener reports the next connection.
+            Err(_) => break,
         };
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
         let _ = stream.set_nodelay(true);
         let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        let target = (id % shared.io.len() as u64) as usize;
-        let conn = Arc::new(ConnShared {
-            id,
-            io: target,
-            stream,
-            inbox: Mutex::new(Inbox {
-                queue: VecDeque::new(),
-                scheduled: false,
-                in_flight: 0,
-                closing: false,
-            }),
-            exec: Mutex::new(Phase::Handshake),
-            out: Mutex::new(OutBuf {
-                buf: Vec::new(),
-                pos: 0,
-                want_write: false,
-                close_after_flush: false,
-                error: false,
-            }),
-            swept: AtomicBool::new(false),
-            hello_done: AtomicBool::new(false),
+        let pinned = (shared.config.pinned_buffers > 0).then(|| {
+            // A zeroed Vec comes from alloc_zeroed, whose pages stay lazily
+            // mapped and invisible to RSS; write one byte per page so the
+            // ballast is actually resident — the whole point of the teeth
+            // mode is the RSS it wastes.
+            let mut ballast = vec![0u8; shared.config.pinned_buffers];
+            for slot in ballast.iter_mut().step_by(4096) {
+                *slot = 1;
+            }
+            ballast
         });
+        let conn = Arc::new(Conn {
+            id,
+            stream,
+            state: Mutex::new(ConnState {
+                phase: Phase::Handshake,
+                frame: FrameState::new(),
+                out: Vec::new(),
+                sent: 0,
+                read_done: false,
+                _pinned: pinned,
+            }),
+        });
+        // In the registry before the poller can hand its token out.
+        shared.registry().insert(id, Arc::clone(&conn));
         shared
-            .registry
+            .handshakes
             .lock()
-            .unwrap()
-            .insert(id, Arc::clone(&conn));
-        shared.active.fetch_add(1, Ordering::SeqCst);
+            .expect("handshake queue lock poisoned")
+            .push_back((Instant::now(), Arc::downgrade(&conn)));
         if let Some(obs) = &shared.obs {
             obs.emit(NO_TXN, ObsKind::ConnOpened { conn: id as u32 });
         }
-        if target == 0 {
-            adopt(conn, shared, conns, pending_hello, poller);
-        } else {
-            let io = &shared.io[target];
-            let mut inbox = io.inbox.lock().unwrap();
-            let was_idle = inbox.attention.is_empty() && inbox.adopt.is_empty();
-            inbox.adopt.push(conn);
-            drop(inbox);
-            if was_idle {
-                io.waker.wake();
-            }
+        if shared
+            .poller
+            .register(conn.stream.as_raw_fd(), id, Interest::READ)
+            .is_err()
+        {
+            // Could not watch the socket (e.g. epoll limits): give up on
+            // the connection cleanly.
+            shared.registry().remove(&id);
+            shared.emit_closed(id);
         }
     }
+    let _ = shared
+        .poller
+        .rearm(listener.as_raw_fd(), TOKEN_LISTEN, Interest::READ);
 }
 
-fn adopt(
-    conn: Arc<ConnShared>,
-    shared: &Arc<NetShared>,
-    conns: &mut HashMap<u64, IoConn>,
-    pending_hello: &mut HashMap<u64, Instant>,
-    poller: &Poller,
-) {
-    let id = conn.id;
-    if poller
-        .register(conn.stream.as_raw_fd(), id, Interest::READ)
-        .is_err()
-    {
-        // Could not watch the socket (e.g. epoll limits): give up on the
-        // connection cleanly.
-        shared.registry.lock().unwrap().remove(&id);
-        shared.emit_closed(id);
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-        return;
-    }
-    let pinned = (shared.config.pinned_buffers > 0).then(|| {
-        // A zeroed Vec comes from alloc_zeroed, whose pages stay lazily
-        // mapped and invisible to RSS; write one byte per page so the
-        // ballast is actually resident — the whole point of the teeth
-        // mode is the RSS it wastes.
-        let mut ballast = vec![0u8; shared.config.pinned_buffers];
-        for slot in ballast.iter_mut().step_by(4096) {
-            *slot = 1;
-        }
-        ballast
-    });
-    let mut io_conn = IoConn {
-        shared: conn,
-        state: FrameState::new(),
-        interest: Interest::READ,
-        paused: false,
-        read_done: false,
-        _pinned: pinned,
-    };
-    pending_hello.insert(id, Instant::now());
-    // Bytes may already be waiting (client sent Hello immediately):
-    // level-triggered epoll would report them on the next wait, but
-    // draining now saves the first request a tick.
-    read_drain(&mut io_conn, shared, poller);
-    conns.insert(id, io_conn);
-}
-
-/// Pull frames off a readable socket until it would block, the window
-/// fills, or the stream ends.
-fn read_drain(conn: &mut IoConn, shared: &Arc<NetShared>, poller: &Poller) {
-    let pinned = shared.config.pinned_buffers > 0;
+/// A connection's turn: flush what is pending, then read and run at most
+/// one frame and write its reply, and re-arm; or close the connection
+/// once it is done. One request per turn keeps a connection whose next
+/// request is already waiting from holding its thread while other ready
+/// connections wait: its re-armed event queues behind theirs.
+fn serve(conn: &Conn, shared: &NetShared) {
+    let mut st = conn.lock();
+    let fd = conn.stream.as_raw_fd();
+    let mut ran = false;
     loop {
-        let progress = {
-            let pool = &shared.pool;
-            let mut alloc = |len: usize| {
-                if pinned {
-                    vec![0u8; len]
-                } else {
-                    pool.get(len)
-                }
-            };
-            conn.state.poll_with(&mut (&conn.shared.stream), &mut alloc)
-        };
-        match progress {
-            Ok(FrameProgress::Frame(payload)) => {
-                let mut inbox = conn.shared.inbox.lock().unwrap();
-                if inbox.closing {
-                    drop(inbox);
-                    if !pinned {
-                        shared.pool.put(payload);
-                    }
-                    conn.read_done = true;
-                    break;
-                }
-                inbox.queue.push_back(Work::Frame(payload));
-                inbox.in_flight += 1;
-                let full = inbox.in_flight >= WINDOW;
-                let schedule = !inbox.scheduled;
-                if schedule {
-                    inbox.scheduled = true;
-                }
-                drop(inbox);
-                if schedule {
-                    let _ = shared
-                        .exec_tx
-                        .send(ExecItem::Conn(Arc::clone(&conn.shared)));
-                }
-                if full {
-                    conn.paused = true;
-                    break;
-                }
-            }
-            Ok(FrameProgress::Pending) => break,
-            Ok(FrameProgress::Eof) | Err(_) => {
-                initiate_close(conn, shared, poller);
-                break;
-            }
-        }
-    }
-    update_interest(conn, poller);
-}
-
-/// Queue a [`Work::Close`] behind whatever is already buffered and stop
-/// reading. Idempotent.
-fn initiate_close(conn: &mut IoConn, shared: &Arc<NetShared>, poller: &Poller) {
-    conn.read_done = true;
-    // A frame cut off mid-decode is abandoned; its pooled buffer goes
-    // back to the free list.
-    if let Some(buf) = conn.state.reset() {
-        if shared.config.pinned_buffers == 0 {
-            shared.pool.put(buf);
-        }
-    }
-    let schedule = {
-        let mut inbox = conn.shared.inbox.lock().unwrap();
-        if inbox.closing {
-            false
-        } else {
-            inbox.closing = true;
-            inbox.queue.push_back(Work::Close);
-            let schedule = !inbox.scheduled;
-            inbox.scheduled = true;
-            schedule
-        }
-    };
-    if schedule {
-        let _ = shared
-            .exec_tx
-            .send(ExecItem::Conn(Arc::clone(&conn.shared)));
-    }
-    update_interest(conn, poller);
-}
-
-/// Re-register the connection's interest if it changed: reads while the
-/// window has room, writes while the output buffer has a backlog.
-fn update_interest(conn: &mut IoConn, poller: &Poller) {
-    let want = Interest {
-        readable: !conn.read_done && !conn.paused,
-        writable: conn.shared.out.lock().unwrap().want_write,
-    };
-    if want != conn.interest {
-        conn.interest = want;
-        let _ = poller.modify(conn.shared.stream.as_raw_fd(), conn.shared.id, want);
-    }
-}
-
-/// Drop the connection once the executor swept it and the reply buffer
-/// drained (or broke): deregister, close, emit `ConnClosed`.
-fn try_finalize(
-    id: u64,
-    conns: &mut HashMap<u64, IoConn>,
-    pending_hello: &mut HashMap<u64, Instant>,
-    shared: &Arc<NetShared>,
-    poller: &Poller,
-) {
-    let Some(conn) = conns.get(&id) else { return };
-    if !conn.shared.swept.load(Ordering::Acquire) {
-        return;
-    }
-    {
-        let out = conn.shared.out.lock().unwrap();
-        if !out.is_drained() && !out.error {
-            return; // EPOLLOUT will drain it, then poke us again
-        }
-    }
-    let conn = conns.remove(&id).expect("checked above");
-    pending_hello.remove(&id);
-    let _ = poller.deregister(conn.shared.stream.as_raw_fd());
-    shared.registry.lock().unwrap().remove(&id);
-    shared.emit_closed(id);
-    shared.active.fetch_sub(1, Ordering::SeqCst);
-    // The fd itself closes when the last Arc drops (usually right here).
-}
-
-/// Write as much of the output backlog as the socket accepts. Called
-/// with the lock taken inside, by executors (opportunistic flush) and
-/// I/O threads (`EPOLLOUT`) alike.
-fn flush_out(conn: &ConnShared) {
-    let mut out = conn.out.lock().unwrap();
-    if out.error {
-        return;
-    }
-    while out.pos < out.buf.len() {
-        match (&conn.stream).write(&out.buf[out.pos..]) {
-            Ok(0) => {
-                out.error = true;
-                break;
-            }
-            Ok(n) => out.pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                out.want_write = true;
+        match flush(&conn.stream, &mut st) {
+            Flush::Done => {}
+            Flush::Blocked => {
+                let backlog = st.out.len() - st.sent;
+                shared.backlog_peak.fetch_max(backlog, Ordering::Relaxed);
+                let _ = shared.poller.rearm(fd, conn.id, Interest::WRITE);
                 return;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                out.error = true;
-                break;
-            }
+            Flush::Broken => st.read_done = true,
         }
-    }
-    out.buf.clear();
-    out.pos = 0;
-    out.want_write = false;
-}
-
-// ---------------------------------------------------------------------
-// Executor threads
-// ---------------------------------------------------------------------
-
-fn exec_loop(rx: &Mutex<Receiver<ExecItem>>, shared: &Arc<NetShared>) {
-    // Reply frames are built in this reused buffer — no per-reply
-    // allocation on the hot path.
-    let mut scratch: Vec<u8> = Vec::with_capacity(256);
-    loop {
-        // The guard drops at the end of this statement, before the work.
-        let next = rx.lock().expect("executor queue lock poisoned").recv();
-        match next {
-            Ok(ExecItem::Conn(conn)) => run_conn(&conn, shared, &mut scratch),
-            Ok(ExecItem::Exit) | Err(_) => break,
+        if st.read_done || shared.stop.load(Ordering::SeqCst) {
+            break;
         }
-    }
-}
-
-/// Drain one connection's inbox: requests leave in order, replies are
-/// buffered in the same order (each echoing its request's correlation
-/// id), and the socket is flushed once when the inbox momentarily
-/// empties — so a pipelined burst coalesces into few writes.
-fn run_conn(conn: &Arc<ConnShared>, shared: &Arc<NetShared>, scratch: &mut Vec<u8>) {
-    let mut poke = false;
-    loop {
-        let work = {
-            let mut inbox = conn.inbox.lock().unwrap();
-            match inbox.queue.pop_front() {
-                Some(w) => w,
-                None => {
-                    // Checked under the lock, so a frame the I/O thread
-                    // pushes concurrently either lands before this or
-                    // reschedules the connection — no lost wakeups.
-                    inbox.scheduled = false;
-                    break;
-                }
+        if ran {
+            let _ = shared.poller.rearm(fd, conn.id, Interest::READ);
+            return;
+        }
+        let pinned = shared.config.pinned_buffers > 0;
+        let mut alloc = |len: usize| {
+            if pinned {
+                vec![0u8; len]
+            } else {
+                shared.pool.get(len)
             }
         };
-        match work {
-            Work::Frame(payload) => {
-                let closed = handle_frame(conn, shared, &payload, scratch);
-                if shared.config.pinned_buffers == 0 {
-                    shared.pool.put(payload);
-                }
-                let mut inbox = conn.inbox.lock().unwrap();
-                let was = inbox.in_flight;
-                inbox.in_flight = was.saturating_sub(1);
-                drop(inbox);
-                if was >= WINDOW {
-                    poke = true; // the I/O thread paused reads: resume
-                }
-                if closed {
-                    poke = true;
-                }
+        match st.frame.poll_with(&mut (&conn.stream), &mut alloc) {
+            Ok(FrameProgress::Frame(payload)) => {
+                handle_frame(&mut st, shared, &payload);
+                shared.put_buffer(payload);
+                ran = true;
             }
-            Work::Close => {
-                sweep(conn);
-                poke = true;
+            Ok(FrameProgress::Pending) => {
+                let _ = shared.poller.rearm(fd, conn.id, Interest::READ);
+                return;
             }
+            Ok(FrameProgress::Eof) | Err(_) => st.read_done = true,
         }
     }
-    flush_out(conn);
-    {
-        let out = conn.out.lock().unwrap();
-        if out.want_write || (out.close_after_flush && out.is_drained()) || out.error {
-            poke = true;
-        }
+    // Close: sweep, stop watching, forget. A thread that raced here on a
+    // stale event finds the connection already gone from the registry.
+    sweep(&mut st);
+    if let Some(buf) = st.frame.reset() {
+        shared.put_buffer(buf);
     }
-    if poke {
-        shared.poke(conn);
+    if shared.registry().remove(&conn.id).is_some() {
+        let _ = shared.poller.deregister(fd);
+        shared.emit_closed(conn.id);
     }
 }
 
-/// Decode and execute one frame; buffer the reply. Returns `true` when
-/// the connection is closing as a result (Bye or failed handshake).
-fn handle_frame(
-    conn: &Arc<ConnShared>,
-    shared: &Arc<NetShared>,
-    payload: &[u8],
-    scratch: &mut Vec<u8>,
-) -> bool {
-    let mut phase = conn.exec.lock().unwrap();
-    match &mut *phase {
-        Phase::Handshake => {
-            let reply = handshake(conn, shared, payload, &mut phase);
-            let closing = reply.is_err();
-            let (corr, trace, resp) = match &reply {
-                Ok((corr, trace, resp)) | Err((corr, trace, resp)) => (*corr, *trace, resp),
-            };
-            drop(phase);
-            append_reply(conn, scratch, corr, trace, resp);
-            if closing {
-                close_from_exec(conn);
-            }
-            closing
+enum Flush {
+    /// Nothing left to write.
+    Done,
+    /// The socket took part of it; the rest waits for `EPOLLOUT`.
+    Blocked,
+    /// The socket is broken; what was left is dropped.
+    Broken,
+}
+
+fn flush(stream: &TcpStream, st: &mut ConnState) -> Flush {
+    while st.sent < st.out.len() {
+        match (&*stream).write(&st.out[st.sent..]) {
+            Ok(0) => break,
+            Ok(n) => st.sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Flush::Blocked,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
         }
-        Phase::Open(_) => {
-            let (corr, trace, action) = {
-                let Phase::Open(core) = &mut *phase else {
-                    unreachable!()
-                };
-                match wire::decode_request(payload) {
-                    Ok((corr, trace, req)) => {
-                        (corr, trace, core.handle(trace, req, &NetHost(shared)))
-                    }
-                    // A payload too mangled to decode still gets a
-                    // best-effort correlated error: the id lives in a
-                    // fixed header slot, so it usually survives even
-                    // when the body does not.
-                    Err(e) => (
-                        wire::peek_corr(payload).unwrap_or(u64::MAX),
-                        0,
-                        ConnAction::Reply(Response::error(&ServerError::from(e))),
-                    ),
-                }
-            };
-            drop(phase);
-            match action {
-                ConnAction::Reply(resp) => {
-                    append_reply(conn, scratch, corr, trace, &resp);
-                    false
-                }
-                ConnAction::Bye => {
-                    // Shutdown request: acknowledge, then close (dropping
-                    // anything the client pipelined after it).
-                    append_reply(conn, scratch, corr, trace, &Response::Bye);
-                    close_from_exec(conn);
-                    true
-                }
-            }
-        }
-        Phase::Finished => false, // frame raced a close; drop it
+    }
+    let done = st.sent == st.out.len();
+    st.out.clear();
+    st.sent = 0;
+    if done {
+        Flush::Done
+    } else {
+        Flush::Broken
     }
 }
 
-/// Validate the first frame as a Hello, open the session, and move to
-/// [`Phase::Open`]. `Err` carries the reply to send before closing.
+/// Close connections that have not said Hello within the handshake
+/// deadline: the socket is shut down, and its owner reads the end of
+/// stream and closes it. Whichever pool thread finds the queue free
+/// does the scan; a connection being served is looked at next time.
+fn expire_handshakes(shared: &NetShared) {
+    let Ok(mut queue) = shared.handshakes.try_lock() else {
+        return;
+    };
+    while let Some((opened, conn)) = queue.front() {
+        if opened.elapsed() <= HANDSHAKE_TIMEOUT {
+            break;
+        }
+        let conn = conn.upgrade();
+        if let Some(conn) = conn {
+            match conn.state.try_lock() {
+                Ok(st) if matches!(st.phase, Phase::Handshake) => {
+                    let _ = conn.stream.shutdown(Shutdown::Both);
+                }
+                // Being served right now: look again next time.
+                Err(TryLockError::WouldBlock) => break,
+                _ => {}
+            }
+        }
+        queue.pop_front();
+    }
+}
+
+/// Decode and run one frame, and put its reply in the (empty) output
+/// buffer. Bye and a failed handshake sweep the connection and end its
+/// reads; the reply is still written before it closes.
+fn handle_frame(st: &mut ConnState, shared: &NetShared, payload: &[u8]) {
+    let (corr, trace, resp, last) = match &mut st.phase {
+        Phase::Handshake => match handshake(shared, payload) {
+            Ok((corr, trace, resp, core)) => {
+                st.phase = Phase::Open(core);
+                (corr, trace, resp, false)
+            }
+            Err((corr, trace, resp)) => (corr, trace, resp, true),
+        },
+        Phase::Open(core) => match wire::decode_request(payload) {
+            Ok((corr, trace, req)) => match core.handle(trace, req, &NetHost(shared)) {
+                ConnAction::Reply(resp) => (corr, trace, resp, false),
+                ConnAction::Bye => (corr, trace, Response::Bye, true),
+            },
+            // A payload too mangled to decode still gets a best-effort
+            // correlated error: the id lives in a fixed header slot, so
+            // it usually survives even when the body does not.
+            Err(e) => (
+                wire::peek_corr(payload).unwrap_or(u64::MAX),
+                0,
+                Response::error(&ServerError::from(e)),
+                false,
+            ),
+        },
+        Phase::Finished => return,
+    };
+    if last {
+        sweep(st);
+    }
+    // An over-MAX_FRAME reply is refused and leaves the buffer empty:
+    // nothing sendable.
+    let _ = wire::encode_response_frame(&mut st.out, corr, trace, &resp);
+}
+
+/// Validate the first frame as a Hello and open the session. `Err`
+/// carries the reply to send before closing.
 type HandshakeReply = (u64, u64, Response);
 fn handshake(
-    conn: &Arc<ConnShared>,
-    shared: &Arc<NetShared>,
+    shared: &NetShared,
     payload: &[u8],
-    phase: &mut Phase,
-) -> Result<HandshakeReply, HandshakeReply> {
+) -> Result<(u64, u64, Response, ConnCore), HandshakeReply> {
     let (corr, trace, first) = match wire::decode_request(payload) {
         Ok(parts) => parts,
         Err(e) => {
@@ -1085,48 +713,17 @@ fn handshake(
     if let Some(obs) = &shared.obs {
         core.attach_obs(obs.clone());
     }
-    *phase = Phase::Open(core);
-    conn.hello_done.store(true, Ordering::Release);
-    Ok((corr, trace, ok))
-}
-
-/// Frame `resp` into the scratch buffer and append it to the output
-/// queue (bounded by the in-flight window — see the module docs).
-fn append_reply(conn: &ConnShared, scratch: &mut Vec<u8>, corr: u64, trace: u64, resp: &Response) {
-    if wire::encode_response_frame(scratch, corr, trace, resp).is_err() {
-        return; // over-MAX_FRAME reply: nothing sendable
-    }
-    let mut out = conn.out.lock().unwrap();
-    if !out.error {
-        out.buf.extend_from_slice(scratch);
-    }
-}
-
-/// Executor-initiated close (Bye or failed handshake): stop accepting
-/// frames, drop whatever was pipelined behind this one, sweep, and ask
-/// the I/O thread to finalize once the goodbye flushes.
-fn close_from_exec(conn: &Arc<ConnShared>) {
-    {
-        let mut inbox = conn.inbox.lock().unwrap();
-        inbox.closing = true;
-        inbox.queue.clear();
-        inbox.in_flight = 0;
-    }
-    conn.out.lock().unwrap().close_after_flush = true;
-    sweep(conn);
+    Ok((corr, trace, ok, core))
 }
 
 /// The abort-on-disconnect sweep: no closed (or crashed) connection may
 /// leave transactions holding locks. Releases the session *after* the
 /// sweep — a client that observes the session gone can rely on the
-/// locks being gone too.
-fn sweep(conn: &Arc<ConnShared>) {
-    let mut phase = conn.exec.lock().unwrap();
-    if let Phase::Open(core) = &mut *phase {
+/// locks being gone too. Idempotent; ends the connection's reads.
+fn sweep(st: &mut ConnState) {
+    if let Phase::Open(core) = &mut st.phase {
         core.abort_open_txns();
     }
-    *phase = Phase::Finished;
-    drop(phase);
-    conn.out.lock().unwrap().close_after_flush = true;
-    conn.swept.store(true, Ordering::Release);
+    st.phase = Phase::Finished;
+    st.read_done = true;
 }

@@ -3,7 +3,7 @@
 //! ticks, payload buffers borrowed from a shared [`BufferPool`] — under
 //! adversarial readiness schedules: byte-at-a-time arrival, frames
 //! straddling ticks (cuts inside the 4-byte length prefix, the classic
-//! desync spot), and many connections interleaved on one I/O thread so
+//! desync spot), and many connections interleaved on one thread so
 //! each connection's mid-frame state must survive the others' progress.
 //! The oracle is the same as `frame_props.rs`: a one-shot decode of each
 //! connection's unsplit stream.
@@ -45,7 +45,7 @@ impl Read for SimSocket {
     }
 }
 
-/// One simulated connection on the shared I/O thread: its socket, its
+/// One simulated connection on the shared thread: its socket, its
 /// retained decode state, its not-yet-released byte stream, and what it
 /// has reassembled so far.
 struct SimConn {
@@ -82,9 +82,9 @@ impl SimConn {
     }
 
     /// One readiness tick: up to `n` more bytes arrive, then the decode
-    /// loop runs until the socket would block — exactly what the I/O
-    /// thread does on `EPOLLIN`. Returns decoded-frame payload buffers
-    /// to the pool, as the executor does after handling.
+    /// loop runs until the socket would block — exactly what the
+    /// connection's owner does on `EPOLLIN`. Returns decoded-frame payload
+    /// buffers to the pool, as the owner does after handling.
     fn tick(&mut self, n: usize, pool: &BufferPool) {
         let n = n.min(self.stream.len() - self.sent);
         self.socket.release(&self.stream[self.sent..self.sent + n]);
@@ -180,7 +180,7 @@ fn every_frame_straddling_cut_reassembles() {
     }
 }
 
-/// Eight connections interleaved on one simulated I/O thread, each
+/// Eight connections interleaved on one simulated thread, each
 /// receiving one byte per round-robin turn: every connection's mid-frame
 /// state must survive all the others being serviced in between, and the
 /// shared pool must hand each decode a buffer the previous user's bytes
@@ -231,13 +231,14 @@ mod live {
     use ks_server::{ServerConfig, TxnService};
     use std::io::Write as _;
 
-    /// Eight real sockets multiplexed on a single I/O thread, every
-    /// client's pipelined frames trickled one byte per round-robin turn
-    /// (so every frame of every connection straddles many readiness
-    /// ticks, interleaved with all the others): each connection must get
-    /// exactly its own replies, in order, with its own correlation ids.
+    /// Eight real sockets on one server, every client's pipelined frames
+    /// trickled one byte per round-robin turn (so every frame of every
+    /// connection straddles many readiness events, interleaved with all
+    /// the others and landing on whichever pool thread is free): each
+    /// connection must get exactly its own replies, in order, with its
+    /// own correlation ids.
     #[test]
-    fn one_io_thread_demultiplexes_trickled_clients() {
+    fn trickled_clients_get_their_own_replies_in_order() {
         const CLIENTS: usize = 8;
         const REQUESTS: u64 = 3;
         let schema = Schema::uniform(
@@ -256,7 +257,6 @@ mod live {
             svc,
             "127.0.0.1:0",
             NetConfig {
-                io_threads: 1,
                 poll_interval: std::time::Duration::from_millis(5),
                 ..NetConfig::default()
             },

@@ -8,7 +8,13 @@ use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
 use ks_obs::{ObsKind, Recorder};
 use ks_predicate::Strategy;
-use ks_server::{verify_certifiers, Client, ServerConfig, ServerError, TxnBuilder, TxnService};
+use ks_server::{
+    verify_certifiers, Client, Durability, ServerConfig, ServerError, TxnBuilder, TxnService,
+    WalOptions,
+};
+use ks_wal::{MemStore, SegmentStore};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 const ENTITIES: usize = 16;
 const CLIENTS: usize = 5;
@@ -309,6 +315,189 @@ fn remote_metrics_reflect_the_work() {
         m.requests
     );
     assert_eq!(m.sessions_in_flight, 1);
+    session.close().expect("goodbye");
+    drop(verify_certifiers(&server.shutdown()));
+}
+
+/// The server's pool size: one thread per available core, at least two.
+fn pool_threads() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
+}
+
+/// Durable commits over the network with every pool thread parked: four
+/// lock-step connections per pool thread commit at once on one shard of
+/// a logged service, so the pool threads all sit in commits' durability
+/// waits at the same time, one leading a flush and the rest waiting on
+/// it. Each commit is acknowledged, none twice, the server's tally
+/// equals the clients', and the history checks clean.
+#[test]
+fn durable_commits_with_every_pool_thread_parked() {
+    const COMMITS: usize = 50;
+    let clients = 4 * pool_threads();
+    let schema = Schema::uniform(
+        (0..clients).map(|i| format!("d{i}")),
+        Domain::Range {
+            min: 0,
+            max: 1 << 20,
+        },
+    );
+    let media = MemStore::new();
+    let opts = WalOptions::new(Arc::new(move || {
+        Box::new(media.clone()) as Box<dyn SegmentStore>
+    }));
+    let config = ServerConfig::builder()
+        .shards(1)
+        .max_sessions(clients + 1)
+        .durability(Durability::Wal(opts))
+        .build()
+        .expect("server config");
+    let svc = TxnService::new(schema, &UniqueState::constant(clients, 0), config);
+    let server = NetServer::start(svc, "127.0.0.1:0", NetConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let start = Barrier::new(clients);
+    let acked: usize = std::thread::scope(|scope| {
+        let start = &start;
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                scope.spawn(move || {
+                    let session =
+                        RemoteSession::connect(addr, NetClientConfig::default()).expect("connect");
+                    let e = EntityId(client as u32);
+                    start.wait();
+                    for round in 0..COMMITS {
+                        let txn = session
+                            .open(TxnBuilder::new(Specification::unconstrained(&[e])))
+                            .expect("open");
+                        session.validate(txn).expect("validate");
+                        session.write(txn, e, round as i64).expect("write");
+                        session
+                            .commit(txn)
+                            .expect("every durable commit is acknowledged");
+                    }
+                    session.close().expect("goodbye");
+                    COMMITS
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    let report = verify_certifiers(&server.shutdown());
+    assert!(report.is_correct(), "{:?}", report.violations);
+    assert_eq!(
+        report.committed, acked,
+        "server and clients tally the same commits"
+    );
+    assert_eq!(acked, clients * COMMITS);
+}
+
+/// A peer that floods requests and never reads its replies: the server
+/// stops reading it once a reply cannot be flushed, so the peer stalls
+/// in TCP backpressure, the server holds at most one unflushed reply for
+/// it, and another connection's lock-step calls still finish within
+/// their reply deadline.
+#[test]
+fn a_flooding_peer_that_never_reads_is_held_to_one_reply() {
+    use ks_net::wire::{self, Request, HELLO_MAGIC};
+    use ks_net::MAX_FRAME;
+    use std::io::Write as _;
+
+    let server = start_server(1, None);
+    let addr = server.local_addr();
+    let flooder = std::net::TcpStream::connect(addr).expect("connect");
+    flooder
+        .set_write_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut hello = Vec::new();
+    wire::write_frame(
+        &mut hello,
+        &wire::encode_request(0, 0, &Request::Hello { magic: HELLO_MAGIC }),
+    )
+    .unwrap();
+    (&flooder).write_all(&hello).expect("hello");
+    let mut chunk = Vec::new();
+    for corr in 1..=1024 {
+        wire::write_frame(
+            &mut chunk,
+            &wire::encode_request(corr, 0, &Request::Metrics),
+        )
+        .unwrap();
+    }
+    // Flood until the server stops reading: a write times out after the
+    // server has held a reply back. Far more than any socket buffers if
+    // it never does.
+    let cap: usize = 256 << 20;
+    let mut sent = 0;
+    let stalled = loop {
+        let wrote = (&flooder).write_all(&chunk);
+        if wrote.is_err() && server.reply_backlog_peak() > 0 {
+            break true;
+        }
+        sent += chunk.len();
+        if sent > cap {
+            break false;
+        }
+    };
+    assert!(stalled, "the server never stopped reading the flooder");
+
+    let session = RemoteSession::connect(
+        addr,
+        NetClientConfig {
+            request_deadline: Duration::from_secs(2),
+            ..NetClientConfig::default()
+        },
+    )
+    .expect("connect beside the flooder");
+    let e = EntityId(0);
+    for round in 0..50 {
+        let txn = session
+            .open(TxnBuilder::new(Specification::unconstrained(&[e])))
+            .expect("open");
+        session.validate(txn).expect("validate");
+        session.write(txn, e, round).expect("write");
+        session.commit(txn).expect("commit");
+        session.metrics().expect("metrics");
+    }
+    session.close().expect("goodbye");
+
+    let peak = server.reply_backlog_peak();
+    assert!(
+        (1..=MAX_FRAME).contains(&peak),
+        "server-side reply backlog peaked at {peak} bytes"
+    );
+    drop(flooder);
+    let report = verify_certifiers(&server.shutdown());
+    assert!(report.is_correct(), "{:?}", report.violations);
+    assert_eq!(report.committed, 50);
+}
+
+/// A connection that never says Hello is closed once the handshake
+/// deadline (5 s) passes, while a connection that did say Hello stays.
+#[test]
+fn a_silent_connection_is_closed_at_the_handshake_deadline() {
+    use std::io::Read as _;
+
+    let server = start_server(1, None);
+    let addr = server.local_addr();
+    let silent = std::net::TcpStream::connect(addr).expect("connect");
+    let session = RemoteSession::connect(addr, NetClientConfig::default()).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let opened = std::time::Instant::now();
+    let mut byte = [0u8; 1];
+    let n = (&silent).read(&mut byte).unwrap_or(0);
+    let waited = opened.elapsed();
+    assert_eq!(
+        n, 0,
+        "the server closes a silent connection without a reply"
+    );
+    assert!(
+        (Duration::from_secs(4)..Duration::from_secs(20)).contains(&waited),
+        "closed after {waited:?}"
+    );
+    session
+        .metrics()
+        .expect("the greeted connection is still served");
     session.close().expect("goodbye");
     drop(verify_certifiers(&server.shutdown()));
 }

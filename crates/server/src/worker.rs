@@ -4,9 +4,9 @@
 //! manager, the SSI certifier, or the 2PL baseline, selected by
 //! `ServerConfig::backend` — and lives in a [`Shard`]: a mutex every call
 //! holds while it runs. The call runs on the caller's own thread (the
-//! session's thread in-process, a ks-net executor thread over TCP), so
-//! the phased state machine never sees concurrent mutation and no call
-//! crosses a thread. The worker never blocks on protocol outcomes — a
+//! session's thread in-process, the ks-net pool thread that read the
+//! request over TCP), so the phased state machine never sees concurrent
+//! mutation and no call crosses a thread. The worker never blocks on protocol outcomes — a
 //! validation that must wait or a read of an in-flight version returns
 //! [`ServerError::Busy`] and lets the session retry, because the
 //! transaction being waited on needs this same lock to make progress. A

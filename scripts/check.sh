@@ -75,6 +75,20 @@ if ! seq "$soak_runs" | xargs -P "$soak_jobs" -I{} "$soak_bin" -q --exact \
     exit 1
 fi
 
+# The ks-net server's pool threads race on one poller: the two loopback
+# tests that park every pool thread in durable commits and flood one
+# connection without reading, repeated under the same oversubscription.
+echo "== soak: ks-net pool with parked durable commits and a flooding peer, ${soak_runs}x each, ${soak_jobs} processes"
+net_soak_bin=$(cargo test -p ks-net --test loopback --no-run 2>&1 |
+    sed -n 's/.*Executable tests\/loopback.rs (\(.*\))/\1/p')
+if ! seq "$soak_runs" | xargs -P "$soak_jobs" -I{} "$net_soak_bin" -q --exact \
+    durable_commits_with_every_pool_thread_parked \
+    a_flooding_peer_that_never_reads_is_held_to_one_reply >"$soak_log" 2>&1; then
+    cat "$soak_log" >&2
+    echo "FAIL: a soak run failed (test binary: '$net_soak_bin')" >&2
+    exit 1
+fi
+
 echo "== exp_net_load --smoke (loopback TCP vs in-process, batch off/on)"
 exp exp_net_load -- --smoke
 

@@ -333,9 +333,9 @@ and the percentiles vary by machine.
 *Beyond the paper:* "millions of users" is mostly *idle* users — a
 server's connection count dwarfs its concurrent-request count. The old
 thread-per-connection front end paid two OS threads and their stacks
-per connection; the readiness-based event loop (`docs/wire.md` § server
-threading) claims a fixed thread pool and a pooled decode path whatever
-the connection count. This experiment holds that claim to numbers: an
+per connection; the readiness-based server, one pool of threads on one
+epoll poller (`docs/wire.md` § server threading), claims a fixed thread
+pool and a pooled decode path whatever the connection count. This experiment holds that claim to numbers: an
 8-client working set drives real transactions (exact client-side
 latencies, best of 3 rounds), first on a fresh otherwise-empty server,
 then on a second fresh server with 10,000 live handshaken idle
