@@ -78,9 +78,6 @@ impl SegmentStore for SlowSync {
     fn list(&self) -> io::Result<Vec<u64>> {
         self.0.list()
     }
-    fn len(&self, id: u64) -> io::Result<u64> {
-        self.0.len(id)
-    }
     fn read(&self, id: u64) -> io::Result<Vec<u8>> {
         self.0.read(id)
     }

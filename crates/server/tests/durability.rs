@@ -5,7 +5,8 @@
 //! These tests run two service incarnations over one shared
 //! [`ks_wal::MemStore`] (the same simulated media the dst harness
 //! uses), so "restart" really is a second `TxnService::new` replaying
-//! whatever bytes the first incarnation made durable.
+//! whatever bytes the first incarnation made durable. One runs them over
+//! a [`ks_wal::FileStore`] directory of its own.
 
 use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
@@ -13,7 +14,7 @@ use ks_predicate::{Atom, Clause, CmpOp, Cnf};
 use ks_server::{
     Client, Durability, ServerConfig, ServerError, TxnBuilder, TxnService, WalOptions,
 };
-use ks_wal::{MemStore, SegmentStore};
+use ks_wal::{FileStore, MemStore, SegmentStore};
 use std::io;
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier, Condvar, Mutex};
@@ -99,9 +100,6 @@ impl SegmentStore for SlowSync {
     }
     fn list(&self) -> io::Result<Vec<u64>> {
         self.0.list()
-    }
-    fn len(&self, id: u64) -> io::Result<u64> {
-        self.0.len(id)
     }
     fn read(&self, id: u64) -> io::Result<Vec<u8>> {
         self.0.read(id)
@@ -308,6 +306,55 @@ fn checkpoint_fence_gcs_dead_segments_across_restarts() {
     svc.shutdown();
 }
 
+/// The production store over a real directory, with segments small
+/// enough that the commits rotate through several: a restart recovers
+/// every acknowledged commit from the segments' in-place frames.
+#[test]
+fn file_store_restart_recovers_every_ack_across_rotations() {
+    const ROUNDS: i64 = 3;
+    let dir = std::env::temp_dir().join(format!(
+        "ks-server-{}-file_store_restart_recovers_every_ack_across_rotations",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || {
+        let dir = dir.clone();
+        let mut opts = WalOptions::new(Arc::new(move || {
+            Box::new(FileStore::open(&dir).unwrap()) as Box<dyn SegmentStore>
+        }));
+        opts.segment_bytes = 256;
+        ServerConfig::builder()
+            .shards(2)
+            .durability(Durability::Wal(opts))
+            .build()
+            .unwrap()
+    };
+    let svc = TxnService::new(schema(), &UniqueState::constant(ENTITIES, 0), config());
+    for round in 1..=ROUNDS {
+        for e in 0..ENTITIES as u32 {
+            commit_write(&svc, EntityId(e), round * 100 + e as i64);
+        }
+    }
+    let segments = FileStore::open(&dir).unwrap().list().unwrap();
+    assert!(segments.len() > 2, "the log rotated: {segments:?}");
+    svc.shutdown();
+
+    let svc = TxnService::new(schema(), &UniqueState::constant(ENTITIES, 0), config());
+    let report = svc.recovery_report().unwrap();
+    assert!(report.recovered);
+    assert_eq!(report.torn, None, "a clean shutdown leaves no tear");
+    assert_eq!(
+        report.committed.len(),
+        ROUNDS as usize * ENTITIES,
+        "an acked commit was lost"
+    );
+    for e in 0..ENTITIES as u32 {
+        assert_eq!(read_one(&svc, EntityId(e)), ROUNDS * 100 + e as i64);
+    }
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn no_durability_means_no_recovery_report() {
     let svc = TxnService::new(
@@ -399,9 +446,6 @@ impl SegmentStore for GatedSync {
     }
     fn list(&self) -> io::Result<Vec<u64>> {
         self.0.list()
-    }
-    fn len(&self, id: u64) -> io::Result<u64> {
-        self.0.len(id)
     }
     fn read(&self, id: u64) -> io::Result<Vec<u8>> {
         self.0.read(id)

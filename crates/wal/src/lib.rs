@@ -12,10 +12,15 @@
 //!   bytes-on-media: [`FileStore`] (real files + `fdatasync`),
 //!   [`MemStore`] (shared in-memory segments with an explicit
 //!   durable/pending split, fsync counting, and salt-deterministic
-//!   torn-write crash injection for ks-dst).
+//!   torn-write crash injection for ks-dst). `FileStore` writes frames
+//!   in place over zeroes it wrote ahead of them, so a commit's
+//!   `fdatasync` flushes data and not the file's size; a segment ends at
+//!   the first frame header whose `len` is 0.
 //! * [`wal`] — the appender: segment rotation at record boundaries and
 //!   the prefix-durability contract (`sync` makes everything appended so
-//!   far durable, because rotation syncs the outgoing segment first).
+//!   far durable, because rotation syncs the outgoing segment first). A
+//!   reopen never writes after a torn tail: it resumes in a fresh copy
+//!   of the clean prefix.
 //! * [`recover`](mod@recover) — the redo pass: last durable [`Checkpoint`] as base
 //!   state, then replay the writes of finally-committed transactions in
 //!   log order. A transaction is recovered iff its commit record is in

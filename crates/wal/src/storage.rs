@@ -5,7 +5,14 @@
 //! `sync` barrier. Three implementations:
 //!
 //! * [`FileStore`] — one file per segment under a directory, `sync` is
-//!   `fdatasync`. The production store.
+//!   `fdatasync`. The production store. It writes each segment in place
+//!   over zeroes it wrote ahead of the segment's end, so a commit's
+//!   `fdatasync` flushes the commit's bytes and, but for about one flush
+//!   in 320, no change of file size: on ext4 a probe put `fdatasync` at
+//!   p50 76 µs after an appending write and 61 µs after an in-place one.
+//!   The zeroes end the segment: its logical end is the first frame
+//!   header whose `len` is 0, and `read` returns only the bytes before
+//!   it.
 //! * [`MemStore`] — shared in-memory segments with an explicit
 //!   durable/pending split: appends land in `pending`, `sync` promotes
 //!   them to `durable`, and reads see both (matching the OS page cache,
@@ -19,9 +26,11 @@
 //!   [`MemStore::revive`] — so a graceful shutdown path running after
 //!   the simulated power cut cannot retroactively save the log.
 
+use crate::record::FRAME_HEADER;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -41,8 +50,6 @@ pub trait SegmentStore: Send {
     fn sync(&mut self, id: u64) -> io::Result<()>;
     /// Existing segment ids, ascending.
     fn list(&self) -> io::Result<Vec<u64>>;
-    /// Current length of segment `id` in bytes.
-    fn len(&self, id: u64) -> io::Result<u64>;
     /// Current contents of segment `id`.
     fn read(&self, id: u64) -> io::Result<Vec<u8>>;
     /// Delete segment `id` (segment GC after a checkpoint fence).
@@ -62,9 +69,6 @@ impl SegmentStore for Box<dyn SegmentStore> {
     fn list(&self) -> io::Result<Vec<u64>> {
         (**self).list()
     }
-    fn len(&self, id: u64) -> io::Result<u64> {
-        (**self).len(id)
-    }
     fn read(&self, id: u64) -> io::Result<Vec<u8>> {
         (**self).read(id)
     }
@@ -73,10 +77,52 @@ impl SegmentStore for Box<dyn SegmentStore> {
     }
 }
 
+/// Zero bytes a [`FileStore`] keeps written ahead of a segment's logical
+/// end. A frame lands on space that is already allocated and synced, so
+/// its `fdatasync` flushes data and no inode size; only the append that
+/// reaches the edge extends the file, by this much (about one flush in
+/// 320 at the ≈ 200 bytes a served commit logs).
+const ZERO_AHEAD: usize = 64 << 10;
+
 /// File-per-segment store under one directory; `sync` is `fdatasync`.
+///
+/// Each segment is written in place: frames go at the segment's logical
+/// end with positional writes, over zeroes written earlier. The logical
+/// end is the first frame header whose `len` is 0 (no legal frame has an
+/// empty payload: the tag byte is always there), found by walking headers
+/// without checking CRCs, so a torn frame stays in the segment for
+/// recovery to report. `read` returns the logical segment only.
+/// `create` and `remove` sync the directory, so a segment's name is as
+/// durable as the bytes synced into it.
 pub struct FileStore {
     dir: PathBuf,
-    handles: BTreeMap<u64, File>,
+    /// The directory itself, for syncing its entries.
+    dir_file: File,
+    segments: BTreeMap<u64, Segment>,
+}
+
+/// A segment this store has opened for writing.
+struct Segment {
+    file: File,
+    /// Logical end: where the next frame goes.
+    end: u64,
+    /// File length; every byte in `end..zeroed` is zero.
+    zeroed: u64,
+}
+
+/// The logical end of segment bytes (see [`FileStore`]): the offset of
+/// the first header whose `len` is 0, or the end of `bytes` when a frame
+/// or a `len` word runs past it.
+fn logical_end(bytes: &[u8]) -> usize {
+    let mut at = 0;
+    while let Some(word) = bytes.get(at..at + 4) {
+        let len = u32::from_le_bytes(word.try_into().unwrap()) as usize;
+        if len == 0 {
+            return at;
+        }
+        at += FRAME_HEADER + len;
+    }
+    bytes.len()
 }
 
 impl FileStore {
@@ -85,7 +131,8 @@ impl FileStore {
         std::fs::create_dir_all(dir.as_ref())?;
         Ok(FileStore {
             dir: dir.as_ref().to_path_buf(),
-            handles: BTreeMap::new(),
+            dir_file: File::open(dir.as_ref())?,
+            segments: BTreeMap::new(),
         })
     }
 
@@ -93,12 +140,30 @@ impl FileStore {
         self.dir.join(format!("wal-{id:08}.seg"))
     }
 
-    fn handle(&mut self, id: u64) -> io::Result<&mut File> {
-        if !self.handles.contains_key(&id) {
-            let file = OpenOptions::new().append(true).open(self.path(id))?;
-            self.handles.insert(id, file);
+    /// Segment `id`, opened for writing on first use. A power cut can
+    /// land a later page of a write without the page holding the header
+    /// in front of it, leaving bytes past the logical end; those are cut
+    /// off, durably, before a frame can be written in front of them.
+    fn segment(&mut self, id: u64) -> io::Result<&mut Segment> {
+        if !self.segments.contains_key(&id) {
+            let path = self.path(id);
+            let file = OpenOptions::new().write(true).open(&path)?;
+            let bytes = std::fs::read(&path)?;
+            let end = logical_end(&bytes);
+            let mut zeroed = bytes.len();
+            if bytes[end..].iter().any(|&b| b != 0) {
+                file.set_len(end as u64)?;
+                file.sync_data()?;
+                zeroed = end;
+            }
+            let segment = Segment {
+                file,
+                end: end as u64,
+                zeroed: zeroed as u64,
+            };
+            self.segments.insert(id, segment);
         }
-        Ok(self.handles.get_mut(&id).unwrap())
+        Ok(self.segments.get_mut(&id).unwrap())
     }
 }
 
@@ -109,16 +174,38 @@ impl SegmentStore for FileStore {
             .write(true)
             .truncate(true)
             .open(self.path(id))?;
-        self.handles.insert(id, file);
+        self.dir_file.sync_all()?;
+        self.segments.insert(
+            id,
+            Segment {
+                file,
+                end: 0,
+                zeroed: 0,
+            },
+        );
         Ok(())
     }
 
     fn append(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
-        self.handle(id)?.write_all(bytes)
+        let seg = self.segment(id)?;
+        let end = seg.end + bytes.len() as u64;
+        if end + FRAME_HEADER as u64 <= seg.zeroed {
+            seg.file.write_all_at(bytes, seg.end)?;
+        } else {
+            // Too few zeroes would be left to end the segment: this
+            // write carries the next `ZERO_AHEAD` of them.
+            let mut run = Vec::with_capacity(bytes.len() + ZERO_AHEAD);
+            run.extend_from_slice(bytes);
+            run.resize(bytes.len() + ZERO_AHEAD, 0);
+            seg.file.write_all_at(&run, seg.end)?;
+            seg.zeroed = end + ZERO_AHEAD as u64;
+        }
+        seg.end = end;
+        Ok(())
     }
 
     fn sync(&mut self, id: u64) -> io::Result<()> {
-        self.handle(id)?.sync_data()
+        self.segment(id)?.file.sync_data()
     }
 
     fn list(&self) -> io::Result<Vec<u64>> {
@@ -138,17 +225,16 @@ impl SegmentStore for FileStore {
         Ok(ids)
     }
 
-    fn len(&self, id: u64) -> io::Result<u64> {
-        Ok(std::fs::metadata(self.path(id))?.len())
-    }
-
     fn read(&self, id: u64) -> io::Result<Vec<u8>> {
-        std::fs::read(self.path(id))
+        let mut bytes = std::fs::read(self.path(id))?;
+        bytes.truncate(logical_end(&bytes));
+        Ok(bytes)
     }
 
     fn remove(&mut self, id: u64) -> io::Result<()> {
-        self.handles.remove(&id);
-        std::fs::remove_file(self.path(id))
+        self.segments.remove(&id);
+        std::fs::remove_file(self.path(id))?;
+        self.dir_file.sync_all()
     }
 }
 
@@ -272,15 +358,6 @@ impl SegmentStore for MemStore {
             .collect())
     }
 
-    fn len(&self, id: u64) -> io::Result<u64> {
-        let inner = self.inner.lock().unwrap();
-        let seg = inner
-            .segments
-            .get(&id)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("segment {id}")))?;
-        Ok((seg.durable.len() + seg.pending.len()) as u64)
-    }
-
     fn read(&self, id: u64) -> io::Result<Vec<u8>> {
         let inner = self.inner.lock().unwrap();
         let seg = inner
@@ -305,6 +382,7 @@ impl SegmentStore for MemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::WalRecord;
 
     #[test]
     fn mem_store_durable_pending_split() {
@@ -364,22 +442,67 @@ mod tests {
 
     #[test]
     fn file_store_round_trip() {
-        let dir = std::env::temp_dir().join(format!("ks-wal-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "ks-wal-{}-file_store_round_trip",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
+        let frames = |records: &[WalRecord]| {
+            let mut bytes = Vec::new();
+            for r in records {
+                r.encode(&mut bytes);
+            }
+            bytes
+        };
+        let first = frames(&[WalRecord::Begin { shard: 0, txn: 1 }]);
+        let second = frames(&[
+            WalRecord::Write {
+                shard: 0,
+                txn: 1,
+                entity: 2,
+                value: 9,
+            },
+            WalRecord::Commit { shard: 0, txn: 1 },
+        ]);
         let mut store = FileStore::open(&dir).unwrap();
         store.create(0).unwrap();
         store.create(1).unwrap();
-        store.append(0, b"hello ").unwrap();
-        store.append(0, b"wal").unwrap();
+        store.append(0, &first).unwrap();
+        store.append(0, &second).unwrap();
         store.sync(0).unwrap();
+        let extended_by_first = (first.len() + ZERO_AHEAD) as u64;
+        let whole = [first, second].concat();
         assert_eq!(store.list().unwrap(), vec![0, 1]);
-        assert_eq!(store.read(0).unwrap(), b"hello wal");
-        assert_eq!(store.len(0).unwrap(), 9);
+        assert_eq!(store.read(0).unwrap(), whole);
+        assert_eq!(store.read(1).unwrap(), b"", "a created segment is empty");
+        // The first append wrote zeroes ahead, the second landed on them
+        // in place; a reopen sees the frames and not the zeroes.
+        let on_disk = std::fs::metadata(store.path(0)).unwrap().len();
+        assert_eq!(on_disk, extended_by_first);
+        let reopened = FileStore::open(&dir).unwrap();
+        assert_eq!(reopened.read(0).unwrap(), whole);
         store.remove(0).unwrap();
         assert_eq!(store.list().unwrap(), vec![1]);
         // Re-open sees the surviving segment.
         let reopened = FileStore::open(&dir).unwrap();
         assert_eq!(reopened.list().unwrap(), vec![1]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn logical_end_walks_headers() {
+        let mut bytes = Vec::new();
+        WalRecord::Commit { shard: 0, txn: 1 }.encode(&mut bytes);
+        let frame = bytes.len();
+        assert_eq!(logical_end(&bytes), frame, "no zeroes: the file's end");
+        bytes.resize(frame + 64, 0);
+        assert_eq!(logical_end(&bytes), frame, "the first zero `len`");
+        // A torn frame (its header landed, its payload did not) stays
+        // inside the segment for recovery to report.
+        bytes[frame] = 40;
+        assert_eq!(logical_end(&bytes), frame + FRAME_HEADER + 40);
+        bytes[frame] = 200;
+        assert_eq!(logical_end(&bytes), bytes.len(), "runs past the file");
+        assert_eq!(logical_end(&bytes[..frame + 3]), frame + 3, "torn `len`");
     }
 }

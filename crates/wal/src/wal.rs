@@ -1,6 +1,6 @@
 //! The appender: segment rotation and the prefix-durability contract.
 
-use crate::record::WalRecord;
+use crate::record::{decode_stream, WalRecord};
 use crate::storage::SegmentStore;
 use std::io;
 
@@ -53,11 +53,28 @@ pub struct Wal<S: SegmentStore> {
 impl<S: SegmentStore> Wal<S> {
     /// Open the log: resume the highest existing segment, or create
     /// segment 0 on fresh media.
+    ///
+    /// A segment whose tail a crash tore is not resumed: recovery stops
+    /// at the tear, so a record appended after it would never be read.
+    /// Its clean prefix is copied into a fresh segment, synced, and the
+    /// torn segment removed; the log resumes in the copy.
     pub fn open(store: S, config: WalConfig) -> io::Result<Wal<S>> {
         let mut store = store;
         let ids = store.list()?;
         let (active, active_len) = match ids.last() {
-            Some(&id) => (id, store.len(id)?),
+            Some(&id) => {
+                let bytes = store.read(id)?;
+                let scan = decode_stream(&bytes);
+                if scan.torn.is_none() {
+                    (id, bytes.len() as u64)
+                } else {
+                    store.create(id + 1)?;
+                    store.append(id + 1, &bytes[..scan.clean_len])?;
+                    store.sync(id + 1)?;
+                    store.remove(id)?;
+                    (id + 1, scan.clean_len as u64)
+                }
+            }
             None => {
                 store.create(0)?;
                 (0, 0)
@@ -163,7 +180,6 @@ impl<S: SegmentStore> Wal<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::decode_stream;
     use crate::storage::MemStore;
 
     fn rec(txn: u64) -> WalRecord {
@@ -235,9 +251,6 @@ mod tests {
         }
         fn list(&self) -> io::Result<Vec<u64>> {
             self.mem.list()
-        }
-        fn len(&self, id: u64) -> io::Result<u64> {
-            self.mem.len(id)
         }
         fn read(&self, id: u64) -> io::Result<Vec<u8>> {
             self.mem.read(id)

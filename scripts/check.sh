@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repo-wide verification: formatting, dead dependency edges, lints, doc
 # links, every test in the workspace (which carries the DST seed gate and
-# its teeth, and the guard on the tracked BENCH_*.json artifacts), and the
-# five bench gates with their teeth runs. Each gate's verdict is decided
-# once, by the program that measures it: an exp_* binary exits 1 on a
-# failed verdict or a model violation, and ks-dst's tests fail on a dirty
-# seed.
+# its teeth, and the guard on the tracked BENCH_*.json artifacts), the
+# benchmark/ crate's own tests, and the five bench gates with their teeth
+# runs. Each gate's verdict is decided once, by the program that measures
+# it: an exp_* binary exits 1 on a failed verdict or a model violation,
+# and ks-dst's tests fail on a dirty seed.
 #
 # Usage: scripts/check.sh
 # This is the gate referenced by ROADMAP.md's tier-1 line; CI and local
@@ -55,6 +55,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 # Every test of every crate, none skipped.
 echo "== cargo test --workspace (all crates incl. the DST seed gate 0..25 and its teeth)"
 cargo test -q --workspace
+
+# The benchmark's own tests: its generator, its arithmetic and the
+# BENCHMARK.json manifest. benchmark/ is its own workspace, and its
+# committed Cargo.lock still names dependencies the crates have dropped,
+# so cargo rewrites it on every build; the copy taken here is put back.
+echo "== benchmark/ tests (generator, arithmetic, manifest)"
+cp benchmark/Cargo.lock target/benchmark-Cargo.lock
+(cd benchmark && cargo test --release --offline -q)
+cp target/benchmark-Cargo.lock benchmark/Cargo.lock
 
 # Three ks-server lib tests that race real threads, repeated under 4x
 # thread oversubscription (4 x nproc concurrent processes): shutdown
@@ -120,4 +129,4 @@ if [ "$(tree_state)" != "$tree_before" ]; then
     exit 1
 fi
 
-echo "OK: fmt, dependency edges, clippy, rustdoc, workspace tests (incl. dst gate and teeth), net/wal/obs/certifier/conn-scale gates with teeth, clean tree"
+echo "OK: fmt, dependency edges, clippy, rustdoc, workspace tests (incl. dst gate and teeth), benchmark tests, net/wal/obs/certifier/conn-scale gates with teeth, clean tree"
