@@ -4,7 +4,7 @@
 //! loopback TCP three times, varying only the client's trace sampling
 //! rate — 0 (tracing compiled in but never sampled), 0.01 (the
 //! recommended production rate), and 1.0 (every request traced through
-//! every hop, WAL group commit included). Server, net layer, and
+//! every hop; the service runs without a WAL). Server, net layer, and
 //! clients share one flight recorder in every run, so the A/B isolates
 //! the cost of *sampling* — span emission at each pipeline hop plus the
 //! wire's trace-context header is always present — not the cost of
@@ -35,6 +35,8 @@ const TOTAL_ENTITIES: usize = 64;
 const SHARDS: usize = 4;
 /// Alternating measurement rounds per rate; each rate keeps its best.
 const ROUNDS: usize = 3;
+/// Transactions per client in each run.
+const TXNS: usize = 1500;
 /// Default overhead budget at the default gate rate.
 const DEFAULT_MAX_OVERHEAD: f64 = 0.10;
 const DEFAULT_GATE_SAMPLE: f64 = 0.01;
@@ -147,11 +149,12 @@ fn run_one(rate: f64, clients: usize, txns: usize) -> RunResult {
 
 fn main() {
     let opts = parse_options();
-    // 4×8 txns finishes in single-digit milliseconds, which on a small CI
-    // box is pure scheduler noise — the overhead percentage swung ±20
-    // points run to run. 4×48 keeps smoke sub-second while giving each
-    // measurement enough work to mean something.
-    let (clients, txns) = if opts.smoke { (4, 48) } else { (8, 48) };
+    // A run must last long enough for its throughput to mean something
+    // and for the 1 % rate to trace more than a couple of transactions:
+    // 4×48 took ≈ 25 ms on a 2-core box at ≈ 8 000 txn/s, traced about two
+    // transactions at 1 %, and its overhead swung −17…+14 % run to run.
+    // 4×TXNS lasts ≈ 0.65 s there and traces ≈ 60.
+    let (clients, txns) = if opts.smoke { (4, TXNS) } else { (8, TXNS) };
     println!("obs-overhead — loopback workload across trace sampling rates");
     println!(
         "{clients} clients, {txns} txns/client, {TOTAL_ENTITIES} entities, {SHARDS} shards, \

@@ -86,6 +86,12 @@ impl MvStore {
         }
     }
 
+    /// The stamp the next write gets: every version written from now on
+    /// is stamped at least this.
+    pub fn next_stamp(&self) -> u64 {
+        self.next_stamp.load(Ordering::Relaxed)
+    }
+
     fn is_dead(&self, author: AuthorId) -> bool {
         author != INITIAL_AUTHOR && read_lock(&self.dead_authors).contains(&author)
     }

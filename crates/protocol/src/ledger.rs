@@ -181,6 +181,7 @@ impl Ledger {
     pub(crate) fn pin_read(&mut self, t: usize, entity: EntityId, index: u32) -> Value {
         let index = *self.txns[t].reads.entry(entity).or_insert(index);
         self.stats.reads += 1;
+        self.stats.fresh_reads += u64::from(index != 0);
         self.chains[entity.0 as usize][index as usize].value
     }
 

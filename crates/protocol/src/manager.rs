@@ -9,7 +9,7 @@ use ks_obs::{ObsKind, ObsSink};
 use ks_predicate::{solve_pinned, Cnf, SolveOutcome, Strategy};
 use ks_schedule::OrderClosure;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Handle to a transaction managed by [`ProtocolManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -108,6 +108,9 @@ pub struct ProtocolStats {
     pub validation_failures: u64,
     /// Reads served.
     pub reads: u64,
+    /// Reads that returned a version other than the parent's, i.e. another
+    /// transaction's write (SSI and 2PL: any version but the initial one).
+    pub fresh_reads: u64,
     /// Versions written.
     pub writes: u64,
     /// `re-eval` invocations (one per write).
@@ -154,6 +157,15 @@ struct Node {
     reads_done: BTreeMap<EntityId, Value>,
     /// Versions written by this node itself.
     writes: Vec<VersionId>,
+    /// The store's next stamp when this node was defined: no version its
+    /// subtree writes is older.
+    born: u64,
+    /// The re-assignment log, the only provenance kept: each assignment
+    /// this node wrote under before a re-assignment replaced it, oldest
+    /// first, with `writes.len()` at that moment. `writes[k]` consumed the
+    /// first logged assignment whose count exceeds `k`, else `snapshot`.
+    /// Empty unless the node is re-assigned after it wrote.
+    superseded: Vec<(usize, Snapshot)>,
 }
 
 impl Node {
@@ -163,6 +175,7 @@ impl Node {
         slot: usize,
         spec: Specification,
         state: TxnState,
+        born: u64,
     ) -> Node {
         Node {
             name,
@@ -179,6 +192,8 @@ impl Node {
             snapshot: Snapshot::new(),
             reads_done: BTreeMap::new(),
             writes: Vec::new(),
+            born,
+            superseded: Vec::new(),
         }
     }
 }
@@ -218,13 +233,6 @@ pub struct ProtocolManager {
     /// Momentary `W` locks (entity → holder), exposed so tests and the
     /// concurrent adapter can exercise the "false" matrix entries.
     write_locks: BTreeMap<EntityId, usize>,
-    /// Provenance of each written version: the node indices whose data
-    /// (transitively) flowed into it. The paper's candidate rules filter
-    /// *direct* authorship only; without transitive filtering a successor's
-    /// data can be smuggled into a predecessor through an unordered
-    /// middleman, violating the execution definition `(i,j) ∈ P⁺ ⇒
-    /// (j,i) ∉ R⁺`. Tracking provenance closes that leak (see DESIGN.md).
-    provenance: BTreeMap<VersionId, BTreeSet<usize>>,
     stats: ProtocolStats,
     /// Flight-recorder sink; when attached, every protocol decision is
     /// emitted as a structured event (see `ks-obs`).
@@ -237,13 +245,12 @@ impl ProtocolManager {
     /// validated, with the initial versions as its assignment.
     pub fn new(schema: Schema, initial: &UniqueState, root_spec: Specification) -> Self {
         let store = MvStore::new(schema.clone(), initial);
-        let root = Node::new(TxnName::root(), None, 0, root_spec, TxnState::Validated);
+        let root = Node::new(TxnName::root(), None, 0, root_spec, TxnState::Validated, 0);
         ProtocolManager {
             schema,
             store,
             nodes: vec![root],
             write_locks: BTreeMap::new(),
-            provenance: BTreeMap::new(),
             stats: ProtocolStats::default(),
             obs: None,
         }
@@ -314,6 +321,14 @@ impl ProtocolManager {
     /// Children handles of a transaction, in slot order.
     pub fn children_of(&self, t: Txn) -> Result<Vec<Txn>, ProtocolError> {
         Ok(self.node(t)?.children.iter().map(|&i| Txn(i)).collect())
+    }
+
+    /// Assignments kept in re-assignment logs: those a node wrote under
+    /// before a re-assignment replaced them. This is all the provenance the
+    /// manager stores; otherwise a version's taint is derived from its
+    /// author's current assignment.
+    pub fn logged_assignments(&self) -> usize {
+        self.nodes.iter().map(|n| n.superseded.len()).sum()
     }
 
     /// Versions written directly by a transaction.
@@ -421,6 +436,7 @@ impl ProtocolManager {
             slot,
             spec,
             TxnState::Defined,
+            self.store.next_stamp(),
         ));
         let pnode = &mut self.nodes[parent.0];
         pnode.children.push(idx);
@@ -486,7 +502,14 @@ impl ProtocolManager {
     /// predecessor filter of Section 5.1), from the siblings that wrote `e`.
     /// When no order edge constrains `idx` for `e` the parent's maintained
     /// list is the answer, borrowed; otherwise the rules filter its writers.
-    fn candidates_for(&self, idx: usize, e: EntityId) -> Cow<'_, CandidateList> {
+    /// `clean` carries the versions the transitive filter has cleared
+    /// across the calls of one validation.
+    fn candidates_for(
+        &self,
+        idx: usize,
+        e: EntityId,
+        clean: &mut HashSet<VersionId>,
+    ) -> Cow<'_, CandidateList> {
         let target_slot = self.nodes[idx].slot;
         let parent_idx = self.nodes[idx].parent.expect("root never validates");
         let parent = &self.nodes[parent_idx];
@@ -513,24 +536,94 @@ impl ProtocolManager {
             &parent.closure,
             self.parent_version(parent_idx, e),
         );
-        // Transitive rule 1: drop versions whose provenance contains data
-        // from a successor of the target (the paper filters only direct
-        // authorship; see the `provenance` field).
-        if parent.closure.has_successors(target_slot) {
-            allowed.retain(|v| {
-                self.provenance.get(v).is_none_or(|prov| {
-                    !prov.iter().any(|&src| {
-                        self.slot_of_author(parent_idx, src).is_some_and(|s| {
-                            s != target_slot && parent.closure.has_edge(target_slot, s)
-                        })
-                    })
-                })
-            });
+        // Transitive rule 1: drop versions a successor's data reached (the
+        // paper filters only direct authorship).
+        if let Some(horizon) = parent
+            .closure
+            .successors(target_slot)
+            .map(|s| self.nodes[parent.children[s]].born)
+            .min()
+        {
+            allowed.retain(|&v| !self.tainted(v, parent_idx, target_slot, horizon, clean));
         }
         let valued = allowed
             .into_iter()
             .map(|v| (v, self.store.read(v).expect("candidate exists")));
         Cow::Owned(CandidateList::of_versions(e, valued))
+    }
+
+    /// Does data written in the subtree of a successor of slot `target`
+    /// (under `parent_idx`) reach version `v`? Without this, a successor's
+    /// data reaches a predecessor through an unordered middleman, against
+    /// the execution definition `(i,j) ∈ P⁺ ⇒ (j,i) ∉ R⁺` (see DESIGN.md).
+    ///
+    /// A backward search over consumed sets: a version consumed its
+    /// author's whole assigned version state over `I_t` at the write, not
+    /// just the performed reads (the model's R relation justifies
+    /// `X(t_i)`), and each of those versions consumed its own author's.
+    /// It stops at the first version a successor's subtree wrote. A
+    /// version consumes only older ones, so nothing stamped below
+    /// `horizon`, the oldest stamp a successor's subtree can have written,
+    /// is searched. `clean` grows by the versions of each search that
+    /// finds nothing.
+    fn tainted(
+        &self,
+        v: VersionId,
+        parent_idx: usize,
+        target: usize,
+        horizon: u64,
+        clean: &mut HashSet<VersionId>,
+    ) -> bool {
+        let closure = &self.nodes[parent_idx].closure;
+        let mut searched = Vec::new();
+        let mut stack = vec![v];
+        while let Some(u) = stack.pop() {
+            // Initial versions consume nothing.
+            if u.index == 0 || clean.contains(&u) {
+                continue;
+            }
+            let meta = self.store.meta(u).expect("consumed version exists");
+            if meta.stamp < horizon {
+                continue;
+            }
+            clean.insert(u);
+            searched.push(u);
+            let author = meta.author.0 as usize;
+            if self
+                .slot_of_author(parent_idx, author)
+                .is_some_and(|s| closure.has_edge(target, s))
+            {
+                for u in searched {
+                    clean.remove(&u);
+                }
+                return true;
+            }
+            let node = &self.nodes[author];
+            let assigned = self.assignment_of(author, u);
+            stack.extend(
+                node.input_set
+                    .iter()
+                    .filter_map(|&e| assigned.version_of(e)),
+            );
+        }
+        false
+    }
+
+    /// The assignment node `author` wrote its version `v` under.
+    fn assignment_of(&self, author: usize, v: VersionId) -> &Snapshot {
+        let node = &self.nodes[author];
+        if node.superseded.is_empty() {
+            return &node.snapshot;
+        }
+        let k = node
+            .writes
+            .iter()
+            .position(|&w| w == v)
+            .expect("the author wrote the version");
+        node.superseded
+            .iter()
+            .find(|&&(upto, _)| k < upto)
+            .map_or(&node.snapshot, |(_, snapshot)| snapshot)
     }
 
     /// Solve the input predicate of node `idx` over its candidate version
@@ -547,8 +640,9 @@ impl ProtocolManager {
         let node = &self.nodes[idx];
         let mut lists: Vec<(EntityId, Cow<'_, CandidateList>)> =
             Vec::with_capacity(node.input_set.len());
+        let mut clean = HashSet::new();
         for &e in &node.input_set {
-            let list = self.candidates_for(idx, e);
+            let list = self.candidates_for(idx, e, &mut clean);
             self.emit(
                 idx,
                 ObsKind::CandidatesConsidered {
@@ -620,10 +714,22 @@ impl ProtocolManager {
     /// Install a (re-)assignment. This node's version is the base of every
     /// candidate list it keeps for its children, so those follow.
     fn set_snapshot(&mut self, idx: usize, snapshot: Snapshot) {
-        self.nodes[idx].snapshot = snapshot;
+        self.replace_snapshot(idx, snapshot);
         let entities: Vec<EntityId> = self.nodes[idx].writers.keys().copied().collect();
         for e in entities {
             self.rebase(idx, e);
+        }
+    }
+
+    /// Replace node `idx`'s assignment. When the node wrote under the
+    /// outgoing one, it goes to the re-assignment log: those versions
+    /// consumed it.
+    fn replace_snapshot(&mut self, idx: usize, snapshot: Snapshot) {
+        let node = &mut self.nodes[idx];
+        let outgoing = std::mem::replace(&mut node.snapshot, snapshot);
+        let upto = node.writes.len();
+        if upto > node.superseded.last().map_or(0, |&(n, _)| n) {
+            node.superseded.push((upto, outgoing));
         }
     }
 
@@ -744,6 +850,9 @@ impl ProtocolManager {
         let value = self.store.read(version)?;
         self.nodes[t.0].reads_done.insert(e, value);
         self.stats.reads += 1;
+        if let Some(p) = self.nodes[t.0].parent {
+            self.stats.fresh_reads += u64::from(version != self.parent_version(p, e));
+        }
         Ok(ReadOutcome::Value(value))
     }
 
@@ -784,11 +893,6 @@ impl ProtocolManager {
             inner = outer;
         }
         self.stats.writes += 1;
-        // Provenance: the writer itself plus everything that flowed into
-        // its assigned version state. Assignments count, not just performed
-        // reads: the model's R relation justifies the whole version state
-        // X(t_i), so taint must follow it.
-        self.record_provenance(t, version);
         let reeval = self.re_eval(t.0, e, version);
         self.write_locks.remove(&e);
         Ok(WriteReport { version, reeval })
@@ -805,30 +909,6 @@ impl ProtocolManager {
                 .insert(e, CandidateList::new(base, value));
         }
         self.nodes[idx].writers.get_mut(&e).expect("inserted")
-    }
-
-    fn record_provenance(&mut self, t: Txn, version: VersionId) {
-        let mut prov: BTreeSet<usize> = BTreeSet::new();
-        prov.insert(t.0);
-        let consumed: Vec<VersionId> = self.nodes[t.0]
-            .input_set
-            .iter()
-            .map(|&ie| {
-                self.nodes[t.0]
-                    .snapshot
-                    .version_of(ie)
-                    .unwrap_or(VersionId {
-                        entity: ie,
-                        index: 0,
-                    })
-            })
-            .collect();
-        for cv in consumed {
-            if let Some(p) = self.provenance.get(&cv) {
-                prov.extend(p.iter().copied());
-            }
-        }
-        self.provenance.insert(version, prov);
     }
 
     /// Write an entity: create a new version (immediately visible to
@@ -1261,7 +1341,9 @@ impl ProtocolManager {
         }
         let v = VersionId { entity: e, index };
         self.store.meta(v)?; // must name an existing version
-        self.nodes[t.0].snapshot.select(v);
+        let mut snapshot = self.nodes[t.0].snapshot.clone();
+        snapshot.select(v);
+        self.replace_snapshot(t.0, snapshot);
         self.rebase(t.0, e);
         self.emit(
             t.0,

@@ -625,3 +625,82 @@ fn nested_abort_cascades_to_the_enclosing_level() {
     let report = check::check(&schema, &txn, &parent_state, &exec);
     assert!(report.is_correct_parent_based(), "{report:?}");
 }
+
+/// DESIGN.md's first strengthening, the middleman: `s` follows `p` and
+/// writes x; `m`, ordered with neither, is assigned `s`'s version and
+/// writes y. `m`'s y carries `s`'s data, so `p` may not read it: `p`
+/// reading y = 7 would put `s` before `p` in the reads-from order while
+/// `p` precedes `s`. A validator that precedes nothing is offered it.
+#[test]
+fn a_successors_data_does_not_reach_its_predecessor_through_a_middleman() {
+    let (schema, mut pm) = manager_with_constraint("x >= 0");
+    let root = pm.root();
+    let p = pm
+        .define(root, spec(&schema, "y = 7", "true"), &[], &[])
+        .unwrap();
+    let s = pm
+        .define(root, spec(&schema, "x >= 0", "true"), &[p], &[])
+        .unwrap();
+    pm.validate(s, Strategy::Backtracking).unwrap();
+    pm.write(s, x(), 9).unwrap();
+    let m = pm
+        .define(root, spec(&schema, "x = 9", "true"), &[], &[])
+        .unwrap();
+    assert_eq!(
+        pm.validate(m, Strategy::Backtracking).unwrap(),
+        ValidationOutcome::Validated
+    );
+    pm.write(m, y(), 7).unwrap();
+
+    assert_eq!(
+        pm.validate(p, Strategy::GreedyLatest).unwrap(),
+        ValidationOutcome::CannotSatisfy
+    );
+    let bystander = pm
+        .define(root, spec(&schema, "y = 7", "true"), &[], &[])
+        .unwrap();
+    assert_eq!(
+        pm.validate(bystander, Strategy::GreedyLatest).unwrap(),
+        ValidationOutcome::Validated
+    );
+}
+
+/// The middleman re-assigned after it wrote: `m` writes y while assigned
+/// `s`'s x = 6; `s` then overwrites x with 9, and the supersede rule
+/// re-assigns `m` to the initial x = 5, which its predicate still allows.
+/// `m`'s current assignment carries nothing of `s`, but its y was written
+/// under the earlier one and keeps that taint: `p`, which precedes `s`, is
+/// still not offered it.
+#[test]
+fn a_version_keeps_the_taint_of_the_assignment_it_was_written_under() {
+    let (schema, mut pm) = manager_with_constraint("x >= 0");
+    let root = pm.root();
+    let p = pm
+        .define(root, spec(&schema, "y = 7", "true"), &[], &[])
+        .unwrap();
+    let s = pm
+        .define(root, spec(&schema, "x >= 0", "true"), &[p], &[])
+        .unwrap();
+    pm.validate(s, Strategy::Backtracking).unwrap();
+    pm.write(s, x(), 6).unwrap();
+    let m = pm
+        .define(root, spec(&schema, "x <= 6", "true"), &[], &[])
+        .unwrap();
+    assert_eq!(
+        pm.validate(m, Strategy::GreedyLatest).unwrap(),
+        ValidationOutcome::Validated
+    );
+    assert_eq!(pm.snapshot_of(m).unwrap().version_of(x()).unwrap().index, 1);
+    pm.write(m, y(), 7).unwrap();
+    assert_eq!(
+        pm.write(s, x(), 9).unwrap().reeval,
+        vec![ReEvalAction::Reassigned(m)]
+    );
+    assert_eq!(pm.read(m, x()).unwrap(), ReadOutcome::Value(5));
+    assert_eq!(pm.logged_assignments(), 1);
+
+    assert_eq!(
+        pm.validate(p, Strategy::GreedyLatest).unwrap(),
+        ValidationOutcome::CannotSatisfy
+    );
+}

@@ -179,6 +179,11 @@ impl OrderClosure {
         self.succs.contains_key(&node)
     }
 
+    /// Everything ordered after `node`, ascending.
+    pub fn successors(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        self.succs.get(&node).into_iter().flatten().copied()
+    }
+
     /// Everything ordered before `node`, ascending.
     pub fn predecessors(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
         self.preds.get(&node).into_iter().flatten().copied()
@@ -204,7 +209,7 @@ impl OrderClosure {
         }
         let mut froms: Vec<usize> = self.predecessors(from).collect();
         froms.push(from);
-        let mut tos: Vec<usize> = self.succs.get(&to).into_iter().flatten().copied().collect();
+        let mut tos: Vec<usize> = self.successors(to).collect();
         tos.push(to);
         for &f in &froms {
             self.succs.entry(f).or_default().extend(&tos);
