@@ -29,11 +29,13 @@
 //!   handler, shard queue, worker execute, certifier decision, WAL group
 //!   commit) stitch into end-to-end [`trace::TraceTree`]s with per-hop
 //!   latency attribution.
-//! * [`telemetry`] — the one latency histogram type
-//!   ([`LatencyHistogram`], one bucket function, one quantile walk) and
-//!   time-series SLO telemetry: windowed latency
-//!   histograms, throughput/abort-rate/queue-depth/flush-group series,
-//!   incremental [`telemetry::TelemetryDelta`] export, and the
+//! * [`telemetry`] — the one latency histogram (plain
+//!   `[u64; LATENCY_BUCKETS]` counts: one [`telemetry::bucket`] function,
+//!   one [`telemetry::quantile`] walk, no atomics — each recorder fills
+//!   its own) and time-series SLO telemetry: windowed latency
+//!   histograms, throughput/abort-rate/queue-depth/flush-group series
+//!   that recorders fill in windows of their own and fold in once per
+//!   window, incremental [`telemetry::TelemetryDelta`] export, and the
 //!   declarative [`telemetry::SloSpec`] check
 //!   (`p99 ≤ X over any Y-second window`).
 //!
@@ -55,8 +57,8 @@ pub use event::{ObsEvent, ObsKind, OpCode, SpanHop, NO_TXN};
 pub use json::{event_from_json, event_to_json, from_jsonl, to_jsonl, JsonError};
 pub use ring::{ObsSink, Recorder, Ring};
 pub use telemetry::{
-    LatencyHistogram, SloBreach, SloQuantile, SloSpec, TelemetryDelta, TelemetrySeries,
-    WindowSnapshot, LATENCY_BUCKETS,
+    SloBreach, SloQuantile, SloSpec, TelemetryDelta, TelemetrySeries, WindowSnapshot,
+    LATENCY_BUCKETS,
 };
 pub use timeline::{stitch, TxnTimeline};
 pub use trace::{derive_trace_id, stitch_traces, trace_sampled, HopLatency, TraceSpan, TraceTree};

@@ -2,14 +2,20 @@
 //!
 //! End-of-run aggregates hide exactly what matters under sustained load —
 //! a ten-second p99 spike disappears into a five-minute average. A
-//! [`TelemetrySeries`] keeps a bounded ring of fixed-width time windows
-//! (1 second by default), each holding a log₂ latency histogram plus
-//! request/commit/abort counters, the deepest shard queue observed, and
-//! WAL flush-group sizes. Closed windows are immutable and exported
-//! incrementally: [`TelemetrySeries::delta`] returns every closed window
-//! at or past a caller-held cursor as a [`TelemetryDelta`], so a remote
-//! puller (the wire `Telemetry` request) reconstructs the full series
-//! from deltas alone.
+//! [`TelemetrySeries`] keeps a bounded set of fixed-width time windows
+//! (1 second by default), each a [`WindowSnapshot`]: a log₂ latency
+//! histogram plus request/commit/abort counters, the deepest shard queue
+//! observed, and WAL flush-group sizes.
+//!
+//! Recorders fill windows of their own and hand each to the series only
+//! when time moves past it ([`TelemetrySeries::roll`]), so recording
+//! shares no lock with other recorders. A puller first rolls every
+//! recorder's window to one sequence number and then exports only the
+//! windows below it ([`TelemetrySeries::delta`]): those are closed, and no
+//! later fold changes them. A sample whose window is already behind its
+//! recorder's lands in the recorder's current window instead. So an
+//! exported window never changes, and a remote puller (the wire
+//! `Telemetry` request) reconstructs the full series from deltas alone.
 //!
 //! [`SloSpec`] is the declarative check over that series: `p99 ≤ X over
 //! any Y-second window`, written `p99<=800us@3s` and evaluated by
@@ -17,15 +23,14 @@
 //! only [`WindowSnapshot`]s, a breach is detectable from pulled deltas
 //! without touching the serving process.
 //!
-//! Every latency number in the stack comes off the same log₂ buckets:
-//! the windows here, and the live [`LatencyHistogram`]s the server keeps
-//! for queue wait, execute time and per-shard round trips. One
-//! [`quantile`] walk reads them all and reports a bucket's inclusive
-//! upper edge, `2^(i+1) − 1` ns.
+//! Every latency number in the stack comes off the same log₂ buckets,
+//! plain `[u64; LATENCY_BUCKETS]` counts filled through [`bucket`]: the
+//! windows here, and the server's queue-wait, execute-time and per-shard
+//! round-trip histograms. One [`quantile`] walk reads them all and
+//! reports a bucket's inclusive upper edge, `2^(i+1) − 1` ns.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Log₂ latency buckets (bucket `i` holds `[2^i, 2^(i+1))` nanoseconds;
@@ -38,7 +43,9 @@ pub const DEFAULT_WINDOW: Duration = Duration::from_secs(1);
 /// Closed windows retained for pullers that fall behind.
 pub const DEFAULT_RETAIN: usize = 128;
 
-fn bucket(ns: u64) -> usize {
+/// The bucket a latency of `ns` nanoseconds falls in: the one histogram's
+/// one bucket function.
+pub fn bucket(ns: u64) -> usize {
     63 - ns.max(1).leading_zeros() as usize
 }
 
@@ -65,34 +72,6 @@ pub fn quantile(counts: &[u64; LATENCY_BUCKETS], q: f64) -> Option<u64> {
             seen >= rank
         })
         .map(bucket_edge)
-}
-
-/// A lock-free latency histogram over the [`LATENCY_BUCKETS`] buckets,
-/// for counters that live as long as the service (one relaxed add per
-/// observation).
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Record one latency observation.
-    pub fn record(&self, latency: Duration) {
-        self.buckets[bucket(latency.as_nanos() as u64)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the bucket counts (read with [`quantile`]).
-    pub fn counts(&self) -> [u64; LATENCY_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
 }
 
 /// One closed (or still-filling) telemetry window.
@@ -132,6 +111,35 @@ impl WindowSnapshot {
             flush_commits: 0,
             latency: [0; LATENCY_BUCKETS],
         }
+    }
+
+    /// Count one served request: its latency, whether it was a commit or
+    /// abort resolution, and the shard queue depth (waiters for the
+    /// shard) it met.
+    pub fn record_request(
+        &mut self,
+        latency_ns: u64,
+        committed: bool,
+        aborted: bool,
+        queue_depth: u64,
+    ) {
+        self.requests += 1;
+        self.latency[bucket(latency_ns)] += 1;
+        self.committed += u64::from(committed);
+        self.aborted += u64::from(aborted);
+        self.queue_depth = self.queue_depth.max(queue_depth);
+    }
+
+    /// Count one WAL group-commit flush covering `commits` commits.
+    pub fn record_flush(&mut self, commits: u64) {
+        self.flush_groups += 1;
+        self.flush_commits += commits;
+    }
+
+    /// Did nothing land in this window? An untouched window carries no
+    /// information, so the series never keeps one.
+    pub fn is_untouched(&self) -> bool {
+        self.requests == 0 && self.committed == 0 && self.aborted == 0 && self.flush_groups == 0
     }
 
     /// Fold `other` into `self` (for SLO evaluation over `Y` consecutive
@@ -198,22 +206,15 @@ pub struct TelemetryDelta {
     pub windows: Vec<WindowSnapshot>,
 }
 
-struct SeriesInner {
-    /// The window currently filling.
-    current: WindowSnapshot,
-    /// Closed windows, oldest first, bounded by `retain`.
-    closed: VecDeque<WindowSnapshot>,
-}
-
-/// A shared, windowed telemetry collector. Cloning shares the series.
+/// The closed windows of a service, fed by recorders that fill windows
+/// of their own (see the module docs).
 ///
-/// Recording takes one mutex acquisition; at the tens-of-thousands of
-/// requests per second this stack serves, that is noise next to a
-/// protocol round-trip (the tracing overhead bench measures the whole
-/// observability layer and gates it).
-#[derive(Clone)]
+/// Its mutex is taken only when a recorder's window closes — about once
+/// per window width per recorder — and by pullers, never per request.
 pub struct TelemetrySeries {
-    inner: Arc<Mutex<SeriesInner>>,
+    /// Closed windows by `seq`, bounded by `retain`. Recorders close
+    /// theirs independently, so one `seq` may be folded several times.
+    closed: Mutex<BTreeMap<u64, WindowSnapshot>>,
     epoch: Instant,
     width_ns: u64,
     retain: usize,
@@ -239,10 +240,7 @@ impl TelemetrySeries {
     /// closed ones.
     pub fn new(width: Duration, retain: usize) -> TelemetrySeries {
         TelemetrySeries {
-            inner: Arc::new(Mutex::new(SeriesInner {
-                current: WindowSnapshot::empty(0),
-                closed: VecDeque::new(),
-            })),
+            closed: Mutex::new(BTreeMap::new()),
             epoch: Instant::now(),
             width_ns: (width.as_nanos() as u64).max(1),
             retain: retain.max(1),
@@ -254,74 +252,45 @@ impl TelemetrySeries {
         self.width_ns
     }
 
-    /// Nanoseconds since the series epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+    /// The sequence number of the window holding instant `at`:
+    /// `(at − epoch) / width`. Reads no clock.
+    pub fn seq_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64 / self.width_ns
     }
 
-    /// Roll `inner` forward to the window containing `now`, closing the
-    /// current one if time moved past it.
-    fn roll(&self, inner: &mut SeriesInner, now_ns: u64) {
-        let seq = now_ns / self.width_ns;
-        if seq > inner.current.seq {
-            let closed = std::mem::replace(&mut inner.current, WindowSnapshot::empty(seq));
-            // An untouched window carries no information; skip it so idle
-            // time costs nothing and gaps stay visible as missing seqs.
-            if closed.requests > 0
-                || closed.committed > 0
-                || closed.aborted > 0
-                || closed.flush_groups > 0
-            {
-                inner.closed.push_back(closed);
-                while inner.closed.len() > self.retain {
-                    inner.closed.pop_front();
-                }
-            }
+    /// Move a recorder's `window` forward to `seq`: when `seq` is past it,
+    /// the window is closed into the series (unless untouched) and an
+    /// empty one at `seq` replaces it. A `seq` at or behind the window
+    /// leaves it as it is, so a late sample lands in the current window.
+    pub fn roll(&self, window: &mut WindowSnapshot, seq: u64) {
+        if seq <= window.seq {
+            return;
+        }
+        let closed = std::mem::replace(window, WindowSnapshot::empty(seq));
+        if closed.is_untouched() {
+            return;
+        }
+        let mut windows = self.closed.lock().expect("telemetry series poisoned");
+        windows
+            .entry(closed.seq)
+            .and_modify(|w| w.merge(&closed))
+            .or_insert(closed);
+        while windows.len() > self.retain {
+            windows.pop_first();
         }
     }
 
-    /// Record one served request: its latency, whether it was a commit
-    /// or abort resolution, and the shard queue depth (waiters for the
-    /// shard) the request met.
-    pub fn record_request(
-        &self,
-        latency_ns: u64,
-        committed: bool,
-        aborted: bool,
-        queue_depth: u64,
-    ) {
-        let now = self.now_ns();
-        let mut inner = self.inner.lock().unwrap();
-        self.roll(&mut inner, now);
-        let w = &mut inner.current;
-        w.requests += 1;
-        w.latency[bucket(latency_ns)] += 1;
-        w.committed += u64::from(committed);
-        w.aborted += u64::from(aborted);
-        w.queue_depth = w.queue_depth.max(queue_depth);
-    }
-
-    /// Record one WAL group-commit flush covering `commits` commits.
-    pub fn record_flush(&self, commits: u64) {
-        let now = self.now_ns();
-        let mut inner = self.inner.lock().unwrap();
-        self.roll(&mut inner, now);
-        inner.current.flush_groups += 1;
-        inner.current.flush_commits += commits;
-    }
-
-    /// Export every closed window with `seq >= since`, oldest first,
-    /// closing the current window first if its time has passed. The
-    /// returned `next_seq` is the cursor for the next pull.
-    pub fn delta(&self, since: u64) -> TelemetryDelta {
-        let now = self.now_ns();
-        let mut inner = self.inner.lock().unwrap();
-        self.roll(&mut inner, now);
-        let windows: Vec<WindowSnapshot> = inner
+    /// Export every closed window with `since <= seq < before`, oldest
+    /// first. A puller passes as `before` the `seq` it has just rolled
+    /// every recorder's window to: no window below it changes any more.
+    /// The returned `next_seq` is the cursor for the next pull.
+    pub fn delta(&self, since: u64, before: u64) -> TelemetryDelta {
+        let windows: Vec<WindowSnapshot> = self
             .closed
-            .iter()
-            .filter(|w| w.seq >= since)
-            .cloned()
+            .lock()
+            .expect("telemetry series poisoned")
+            .range(since..before.max(since))
+            .map(|(_, w)| w.clone())
             .collect();
         let next_seq = windows.last().map_or(since, |w| w.seq + 1);
         TelemetryDelta {
@@ -507,19 +476,18 @@ mod tests {
         assert_eq!(WindowSnapshot::empty(0).p99_ns(), None);
     }
 
-    /// The live histogram and the one quantile walk, one input per line:
-    /// an empty histogram has no quantiles; a typical mix; and the
+    /// The one bucket function and the one quantile walk, one input per
+    /// line: an empty histogram has no quantiles; a typical mix; and the
     /// inclusive edge `2^(i+1) − 1` at the top, where bucket 62's
     /// (`2^63 − 1`) is representable, so only bucket 63 reports
     /// `u64::MAX`.
     #[test]
     fn histogram_quantiles_report_inclusive_bucket_edges() {
         let quantiles = |latencies: &[u64], qs: &[f64]| -> Vec<Option<u64>> {
-            let h = LatencyHistogram::default();
+            let mut counts = [0u64; LATENCY_BUCKETS];
             for &ns in latencies {
-                h.record(Duration::from_nanos(ns));
+                counts[bucket(ns)] += 1;
             }
-            let counts = h.counts();
             assert_eq!(counts.iter().sum::<u64>(), latencies.len() as u64);
             qs.iter().map(|&q| quantile(&counts, q)).collect()
         };
@@ -537,29 +505,49 @@ mod tests {
     #[test]
     fn series_closes_windows_and_exports_incremental_deltas() {
         let series = TelemetrySeries::new(Duration::from_nanos(u64::MAX / 2), 8);
-        // One giant window: nothing closes, delta is empty.
-        series.record_request(500, true, false, 3);
-        assert!(series.delta(0).windows.is_empty());
+        // One giant window: its seq never moves, so nothing closes and
+        // the delta is empty.
+        let mut own = WindowSnapshot::empty(0);
+        series.roll(&mut own, series.seq_at(Instant::now()));
+        own.record_request(500, true, false, 3);
+        series.roll(&mut own, series.seq_at(Instant::now()));
+        assert!(series.delta(0, u64::MAX).windows.is_empty());
 
+        // Two recorders of one series, rolled by hand.
         let fast = TelemetrySeries::new(Duration::from_millis(1), 8);
-        fast.record_request(1_000, true, false, 1);
-        fast.record_flush(4);
-        std::thread::sleep(Duration::from_millis(3));
-        // Recording after the width elapsed closes the first window.
-        fast.record_request(2_000, false, true, 2);
-        std::thread::sleep(Duration::from_millis(3));
-        let d1 = fast.delta(0);
-        assert!(!d1.windows.is_empty());
+        let (mut a, mut b) = (WindowSnapshot::empty(0), WindowSnapshot::empty(0));
+        a.record_request(1_000, true, false, 1);
+        a.record_flush(4);
+        b.record_request(1_500, true, false, 3);
+        // Moving past window 0 closes `a`'s; `b` still holds its share.
+        fast.roll(&mut a, 2);
+        a.record_request(2_000, false, true, 2);
+        // A sample behind its recorder's window lands in the current one.
+        fast.roll(&mut a, 1);
+        a.record_request(2_500, false, false, 0);
+        assert_eq!((a.seq, a.requests), (2, 2));
+        // A puller rolls every recorder to one seq, then exports below it.
+        fast.roll(&mut a, 3);
+        fast.roll(&mut b, 3);
+        let d1 = fast.delta(0, 3);
+        assert_eq!(d1.windows.iter().map(|w| w.seq).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(d1.next_seq, 3);
         let sum = |f: fn(&WindowSnapshot) -> u64| d1.windows.iter().map(f).sum::<u64>();
-        assert_eq!(sum(|w| w.requests), 2);
-        assert_eq!(sum(|w| w.committed), 1);
+        assert_eq!(sum(|w| w.requests), 4);
+        assert_eq!(sum(|w| w.committed), 2);
         assert_eq!(sum(|w| w.aborted), 1);
         assert_eq!(sum(|w| w.flush_groups), 1);
         assert_eq!(sum(|w| w.flush_commits), 4);
-        // The cursor advances past everything exported; re-pulling with
-        // it returns only newer windows.
-        let d2 = fast.delta(d1.next_seq);
-        assert!(d2.windows.iter().all(|w| w.seq >= d1.next_seq));
+        assert_eq!(d1.windows[0].queue_depth, 3, "both recorders' window 0");
+        // An untouched window is never kept: gaps stay visible as
+        // missing seqs.
+        fast.roll(&mut a, 9);
+        fast.roll(&mut b, 9);
+        assert!(fast.delta(d1.next_seq, 9).windows.is_empty());
+        // Re-pulling a cursor is idempotent; nothing at or past `before`
+        // is exported.
+        assert_eq!(fast.delta(0, 3), d1);
+        assert!(fast.delta(0, 2).windows.iter().all(|w| w.seq < 2));
     }
 
     #[test]

@@ -195,6 +195,18 @@ impl CandidateList {
             .map(|&(index, _)| self.version(index))
     }
 
+    /// The version to assign for a chosen `value`: `parent`'s own (the
+    /// parent's version) when it is listed and carries that value, else
+    /// the newest listed version carrying it. A child whose value equals
+    /// its parent's then reads the parent's version, not a sibling's
+    /// later copy of the same value that it would wait on at commit.
+    pub(crate) fn version_with(&self, value: Value, parent: VersionId) -> Option<VersionId> {
+        match self.versions.get(&parent.index) {
+            Some(&(listed, _)) if listed == value && parent.entity == self.entity => Some(parent),
+            _ => self.newest_with(value),
+        }
+    }
+
     /// How many versions are listed.
     pub(crate) fn len(&self) -> usize {
         self.versions.len()

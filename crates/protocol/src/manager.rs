@@ -681,15 +681,17 @@ impl ProtocolManager {
             }
         };
         let mut snapshot = Snapshot::new();
-        let parent = &self.nodes[node.parent.expect("root never validates")];
+        let parent_idx = node.parent.expect("root never validates");
+        let parent = &self.nodes[parent_idx];
         for e in parent.snapshot.entities() {
             if !node.input_set.contains(&e) {
                 snapshot.select(parent.snapshot.version_of(e).expect("selected"));
             }
         }
-        // Map chosen values back to versions (newest version per value).
+        // Map chosen values back to versions: the parent's own when it
+        // carries the value, else the newest version carrying it.
         for (e, list) in &lists {
-            match list.newest_with(values[e.index()]) {
+            match list.version_with(values[e.index()], self.parent_version(parent_idx, *e)) {
                 Some(v) => {
                     self.emit(
                         idx,

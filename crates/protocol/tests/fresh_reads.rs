@@ -6,10 +6,12 @@
 //! read only the initial state. Sequential transactions are never
 //! re-assigned, so no provenance is stored at all.
 //!
-//! Written values never repeat the initial 0. The solver chooses values,
-//! and each value maps back to its newest version: a later write of 0
-//! would turn `Backtracking`'s read of the initial value into a read of
-//! that writer's version, which counts as fresh.
+//! Written values are drawn from the whole domain 0..=999, so some repeat
+//! the initial 0. The solver chooses values, and a chosen value maps back
+//! to the parent's own version whenever that carries it: a sibling's later
+//! write of 0 must not turn `Backtracking`'s read of the initial value
+//! into a read of that sibling's version, which would count as fresh (and
+//! make the reader wait on the sibling at commit).
 //!
 //! The per-block timings are printed (`--nocapture`), not asserted: wall
 //! time in a debug build says little. A write's cost is what a version
@@ -71,7 +73,7 @@ fn run(strategy: Strategy) -> (ProtocolManager, f64) {
         }
         let t2 = Instant::now();
         for &e in &writes {
-            pm.write(t, e, 1 + rng.below(999) as i64).unwrap();
+            pm.write(t, e, rng.below(1000) as i64).unwrap();
         }
         let t3 = Instant::now();
         assert_eq!(pm.commit(t).unwrap(), CommitOutcome::Committed);

@@ -39,7 +39,6 @@
 //! commits durable never acknowledges them (the in-memory and dst
 //! stores are infallible; only real disks can trip this).
 
-use crate::metrics::ServerMetrics;
 use crate::worker::{span_end, span_start};
 use crate::ServerError;
 use ks_obs::{ObsKind, ObsSink, OpCode, SpanHop, NO_TXN};
@@ -164,7 +163,6 @@ pub(crate) struct WalShared {
     /// The service-level sink: group-commit events and the committers'
     /// WAL spans.
     sink: Option<ObsSink>,
-    metrics: Arc<ServerMetrics>,
 }
 
 impl WalShared {
@@ -174,7 +172,6 @@ impl WalShared {
         wal: Wal<Box<dyn SegmentStore>>,
         sync_on_commit: bool,
         sink: Option<ObsSink>,
-        metrics: Arc<ServerMetrics>,
     ) -> WalShared {
         let stats = wal.stats();
         WalShared {
@@ -192,7 +189,6 @@ impl WalShared {
             media: Mutex::new(wal),
             sync_on_commit,
             sink,
-            metrics,
         }
     }
 
@@ -215,6 +211,9 @@ impl WalShared {
 
     /// Wait until position `pos` is durable, leading a flush whenever
     /// none is in flight, for at most `timeout` of waiting on others.
+    /// Also returns the commits of the flush this call led, if it led
+    /// one: the flush the caller's account records. The one it leads
+    /// covers `pos`, so a call leads at most one.
     ///
     /// A traced commit enters with its `WalEnqueue` span open (append →
     /// reaching the flush), spends `WalBarrier` waiting out a flush that
@@ -225,8 +224,10 @@ impl WalShared {
         pos: u64,
         trace: u64,
         timeout: Duration,
-    ) -> Result<(), ServerError> {
-        let deadline = Instant::now() + timeout;
+    ) -> (Result<(), ServerError>, Option<u32>) {
+        // The clock is read for a deadline only once the call must wait.
+        let mut deadline = None;
+        let mut led = None;
         let sink = &self.sink;
         let hop = |done: SpanHop, next: SpanHop| {
             span_end(sink, trace, NO_TXN, done, true);
@@ -249,9 +250,10 @@ impl WalShared {
                 break Ok(());
             }
             if tail.flushing.is_none() {
-                tail = self.lead(tail, true);
+                (tail, led) = self.lead(tail, true);
                 continue;
             }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break Err(ServerError::Timeout);
@@ -269,29 +271,34 @@ impl WalShared {
             SpanHop::WalBarrier
         };
         span_end(sink, trace, NO_TXN, last, outcome.is_ok());
-        outcome
+        (outcome, led)
     }
 
     /// Lead one flush: take the whole tail, write it and sync it with
     /// the tail unlocked (appends go on meanwhile, into the next flush),
     /// then publish the outcome and wake every waiter. An `announce`d
-    /// flush is a commit group: it emits `GroupCommit` and `WalFsync`
-    /// and feeds the flush series.
-    fn lead<'a>(&'a self, mut tail: MutexGuard<'a, Tail>, announce: bool) -> MutexGuard<'a, Tail> {
+    /// flush is a commit group: it emits `GroupCommit` and `WalFsync`,
+    /// and once synced returns its commits for the flush series.
+    fn lead<'a>(
+        &'a self,
+        mut tail: MutexGuard<'a, Tail>,
+        announce: bool,
+    ) -> (MutexGuard<'a, Tail>, Option<u32>) {
         let records = std::mem::take(&mut tail.records);
         let commits = std::mem::take(&mut tail.commits);
         let upto = tail.appended;
         tail.flushing = Some(upto);
         drop(tail);
-        let start = Instant::now();
+        let start = self.sink.as_ref().map(|_| Instant::now());
         let (synced, syncs) = {
             let _watch = LeaderWatch(self);
             let mut wal = self.media.lock().unwrap_or_else(PoisonError::into_inner);
             let synced = wal.append_all(&records).and_then(|()| wal.sync());
             (synced, wal.stats().syncs)
         };
+        let mut led = None;
         if let (Ok(records), true) = (&synced, announce) {
-            if let Some(s) = &self.sink {
+            if let (Some(s), Some(start)) = (&self.sink, start) {
                 s.emit(NO_TXN, ObsKind::GroupCommit { n: commits });
                 s.emit(
                     NO_TXN,
@@ -301,7 +308,7 @@ impl WalShared {
                     },
                 );
             }
-            self.metrics.telemetry.record_flush(u64::from(commits));
+            led = Some(commits);
         }
         let mut tail = self.tail();
         tail.flushing = None;
@@ -311,7 +318,7 @@ impl WalShared {
             Err(_) => tail.failed = true,
         }
         self.flushed.notify_all();
-        tail
+        (tail, led)
     }
 
     /// Final barrier at graceful shutdown: even in teeth runs with

@@ -36,8 +36,10 @@
 //!   single [`ServerError::is_retryable`] classification.
 //! - **Admission control** ([`service`]): a session cap plus shedding
 //!   past `queue_depth` waiters degrade gracefully under overload.
-//! - **Metrics** ([`metrics`]): lock-free counters and ks-obs's one
-//!   fixed-bucket latency histogram type (p50/p99) snapshotted on demand.
+//! - **Metrics** ([`metrics`]): each call's account — counters, ks-obs's
+//!   one log₂ latency histogram (p50/p99), telemetry window — recorded
+//!   once, after the reply, into its session's own stripe, and summed
+//!   over the stripes on demand.
 //! - **Verification** ([`verify`]): after shutdown, every shard
 //!   certifier re-checks its own history offline — the CPC backend
 //!   against the paper's parent-based criterion ([`ks_core::check`]),

@@ -28,10 +28,6 @@ pub(crate) struct Shared {
     /// The write-ahead log every shard appends to, under
     /// [`Durability::Wal`].
     pub(crate) wal: Option<Arc<WalShared>>,
-    /// Monotone seed for in-process trace origination (see
-    /// `ServerConfig::trace_sample`): each sampled-candidate call draws
-    /// a sequence number whose SplitMix64 hash is the trace id.
-    pub(crate) trace_seq: std::sync::atomic::AtomicU64,
 }
 
 /// A concurrent multi-session transaction service over a pluggable
@@ -115,7 +111,6 @@ impl TxnService {
                 wal,
                 opts.sync_on_commit,
                 obs.clone(),
-                Arc::clone(&metrics),
             )));
         }
         let recovered_states = recovery.as_ref().and_then(|r| r.states.clone());
@@ -173,7 +168,6 @@ impl TxnService {
                 config,
                 obs,
                 wal: wal_shared,
-                trace_seq: std::sync::atomic::AtomicU64::new(0),
             }),
             recovery,
         }
@@ -205,11 +199,11 @@ impl TxnService {
             }
             return Err(ServerError::Backpressure);
         }
-        ServerMetrics::add(&metrics.sessions_admitted);
+        let admitted = metrics.sessions_admitted.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.shared.obs {
             obs.emit(NO_TXN, ObsKind::SessionAdmit);
         }
-        Ok(Session::new(Arc::clone(&self.shared)))
+        Ok(Session::new(Arc::clone(&self.shared), admitted))
     }
 
     /// The entity partition this service runs.
@@ -224,12 +218,14 @@ impl TxnService {
 
     /// Incremental time-series telemetry: every closed window with
     /// sequence number `>= since`, plus the cursor to pass next time.
-    /// Pulling the same cursor twice is idempotent; a remote poller
+    /// Every session stripe's window is first rolled to the current one,
+    /// and only the windows below it are exported, so an exported window
+    /// never changes. Pulling the same cursor twice is idempotent; a remote poller
     /// reconstructs the full series — and checks SLOs — from deltas
     /// alone. Each pull leaves a `TelemetryDelta` breadcrumb in the
     /// flight recorder.
     pub fn telemetry(&self, since: u64) -> ks_obs::TelemetryDelta {
-        let delta = self.shared.metrics.telemetry.delta(since);
+        let delta = self.shared.metrics.telemetry(since);
         if let Some(obs) = &self.shared.obs {
             obs.emit(
                 NO_TXN,

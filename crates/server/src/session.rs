@@ -8,7 +8,9 @@
 //! `queue_depth` calls already wait for it) and runs the certifier call
 //! itself. A logged commit then waits, with the lock released, for its
 //! record to become durable — leading the flush itself when none is in
-//! flight — up to the configured timeout. Sessions
+//! flight — up to the configured timeout. The call's account (counters,
+//! latency histograms, telemetry window) is recorded once, after the
+//! reply, into the session's own metrics stripe. Sessions
 //! speak **global** entity ids; translation to shard-local ids happens
 //! here, at the boundary.
 //!
@@ -19,7 +21,7 @@
 //! the same schedule remote callers use on the wire.
 
 use crate::client::{BatchOp, BatchReply, Client, TxnBuilder};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{CallAccount, Outcome};
 use crate::service::Shared;
 use crate::worker::{Call, Served, Worker};
 use crate::ServerError;
@@ -63,6 +65,15 @@ pub struct Session {
     /// a transport adapter via [`Session::set_trace`] and consumed per
     /// call.
     wire_trace: AtomicU64,
+    /// Seed for in-process trace origination (see
+    /// `ServerConfig::trace_sample`): each sampled-candidate call draws
+    /// the next number, whose SplitMix64 hash is the trace id. It starts
+    /// at the session's admission number shifted past any count one
+    /// session reaches, so sessions draw disjoint ids without sharing a
+    /// counter.
+    trace_seq: AtomicU64,
+    /// The metrics stripe this session records its calls into.
+    stripe: usize,
 }
 
 impl std::fmt::Debug for Session {
@@ -74,11 +85,15 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    pub(crate) fn new(shared: Arc<Shared>) -> Self {
+    /// The handle of the `admitted`-th session the service admitted.
+    pub(crate) fn new(shared: Arc<Shared>, admitted: u64) -> Self {
+        let stripe = shared.metrics.stripe_of(admitted);
         Session {
             shared,
             strategies: Mutex::new(HashMap::new()),
             wire_trace: AtomicU64::new(0),
+            trace_seq: AtomicU64::new(admitted << 40),
+            stripe,
         }
     }
 
@@ -137,7 +152,7 @@ impl Session {
         let (trace, originated) = match (&self.shared.obs, wire) {
             (Some(_), w) if w != 0 => (w, false),
             (Some(obs), _) if self.shared.config.trace_sample > 0.0 && obs.is_enabled() => {
-                let seq = self.shared.trace_seq.fetch_add(1, Ordering::Relaxed);
+                let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
                 let t = derive_trace_id(seq);
                 if trace_sampled(t, self.shared.config.trace_sample) {
                     (t, true)
@@ -170,18 +185,19 @@ impl Session {
             });
         }
         let metrics = &self.shared.metrics;
+        let arrived = Instant::now();
         let call = Call {
             op,
             txn32,
             trace,
-            arrived: Instant::now(),
+            arrived,
         };
         // Counted in before the lock is requested and out once it is held
         // (or the call is shed), so the depth is the number of waiters.
         let depth = metrics.enqueue(shard);
         let served = if depth >= self.shared.config.queue_depth {
             metrics.dequeued(shard);
-            ServerMetrics::add(&metrics.backpressure);
+            metrics.shed(self.stripe);
             Err(ServerError::Backpressure)
         } else {
             let slot = self.shared.shards[shard].lock();
@@ -195,16 +211,8 @@ impl Session {
                 Err(_) => Err(ServerError::Shutdown),
             }
         };
-        let result = match served {
-            Ok((result, None)) => result,
-            // The lock is released: see the commit record durable.
-            Ok((result, Some(pos))) => self
-                .shared
-                .wal
-                .as_ref()
-                .expect("a logged commit implies a WAL")
-                .await_durable(pos, trace, self.shared.config.request_timeout)
-                .and(result),
+        let reply = match served {
+            Ok(reply) => reply,
             // A shed or dead-shard call still closes the spans it opened,
             // so sampled failures don't dangle in the trace export.
             Err(refused) => {
@@ -225,25 +233,39 @@ impl Session {
                 return Err(refused);
             }
         };
-        let elapsed = call.arrived.elapsed();
-        let depth = depth as u64;
-        if matches!(result, Err(ServerError::Timeout)) {
-            ServerMetrics::add(&metrics.timeouts);
-            metrics
-                .telemetry
-                .record_request(elapsed.as_nanos() as u64, false, false, depth);
-        } else {
-            metrics.record_latency(shard, elapsed);
-            metrics.telemetry.record_request(
-                elapsed.as_nanos() as u64,
-                op == OpCode::Commit && result.is_ok(),
-                matches!(
-                    result,
-                    Err(ServerError::ReEvalAborted) | Err(ServerError::Rejected(_))
-                ),
-                depth,
-            );
-        }
+        let (result, done, led_flush) = match reply.durable {
+            None => (reply.result, reply.done, None),
+            // The lock is released: see the commit record durable, then
+            // read the clock once more to end the round trip.
+            Some(pos) => {
+                let (durable, led) = self
+                    .shared
+                    .wal
+                    .as_ref()
+                    .expect("a logged commit implies a WAL")
+                    .await_durable(pos, trace, self.shared.config.request_timeout);
+                (durable.and(reply.result), Instant::now(), led)
+            }
+        };
+        let outcome = match &result {
+            Ok(_) if op == OpCode::Commit => Outcome::Committed,
+            Err(ServerError::ReEvalAborted | ServerError::Rejected(_)) => Outcome::Aborted,
+            Err(ServerError::Timeout) => Outcome::TimedOut,
+            _ => Outcome::Other,
+        };
+        metrics.record(
+            self.stripe,
+            &CallAccount {
+                shard,
+                queue_wait: reply.queue_wait,
+                exec: reply.exec,
+                round_trip: done.saturating_duration_since(arrived),
+                done,
+                queue_depth: depth as u64,
+                outcome,
+                led_flush,
+            },
+        );
         if trace != 0 && originated {
             span(ObsKind::SpanEnd {
                 hop: SpanHop::Request,

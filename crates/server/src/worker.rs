@@ -14,9 +14,10 @@
 //! lock acquisition.
 //!
 //! **One way out.** [`Worker::serve`] runs a call to its result, then, in
-//! order, takes the execute time, records it, emits the `Reply` event and
-//! ends the `Exec` span — and only then opens a logged commit's
-//! `WalEnqueue` span and returns the position of its `Commit` record. A
+//! order, reads the clock once, emits the `Reply` event and ends the
+//! `Exec` span — and only then opens a logged commit's `WalEnqueue` span
+//! and returns the position of its `Commit` record with the call's clock
+//! reads, which the session records once, after the reply. A
 //! hop's span ends before anything that lets its parent end, so the
 //! session never closes its `Request` span while `Exec` is still open.
 //! The caller waits for that position to become durable after it has
@@ -38,7 +39,7 @@ use ks_protocol::{
     ValidationOutcome,
 };
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One shard: its worker behind the lock each call holds while it runs;
 /// `None` once the service has shut down. A call that panicked under the
@@ -66,6 +67,19 @@ impl<T> From<Result<T, ServerError>> for Served<T> {
             durable: None,
         }
     }
+}
+
+/// What one call produced, with the clock reads its account is made of.
+pub(crate) struct Reply<T> {
+    pub(crate) result: Result<T, ServerError>,
+    /// A logged commit's log position, acknowledged once durable.
+    pub(crate) durable: Option<u64>,
+    /// Arrived → shard lock held.
+    pub(crate) queue_wait: Duration,
+    /// Execute start → result ready.
+    pub(crate) exec: Duration,
+    /// When the result was ready.
+    pub(crate) done: Instant,
 }
 
 /// What a call's events and spans are stamped with.
@@ -338,25 +352,26 @@ impl Worker {
 
     /// Serve one call on the calling thread, which holds the shard lock.
     ///
-    /// Records the call's wait for the lock and its execute time; with a
-    /// sink attached, the two are also emitted as `Execute`/`Reply`
-    /// events so a flight-recorder dump shows where each call's time
-    /// went. Returns the result and, for a logged commit, the log
-    /// position to see durable once the lock is released.
+    /// Times the call's wait for the lock and its execute portion with
+    /// two clock reads, `held` and `done` (a third, after the `Queue`
+    /// span closes, when a sink is attached); with a sink attached, the
+    /// two are also emitted as `Execute`/`Reply` events so a
+    /// flight-recorder dump shows where each call's time went. Returns
+    /// the result, the times and, for a logged commit, the log position
+    /// to see durable once the lock is released.
     pub(crate) fn serve<T>(
         &mut self,
         call: Call,
         run: impl FnOnce(&mut Worker, u64) -> Served<T>,
-    ) -> (Result<T, ServerError>, Option<u64>) {
+    ) -> Reply<T> {
         let Call {
             op,
             txn32,
             trace,
             arrived,
         } = call;
-        let queue_wait = arrived.elapsed();
-        self.metrics.queue_wait.record(queue_wait);
-        ServerMetrics::add(&self.metrics.requests);
+        let held = Instant::now();
+        let queue_wait = held.saturating_duration_since(arrived);
         if let Some(s) = &self.sink {
             s.emit(
                 txn32,
@@ -370,12 +385,18 @@ impl Worker {
         // holding it ends the span, and execution gets its own.
         span_end(&self.sink, trace, txn32, SpanHop::Queue, true);
         span_start(&self.sink, trace, txn32, SpanHop::Exec, op);
-        let exec_start = Instant::now();
+        // The execute clock starts after the emissions above, so a traced
+        // execute time stays comparable with an untraced one.
+        let exec_start = if self.sink.is_some() {
+            Instant::now()
+        } else {
+            held
+        };
         let served = run(self, trace);
-        // The one way out, in order: take the execute time once, record
-        // it, emit the `Reply` event, end the `Exec` span — then enqueue.
-        let exec = exec_start.elapsed();
-        self.metrics.exec_time.record(exec);
+        // The one way out, in order: read the clock once, emit the `Reply`
+        // event, end the `Exec` span — then enqueue.
+        let done = Instant::now();
+        let exec = done.saturating_duration_since(exec_start);
         if let Some(s) = &self.sink {
             s.emit(
                 txn32,
@@ -396,7 +417,13 @@ impl Worker {
                 OpCode::Commit,
             );
         }
-        (served.result, served.durable)
+        Reply {
+            result: served.result,
+            durable: served.durable,
+            queue_wait,
+            exec,
+            done,
+        }
     }
 
     /// Retire the worker at shutdown and return its certifier (the

@@ -65,20 +65,23 @@ cp benchmark/Cargo.lock target/benchmark-Cargo.lock
 (cd benchmark && cargo test --release --offline -q)
 cp target/benchmark-Cargo.lock benchmark/Cargo.lock
 
-# Three ks-server lib tests that race real threads, repeated under 4x
+# Four ks-server lib tests that race real threads, repeated under 4x
 # thread oversubscription (4 x nproc concurrent processes): shutdown
-# while calls hold and wait for a shard lock, on SSI and on CPC, and
-# trace well-formedness across the committers' group-commit flushes.
+# while calls hold and wait for a shard lock, on SSI and on CPC, trace
+# well-formedness across the committers' group-commit flushes, and
+# telemetry pulls racing four sessions' stripes across window boundaries.
 soak_runs=100
 soak_jobs=$((4 * $(nproc)))
-echo "== soak: shard shutdown under load (SSI, CPC) and stitchable traces, ${soak_runs}x each, ${soak_jobs} processes"
+echo "== soak: shard shutdown under load (SSI, CPC), stitchable traces and concurrent telemetry pulls, ${soak_runs}x each, ${soak_jobs} processes"
 soak_bin=$(cargo test -p ks-server --lib --no-run 2>&1 |
     sed -n 's/.*Executable unittests src\/lib.rs (\(.*\))/\1/p')
 soak_log=target/soak.log
 if ! seq "$soak_runs" | xargs -P "$soak_jobs" -I{} "$soak_bin" -q --exact \
     tests::shutdown_under_load_answers_every_call \
     tests::shutdown_under_load_answers_every_call_cpc \
-    tests::sampled_sessions_emit_stitchable_traces >"$soak_log" 2>&1; then
+    tests::sampled_sessions_emit_stitchable_traces \
+    metrics::tests::telemetry_pulls_under_concurrent_recording_export_each_window_once \
+    >"$soak_log" 2>&1; then
     cat "$soak_log" >&2
     echo "FAIL: a soak run failed (test binary: '$soak_bin')" >&2
     exit 1
