@@ -8,8 +8,8 @@
 //! for the one in flight; whatever is appended during a sync rides the
 //! next. There is no window and no flusher thread. The two things to
 //! check are the ends, on a store
-//! whose sync latency is known (`SlowSync`: a `MemStore` taking
-//! `SLOW_SYNC` per sync):
+//! whose sync latency is known (a `MemStore` handle that
+//! sleeps `SLOW_SYNC` before each sync):
 //!
 //! * **1 client**: `fsync_per_commit` within 5 % of 1.0 and a median
 //!   commit latency under 2 × `SLOW_SYNC` — a lone committer pays for
@@ -32,7 +32,6 @@ use ks_bench::driver::{
 use ks_bench::report::{write_report, Json};
 use ks_server::{verify_certifiers, Durability, ServerConfig, StoreFactory, WalOptions};
 use ks_wal::{FileStore, MemStore, SegmentStore};
-use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,31 +60,6 @@ const LONE_LATENCY_GATE: f64 = 2.0;
 /// Eight committers' `fsync_per_commit` over the lone committer's.
 const SHARED_GATE: f64 = 0.5;
 
-/// Test double: a disk with a known fsync latency.
-struct SlowSync(MemStore);
-
-impl SegmentStore for SlowSync {
-    fn create(&mut self, id: u64) -> io::Result<()> {
-        self.0.create(id)
-    }
-    fn append(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
-        self.0.append(id, bytes)
-    }
-    fn sync(&mut self, id: u64) -> io::Result<()> {
-        std::thread::sleep(SLOW_SYNC);
-        self.0.sync(id)
-    }
-    fn list(&self) -> io::Result<Vec<u64>> {
-        self.0.list()
-    }
-    fn read(&self, id: u64) -> io::Result<Vec<u8>> {
-        self.0.read(id)
-    }
-    fn remove(&mut self, id: u64) -> io::Result<()> {
-        self.0.remove(id)
-    }
-}
-
 struct RunResult {
     store: &'static str,
     clients: usize,
@@ -105,16 +79,17 @@ impl RunResult {
     }
 }
 
-/// A fresh in-memory log, optionally behind the slow-sync double.
+/// A fresh in-memory log, optionally a disk with a known fsync latency
+/// (every sync takes `SLOW_SYNC`).
 fn mem_store(slow: bool) -> StoreFactory {
-    let store = MemStore::new();
-    Arc::new(move || {
-        if slow {
-            Box::new(SlowSync(store.clone())) as Box<dyn SegmentStore>
-        } else {
-            Box::new(store.clone())
-        }
-    })
+    let mut store = MemStore::new();
+    if slow {
+        store = store.on_sync(|| {
+            std::thread::sleep(SLOW_SYNC);
+            Ok(())
+        });
+    }
+    Arc::new(move || Box::new(store.clone()) as Box<dyn SegmentStore>)
 }
 
 /// A file log in `target/wal_bench/`, wiped first so the run starts empty.

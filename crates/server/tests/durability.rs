@@ -80,34 +80,17 @@ fn read_one(svc: &TxnService, entity: EntityId) -> i64 {
     value
 }
 
-/// A disk with a known fsync latency: a [`MemStore`] whose every `sync`
-/// takes `SLOW_SYNC`, long enough that concurrent committers queue up
-/// behind the one in flight.
-struct SlowSync(MemStore);
+/// A disk with a known fsync latency: every `sync` of the returned
+/// store takes `SLOW_SYNC`, long enough that concurrent committers queue
+/// up behind the one in flight.
+fn slow_sync(store: &MemStore) -> MemStore {
+    store.on_sync(|| {
+        std::thread::sleep(SLOW_SYNC);
+        Ok(())
+    })
+}
 
 const SLOW_SYNC: Duration = Duration::from_millis(3);
-
-impl SegmentStore for SlowSync {
-    fn create(&mut self, id: u64) -> io::Result<()> {
-        self.0.create(id)
-    }
-    fn append(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
-        self.0.append(id, bytes)
-    }
-    fn sync(&mut self, id: u64) -> io::Result<()> {
-        std::thread::sleep(SLOW_SYNC);
-        self.0.sync(id)
-    }
-    fn list(&self) -> io::Result<Vec<u64>> {
-        self.0.list()
-    }
-    fn read(&self, id: u64) -> io::Result<Vec<u8>> {
-        self.0.read(id)
-    }
-    fn remove(&mut self, id: u64) -> io::Result<()> {
-        self.0.remove(id)
-    }
-}
 
 #[test]
 fn committed_writes_survive_graceful_restart() {
@@ -188,9 +171,9 @@ fn lone_committer_syncs_once_per_commit_and_acks_survive_a_power_cut() {
 fn concurrent_committers_share_syncs_and_lose_no_ack() {
     const ROUNDS: i64 = 10;
     let store = MemStore::new();
-    let media = store.clone();
+    let media = slow_sync(&store);
     let slow: ks_server::StoreFactory =
-        Arc::new(move || Box::new(SlowSync(media.clone())) as Box<dyn SegmentStore>);
+        Arc::new(move || Box::new(media.clone()) as Box<dyn SegmentStore>);
     let svc = TxnService::new(
         schema(),
         &UniqueState::constant(ENTITIES, 0),
@@ -395,6 +378,21 @@ impl Gate {
         self.moved.notify_all();
     }
 
+    /// A sync reaching the gate: once armed, park until it opens, then
+    /// let the sync through or fail it.
+    fn pass(&self) -> io::Result<()> {
+        let mut state = self.state.lock().unwrap();
+        if state.armed {
+            state.parked += 1;
+            self.moved.notify_all();
+            state = self.moved.wait_while(state, |s| !s.open).unwrap();
+            if state.fail {
+                return Err(io::Error::other("injected sync failure"));
+            }
+        }
+        Ok(())
+    }
+
     /// Block until `n` syncs are parked at the closed gate.
     fn await_parked(&self, n: usize) {
         let state = self.state.lock().unwrap();
@@ -420,47 +418,12 @@ impl Drop for OpenOnDrop {
     }
 }
 
-/// A [`MemStore`] whose syncs park at a [`Gate`] once it is armed.
-struct GatedSync(MemStore, Arc<Gate>);
-
-impl SegmentStore for GatedSync {
-    fn create(&mut self, id: u64) -> io::Result<()> {
-        self.0.create(id)
-    }
-    fn append(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
-        self.0.append(id, bytes)
-    }
-    fn sync(&mut self, id: u64) -> io::Result<()> {
-        let gate = &self.1;
-        let mut state = gate.state.lock().unwrap();
-        if state.armed {
-            state.parked += 1;
-            gate.moved.notify_all();
-            state = gate.moved.wait_while(state, |s| !s.open).unwrap();
-            if state.fail {
-                return Err(io::Error::other("injected sync failure"));
-            }
-        }
-        drop(state);
-        self.0.sync(id)
-    }
-    fn list(&self) -> io::Result<Vec<u64>> {
-        self.0.list()
-    }
-    fn read(&self, id: u64) -> io::Result<Vec<u8>> {
-        self.0.read(id)
-    }
-    fn remove(&mut self, id: u64) -> io::Result<()> {
-        self.0.remove(id)
-    }
-}
-
 /// A service over a gated store, with the given commit timeout.
 fn gated_service(store: &MemStore, gate: &Arc<Gate>, timeout: Duration) -> TxnService {
-    let (media, gate) = (store.clone(), Arc::clone(gate));
-    let factory: ks_server::StoreFactory = Arc::new(move || {
-        Box::new(GatedSync(media.clone(), Arc::clone(&gate))) as Box<dyn SegmentStore>
-    });
+    let gate = Arc::clone(gate);
+    let media = store.on_sync(move || gate.pass());
+    let factory: ks_server::StoreFactory =
+        Arc::new(move || Box::new(media.clone()) as Box<dyn SegmentStore>);
     let mut config = wal_config_over(factory, true);
     config.request_timeout = timeout;
     TxnService::new(schema(), &UniqueState::constant(ENTITIES, 0), config)
