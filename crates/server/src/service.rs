@@ -67,14 +67,10 @@ impl TxnService {
         let mut wal_shared: Option<Arc<WalShared>> = None;
         if let Durability::Wal(opts) = &config.durability {
             let store = (opts.store)();
-            let replayed = ks_wal::recover(&store).expect("wal recovery failed");
-            let mut wal = Wal::open(
-                store,
-                WalConfig {
-                    segment_bytes: opts.segment_bytes,
-                },
-            )
-            .expect("wal open failed");
+            let config = WalConfig {
+                segment_bytes: opts.segment_bytes,
+            };
+            let (replayed, mut wal) = Wal::recover(store, config).expect("wal recovery failed");
             // The startup states this incarnation will actually serve:
             // recovered committed state, or the configured initial.
             let states: Vec<Vec<i64>> = match &replayed.states {

@@ -88,8 +88,14 @@ impl WalRecord {
     pub fn encode(&self, out: &mut Vec<u8>) {
         let mut payload = Vec::with_capacity(32);
         match self {
-            WalRecord::Begin { shard, txn } => {
-                payload.push(TAG_BEGIN);
+            WalRecord::Begin { shard, txn }
+            | WalRecord::Commit { shard, txn }
+            | WalRecord::Abort { shard, txn } => {
+                payload.push(match self {
+                    WalRecord::Begin { .. } => TAG_BEGIN,
+                    WalRecord::Commit { .. } => TAG_COMMIT,
+                    _ => TAG_ABORT,
+                });
                 payload.extend_from_slice(&shard.to_le_bytes());
                 payload.extend_from_slice(&txn.to_le_bytes());
             }
@@ -104,16 +110,6 @@ impl WalRecord {
                 payload.extend_from_slice(&txn.to_le_bytes());
                 payload.extend_from_slice(&entity.to_le_bytes());
                 payload.extend_from_slice(&value.to_le_bytes());
-            }
-            WalRecord::Commit { shard, txn } => {
-                payload.push(TAG_COMMIT);
-                payload.extend_from_slice(&shard.to_le_bytes());
-                payload.extend_from_slice(&txn.to_le_bytes());
-            }
-            WalRecord::Abort { shard, txn } => {
-                payload.push(TAG_ABORT);
-                payload.extend_from_slice(&shard.to_le_bytes());
-                payload.extend_from_slice(&txn.to_le_bytes());
             }
             WalRecord::Checkpoint { shards } => {
                 payload.push(TAG_CHECKPOINT);
